@@ -110,7 +110,8 @@ fabric::ShardRunner make_subprocess_runner(const cli::ArgParser& parser,
   std::vector<std::string> engine_args;
   for (const std::string& flag :
        {std::string("threads"), std::string("batch"), std::string("isa"),
-        std::string("cache-dir"), std::string("cache-mem-mb")}) {
+        std::string("megabatch"), std::string("cache-dir"),
+        std::string("cache-mem-mb")}) {
     engine_args.push_back("--" + flag);
     engine_args.push_back(parser.get(flag));
   }
@@ -320,6 +321,9 @@ int main(int argc, char** argv) {
 
   try {
     if (!cli::apply_isa_flag(parser, std::cerr)) return 2;
+    // Checked up front so a bad value fails before init or any claim,
+    // not in every shard worker it is forwarded to.
+    cli::megabatch_flag(parser);
     const std::string mode = parser.get("mode");
     fabric::LeaseDir dir(parser.get("fabric-dir"));
     std::string worker_id = parser.get("worker-id");

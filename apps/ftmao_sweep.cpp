@@ -2,7 +2,7 @@
 // system sizes, attacks, and seeds, and emits an aggregate CSV. The quick
 // way to regenerate robustness tables for a new cost family or schedule.
 //
-//   ftmao_sweep --sizes 7:2,10:3,13:4 --attacks split-brain,sign-flip \
+//   ftmao_sweep --sizes 7:2,10:3,13:4 --attacks split-brain,sign-flip
 //               --seeds 5 --rounds 4000 [--csv]
 //
 // Shard-worker mode: --shard-index i --shard-count K runs only the cells

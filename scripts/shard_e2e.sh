@@ -240,4 +240,56 @@ if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric.csv"; then
   exit 1
 fi
 
-echo "shard_e2e: OK — retry exercised, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, megabatch A/B identical, warm-start served from cache, fabric steal recovered"
+echo "shard_e2e: fabric --megabatch (bogus refused, off forwarded) ..."
+# ftmao_fabric checks --megabatch before it touches the fabric directory:
+# a bogus value exits 2 in init mode (no directory is created) and in work
+# mode (no shard is claimed). A valid value reaches every shard worker:
+# the workers run through a wrapper that logs their argv, and the
+# --megabatch off run merges byte-identical to the single-process sweep.
+MBFAB="$WORK/fabric_mb"
+BOGUS_STATUS=0
+# shellcheck disable=SC2086  # word-splitting of $FGRID is intended
+"$FABRIC" --mode init --fabric-dir "$MBFAB" $FGRID --shards 2 \
+  --megabatch bogus 2> "$WORK/fabric_mb_bogus_init.log" || BOGUS_STATUS=$?
+if [ "$BOGUS_STATUS" -ne 2 ] || [ -e "$MBFAB" ]; then
+  echo "shard_e2e: FAIL — init accepted --megabatch bogus (exit $BOGUS_STATUS)" >&2
+  cat "$WORK/fabric_mb_bogus_init.log" >&2
+  exit 1
+fi
+# shellcheck disable=SC2086
+"$FABRIC" --mode init --fabric-dir "$MBFAB" $FGRID --shards 2 \
+  2> "$WORK/fabric_mb_init.log"
+BOGUS_STATUS=0
+"$FABRIC" --mode work --fabric-dir "$MBFAB" --worker-id bogus \
+  --worker "$SWEEP" --megabatch bogus \
+  2> "$WORK/fabric_mb_bogus_work.log" || BOGUS_STATUS=$?
+if [ "$BOGUS_STATUS" -ne 2 ] || grep -rqs '"worker_id": "bogus"' "$MBFAB"; then
+  echo "shard_e2e: FAIL — work accepted --megabatch bogus (exit $BOGUS_STATUS)" >&2
+  cat "$WORK/fabric_mb_bogus_work.log" >&2
+  exit 1
+fi
+
+ARGV_LOG="$WORK/fabric_mb_argv.log"
+cat > "$WORK/sweep_argv_logger.sh" <<EOF
+#!/bin/sh
+echo "\$*" >> "$ARGV_LOG"
+exec "$SWEEP" "\$@"
+EOF
+chmod +x "$WORK/sweep_argv_logger.sh"
+"$FABRIC" --mode work --fabric-dir "$MBFAB" --worker-id mboff \
+  --worker "$WORK/sweep_argv_logger.sh" --megabatch off --wait-all \
+  2> "$WORK/fabric_mb_work.log"
+if [ "$(grep -c -- "--megabatch off" "$ARGV_LOG")" -ne 2 ]; then
+  echo "shard_e2e: FAIL — --megabatch off was not forwarded to both shards" >&2
+  cat "$ARGV_LOG" >&2
+  exit 1
+fi
+"$FABRIC" --mode merge --fabric-dir "$MBFAB" --out "$WORK/merged_fabric_mb.csv" \
+  2> "$WORK/fabric_mb_merge.log"
+if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric_mb.csv"; then
+  echo "shard_e2e: FAIL — fabric --megabatch off merged CSV differs" >&2
+  diff "$WORK/single_fabric.csv" "$WORK/merged_fabric_mb.csv" >&2 || true
+  exit 1
+fi
+
+echo "shard_e2e: OK — retry exercised, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, megabatch A/B identical, warm-start served from cache, fabric steal recovered, fabric --megabatch checked and forwarded"

@@ -18,7 +18,9 @@
 //
 // Every strategy implements both the synchronous and asynchronous
 // Byzantine interfaces (identical signatures), so the same attack runs
-// against SBG and async-SBG.
+// against SBG and async-SBG. Each also declares its recipient classes
+// (net/batch.hpp): class 0 for the strategies that send everyone one
+// payload, recipient parity for SplitBrain, kPerMessage for RandomNoise.
 
 #include <cstdint>
 #include <memory>
@@ -28,6 +30,7 @@
 #include "common/rng.hpp"
 #include "core/payload.hpp"
 #include "net/async.hpp"
+#include "net/batch.hpp"
 #include "net/sync.hpp"
 
 namespace ftmao {
@@ -38,16 +41,25 @@ class SbgAdversary : public ByzantineNode<SbgPayload>,
  public:
   std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
                                     const RoundView<SbgPayload>& view) override = 0;
+
+  /// Which recipients share a payload, independent of the round; see
+  /// RecipientClass for the promise a class id makes. The default,
+  /// kPerMessage, promises nothing. Only the batch engines ask.
+  virtual RecipientClass recipient_class(AgentId /*recipient*/) const {
+    return kPerMessage;
+  }
 };
 
 /// Per-round payload memo for strategies whose payload is a pure function
-/// of the round view (recipient- and RNG-independent). Both engines fix
-/// the view for the duration of a round and call send_to once per
-/// recipient, so the derivation runs once per round and is replayed for
-/// the remaining n-1 recipients — same payload bits, O(view) work per
-/// round instead of per message. Generic over the payload type so the
-/// vector strategies (vector/vector_attacks.hpp) memoize whole
-/// d-dimensional payloads the same way.
+/// of the round view (recipient- and RNG-independent). The scalar and
+/// async engines fix the view for the duration of a round and call
+/// send_to once per message, so the derivation runs once per round and is
+/// replayed for the remaining recipients — same payload bits, O(view)
+/// work per round instead of per message. (The sync and vector batch
+/// engines ask such strategies once per declared class instead.) Generic
+/// over the payload type so the vector strategies
+/// (vector/vector_attacks.hpp) memoize whole d-dimensional payloads the
+/// same way.
 template <typename Payload>
 class BasicRoundPayloadCache {
  public:
@@ -76,6 +88,7 @@ class SilentAdversary final : public SbgAdversary {
  public:
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 };
 
 /// Sends the same fixed tuple to everyone, every round.
@@ -84,6 +97,7 @@ class FixedValueAdversary final : public SbgAdversary {
   explicit FixedValueAdversary(SbgPayload payload);
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   SbgPayload payload_;
@@ -97,6 +111,9 @@ class SplitBrainAdversary final : public SbgAdversary {
   SplitBrainAdversary(double state_magnitude, double gradient_magnitude);
   std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
                                     const RoundView<SbgPayload>&) override;
+  RecipientClass recipient_class(AgentId recipient) const override {
+    return recipient.value % 2;
+  }
 
  private:
   double state_magnitude_;
@@ -114,6 +131,7 @@ class HullEdgeAdversary final : public SbgAdversary {
   explicit HullEdgeAdversary(bool push_up);
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   bool push_up_;
@@ -141,6 +159,7 @@ class SignFlipAdversary final : public SbgAdversary {
   explicit SignFlipAdversary(double amplification);
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   double amplification_;
@@ -155,6 +174,7 @@ class PullToTargetAdversary final : public SbgAdversary {
   PullToTargetAdversary(double target, double gradient_magnitude);
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   double target_;
@@ -175,6 +195,11 @@ class DelayedActivationAdversary final : public SbgAdversary {
                              std::unique_ptr<SbgAdversary> late_strategy);
   std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
                                     const RoundView<SbgPayload>& view) override;
+  /// The late strategy's classes: the dormant payload is the same for
+  /// every recipient, so any partition holds before activation.
+  RecipientClass recipient_class(AgentId recipient) const override {
+    return late_->recipient_class(recipient);
+  }
 
  private:
   Round activation_;
@@ -191,6 +216,7 @@ class FlipFlopAdversary final : public SbgAdversary {
   FlipFlopAdversary(std::size_t period = 1);
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>& view) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   std::size_t period_;

@@ -16,4 +16,8 @@ std::optional<SbgPayload> ConsistentWrapper::send_to(
   return round_payload_;
 }
 
+RecipientClass ConsistentWrapper::recipient_class(AgentId recipient) const {
+  return inner_->recipient_class(recipient) == kPerMessage ? kPerMessage : 0;
+}
+
 }  // namespace ftmao

@@ -22,6 +22,10 @@ class ConsistentWrapper final : public SbgAdversary {
 
   std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
                                     const RoundView<SbgPayload>& view) override;
+  /// Class 0: one answer per round reaches everyone. Per-message when the
+  /// inner strategy is, since the replayed answer then comes from the
+  /// inner strategy's own RNG stream and so differs between senders.
+  RecipientClass recipient_class(AgentId recipient) const override;
 
  private:
   SbgAdversary* inner_;

@@ -19,6 +19,7 @@
 // the replica runs alone or inside a batch.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -27,6 +28,47 @@
 #include "net/sync.hpp"
 
 namespace ftmao {
+
+/// A Byzantine strategy's declaration of which recipients share a payload
+/// (SbgAdversary::recipient_class, VectorAdversary::recipient_class). A
+/// class id is a promise: every recipient declared in the class gets the
+/// same payload in every round, and that payload depends only on the
+/// attack config and the round view — not on the sender, RNG draws, or
+/// how often send_to was called. The batch engines therefore ask once
+/// per (replica, class), at the class's first recipient in engine order,
+/// and reuse the answer for every sender of the replica. The scalar
+/// engines never read declarations.
+using RecipientClass = std::uint32_t;
+
+/// The declaration that promises nothing: the strategy is asked once per
+/// message, in the scalar engine's call order.
+inline constexpr RecipientClass kPerMessage = ~RecipientClass{0};
+
+/// Recipients grouped so that, in every replica of a batch, all members
+/// of one class receive the same Byzantine payloads. Classes are numbered
+/// by their first recipient in engine order.
+struct RecipientPartition {
+  std::size_t classes = 0;                ///< C
+  std::vector<std::uint32_t> class_of;    ///< recipient -> class
+  std::vector<std::uint32_t> first;       ///< class -> its first recipient
+  std::vector<std::uint8_t> per_message;  ///< replica -> asked per message?
+  /// replica * C + class -> the class whose payload this replica reuses.
+  /// Where it equals the class itself, the replica's strategy is asked at
+  /// that class's first recipient (the first recipient of its declared
+  /// class). Unused for per-message replicas.
+  std::vector<std::uint32_t> source;
+};
+
+/// Builds the partition once per engine call. `declared` holds every
+/// replica's declaration for every recipient, replica-major (replicas x
+/// recipients, recipients in engine order). A replica that declares
+/// kPerMessage for any recipient is asked per message throughout, and
+/// then every recipient is its own class, since that replica's payloads
+/// may differ per recipient. Otherwise two recipients share a class iff
+/// every replica declares the same class for both.
+RecipientPartition partition_recipients(
+    std::span<const RecipientClass> declared, std::size_t replicas,
+    std::size_t recipients);
 
 /// One round's honest broadcasts for B replicas, materialized per replica
 /// in the scalar engine's array-of-structures order so unmodified

@@ -27,6 +27,10 @@ namespace ftmao {
 
 namespace {
 
+// All-ones mask double for masked_blend (a lane is "taken" iff any bit is
+// set; stored masks are all-ones / all-zeros).
+const double kAllBits = std::bit_cast<double>(~std::uint64_t{0});
+
 // Advances B replicas of one scenario shape in lockstep. SoA lane layout:
 // every per-agent array is indexed lane(j, r) = j * Bpad + r, where Bpad
 // rounds B up to the active SIMD backend's lane width, so one agent's
@@ -117,8 +121,6 @@ class BatchedSbgRunner {
     crash_round_.assign(n_, kNeverCrashes);
     for (const auto& [who, when] : first.crashes)
       crash_round_[who] = static_cast<std::uint32_t>(when);
-    faulty_bitmap_.assign(n_, 0);
-    for (std::size_t idx : first.faulty) faulty_bitmap_[idx] = 1;
 
     for (std::size_t r = 0; r < B_; ++r) {
       const Scenario& s = replicas[r];
@@ -137,7 +139,7 @@ class BatchedSbgRunner {
       for (std::size_t idx : s.faulty) {
         adversaries_[r].push_back(
             make_adversary(s.attack, rng.substream("adversary", idx)));
-        ByzantineNode<SbgPayload>* node = adversaries_[r].back().get();
+        SbgAdversary* node = adversaries_[r].back().get();
         if (s.attack.consistent) {
           wrappers_[r].push_back(
               std::make_unique<ConsistentWrapper>(*adversaries_[r].back()));
@@ -147,6 +149,19 @@ class BatchedSbgRunner {
       }
     }
 
+    // Recipient classes from the strategies' declarations. Every sender
+    // of a replica is built from one config, so the first one speaks for
+    // all; without senders every recipient trims the same multiset.
+    std::vector<RecipientClass> declared(B_ * H_, 0);
+    if (F_ > 0) {
+      for (std::size_t r = 0; r < B_; ++r)
+        for (std::size_t j = 0; j < H_; ++j)
+          declared[r * H_ + j] =
+              byz_nodes_[r][0]->recipient_class(honest_ids_[j]);
+    }
+    partition_ = partition_recipients(declared, B_, H_);
+
+    FTMAO_EXPECTS(options_.record_series || !options_.record_trace);
     metrics_.resize(B_);
     for (std::size_t r = 0; r < B_; ++r) {
       metrics_[r].optima = families_[r].optima_set();
@@ -165,8 +180,6 @@ class BatchedSbgRunner {
     chi_.assign(Bpad_, 0.0);
     pemask_.assign(Bpad_, 0.0);
     constexpr double kInf = std::numeric_limits<double>::infinity();
-    const double kAllBits =
-        std::bit_cast<double>(~std::uint64_t{0});
     for (std::size_t r = 0; r < B_; ++r) {
       if (constraint_[r]) {
         clo_[r] = constraint_[r]->lo();
@@ -182,21 +195,19 @@ class BatchedSbgRunner {
     dg_.resize(n_ * Bpad_);
     ctx_.resize(H_ * Bpad_);
     ctg_.resize(H_ * Bpad_);
-    view_class_.assign(H_, 0);
-    class_hash_.assign(H_, 0);
-    class_rep_.assign(H_, 0);
-    class_done_.assign(H_, 0);
+    trim_done_.assign(H_, 0);
     lambda_.assign(Bpad_, 0.0);
     pe_.assign(H_ * Bpad_, 0.0);
     trimmed_state_.resize(S_ * Bpad_);
     trimmed_gradient_.resize(S_ * Bpad_);
     // Byzantine payload matrices, lane-padded to stride Bpad so each
-    // (recipient, sender) row is a whole vector row for the masked
-    // blend; presence is a stored all-ones/all-zeros double mask.
-    // Padding lanes keep mask 0 and blend to the (benign) default row.
-    bpx_.assign(H_ * F_ * Bpad_, 0.0);
-    bpg_.assign(H_ * F_ * Bpad_, 0.0);
-    bpresent_.assign(H_ * F_ * Bpad_, 0.0);
+    // (class, sender) row is a whole vector row for the masked blend;
+    // presence is a stored all-ones/all-zeros double mask. Padding lanes
+    // keep mask 0 and blend to the (benign) default row.
+    const std::size_t payload_rows = partition_.classes * F_;
+    bpx_.assign(payload_rows * Bpad_, 0.0);
+    bpg_.assign(payload_rows * Bpad_, 0.0);
+    bpresent_.assign(payload_rows * Bpad_, 0.0);
     // Per-replica default payloads as SoA rows for the blend kernels.
     defx_.assign(Bpad_, 0.0);
     defg_.assign(Bpad_, 0.0);
@@ -209,9 +220,11 @@ class BatchedSbgRunner {
 
   std::vector<RunMetrics> run() {
     engine_stats_record(B_, B_, Bpad_);
-    for (std::size_t r = 0; r < B_; ++r) {
-      record(r);
-      metrics_[r].max_projection_error.push(0.0);
+    if (options_.record_series) {
+      for (std::size_t r = 0; r < B_; ++r) {
+        record(r);
+        metrics_[r].max_projection_error.push(0.0);
+      }
     }
 
     for (std::size_t t = 1; t <= rounds_; ++t) {
@@ -221,11 +234,12 @@ class BatchedSbgRunner {
       const Round round{static_cast<std::uint32_t>(t)};
 
       broadcast_phase(round);
-      collect_byzantine(round);
+      if (F_ > 0) collect_byzantine();
       for (std::size_t r = 0; r < B_; ++r)
         lambda_[r] = schedules_[r]->at(t - 1);
+      std::fill(trim_done_.begin(), trim_done_.end(), std::uint8_t{0});
       for (std::size_t j = 0; j < H_; ++j) step_recipient(j, round, audit);
-      finish_round(audit);
+      finish_round(audit, options_.record_series || t == rounds_);
     }
 
     for (std::size_t r = 0; r < B_; ++r) {
@@ -242,14 +256,15 @@ class BatchedSbgRunner {
   }
 
   // Mirrors the delivery filter the scalar runner installs (crash
-  // silencing + seeded link drops; Byzantine senders exempt from drops).
+  // silencing + seeded link drops) for an honest sender. Byzantine
+  // messages are never filtered: drops exempt them and Scenario::validate
+  // keeps crashes off the faulty set.
   bool deliverable(std::uint32_t from, std::uint32_t to, std::uint32_t t,
                    std::size_t r) const {
     if (!filter_on_[r]) return true;
     if (t >= crash_round_[from]) return false;
     const double p = drop_p_[r];
     if (p <= 0.0) return true;
-    if (faulty_bitmap_[from]) return true;
     std::uint64_t h = mix64(drop_seed_[r] ^ from);
     h = mix64(h ^ to);
     h = mix64(h ^ t);
@@ -285,100 +300,52 @@ class BatchedSbgRunner {
     }
   }
 
-  // Step 2a for the whole round: every Byzantine payload, in the scalar
-  // engine's exact call order (recipient outer, sender inner), each
-  // adversary observing its own replica's view. Afterwards recipients are
-  // partitioned into view classes for this round's trim sharing.
-  void collect_byzantine(Round t) {
-    const double kAllBits = std::bit_cast<double>(~std::uint64_t{0});
-    const std::size_t stride = F_ * Bpad_;
-    for (std::size_t j = 0; j < H_; ++j) {
-      const AgentId rid = honest_ids_[j];
-      for (std::size_t b = 0; b < F_; ++b) {
-        const AgentId bid = faulty_ids_[b];
-        for (std::size_t r = 0; r < B_; ++r) {
-          bool present = false;
-          double px = 0.0;
-          double pg = 0.0;
-          if (deliverable(bid.value, rid.value, t.value, r)) {
-            if (auto payload =
-                    byz_nodes_[r][b]->send_to(bid, rid, views_.view(r))) {
-              px = payload->state;
-              pg = payload->gradient;
-              present = true;
-            }
-          }
-          const std::size_t o = j * stride + b * Bpad_ + r;
-          bpx_[o] = px;
-          bpg_[o] = pg;
-          bpresent_[o] = present ? kAllBits : 0.0;
+  // Step 2a for the whole round: the Byzantine payload rows of every
+  // recipient class (partition_). A replica whose strategy declares
+  // classes is asked once per class, at the class's first recipient, and
+  // the answer fills all F sender rows: the declaration promises a payload
+  // that depends only on the attack config and the round view, and all F
+  // senders of a replica are built from one config. A per-message replica
+  // is asked for every (recipient, sender) in the scalar engine's call
+  // order (recipient outer, sender inner), so its RNG streams advance
+  // identically; each recipient is then its own class.
+  void collect_byzantine() {
+    const std::size_t C = partition_.classes;
+    for (std::size_t r = 0; r < B_; ++r) {
+      const RoundView<SbgPayload> view = views_.view(r);
+      if (partition_.per_message[r]) {
+        for (std::size_t j = 0; j < H_; ++j)
+          for (std::size_t b = 0; b < F_; ++b)
+            store_payload(partition_.class_of[j], b, r,
+                          byz_nodes_[r][b]->send_to(faulty_ids_[b],
+                                                    honest_ids_[j], view));
+        continue;
+      }
+      for (std::size_t c = 0; c < C; ++c) {
+        const std::size_t src = partition_.source[r * C + c];
+        if (src == c) {
+          const std::optional<SbgPayload> payload = byz_nodes_[r][0]->send_to(
+              faulty_ids_[0], honest_ids_[partition_.first[c]], view);
+          for (std::size_t b = 0; b < F_; ++b) store_payload(c, b, r, payload);
+          continue;
+        }
+        for (std::size_t b = 0; b < F_; ++b) {
+          const std::size_t from = (src * F_ + b) * Bpad_ + r;
+          const std::size_t to = (c * F_ + b) * Bpad_ + r;
+          bpx_[to] = bpx_[from];
+          bpg_[to] = bpg_[from];
+          bpresent_[to] = bpresent_[from];
         }
       }
     }
-    classify_recipients();
   }
 
-  // FNV-1a over recipient j's Byzantine block (payload states, gradients,
-  // presence masks), word-at-a-time. Bitwise-equal blocks hash equal;
-  // collisions are resolved by the memcmp verify in classify_recipients.
-  std::uint64_t block_hash(std::size_t j) const {
-    const std::size_t stride = F_ * Bpad_;
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](const double* p, std::size_t m) {
-      for (std::size_t i = 0; i < m; ++i) {
-        h ^= std::bit_cast<std::uint64_t>(p[i]);
-        h *= 0x100000001b3ULL;
-      }
-    };
-    mix(bpx_.data() + j * stride, stride);
-    mix(bpg_.data() + j * stride, stride);
-    mix(bpresent_.data() + j * stride, stride);
-    return h;
-  }
-
-  bool blocks_equal(std::size_t a, std::size_t b) const {
-    const std::size_t stride = F_ * Bpad_;
-    const std::size_t bytes = stride * sizeof(double);
-    return std::memcmp(bpx_.data() + a * stride, bpx_.data() + b * stride,
-                       bytes) == 0 &&
-           std::memcmp(bpg_.data() + a * stride, bpg_.data() + b * stride,
-                       bytes) == 0 &&
-           std::memcmp(bpresent_.data() + a * stride,
-                       bpresent_.data() + b * stride, bytes) == 0;
-  }
-
-  // Partitions recipients into view classes: two recipients share a class
-  // iff their Byzantine payload blocks are bitwise identical this round
-  // (no delivery filter), because then they assemble the same n-row
-  // multiset — all broadcasts reach everyone, own tuple included — and
-  // Trim is a pure function of it. Recipient-independent strategies give
-  // one class, a split-brain adversary two, per-recipient noise H; the
-  // trim pair is computed once per class either way.
-  void classify_recipients() {
-    std::fill(class_done_.begin(), class_done_.end(), std::uint8_t{0});
-    num_classes_ = 0;
-    if (any_filter_) {
-      // Honest-row delivery masks differ per recipient, so trims cannot be
-      // shared even when the Byzantine blocks agree.
-      for (std::size_t j = 0; j < H_; ++j)
-        view_class_[j] = static_cast<std::uint32_t>(j);
-      num_classes_ = H_;
-      return;
-    }
-    for (std::size_t j = 0; j < H_; ++j) {
-      const std::uint64_t h = F_ > 0 ? block_hash(j) : 0;
-      std::size_t c = 0;
-      for (; c < num_classes_; ++c) {
-        if (class_hash_[c] == h && (F_ == 0 || blocks_equal(class_rep_[c], j)))
-          break;
-      }
-      if (c == num_classes_) {
-        class_hash_[c] = h;
-        class_rep_[c] = j;
-        ++num_classes_;
-      }
-      view_class_[j] = static_cast<std::uint32_t>(c);
-    }
+  void store_payload(std::size_t c, std::size_t b, std::size_t r,
+                     const std::optional<SbgPayload>& payload) {
+    const std::size_t o = (c * F_ + b) * Bpad_ + r;
+    bpx_[o] = payload ? payload->state : 0.0;
+    bpg_[o] = payload ? payload->gradient : 0.0;
+    bpresent_[o] = payload ? kAllBits : 0.0;
   }
 
   // Steps 2b-3 for one recipient across all replicas: assemble the
@@ -386,17 +353,20 @@ class BatchedSbgRunner {
   // the gradient step.
   void step_recipient(std::size_t j, Round t, bool audit) {
     const AgentId rid = honest_ids_[j];
-    const std::size_t byz_base = j * F_ * Bpad_;
+    const std::size_t cls = partition_.class_of[j];
+    const std::size_t byz_base = cls * F_ * Bpad_;
 
-    // View-class trim sharing: the first recipient of each class computes
-    // the trim pair into the class row; later same-class recipients reuse
-    // its bits — identical to computing their own, since their multisets
-    // are bitwise the same rows in a different (trim-irrelevant) order.
-    const std::uint32_t cls = view_class_[j];
-    double* tx = ctx_.data() + cls * Bpad_;
-    double* tg = ctg_.data() + cls * Bpad_;
-    if (!class_done_[cls]) {
-      class_done_[cls] = 1;
+    // Class trim sharing: without a delivery filter every recipient's
+    // honest rows are all H broadcasts, so recipients of one class
+    // assemble bitwise the same rows in a different (trim-irrelevant)
+    // order. The first recipient of each class computes the trim pair
+    // into the class row and the rest reuse its bits. A filter makes the
+    // honest rows per-recipient, so then each recipient trims its own.
+    const std::size_t unit = any_filter_ ? j : cls;
+    double* tx = ctx_.data() + unit * Bpad_;
+    double* tg = ctg_.data() + unit * Bpad_;
+    if (!trim_done_[unit]) {
+      trim_done_[unit] = 1;
       // Multiset rows: own tuple, then every other engine-honest sender,
       // then the Byzantine senders; undelivered slots hold the default
       // payload — the same multiset the scalar agent assembles (inbox plus
@@ -422,7 +392,6 @@ class BatchedSbgRunner {
           // full-row masked lane blend. Padding lanes of dmask_ stay 0
           // and blend to the benign default row.
           const std::uint32_t sid = honest_ids_[s].value;
-          const double kAllBits = std::bit_cast<double>(~std::uint64_t{0});
           for (std::size_t r = 0; r < B_; ++r)
             dmask_[r] =
                 deliverable(sid, rid.value, t.value, r) ? kAllBits : 0.0;
@@ -431,10 +400,9 @@ class BatchedSbgRunner {
         }
         ++slot;
       }
-      // Byzantine rows: absent payloads (silent adversary, dropped or
-      // crash-silenced delivery) blend to the default payload through the
-      // same lane kernel — the stride-Bpad mask row was filled by
-      // collect_byzantine.
+      // Byzantine rows of the recipient's class: absent payloads (silent
+      // adversary) blend to the default payload through the same lane
+      // kernel — the stride-Bpad mask row was filled by collect_byzantine.
       for (std::size_t b = 0; b < F_; ++b) {
         double* dxr = dx + slot * Bpad_;
         double* dgr = dg + slot * Bpad_;
@@ -466,13 +434,14 @@ class BatchedSbgRunner {
     }
   }
 
-  // Post-round bookkeeping per replica: metric series, projection-error
-  // fold, witness audits — each in the scalar runner's operation order.
-  void finish_round(bool audit) {
+  // Post-round bookkeeping per replica: metric series (when `keep`),
+  // projection-error fold, witness audits — each in the scalar runner's
+  // operation order.
+  void finish_round(bool audit, bool keep) {
     std::vector<double> pre_states;
     std::vector<double> pre_gradients;
     for (std::size_t r = 0; r < B_; ++r) {
-      record(r);
+      if (keep) record(r);
 
       double max_proj = 0.0;
       for (std::size_t j = 0; j < S_; ++j)
@@ -504,7 +473,7 @@ class BatchedSbgRunner {
                  audit_trim(pre_gradients, trimmed_gradient_[lane(j, r)], f_));
         }
       }
-      metrics_[r].max_projection_error.push(max_proj);
+      if (keep) metrics_[r].max_projection_error.push(max_proj);
     }
   }
 
@@ -560,14 +529,14 @@ class BatchedSbgRunner {
   std::vector<SbgPayload> defaults_;
   std::vector<std::vector<std::unique_ptr<SbgAdversary>>> adversaries_;
   std::vector<std::vector<std::unique_ptr<ConsistentWrapper>>> wrappers_;
-  std::vector<std::vector<ByzantineNode<SbgPayload>*>> byz_nodes_;
+  std::vector<std::vector<SbgAdversary*>> byz_nodes_;
+  RecipientPartition partition_;  ///< built once from the declarations
 
   // Delivery-filter tables (crash schedule shared; drops seeded per
   // replica).
   bool has_crashes_ = false;
   bool any_filter_ = false;
   std::vector<std::uint32_t> crash_round_;
-  std::vector<std::uint8_t> faulty_bitmap_;
   std::vector<double> drop_p_;
   std::vector<std::uint64_t> drop_seed_;
   std::vector<std::uint8_t> filter_on_;
@@ -577,22 +546,16 @@ class BatchedSbgRunner {
 
   // Round-scoped scratch, sized once in the constructor.
   std::vector<double> dx_, dg_;        ///< n x Bpad multiset matrices
-  std::vector<double> ctx_, ctg_;      ///< per-class trim outputs, H x Bpad
+  std::vector<double> ctx_, ctg_;      ///< per-unit trim outputs, H x Bpad
+  std::vector<std::uint8_t> trim_done_;  ///< unit trims computed this round?
   std::vector<double> lambda_;         ///< per-replica step size this round
   std::vector<double> pe_;             ///< projection errors, H x Bpad
   std::vector<double> trimmed_state_;  ///< audit diagnostics, S x Bpad
   std::vector<double> trimmed_gradient_;
-  std::vector<double> bpx_, bpg_;    ///< Byzantine payloads, H x F x Bpad
+  std::vector<double> bpx_, bpg_;    ///< Byzantine payloads, C x F x Bpad
   std::vector<double> bpresent_;     ///< all-ones/all-zeros lane masks
   std::vector<double> defx_, defg_;  ///< default payload rows, length Bpad
   std::vector<double> dmask_;        ///< per-row delivery mask scratch
-
-  // This round's recipient view classes (classify_recipients).
-  std::vector<std::uint32_t> view_class_;  ///< recipient -> class id
-  std::vector<std::uint64_t> class_hash_;  ///< class id -> block hash
-  std::vector<std::uint32_t> class_rep_;   ///< class id -> first recipient
-  std::vector<std::uint8_t> class_done_;   ///< class trims computed yet?
-  std::size_t num_classes_ = 0;
 };
 
 }  // namespace

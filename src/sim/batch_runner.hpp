@@ -15,9 +15,11 @@
 //
 // Determinism contract: the output is bit-identical to running run_sbg on
 // each scenario separately. Replicas never interact; per-replica adversary
-// objects observe per-replica RoundViews in the scalar engine's exact call
-// order (so RNG streams advance identically); the batched trim selects the
-// same order statistics as the scalar nth_element path; and every
+// objects observe per-replica RoundViews — per-message strategies in the
+// scalar engine's exact call order (so RNG streams advance identically),
+// class-declaring strategies once per (replica, recipient class), which
+// their declaration makes unobservable (net/batch.hpp); the batched trim
+// selects the same order statistics as the scalar nth_element path; and every
 // floating-point reduction (metrics folds, trimmed-mean style sums) runs
 // in the scalar path's operation order. tests/batch_runner_test.cpp pins
 // this contract across attacks, crashes, link drops, constraints, and

@@ -7,9 +7,11 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "net/batch.hpp"
 #include "sim/batch_grad.hpp"
 #include "sim/megabatch.hpp"
 #include "simd/simd.hpp"
@@ -54,13 +56,6 @@ class BatchedVectorSbgRunner {
     bg_.assign(H_ * Lpad_, 0.0);
     dx_.assign(n_ * Lpad_, 0.0);
     dg_.assign(n_ * Lpad_, 0.0);
-    ctx_.assign(H_ * Lpad_, 0.0);
-    ctg_.assign(H_ * Lpad_, 0.0);
-    view_class_.assign(H_, 0);
-    class_hash_.assign(H_, 0);
-    class_rep_.assign(H_, 0);
-    class_done_.assign(H_, 0);
-    num_classes_ = 1;  // F_ == 0: every recipient trims the same multiset
     lam_.assign(Lpad_, 0.0);
     pe_.assign(Lpad_, 0.0);
     pemask_.assign(Lpad_, 0.0);
@@ -131,6 +126,21 @@ class BatchedVectorSbgRunner {
       }
     }
 
+    // Recipient classes from the strategies' declarations (one strategy
+    // object per replica speaks for all its senders); without senders
+    // every recipient trims the same multiset.
+    std::vector<RecipientClass> declared(B_ * H_, 0);
+    if (F_ > 0) {
+      for (std::size_t r = 0; r < B_; ++r)
+        for (std::size_t j = 0; j < H_; ++j)
+          declared[r * H_ + j] = adversaries_[r]->recipient_class(
+              AgentId{static_cast<std::uint32_t>(j)});
+    }
+    partition_ = partition_recipients(declared, B_, H_);
+    ctx_.assign(partition_.classes * Lpad_, 0.0);
+    ctg_.assign(partition_.classes * Lpad_, 0.0);
+    trim_done_.assign(partition_.classes, 0);
+
     if (F_ > 0) {
       views_.resize(B_);
       for (std::size_t r = 0; r < B_; ++r) {
@@ -139,9 +149,10 @@ class BatchedVectorSbgRunner {
           views_[r].push_back({AgentId{static_cast<std::uint32_t>(j)},
                                VecPayload{Vec(d_), Vec(d_)}});
       }
-      bpx_.assign(H_ * F_ * Lpad_, 0.0);
-      bpg_.assign(H_ * F_ * Lpad_, 0.0);
-      bpresent_.assign(H_ * F_ * Lpad_, 0.0);
+      const std::size_t payload_rows = partition_.classes * F_;
+      bpx_.assign(payload_rows * Lpad_, 0.0);
+      bpg_.assign(payload_rows * Lpad_, 0.0);
+      bpresent_.assign(payload_rows * Lpad_, 0.0);
     }
 
     // Failure-free optima: identical cost sets (by object identity, the
@@ -212,10 +223,14 @@ class BatchedVectorSbgRunner {
     }
   }
 
-  // Step 2a: per-recipient Byzantine payloads, in the engine's exact
-  // call order (recipient-major, sender-minor; one adversary object per
-  // replica); recipients are then partitioned into view classes for the
-  // trim sharing in step_phase.
+  // Step 2a: the Byzantine payload rows of every recipient class
+  // (partition_). A replica whose strategy declares classes is asked once
+  // per class, at the class's first recipient, and the answer fills all F
+  // sender rows (the declaration promises a payload independent of the
+  // sender). A per-message replica is asked for every (recipient, sender)
+  // in the engine's exact call order (recipient-major, sender-minor), so
+  // its RNG stream advances identically; each recipient is then its own
+  // class.
   void collect_byzantine(std::size_t t) {
     const Round round{static_cast<std::uint32_t>(t)};
     for (std::size_t r = 0; r < B_; ++r) {
@@ -227,84 +242,55 @@ class BatchedVectorSbgRunner {
         }
       }
     }
-    for (std::size_t j = 0; j < H_; ++j) {
-      for (std::size_t b = 0; b < F_; ++b) {
-        const std::size_t o = (j * F_ + b) * Lpad_;
-        for (std::size_t r = 0; r < B_; ++r) {
-          const RoundView<VecPayload> view{round, views_[r]};
-          const auto payload = adversaries_[r]->send_to(
-              AgentId{static_cast<std::uint32_t>(H_ + b)},
-              AgentId{static_cast<std::uint32_t>(j)}, view);
-          if (payload.has_value()) {
-            FTMAO_EXPECTS(payload->state.dim() == d_);
-            FTMAO_EXPECTS(payload->gradient.dim() == d_);
-          }
+    const std::size_t C = partition_.classes;
+    const AgentId first_sender{static_cast<std::uint32_t>(H_)};
+    for (std::size_t r = 0; r < B_; ++r) {
+      const RoundView<VecPayload> view{round, views_[r]};
+      VectorAdversary& adversary = *adversaries_[r];
+      if (partition_.per_message[r]) {
+        for (std::size_t j = 0; j < H_; ++j)
+          for (std::size_t b = 0; b < F_; ++b)
+            store_payload(
+                partition_.class_of[j], b, r,
+                adversary.send_to(AgentId{static_cast<std::uint32_t>(H_ + b)},
+                                  AgentId{static_cast<std::uint32_t>(j)},
+                                  view));
+        continue;
+      }
+      for (std::size_t c = 0; c < C; ++c) {
+        const std::size_t src = partition_.source[r * C + c];
+        if (src == c) {
+          const std::optional<VecPayload> payload = adversary.send_to(
+              first_sender, AgentId{partition_.first[c]}, view);
+          for (std::size_t b = 0; b < F_; ++b) store_payload(c, b, r, payload);
+          continue;
+        }
+        for (std::size_t b = 0; b < F_; ++b) {
+          const std::size_t from = (src * F_ + b) * Lpad_;
+          const std::size_t to = (c * F_ + b) * Lpad_;
           for (std::size_t k = 0; k < d_; ++k) {
             const std::size_t l = k * B_ + r;
-            if (payload.has_value()) {
-              bpx_[o + l] = payload->state[k];
-              bpg_[o + l] = payload->gradient[k];
-              bpresent_[o + l] = kAllBits;
-            } else {
-              bpx_[o + l] = 0.0;
-              bpg_[o + l] = 0.0;
-              bpresent_[o + l] = 0.0;
-            }
+            bpx_[to + l] = bpx_[from + l];
+            bpg_[to + l] = bpg_[from + l];
+            bpresent_[to + l] = bpresent_[from + l];
           }
         }
       }
     }
-    classify_recipients();
   }
 
-  // FNV-1a over recipient j's Byzantine block; collisions resolved by the
-  // memcmp verify in classify_recipients.
-  std::uint64_t block_hash(std::size_t j) const {
-    const std::size_t stride = F_ * Lpad_;
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](const double* p, std::size_t m) {
-      for (std::size_t i = 0; i < m; ++i) {
-        h ^= std::bit_cast<std::uint64_t>(p[i]);
-        h *= 0x100000001b3ULL;
-      }
-    };
-    mix(bpx_.data() + j * stride, stride);
-    mix(bpg_.data() + j * stride, stride);
-    mix(bpresent_.data() + j * stride, stride);
-    return h;
-  }
-
-  bool blocks_equal(std::size_t a, std::size_t b) const {
-    const std::size_t stride = F_ * Lpad_;
-    const std::size_t bytes = stride * sizeof(double);
-    return std::memcmp(bpx_.data() + a * stride, bpx_.data() + b * stride,
-                       bytes) == 0 &&
-           std::memcmp(bpg_.data() + a * stride, bpg_.data() + b * stride,
-                       bytes) == 0 &&
-           std::memcmp(bpresent_.data() + a * stride,
-                       bpresent_.data() + b * stride, bytes) == 0;
-  }
-
-  // Two recipients share a view class iff their Byzantine payload blocks
-  // are bitwise identical this round: the honest part of every multiset is
-  // the same broadcast snapshot (this engine has no delivery filter), so
-  // same-class recipients trim the same rows and share the trim pair.
-  // Recipient-independent strategies give one class, split-brain two,
-  // per-recipient noise H.
-  void classify_recipients() {
-    num_classes_ = 0;
-    for (std::size_t j = 0; j < H_; ++j) {
-      const std::uint64_t h = block_hash(j);
-      std::size_t c = 0;
-      for (; c < num_classes_; ++c) {
-        if (class_hash_[c] == h && blocks_equal(class_rep_[c], j)) break;
-      }
-      if (c == num_classes_) {
-        class_hash_[c] = h;
-        class_rep_[c] = j;
-        ++num_classes_;
-      }
-      view_class_[j] = static_cast<std::uint32_t>(c);
+  void store_payload(std::size_t c, std::size_t b, std::size_t r,
+                     const std::optional<VecPayload>& payload) {
+    if (payload.has_value()) {
+      FTMAO_EXPECTS(payload->state.dim() == d_);
+      FTMAO_EXPECTS(payload->gradient.dim() == d_);
+    }
+    const std::size_t o = (c * F_ + b) * Lpad_;
+    for (std::size_t k = 0; k < d_; ++k) {
+      const std::size_t l = o + k * B_ + r;
+      bpx_[l] = payload ? payload->state[k] : 0.0;
+      bpg_[l] = payload ? payload->gradient[k] : 0.0;
+      bpresent_[l] = payload ? kAllBits : 0.0;
     }
   }
 
@@ -315,16 +301,16 @@ class BatchedVectorSbgRunner {
     }
   }
 
-  // Builds recipient j's n x Lpad multiset matrices. The honest part is
-  // the broadcast snapshot verbatim (every recipient's multiset contains
-  // all honest broadcasts — own value plus the other n-1 senders — and
-  // Trim is order-insensitive); only the Byzantine rows vary per
-  // recipient, absent payloads blending to the per-replica default.
-  void assemble(std::size_t j) {
+  // Builds the n x Lpad multiset matrices of recipient class `cls`. The
+  // honest part is the broadcast snapshot verbatim (every recipient's
+  // multiset contains all honest broadcasts — own value plus the other
+  // n-1 senders — and Trim is order-insensitive); only the Byzantine rows
+  // vary per class, absent payloads blending to the per-replica default.
+  void assemble(std::size_t cls) {
     std::memcpy(dx_.data(), bx_.data(), H_ * Lpad_ * sizeof(double));
     std::memcpy(dg_.data(), bg_.data(), H_ * Lpad_ * sizeof(double));
     for (std::size_t b = 0; b < F_; ++b) {
-      const std::size_t o = (j * F_ + b) * Lpad_;
+      const std::size_t o = (cls * F_ + b) * Lpad_;
       kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
                              bpg_.data() + o, defx_.data(), defg_.data(),
                              dx_.data() + (H_ + b) * Lpad_,
@@ -333,19 +319,19 @@ class BatchedVectorSbgRunner {
   }
 
   // Steps 2b-3: trim per (coordinate, replica) lane and apply the fused
-  // projected step to each recipient row. The first recipient of each view
-  // class computes the trim pair into the class row; later same-class
-  // recipients replay it — the batched analogue of the scalar
-  // RoundPayloadCache memoization, per class instead of all-or-nothing.
+  // projected step to each recipient row. Recipients of one class trim
+  // the same multiset (this engine has no delivery filter), so the first
+  // recipient of each class computes the trim pair into the class row and
+  // the rest reuse it.
   void step_phase() {
-    std::fill(class_done_.begin(), class_done_.end(), std::uint8_t{0});
+    std::fill(trim_done_.begin(), trim_done_.end(), std::uint8_t{0});
     for (std::size_t j = 0; j < H_; ++j) {
-      const std::uint32_t cls = view_class_[j];
+      const std::size_t cls = partition_.class_of[j];
       double* tx = ctx_.data() + cls * Lpad_;
       double* tg = ctg_.data() + cls * Lpad_;
-      if (!class_done_[cls]) {
-        class_done_[cls] = 1;
-        assemble(j);
+      if (!trim_done_[cls]) {
+        trim_done_[cls] = 1;
+        assemble(cls);
         trim_batch(dx_.data(), n_, Lpad_, f_, *kernels_, tx);
         trim_batch(dg_.data(), n_, Lpad_, f_, *kernels_, tg);
       }
@@ -385,16 +371,11 @@ class BatchedVectorSbgRunner {
   std::size_t rounds_ = 0, B_ = 0, L_ = 0, Lpad_ = 0;
 
   std::vector<double> x_, bx_, bg_, dx_, dg_;
-  std::vector<double> ctx_, ctg_;  ///< per-class trim outputs, H x Lpad
+  std::vector<double> ctx_, ctg_;  ///< per-class trim outputs, C x Lpad
+  std::vector<std::uint8_t> trim_done_;  ///< class trims computed this round?
   std::vector<double> lam_, pe_, pemask_, clo_, chi_, defx_, defg_;
-  std::vector<double> bpx_, bpg_, bpresent_;
-
-  // This round's recipient view classes (classify_recipients).
-  std::vector<std::uint32_t> view_class_;
-  std::vector<std::uint64_t> class_hash_;
-  std::vector<std::uint32_t> class_rep_;
-  std::vector<std::uint8_t> class_done_;
-  std::size_t num_classes_ = 0;
+  std::vector<double> bpx_, bpg_, bpresent_;  ///< C x F x Lpad payload rows
+  RecipientPartition partition_;  ///< built once from the declarations
   std::vector<std::unique_ptr<StepSchedule>> schedules_;
   std::vector<std::unique_ptr<VectorAdversary>> adversaries_;
   std::vector<std::vector<Received<VecPayload>>> views_;

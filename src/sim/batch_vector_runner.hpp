@@ -25,10 +25,10 @@
 // std tie semantics — plus: gradients are computed once per agent per
 // round (the scalar path computes the same pure gradient twice, in
 // broadcast() and step(); both calls see the same state, so collapsing
-// them is unobservable), and recipient-independent adversary payloads
-// are detected bitwise per round and their trims computed once and
-// replayed for all recipients (the batch analogue of the scalar
-// strategies' RoundPayloadCache).
+// them is unobservable), and a strategy that declares recipient classes
+// (net/batch.hpp) is asked once per (replica, class), with the class's
+// trim pair computed once and reused by all its recipients; per-message
+// strategies are asked in the scalar engine's call order.
 
 #include <span>
 #include <vector>

@@ -102,6 +102,7 @@ RunMetrics run_with_agents(
     engine.add_byzantine(AgentId{static_cast<std::uint32_t>(idx)}, node);
   }
 
+  FTMAO_EXPECTS(options.record_series || !options.record_trace);
   RunMetrics metrics;
   metrics.optima = family.optima_set();
   if (options.record_trace) {
@@ -126,12 +127,15 @@ RunMetrics run_with_agents(
     metrics.max_dist_to_y.push(dist);
     if (metrics.trace) metrics.trace->rounds.push_back(std::move(snapshot));
   };
-  record();
-  metrics.max_projection_error.push(0.0);
+  if (options.record_series) {
+    record();
+    metrics.max_projection_error.push(0.0);
+  }
 
   const std::vector<ScalarFunctionPtr> honest_fns = scenario.honest_functions();
 
   for (std::size_t t = 1; t <= scenario.rounds; ++t) {
+    const bool keep = options.record_series || t == scenario.rounds;
     const bool audit = options.audit_witnesses &&
                        t <= options.audit_max_rounds &&
                        (t - 1) % options.audit_every == 0;
@@ -148,7 +152,7 @@ RunMetrics run_with_agents(
     }
 
     engine.run_round(Round{static_cast<std::uint32_t>(t)});
-    record();
+    if (keep) record();
 
     double max_proj = 0.0;
     if constexpr (std::is_same_v<Agent, SbgAgent>) {
@@ -177,7 +181,7 @@ RunMetrics run_with_agents(
         }
       }
     }
-    metrics.max_projection_error.push(max_proj);
+    if (keep) metrics.max_projection_error.push(max_proj);
   }
 
   metrics.final_states.reserve(agents.size());

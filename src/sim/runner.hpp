@@ -14,6 +14,11 @@ struct RunOptions {
   std::size_t audit_every = 1;   ///< audit every k-th iteration
   std::size_t audit_max_rounds = 200;  ///< stop auditing after this many (LPs are costly)
   bool record_trace = false;  ///< keep the full per-round state trace
+  /// false: the metric series keep only the final round's values (one
+  /// entry each), for callers that read nothing else. A run of T rounds
+  /// then holds O(1) metric memory per replica instead of O(T); the final
+  /// values are the same bits. Needs record_trace off.
+  bool record_series = true;
 };
 
 /// Algorithm SBG (Section 4), or projected SBG when the scenario carries a

@@ -67,6 +67,11 @@ std::string sweep_cell_cache_spec(const SweepConfig& config,
 
 namespace {
 
+// A sweep cell reads only each run's final disagreement and distance, so
+// the sync runs skip the per-round series: a 4000-round, 32-replica task
+// otherwise holds ~3 MiB of metric values nobody reads.
+const RunOptions kFinalsOnly{.record_series = false};
+
 // Per-cell task path (--megabatch off, and the scalar reference engine):
 // one task per (pending cell, seed-chunk). Each chunk's replicas share a
 // shape (only the seed differs) and advance in lockstep through the
@@ -163,12 +168,13 @@ void run_pending_per_cell(const SweepConfig& config,
         }
         if (config.scalar_engine) {
           for (std::size_t i = 0; i < count; ++i) {
-            const RunMetrics m = run_sbg(replicas[i]);
+            const RunMetrics m = run_sbg(replicas[i], kFinalsOnly);
             disagreements[base + i] = m.final_disagreement();
             dists[base + i] = m.final_max_dist();
           }
         } else {
-          const std::vector<RunMetrics> ms = run_sbg_batch(replicas);
+          const std::vector<RunMetrics> ms =
+              run_sbg_batch(replicas, kFinalsOnly);
           for (std::size_t i = 0; i < count; ++i) {
             disagreements[base + i] = ms[i].final_disagreement();
             dists[base + i] = ms[i].final_max_dist();
@@ -277,7 +283,8 @@ void run_pending_megabatched(const SweepConfig& config,
               s.step = config.step;
               replicas.push_back(std::move(s));
             }
-            const std::vector<RunMetrics> ms = run_sbg_batch(replicas);
+            const std::vector<RunMetrics> ms =
+                run_sbg_batch(replicas, kFinalsOnly);
             for (std::size_t i = 0; i < batch.size(); ++i) {
               const std::size_t slot =
                   batch[i].cell * num_seeds + batch[i].seed;

@@ -13,7 +13,8 @@
 // BasicRoundPayloadCache<VecPayload> — one derivation per round, replayed
 // for the other n-1 recipients, exactly like the scalar
 // RoundPayloadCache. Recipient-dependent (split-brain) and stateful
-// (random-noise) strategies are never cached.
+// (random-noise) strategies are never cached. Each lifting declares the
+// recipient classes of its scalar counterpart.
 
 #include <memory>
 #include <optional>
@@ -31,6 +32,7 @@ class VectorSilent final : public VectorAdversary {
  public:
   std::optional<VecPayload> send_to(AgentId, AgentId,
                                     const RoundView<VecPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 };
 
 /// The same fixed tuple to everyone, every round; the per-coordinate sign
@@ -42,6 +44,7 @@ class VectorFixedValue final : public VectorAdversary {
                    double gradient_magnitude);
   std::optional<VecPayload> send_to(AgentId, AgentId,
                                     const RoundView<VecPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   VecPayload payload_;
@@ -54,6 +57,7 @@ class VectorHullEdge final : public VectorAdversary {
   explicit VectorHullEdge(bool push_up);
   std::optional<VecPayload> send_to(AgentId, AgentId,
                                     const RoundView<VecPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   bool push_up_;
@@ -84,6 +88,7 @@ class VectorSignFlip final : public VectorAdversary {
   explicit VectorSignFlip(double amplification);
   std::optional<VecPayload> send_to(AgentId, AgentId,
                                     const RoundView<VecPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   double amplification_;
@@ -98,6 +103,7 @@ class VectorPullToTarget final : public VectorAdversary {
   VectorPullToTarget(double target, double gradient_magnitude);
   std::optional<VecPayload> send_to(AgentId, AgentId,
                                     const RoundView<VecPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   double target_;
@@ -113,6 +119,11 @@ class VectorDelayedActivation final : public VectorAdversary {
                           std::unique_ptr<VectorAdversary> late_strategy);
   std::optional<VecPayload> send_to(AgentId self, AgentId recipient,
                                     const RoundView<VecPayload>& view) override;
+  /// The late strategy's classes (the dormant payload is recipient-
+  /// independent).
+  RecipientClass recipient_class(AgentId recipient) const override {
+    return late_->recipient_class(recipient);
+  }
 
  private:
   Round activation_;
@@ -127,6 +138,7 @@ class VectorFlipFlop final : public VectorAdversary {
   explicit VectorFlipFlop(std::size_t period = 1);
   std::optional<VecPayload> send_to(AgentId, AgentId,
                                     const RoundView<VecPayload>&) override;
+  RecipientClass recipient_class(AgentId) const override { return 0; }
 
  private:
   std::size_t period_;

@@ -19,6 +19,7 @@
 #include "common/series.hpp"
 #include "common/types.hpp"
 #include "core/step_size.hpp"
+#include "net/batch.hpp"
 #include "net/sync.hpp"
 #include "vector/vec.hpp"
 #include "vector/vector_function.hpp"
@@ -70,6 +71,13 @@ class VectorAdversary {
   virtual ~VectorAdversary() = default;
   virtual std::optional<VecPayload> send_to(AgentId self, AgentId recipient,
                                             const RoundView<VecPayload>& view) = 0;
+
+  /// Which recipients share a payload, independent of the round; see
+  /// RecipientClass for the promise a class id makes. The default,
+  /// kPerMessage, promises nothing. Only the batch engine asks.
+  virtual RecipientClass recipient_class(AgentId /*recipient*/) const {
+    return kPerMessage;
+  }
 };
 
 /// Adapter so VectorAdversary implementations plug into the engine.
@@ -91,6 +99,9 @@ class VectorSplitBrain final : public VectorAdversary {
                    double gradient_magnitude);
   std::optional<VecPayload> send_to(AgentId, AgentId recipient,
                                     const RoundView<VecPayload>&) override;
+  RecipientClass recipient_class(AgentId recipient) const override {
+    return recipient.value % 2;
+  }
 
  private:
   std::size_t dim_;

@@ -1,13 +1,19 @@
 // Tests for the Byzantine strategy implementations: each attack's payload
-// shape, determinism, and its observed interaction with the round view.
+// shape, determinism, its observed interaction with the round view, and
+// the recipient classes it declares to the batch engines.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "adversary/strategies.hpp"
 #include "baseline/consistent.hpp"
 #include "common/rng.hpp"
+#include "sim/scenario.hpp"
 
 namespace ftmao {
 namespace {
@@ -203,6 +209,132 @@ TEST(ConsistentWrapper, PreservesOmissions) {
   ConsistentWrapper wrapped(inner);
   const RoundView<SbgPayload> view{Round{1}, {}};
   EXPECT_FALSE(wrapped.send_to(AgentId{9}, AgentId{0}, view).has_value());
+}
+
+// ------------------------------------------------------ recipient classes
+
+constexpr AttackKind kEveryAttack[] = {
+    AttackKind::None,         AttackKind::Silent,
+    AttackKind::FixedValue,   AttackKind::SplitBrain,
+    AttackKind::HullEdgeUp,   AttackKind::HullEdgeDown,
+    AttackKind::RandomNoise,  AttackKind::SignFlip,
+    AttackKind::PullToTarget, AttackKind::FlipFlop,
+    AttackKind::DelayedStrike};
+
+// One faulty agent's strategy as the engines build it: from the factory,
+// optionally inside a ConsistentWrapper.
+struct BuiltAdversary {
+  BuiltAdversary(const AttackConfig& config, Rng rng)
+      : inner(make_adversary(config, rng)) {
+    if (config.consistent)
+      wrapper = std::make_unique<ConsistentWrapper>(*inner);
+  }
+  SbgAdversary& get() { return wrapper ? *wrapper : *inner; }
+
+  std::unique_ptr<SbgAdversary> inner;
+  std::unique_ptr<ConsistentWrapper> wrapper;
+};
+
+AttackConfig attack_config(AttackKind kind, bool consistent) {
+  AttackConfig config;
+  config.kind = kind;
+  config.consistent = consistent;
+  config.activation_round = 3;  // delayed-strike wakes mid-run below
+  return config;
+}
+
+bool same_bits(const std::optional<SbgPayload>& a,
+               const std::optional<SbgPayload>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return true;
+  return std::bit_cast<std::uint64_t>(a->state) ==
+             std::bit_cast<std::uint64_t>(b->state) &&
+         std::bit_cast<std::uint64_t>(a->gradient) ==
+             std::bit_cast<std::uint64_t>(b->gradient);
+}
+
+TEST(RecipientClass, EachStrategyDeclaresItsClasses) {
+  const Rng rng(5);
+  for (AttackKind kind : kEveryAttack) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    BuiltAdversary adv(attack_config(kind, false), rng.substream("a", 0));
+    for (std::uint32_t r = 0; r < 8; ++r) {
+      const RecipientClass declared = adv.get().recipient_class(AgentId{r});
+      if (kind == AttackKind::SplitBrain) {
+        EXPECT_EQ(declared, r % 2);
+      } else if (kind == AttackKind::RandomNoise) {
+        EXPECT_EQ(declared, kPerMessage);
+      } else {
+        EXPECT_EQ(declared, 0u);
+      }
+    }
+  }
+}
+
+TEST(RecipientClass, DelayedActivationForwardsItsLateStrategy) {
+  SplitBrainAdversary split(10.0, 2.0);
+  RandomNoiseAdversary noise(Rng(3), 5.0, 1.0);
+  DelayedActivationAdversary split_later(Round{10}, split);
+  DelayedActivationAdversary noise_later(Round{10}, noise);
+  for (std::uint32_t r = 0; r < 6; ++r) {
+    EXPECT_EQ(split_later.recipient_class(AgentId{r}), r % 2);
+    EXPECT_EQ(noise_later.recipient_class(AgentId{r}), kPerMessage);
+  }
+}
+
+TEST(RecipientClass, ConsistentWrapperDeclaresOneClassExceptForNoise) {
+  const Rng rng(5);
+  for (AttackKind kind : kEveryAttack) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    BuiltAdversary adv(attack_config(kind, true), rng.substream("a", 0));
+    const RecipientClass expected =
+        kind == AttackKind::RandomNoise ? kPerMessage : 0;
+    for (std::uint32_t r = 0; r < 8; ++r)
+      EXPECT_EQ(adv.get().recipient_class(AgentId{r}), expected);
+  }
+}
+
+TEST(RecipientClass, DeclaredClassesKeepTheirPromise) {
+  // Over several rounds of random views, strategy `a` is asked for every
+  // recipient in engine order, as the scalar engine asks. A twin built
+  // from the same config on another RNG substream, speaking as another
+  // sender, is asked only once per class at the class's first recipient,
+  // as the batch engines ask. Wherever the class is not kPerMessage, every
+  // recipient's payload from `a` must equal the twin's answer for its
+  // class, bit for bit. The rounds straddle delayed-strike's activation.
+  constexpr std::uint32_t kRecipients = 9;
+  const Rng rng(11);
+  for (bool consistent : {false, true}) {
+    for (AttackKind kind : kEveryAttack) {
+      SCOPED_TRACE(std::string(consistent ? "consistent " : "") +
+                   std::to_string(static_cast<int>(kind)));
+      const AttackConfig config = attack_config(kind, consistent);
+      BuiltAdversary a(config, rng.substream("adversary", 7));
+      BuiltAdversary twin(config, rng.substream("adversary", 8));
+      Rng draws(3);
+      for (std::uint32_t t = 1; t <= 6; ++t) {
+        std::vector<Received<SbgPayload>> msgs;
+        for (std::uint32_t j = 0; j < kRecipients; ++j)
+          msgs.push_back({AgentId{j}, SbgPayload{draws.uniform(-5.0, 5.0),
+                                                 draws.uniform(-2.0, 2.0)}});
+        const RoundView<SbgPayload> view{Round{t}, msgs};
+        std::vector<std::optional<SbgPayload>> seen;
+        for (std::uint32_t j = 0; j < kRecipients; ++j)
+          seen.push_back(a.get().send_to(AgentId{20}, AgentId{j}, view));
+        std::vector<std::optional<SbgPayload>> answer(kRecipients);
+        for (std::uint32_t j = 0; j < kRecipients; ++j) {
+          const RecipientClass cls = a.get().recipient_class(AgentId{j});
+          if (cls == kPerMessage) continue;
+          std::uint32_t first = 0;
+          while (a.get().recipient_class(AgentId{first}) != cls) ++first;
+          if (first == j)
+            answer[j] = twin.get().send_to(AgentId{21}, AgentId{j}, view);
+          EXPECT_TRUE(same_bits(seen[j], answer[first]))
+              << "round " << t << " recipient " << j;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -176,6 +176,98 @@ TEST(BatchRunner, MixedSplitBrainSignFlipClassesMatchScalar) {
   expect_batch_matches_scalar(replicas);
 }
 
+// The declared-class payload plane: a class-declaring replica is asked
+// once per (replica, class) and its answer fills every sender row, while a
+// per-message replica keeps the scalar call order. The packs below mix
+// the two kinds of replica in one engine call.
+
+TEST(BatchRunner, PerMessageBesideDeclaredClassesMatchesScalar) {
+  // Noise is asked per message, so every recipient becomes its own class;
+  // pull (one class), split-brain (two) and consistent split-brain (one)
+  // still ask once per declared class and copy the answer across.
+  std::vector<Scenario> replicas =
+      seed_axis(10, 3, AttackKind::RandomNoise, 60, 4);
+  replicas[1].attack.kind = AttackKind::PullToTarget;
+  replicas[1].attack.target = 20.0;
+  replicas[2].attack.kind = AttackKind::SplitBrain;
+  replicas[3].attack.kind = AttackKind::SplitBrain;
+  replicas[3].attack.consistent = true;
+  expect_batch_matches_scalar(replicas);
+}
+
+TEST(BatchRunner, ConsistentNoiseBesideConsistentPullMatchesScalar) {
+  // A wrapped noise strategy replays one answer per round to everyone, but
+  // that answer comes from each sender's own RNG stream: it stays
+  // per-message, beside a wrapped pull that declares one class.
+  std::vector<Scenario> replicas =
+      seed_axis(7, 2, AttackKind::RandomNoise, 60, 3);
+  replicas[1].attack.kind = AttackKind::PullToTarget;
+  replicas[1].attack.target = -15.0;
+  for (Scenario& s : replicas) s.attack.consistent = true;
+  expect_batch_matches_scalar(replicas);
+}
+
+TEST(BatchRunner, DelayedStrikeMidRunBesideSplitBrainMatchesScalar) {
+  // Delayed-strike declares its late strategy's class for the whole run;
+  // its dormant payload is the same for every recipient, so the two split-
+  // brain parity classes hold before and after activation.
+  std::vector<Scenario> replicas =
+      seed_axis(7, 2, AttackKind::DelayedStrike, 60, 3);
+  replicas[0].attack.activation_round = 25;
+  replicas[1].attack.kind = AttackKind::SplitBrain;
+  replicas[2].attack.activation_round = 40;
+  replicas[2].attack.target = 12.0;
+  expect_batch_matches_scalar(replicas);
+}
+
+TEST(BatchRunner, DropsAndCrashWithDeclaredClassesMatchScalar) {
+  // A delivery filter makes every recipient's honest rows its own, so
+  // trims run per recipient while the Byzantine rows still come from one
+  // call per (replica, class). Audits read the per-recipient trims.
+  RunOptions options;
+  options.audit_witnesses = true;
+  options.audit_every = 7;
+  options.audit_max_rounds = 60;
+  std::vector<Scenario> replicas =
+      seed_axis(8, 2, AttackKind::SplitBrain, 60, 3);
+  replicas[1].attack.kind = AttackKind::SignFlip;
+  replicas[2].attack.kind = AttackKind::PullToTarget;
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    replicas[i].faulty = {7};  // one Byzantine + one crash, f = 2
+    replicas[i].crashes = {{0, 20}};
+    replicas[i].drop_probability = 0.1 * static_cast<double>(i);
+  }
+  expect_batch_matches_scalar(replicas, options);
+}
+
+TEST(BatchRunner, FinalValuesOnlyMatchScalarAndTheFullRun) {
+  // record_series = false, what the sweep asks for: each series keeps one
+  // entry, the final round's, with the full run's bits.
+  RunOptions finals_only;
+  finals_only.record_series = false;
+  std::vector<Scenario> replicas =
+      seed_axis(7, 2, AttackKind::SplitBrain, 60, 3);
+  replicas[1].attack.kind = AttackKind::RandomNoise;
+  replicas[2].constraint = Interval{-1.0, 1.0};
+  expect_batch_matches_scalar(replicas, finals_only);
+  const std::vector<RunMetrics> full = run_sbg_batch(replicas);
+  const std::vector<RunMetrics> lean = run_sbg_batch(replicas, finals_only);
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    SCOPED_TRACE("replica " + std::to_string(i));
+    ASSERT_EQ(lean[i].disagreement.size(), 1u);
+    ASSERT_EQ(lean[i].max_dist_to_y.size(), 1u);
+    ASSERT_EQ(lean[i].max_projection_error.size(), 1u);
+    EXPECT_EQ(lean[i].final_disagreement(), full[i].final_disagreement());
+    EXPECT_EQ(lean[i].final_max_dist(), full[i].final_max_dist());
+    EXPECT_EQ(lean[i].max_projection_error.back(),
+              full[i].max_projection_error.back());
+    EXPECT_EQ(lean[i].final_states, full[i].final_states);
+  }
+  finals_only.record_trace = true;  // a trace needs every round
+  EXPECT_THROW(run_sbg_batch(replicas, finals_only), ContractViolation);
+  EXPECT_THROW(run_sbg(replicas[0], finals_only), ContractViolation);
+}
+
 TEST(BatchRunner, MismatchedShapeThrows) {
   std::vector<Scenario> replicas = seed_axis(7, 2, AttackKind::None, 20, 1);
   replicas.push_back(make_standard_scenario(10, 3, 8.0, AttackKind::None, 20, 2));

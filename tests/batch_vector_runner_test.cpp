@@ -156,6 +156,29 @@ TEST(BatchVectorRunner, MixedSplitBrainSignFlipClassesMatchScalar) {
   expect_batch_matches_scalar(replicas);
 }
 
+TEST(BatchVectorRunner, PerMessageBesideDeclaredClassesMatchesScalar) {
+  // Noise is asked per message (every recipient its own class); pull and
+  // split-brain in the same pack ask once per declared class and copy the
+  // answer to every sender row and every recipient of the class.
+  for (std::size_t dim : {1u, 3u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    auto replicas = seed_axis(10, 3, dim, AttackKind::RandomNoise, 40, 3);
+    replicas[1].attack.kind = AttackKind::PullToTarget;
+    replicas[1].attack.target = 20.0;
+    replicas[2].attack.kind = AttackKind::SplitBrain;
+    expect_batch_matches_scalar(replicas);
+  }
+}
+
+TEST(BatchVectorRunner, DelayedStrikeMidRunBesideSplitBrainMatchesScalar) {
+  auto replicas = seed_axis(7, 2, 3, AttackKind::DelayedStrike, 40, 3);
+  replicas[0].attack.activation_round = 15;
+  replicas[1].attack.kind = AttackKind::SplitBrain;
+  replicas[2].attack.activation_round = 30;
+  replicas[2].attack.target = 12.0;
+  expect_batch_matches_scalar(replicas);
+}
+
 TEST(BatchVectorRunner, SpecialValuesMatchScalar) {
   // Signed zeros, denormals, and huge coordinates flow through the trim
   // networks and fused step with the same bits on every backend.

@@ -1,15 +1,21 @@
 // Tests for the vector extension: Vec algebra, vector cost functions,
-// coordinate-wise SBG behaviour, and the non-convexity of the vector
-// valid-optima set (the paper's core obstruction for k >= 2).
+// coordinate-wise SBG behaviour, the recipient classes the vector attack
+// liftings declare, and the non-convexity of the vector valid-optima set
+// (the paper's core obstruction for k >= 2).
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "core/step_size.hpp"
+#include "sim/vector_scenario.hpp"
+#include "vector/vector_attacks.hpp"
 #include "vector/vector_sbg.hpp"
 #include "vector/vector_valid.hpp"
 
@@ -137,6 +143,131 @@ TEST(VectorSbg, FaultFreeWithPositiveFConverges) {
                                 spread_initial(5), 0, nullptr, schedule, 4000);
   EXPECT_LT(r.disagreement.back(), 0.05);
   EXPECT_LT(r.dist_to_average_optimum.back(), 0.5);
+}
+
+// ------------------------------------------- recipient classes (liftings)
+
+constexpr AttackKind kEveryAttack[] = {
+    AttackKind::None,         AttackKind::Silent,
+    AttackKind::FixedValue,   AttackKind::SplitBrain,
+    AttackKind::HullEdgeUp,   AttackKind::HullEdgeDown,
+    AttackKind::RandomNoise,  AttackKind::SignFlip,
+    AttackKind::PullToTarget, AttackKind::FlipFlop,
+    AttackKind::DelayedStrike};
+
+AttackConfig vector_attack_config(AttackKind kind) {
+  AttackConfig config;
+  config.kind = kind;
+  config.activation_round = 3;  // delayed-strike wakes mid-run below
+  return config;
+}
+
+bool same_bits(const std::optional<VecPayload>& a,
+               const std::optional<VecPayload>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return true;
+  if (a->state.dim() != b->state.dim() ||
+      a->gradient.dim() != b->gradient.dim())
+    return false;
+  for (std::size_t k = 0; k < a->state.dim(); ++k) {
+    if (std::bit_cast<std::uint64_t>(a->state[k]) !=
+            std::bit_cast<std::uint64_t>(b->state[k]) ||
+        std::bit_cast<std::uint64_t>(a->gradient[k]) !=
+            std::bit_cast<std::uint64_t>(b->gradient[k]))
+      return false;
+  }
+  return true;
+}
+
+TEST(VectorRecipientClass, LiftingsDeclareTheScalarClasses) {
+  const Rng rng(5);
+  for (std::size_t dim : {1u, 3u}) {
+    for (AttackKind kind : kEveryAttack) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + " kind " +
+                   std::to_string(static_cast<int>(kind)));
+      const auto adv = make_vector_adversary(vector_attack_config(kind), dim,
+                                             rng.substream("a", 0));
+      for (std::uint32_t r = 0; r < 8; ++r) {
+        const RecipientClass declared = adv->recipient_class(AgentId{r});
+        if (kind == AttackKind::SplitBrain) {
+          EXPECT_EQ(declared, r % 2);
+        } else if (kind == AttackKind::RandomNoise) {
+          EXPECT_EQ(declared, kPerMessage);
+        } else {
+          EXPECT_EQ(declared, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorRecipientClass, DeclaredClassesKeepTheirPromise) {
+  // The scalar promise test (adversary_test.cpp) for the liftings at d = 1
+  // and d = 3: `a` is asked for every recipient, a twin from another RNG
+  // substream only once per class at its first recipient, and the two
+  // must agree bit for bit wherever the class is not kPerMessage.
+  constexpr std::uint32_t kRecipients = 9;
+  const Rng rng(11);
+  for (std::size_t dim : {1u, 3u}) {
+    for (AttackKind kind : kEveryAttack) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + " kind " +
+                   std::to_string(static_cast<int>(kind)));
+      const AttackConfig config = vector_attack_config(kind);
+      const auto a = make_vector_adversary(
+          config, dim, rng.substream("vector-adversary", 7));
+      const auto twin = make_vector_adversary(
+          config, dim, rng.substream("vector-adversary", 8));
+      Rng draws(3);
+      for (std::uint32_t t = 1; t <= 6; ++t) {
+        std::vector<Received<VecPayload>> msgs;
+        for (std::uint32_t j = 0; j < kRecipients; ++j) {
+          VecPayload p{Vec(dim), Vec(dim)};
+          for (std::size_t k = 0; k < dim; ++k) {
+            p.state[k] = draws.uniform(-5.0, 5.0);
+            p.gradient[k] = draws.uniform(-2.0, 2.0);
+          }
+          msgs.push_back({AgentId{j}, std::move(p)});
+        }
+        const RoundView<VecPayload> view{Round{t}, msgs};
+        std::vector<std::optional<VecPayload>> seen;
+        for (std::uint32_t j = 0; j < kRecipients; ++j)
+          seen.push_back(a->send_to(AgentId{20}, AgentId{j}, view));
+        std::vector<std::optional<VecPayload>> answer(kRecipients);
+        for (std::uint32_t j = 0; j < kRecipients; ++j) {
+          const RecipientClass cls = a->recipient_class(AgentId{j});
+          if (cls == kPerMessage) continue;
+          std::uint32_t first = 0;
+          while (a->recipient_class(AgentId{first}) != cls) ++first;
+          if (first == j)
+            answer[j] = twin->send_to(AgentId{21}, AgentId{j}, view);
+          EXPECT_TRUE(same_bits(seen[j], answer[first]))
+              << "round " << t << " recipient " << j;
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorRecipientClass, ScalarEngineNeverAsks) {
+  // run_vector_sbg is the reference the batch engine is checked against,
+  // so it must stay class-blind: it asks for payloads per message only.
+  class ClassSpy final : public VectorAdversary {
+   public:
+    std::optional<VecPayload> send_to(AgentId, AgentId,
+                                      const RoundView<VecPayload>&) override {
+      return std::nullopt;
+    }
+    RecipientClass recipient_class(AgentId) const override {
+      ++asked;
+      return 0;
+    }
+    mutable int asked = 0;
+  };
+  const HarmonicStep schedule;
+  ClassSpy spy;
+  run_vector_sbg(cfg(7, 2, 2), separable_costs(), spread_initial(5), 2, &spy,
+                 schedule, 20);
+  EXPECT_EQ(spy.asked, 0);
 }
 
 TEST(VectorSbg, DimMismatchRejected) {
