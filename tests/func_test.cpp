@@ -196,10 +196,20 @@ TEST(SoftplusBasin, RejectsInvertedWalls) {
 
 // ----------------------------------------------- admissibility validation
 
-class AdmissibleFamilies : public ::testing::TestWithParam<ScalarFunctionPtr> {};
+// The label is what gtest prints for the parameter, and so what ctest
+// names the case: a bare shared_ptr prints as its heap address, which
+// changes from one process to the next.
+struct AdmissibleCase {
+  const char* label;
+  ScalarFunctionPtr h;
+};
+
+void PrintTo(const AdmissibleCase& c, std::ostream* os) { *os << c.label; }
+
+class AdmissibleFamilies : public ::testing::TestWithParam<AdmissibleCase> {};
 
 TEST_P(AdmissibleFamilies, PassesFullValidation) {
-  const ValidationReport report = validate_admissible(*GetParam());
+  const ValidationReport report = validate_admissible(*GetParam().h);
   EXPECT_TRUE(report.ok) << (report.violations.empty()
                                  ? ""
                                  : report.violations.front());
@@ -208,18 +218,30 @@ TEST_P(AdmissibleFamilies, PassesFullValidation) {
 INSTANTIATE_TEST_SUITE_P(
     AllConcreteTypes, AdmissibleFamilies,
     ::testing::Values(
-        std::make_shared<Huber>(0.0, 2.0, 1.0),
-        std::make_shared<Huber>(-7.5, 0.5, 3.0),
-        std::make_shared<LogCosh>(1.0, 1.0, 1.0),
-        std::make_shared<LogCosh>(5.0, 0.25, 2.0),
-        std::make_shared<SmoothAbs>(0.0, 0.5, 1.0),
-        std::make_shared<SmoothAbs>(-3.0, 1.0, 0.5),
-        std::make_shared<FlatHuber>(Interval(-2.0, 2.0), 1.0, 1.0),
-        std::make_shared<FlatHuber>(Interval(3.0, 3.5), 2.0, 0.7),
-        std::make_shared<SoftplusBasin>(-1.0, 1.0, 0.5, 1.0),
-        std::make_shared<SoftplusBasin>(2.0, 2.0, 1.0, 2.0),
-        std::make_shared<AsymmetricHuber>(0.0, 1.0, 3.0, 1.0),
-        std::make_shared<AsymmetricHuber>(-4.0, 2.5, 0.5, 2.0)));
+        AdmissibleCase{"Huber(0, 2, 1)",
+            std::make_shared<Huber>(0.0, 2.0, 1.0)},
+        AdmissibleCase{"Huber(-7.5, 0.5, 3)",
+            std::make_shared<Huber>(-7.5, 0.5, 3.0)},
+        AdmissibleCase{"LogCosh(1, 1, 1)",
+            std::make_shared<LogCosh>(1.0, 1.0, 1.0)},
+        AdmissibleCase{"LogCosh(5, 0.25, 2)",
+            std::make_shared<LogCosh>(5.0, 0.25, 2.0)},
+        AdmissibleCase{"SmoothAbs(0, 0.5, 1)",
+            std::make_shared<SmoothAbs>(0.0, 0.5, 1.0)},
+        AdmissibleCase{"SmoothAbs(-3, 1, 0.5)",
+            std::make_shared<SmoothAbs>(-3.0, 1.0, 0.5)},
+        AdmissibleCase{"FlatHuber(-2..2, 1, 1)",
+            std::make_shared<FlatHuber>(Interval(-2.0, 2.0), 1.0, 1.0)},
+        AdmissibleCase{"FlatHuber(3..3.5, 2, 0.7)",
+            std::make_shared<FlatHuber>(Interval(3.0, 3.5), 2.0, 0.7)},
+        AdmissibleCase{"SoftplusBasin(-1, 1, 0.5, 1)",
+            std::make_shared<SoftplusBasin>(-1.0, 1.0, 0.5, 1.0)},
+        AdmissibleCase{"SoftplusBasin(2, 2, 1, 2)",
+            std::make_shared<SoftplusBasin>(2.0, 2.0, 1.0, 2.0)},
+        AdmissibleCase{"AsymmetricHuber(0, 1, 3, 1)",
+            std::make_shared<AsymmetricHuber>(0.0, 1.0, 3.0, 1.0)},
+        AdmissibleCase{"AsymmetricHuber(-4, 2.5, 0.5, 2)",
+            std::make_shared<AsymmetricHuber>(-4.0, 2.5, 0.5, 2.0)}));
 
 TEST(Validate, CatchesWrongGradientBound) {
   // A liar: claims gradient bound 0.1 but has slope up to 1.

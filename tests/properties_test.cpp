@@ -88,11 +88,21 @@ TEST(HonestHullInvariant, StatesBoundedByStepBudget) {
 
 // ------------------------------------------------------- schedule family
 
-class ValidScheduleSweep : public ::testing::TestWithParam<StepConfig> {};
+// The label is what gtest prints for the parameter, and so what ctest
+// names the case: a bare StepConfig prints as raw bytes, padding
+// included, which changes from one process to the next.
+struct ScheduleCase {
+  const char* label;
+  StepConfig step;
+};
+
+void PrintTo(const ScheduleCase& c, std::ostream* os) { *os << c.label; }
+
+class ValidScheduleSweep : public ::testing::TestWithParam<ScheduleCase> {};
 
 TEST_P(ValidScheduleSweep, ConsensusAndOptimalityForValidSchedules) {
   Scenario s = make_standard_scenario(7, 2, 8.0, AttackKind::SplitBrain, 8000);
-  s.step = GetParam();
+  s.step = GetParam().step;
   const RunMetrics m = run_sbg(s);
   EXPECT_LT(m.final_disagreement(), 0.15);
   EXPECT_LT(m.final_max_dist(), 0.4);
@@ -100,11 +110,12 @@ TEST_P(ValidScheduleSweep, ConsensusAndOptimalityForValidSchedules) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schedules, ValidScheduleSweep,
-    ::testing::Values(StepConfig{StepKind::Harmonic, 1.0, 0.0},
-                      StepConfig{StepKind::Harmonic, 0.5, 0.0},
-                      StepConfig{StepKind::Power, 1.0, 0.75},
-                      StepConfig{StepKind::Power, 1.0, 0.9},
-                      StepConfig{StepKind::Power, 0.5, 0.6}));
+    ::testing::Values(
+        ScheduleCase{"Harmonic(1)", StepConfig{StepKind::Harmonic, 1.0, 0.0}},
+        ScheduleCase{"Harmonic(0.5)", StepConfig{StepKind::Harmonic, 0.5, 0.0}},
+        ScheduleCase{"Power(1, 0.75)", StepConfig{StepKind::Power, 1.0, 0.75}},
+        ScheduleCase{"Power(1, 0.9)", StepConfig{StepKind::Power, 1.0, 0.9}},
+        ScheduleCase{"Power(0.5, 0.6)", StepConfig{StepKind::Power, 0.5, 0.6}}));
 
 // ------------------------------------------------------ trim-only ablation
 
