@@ -9,26 +9,59 @@ namespace ftmao {
 
 namespace {
 
-std::vector<double> honest_states(const RoundView<SbgPayload>& view) {
-  std::vector<double> out;
-  out.reserve(view.honest_broadcasts.size());
-  for (const auto& msg : view.honest_broadcasts) out.push_back(msg.payload.state);
-  return out;
-}
-
-double median_of(std::vector<double> v) {
-  FTMAO_EXPECTS(!v.empty());
-  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
-  std::nth_element(v.begin(), mid, v.end());
+// The rank-count/2 element, as nth_element leaves it. `scratch` is
+// reordered.
+double median_of(std::vector<double>& scratch) {
+  FTMAO_EXPECTS(!scratch.empty());
+  const auto mid =
+      scratch.begin() + static_cast<std::ptrdiff_t>(scratch.size() / 2);
+  std::nth_element(scratch.begin(), mid, scratch.end());
   return *mid;
 }
 
 }  // namespace
 
+HonestSummary HonestSummary::of(const RoundView<SbgPayload>& view) {
+  const auto& msgs = view.honest_broadcasts;
+  HonestSummary s;
+  s.count = msgs.size();
+  if (msgs.empty()) return s;
+  s.state.min = s.state.max = msgs.front().payload.state;
+  s.gradient.min = s.gradient.max = msgs.front().payload.gradient;
+  for (const auto& msg : msgs) {
+    s.state.min = std::min(s.state.min, msg.payload.state);
+    s.state.max = std::max(s.state.max, msg.payload.state);
+    s.gradient.min = std::min(s.gradient.min, msg.payload.gradient);
+    s.gradient.max = std::max(s.gradient.max, msg.payload.gradient);
+    s.gradient_mean += msg.payload.gradient;
+  }
+  s.gradient_mean /= static_cast<double>(msgs.size());
+  std::vector<double> scratch;
+  scratch.reserve(msgs.size());
+  for (const auto& msg : msgs) scratch.push_back(msg.payload.state);
+  s.state.median = median_of(scratch);
+  scratch.clear();
+  for (const auto& msg : msgs) scratch.push_back(msg.payload.gradient);
+  s.gradient.median = median_of(scratch);
+  return s;
+}
+
+std::optional<SbgPayload> SbgAdversary::summary_payload(const HonestSummary&,
+                                                        Round, AgentId) {
+  // Only class-declaring strategies are asked, and they override this.
+  FTMAO_EXPECTS(false);
+  return std::nullopt;
+}
+
 // --------------------------------------------------------------- Silent
 
 std::optional<SbgPayload> SilentAdversary::send_to(AgentId, AgentId,
                                                    const RoundView<SbgPayload>&) {
+  return std::nullopt;
+}
+
+std::optional<SbgPayload> SilentAdversary::summary_payload(const HonestSummary&,
+                                                           Round, AgentId) {
   return std::nullopt;
 }
 
@@ -42,6 +75,11 @@ std::optional<SbgPayload> FixedValueAdversary::send_to(
   return payload_;
 }
 
+std::optional<SbgPayload> FixedValueAdversary::summary_payload(
+    const HonestSummary&, Round, AgentId) {
+  return payload_;
+}
+
 // ----------------------------------------------------------- SplitBrain
 
 SplitBrainAdversary::SplitBrainAdversary(double state_magnitude,
@@ -51,8 +89,14 @@ SplitBrainAdversary::SplitBrainAdversary(double state_magnitude,
   FTMAO_EXPECTS(gradient_magnitude >= 0.0);
 }
 
+// The view is never read, so send_to skips the summary.
 std::optional<SbgPayload> SplitBrainAdversary::send_to(
-    AgentId, AgentId recipient, const RoundView<SbgPayload>&) {
+    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
+  return summary_payload(HonestSummary{}, view.round, recipient);
+}
+
+std::optional<SbgPayload> SplitBrainAdversary::summary_payload(
+    const HonestSummary&, Round, AgentId recipient) {
   const double sign = (recipient.value % 2 == 0) ? 1.0 : -1.0;
   return SbgPayload{sign * state_magnitude_, sign * gradient_magnitude_};
 }
@@ -62,23 +106,18 @@ std::optional<SbgPayload> SplitBrainAdversary::send_to(
 HullEdgeAdversary::HullEdgeAdversary(bool push_up) : push_up_(push_up) {}
 
 std::optional<SbgPayload> HullEdgeAdversary::send_to(
-    AgentId, AgentId, const RoundView<SbgPayload>& view) {
+    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
   if (!cache_.fresh(view.round)) return cache_.get();
-  if (view.honest_broadcasts.empty())
-    return cache_.store(view.round, std::nullopt);
-  double state = view.honest_broadcasts.front().payload.state;
-  double gradient = view.honest_broadcasts.front().payload.gradient;
-  for (const auto& msg : view.honest_broadcasts) {
-    if (push_up_) {
-      // High state + low gradient both pull the update x~ - lambda*g~ up.
-      state = std::max(state, msg.payload.state);
-      gradient = std::min(gradient, msg.payload.gradient);
-    } else {
-      state = std::min(state, msg.payload.state);
-      gradient = std::max(gradient, msg.payload.gradient);
-    }
-  }
-  return cache_.store(view.round, SbgPayload{state, gradient});
+  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
+                                                  view.round, recipient));
+}
+
+std::optional<SbgPayload> HullEdgeAdversary::summary_payload(
+    const HonestSummary& summary, Round, AgentId) {
+  if (summary.count == 0) return std::nullopt;
+  // High state + low gradient both pull the update x~ - lambda*g~ up.
+  if (push_up_) return SbgPayload{summary.state.max, summary.gradient.min};
+  return SbgPayload{summary.state.min, summary.gradient.max};
 }
 
 // ---------------------------------------------------------- RandomNoise
@@ -104,17 +143,17 @@ SignFlipAdversary::SignFlipAdversary(double amplification)
 }
 
 std::optional<SbgPayload> SignFlipAdversary::send_to(
-    AgentId, AgentId, const RoundView<SbgPayload>& view) {
+    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
   if (!cache_.fresh(view.round)) return cache_.get();
-  if (view.honest_broadcasts.empty())
-    return cache_.store(view.round, std::nullopt);
-  double mean_gradient = 0.0;
-  for (const auto& msg : view.honest_broadcasts)
-    mean_gradient += msg.payload.gradient;
-  mean_gradient /= static_cast<double>(view.honest_broadcasts.size());
-  return cache_.store(view.round,
-                      SbgPayload{median_of(honest_states(view)),
-                                 -amplification_ * mean_gradient});
+  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
+                                                  view.round, recipient));
+}
+
+std::optional<SbgPayload> SignFlipAdversary::summary_payload(
+    const HonestSummary& summary, Round, AgentId) {
+  if (summary.count == 0) return std::nullopt;
+  return SbgPayload{summary.state.median,
+                    -amplification_ * summary.gradient_mean};
 }
 
 // --------------------------------------------------------- PullToTarget
@@ -126,16 +165,19 @@ PullToTargetAdversary::PullToTargetAdversary(double target,
 }
 
 std::optional<SbgPayload> PullToTargetAdversary::send_to(
-    AgentId, AgentId, const RoundView<SbgPayload>& view) {
+    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
   if (!cache_.fresh(view.round)) return cache_.get();
-  if (view.honest_broadcasts.empty())
-    return cache_.store(view.round, SbgPayload{target_, 0.0});
-  const double median = median_of(honest_states(view));
+  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
+                                                  view.round, recipient));
+}
+
+std::optional<SbgPayload> PullToTargetAdversary::summary_payload(
+    const HonestSummary& summary, Round, AgentId) {
+  if (summary.count == 0) return SbgPayload{target_, 0.0};
   // A positive reported gradient pushes recipients' states down; point the
   // fake gradient from the honest median toward the target.
-  const double direction = median > target_ ? 1.0 : -1.0;
-  return cache_.store(view.round,
-                      SbgPayload{target_, direction * gradient_magnitude_});
+  const double direction = summary.state.median > target_ ? 1.0 : -1.0;
+  return SbgPayload{target_, direction * gradient_magnitude_};
 }
 
 // ---------------------------------------------------- DelayedActivation
@@ -155,19 +197,20 @@ DelayedActivationAdversary::DelayedActivationAdversary(
 std::optional<SbgPayload> DelayedActivationAdversary::send_to(
     AgentId self, AgentId recipient, const RoundView<SbgPayload>& view) {
   if (view.round >= activation_) return late_->send_to(self, recipient, view);
-  // Dormant phase: mimic a perfectly plausible honest agent (median state,
-  // median gradient of the honest broadcasts).
   if (!dormant_cache_.fresh(view.round)) return dormant_cache_.get();
-  if (view.honest_broadcasts.empty())
-    return dormant_cache_.store(view.round, std::nullopt);
-  std::vector<double> states = honest_states(view);
-  std::vector<double> gradients;
-  gradients.reserve(view.honest_broadcasts.size());
-  for (const auto& msg : view.honest_broadcasts)
-    gradients.push_back(msg.payload.gradient);
   return dormant_cache_.store(
       view.round,
-      SbgPayload{median_of(std::move(states)), median_of(std::move(gradients))});
+      summary_payload(HonestSummary::of(view), view.round, recipient));
+}
+
+std::optional<SbgPayload> DelayedActivationAdversary::summary_payload(
+    const HonestSummary& summary, Round round, AgentId recipient) {
+  if (round >= activation_)
+    return late_->summary_payload(summary, round, recipient);
+  // Dormant phase: mimic a perfectly plausible honest agent (median state,
+  // median gradient of the honest broadcasts).
+  if (summary.count == 0) return std::nullopt;
+  return SbgPayload{summary.state.median, summary.gradient.median};
 }
 
 // ------------------------------------------------------------- FlipFlop
@@ -177,23 +220,18 @@ FlipFlopAdversary::FlipFlopAdversary(std::size_t period) : period_(period) {
 }
 
 std::optional<SbgPayload> FlipFlopAdversary::send_to(
-    AgentId, AgentId, const RoundView<SbgPayload>& view) {
+    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
   if (!cache_.fresh(view.round)) return cache_.get();
-  if (view.honest_broadcasts.empty())
-    return cache_.store(view.round, std::nullopt);
-  const bool high = (view.round.value / period_) % 2 == 0;
-  double state = view.honest_broadcasts.front().payload.state;
-  double gradient = view.honest_broadcasts.front().payload.gradient;
-  for (const auto& msg : view.honest_broadcasts) {
-    if (high) {
-      state = std::max(state, msg.payload.state);
-      gradient = std::min(gradient, msg.payload.gradient);
-    } else {
-      state = std::min(state, msg.payload.state);
-      gradient = std::max(gradient, msg.payload.gradient);
-    }
-  }
-  return cache_.store(view.round, SbgPayload{state, gradient});
+  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
+                                                  view.round, recipient));
+}
+
+std::optional<SbgPayload> FlipFlopAdversary::summary_payload(
+    const HonestSummary& summary, Round round, AgentId) {
+  if (summary.count == 0) return std::nullopt;
+  const bool high = (round.value / period_) % 2 == 0;
+  if (high) return SbgPayload{summary.state.max, summary.gradient.min};
+  return SbgPayload{summary.state.min, summary.gradient.max};
 }
 
 }  // namespace ftmao

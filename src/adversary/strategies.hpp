@@ -21,6 +21,9 @@
 // against SBG and async-SBG. Each also declares its recipient classes
 // (net/batch.hpp): class 0 for the strategies that send everyone one
 // payload, recipient parity for SplitBrain, kPerMessage for RandomNoise.
+// The class-declaring ones read the round view only through its
+// HonestSummary, so they also answer summary_payload, which the sync
+// batch engine fills from its own selected rows instead of a view.
 
 #include <cstdint>
 #include <memory>
@@ -35,6 +38,28 @@
 
 namespace ftmao {
 
+/// The order statistics and mean of one round's honest broadcasts that
+/// the catalogue's view-reading strategies use. of() computes them with
+/// the scalar operations those strategies always used, so their send_to
+/// keeps its bits: min/max as std::min/std::max folds from the first
+/// broadcast, the median as nth_element at rank count/2, the mean as a
+/// sum in sender order divided by the count. The sync batch engine fills
+/// the same fields from selected order statistics, which can differ from
+/// these in the sign of a zero and nothing else (see summary_payload).
+struct HonestSummary {
+  struct Stats {
+    double min = 0.0;
+    double median = 0.0;
+    double max = 0.0;
+  };
+  std::size_t count = 0;  ///< honest broadcasts; the rest is unset if 0
+  Stats state;
+  Stats gradient;
+  double gradient_mean = 0.0;
+
+  static HonestSummary of(const RoundView<SbgPayload>& view);
+};
+
 /// Common base: one send_to override serves both engine interfaces.
 class SbgAdversary : public ByzantineNode<SbgPayload>,
                      public AsyncByzantineNode<SbgPayload> {
@@ -44,10 +69,23 @@ class SbgAdversary : public ByzantineNode<SbgPayload>,
 
   /// Which recipients share a payload, independent of the round; see
   /// RecipientClass for the promise a class id makes. The default,
-  /// kPerMessage, promises nothing. Only the batch engines ask.
+  /// kPerMessage, promises nothing. Only the batch engines ask. A
+  /// strategy that declares classes reads the round view only through
+  /// its HonestSummary and overrides summary_payload.
   virtual RecipientClass recipient_class(AgentId /*recipient*/) const {
     return kPerMessage;
   }
+
+  /// The payload send_to gives `recipient` in round `round` when the
+  /// round's view has HonestSummary::of(view) == `summary`. The sync
+  /// batch engine asks this instead of send_to, once per (replica,
+  /// class), and its summary's order statistics may hold the other zero
+  /// than of()'s. So the sign of a zero in `summary` may reach the answer
+  /// only as a payload value passed on unchanged: a payload reaches the
+  /// state only through a Trim midpoint, which has the same bits for
+  /// either zero. Only class-declaring strategies are asked.
+  virtual std::optional<SbgPayload> summary_payload(
+      const HonestSummary& summary, Round round, AgentId recipient);
 };
 
 /// Per-round payload memo for strategies whose payload is a pure function
@@ -89,6 +127,8 @@ class SilentAdversary final : public SbgAdversary {
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
   RecipientClass recipient_class(AgentId) const override { return 0; }
+  std::optional<SbgPayload> summary_payload(const HonestSummary&, Round,
+                                            AgentId) override;
 };
 
 /// Sends the same fixed tuple to everyone, every round.
@@ -98,6 +138,8 @@ class FixedValueAdversary final : public SbgAdversary {
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
   RecipientClass recipient_class(AgentId) const override { return 0; }
+  std::optional<SbgPayload> summary_payload(const HonestSummary&, Round,
+                                            AgentId) override;
 
  private:
   SbgPayload payload_;
@@ -114,6 +156,8 @@ class SplitBrainAdversary final : public SbgAdversary {
   RecipientClass recipient_class(AgentId recipient) const override {
     return recipient.value % 2;
   }
+  std::optional<SbgPayload> summary_payload(const HonestSummary&, Round,
+                                            AgentId recipient) override;
 
  private:
   double state_magnitude_;
@@ -132,6 +176,8 @@ class HullEdgeAdversary final : public SbgAdversary {
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
   RecipientClass recipient_class(AgentId) const override { return 0; }
+  std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
+                                            Round round, AgentId) override;
 
  private:
   bool push_up_;
@@ -160,6 +206,8 @@ class SignFlipAdversary final : public SbgAdversary {
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
   RecipientClass recipient_class(AgentId) const override { return 0; }
+  std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
+                                            Round round, AgentId) override;
 
  private:
   double amplification_;
@@ -175,6 +223,8 @@ class PullToTargetAdversary final : public SbgAdversary {
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>&) override;
   RecipientClass recipient_class(AgentId) const override { return 0; }
+  std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
+                                            Round round, AgentId) override;
 
  private:
   double target_;
@@ -200,6 +250,9 @@ class DelayedActivationAdversary final : public SbgAdversary {
   RecipientClass recipient_class(AgentId recipient) const override {
     return late_->recipient_class(recipient);
   }
+  std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
+                                            Round round,
+                                            AgentId recipient) override;
 
  private:
   Round activation_;
@@ -217,6 +270,8 @@ class FlipFlopAdversary final : public SbgAdversary {
   std::optional<SbgPayload> send_to(AgentId, AgentId,
                                     const RoundView<SbgPayload>& view) override;
   RecipientClass recipient_class(AgentId) const override { return 0; }
+  std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
+                                            Round round, AgentId) override;
 
  private:
   std::size_t period_;

@@ -20,4 +20,9 @@ RecipientClass ConsistentWrapper::recipient_class(AgentId recipient) const {
   return inner_->recipient_class(recipient) == kPerMessage ? kPerMessage : 0;
 }
 
+std::optional<SbgPayload> ConsistentWrapper::summary_payload(
+    const HonestSummary& summary, Round round, AgentId recipient) {
+  return inner_->summary_payload(summary, round, recipient);
+}
+
 }  // namespace ftmao

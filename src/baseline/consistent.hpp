@@ -26,6 +26,12 @@ class ConsistentWrapper final : public SbgAdversary {
   /// inner strategy is, since the replayed answer then comes from the
   /// inner strategy's own RNG stream and so differs between senders.
   RecipientClass recipient_class(AgentId recipient) const override;
+  /// The inner strategy's summary payload: a class-0 wrapper is asked
+  /// once per round, and the inner answer for that first recipient is the
+  /// one send_to replays.
+  std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
+                                            Round round,
+                                            AgentId recipient) override;
 
  private:
   SbgAdversary* inner_;

@@ -13,17 +13,16 @@ RecipientPartition partition_recipients(
   };
   RecipientPartition p;
   p.per_message.assign(replicas, 0);
-  bool any_per_message = false;
   for (std::size_t r = 0; r < replicas; ++r) {
     const auto row = declared.subspan(r * recipients, recipients);
     if (std::find(row.begin(), row.end(), kPerMessage) != row.end()) {
       p.per_message[r] = 1;
-      any_per_message = true;
+      p.any_per_message = true;
     }
   }
 
   const auto same_class = [&](std::size_t a, std::size_t b) {
-    if (any_per_message) return a == b;
+    if (p.any_per_message) return a == b;
     for (std::size_t r = 0; r < replicas; ++r)
       if (decl(r, a) != decl(r, b)) return false;
     return true;

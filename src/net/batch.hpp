@@ -52,6 +52,7 @@ struct RecipientPartition {
   std::vector<std::uint32_t> class_of;    ///< recipient -> class
   std::vector<std::uint32_t> first;       ///< class -> its first recipient
   std::vector<std::uint8_t> per_message;  ///< replica -> asked per message?
+  bool any_per_message = false;           ///< some replica asked so?
   /// replica * C + class -> the class whose payload this replica reuses.
   /// Where it equals the class itself, the replica's strategy is asked at
   /// that class's first recipient (the first recipient of its declared

@@ -8,8 +8,10 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "adversary/strategies.hpp"
 #include "baseline/consistent.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -161,6 +163,27 @@ class BatchedSbgRunner {
     }
     partition_ = partition_recipients(declared, B_, H_);
 
+    // Trim by selection unless some replica is asked per message (its F
+    // sender rows may all differ) or n is past the networks. Then every
+    // class's F Byzantine rows are one payload, merged into the honest
+    // order statistics selected once per round (once per recipient under
+    // a delivery filter), and every strategy is asked summary_payload
+    // with a HonestSummary of the selected broadcasts instead of a view.
+    select_ = n_ <= kMaxSortingNetworkN && !partition_.any_per_message;
+    if (select_) {
+      const RankSet trim_ranks = merge_trim_ranks(H_, F_, f_);
+      const RankSet summary_ranks = (RankSet{1} << 0) |
+                                    (RankSet{1} << (H_ / 2)) |
+                                    (RankSet{1} << (H_ - 1));
+      const RankSet round_ranks = (any_filter_ ? 0 : trim_ranks) |
+                                  (F_ > 0 ? summary_ranks : 0);
+      if (round_ranks != 0) {
+        round_net_ = selection_network(H_, round_ranks);
+        select_round_ = true;
+      }
+      if (any_filter_) recipient_net_ = selection_network(H_, trim_ranks);
+    }
+
     FTMAO_EXPECTS(options_.record_series || !options_.record_trace);
     metrics_.resize(B_);
     for (std::size_t r = 0; r < B_; ++r) {
@@ -203,8 +226,10 @@ class BatchedSbgRunner {
     // Byzantine payload matrices, lane-padded to stride Bpad so each
     // (class, sender) row is a whole vector row for the masked blend;
     // presence is a stored all-ones/all-zeros double mask. Padding lanes
-    // keep mask 0 and blend to the (benign) default row.
-    const std::size_t payload_rows = partition_.classes * F_;
+    // keep mask 0 and blend to the (benign) default row. Selection needs
+    // one row per class: its F senders send the same payload.
+    payload_senders_ = select_ ? std::min<std::size_t>(F_, 1) : F_;
+    const std::size_t payload_rows = partition_.classes * payload_senders_;
     bpx_.assign(payload_rows * Bpad_, 0.0);
     bpg_.assign(payload_rows * Bpad_, 0.0);
     bpresent_.assign(payload_rows * Bpad_, 0.0);
@@ -216,6 +241,15 @@ class BatchedSbgRunner {
       defg_[r] = defaults_[r].gradient;
     }
     dmask_.assign(Bpad_, 0.0);
+    if (select_round_) {
+      hx_.resize(H_ * Bpad_);
+      hg_.resize(H_ * Bpad_);
+    }
+    if (select_ && F_ > 0) {
+      gmean_.resize(Bpad_);
+      vx_.resize(Bpad_);
+      vg_.resize(Bpad_);
+    }
   }
 
   std::vector<RunMetrics> run() {
@@ -234,7 +268,8 @@ class BatchedSbgRunner {
       const Round round{static_cast<std::uint32_t>(t)};
 
       broadcast_phase(round);
-      if (F_ > 0) collect_byzantine();
+      if (select_round_) select_broadcasts();
+      if (F_ > 0) collect_byzantine(round);
       for (std::size_t r = 0; r < B_; ++r)
         lambda_[r] = schedules_[r]->at(t - 1);
       std::fill(trim_done_.begin(), trim_done_.end(), std::uint8_t{0});
@@ -278,9 +313,9 @@ class BatchedSbgRunner {
   // lane; derivative() is pure, so the reordering is unobservable and
   // every kernel is pinned bitwise to derivative() by the
   // BatchGradientKernel contract. The per-replica AoS views are
-  // materialized only when adversaries exist to observe them.
+  // materialized only when strategies read them through send_to.
   void broadcast_phase(Round t) {
-    const bool need_views = F_ > 0;
+    const bool need_views = F_ > 0 && !select_;
     if (need_views) views_.begin_round(t, B_, honest_ids_);
     for (std::size_t j = 0; j < H_; ++j) {
       const std::size_t base = lane(j, 0);
@@ -300,20 +335,50 @@ class BatchedSbgRunner {
     }
   }
 
+  // The honest broadcasts' order statistics for this round: round_net_
+  // selects the trim ranks (without a delivery filter every recipient's
+  // honest rows are these H broadcasts) and, with Byzantine senders, the
+  // summary ranks and the mean gradient, summed in sender order like
+  // HonestSummary::of.
+  void select_broadcasts() {
+    std::memcpy(hx_.data(), bx_.data(), H_ * Bpad_ * sizeof(double));
+    std::memcpy(hg_.data(), bg_.data(), H_ * Bpad_ * sizeof(double));
+    apply_network(hx_.data(), Bpad_, round_net_, *kernels_);
+    apply_network(hg_.data(), Bpad_, round_net_, *kernels_);
+    if (F_ == 0) return;
+    std::fill(gmean_.begin(), gmean_.end(), 0.0);
+    for (std::size_t j = 0; j < H_; ++j)
+      kernels_->accumulate_rows(gmean_.data(), bg_.data() + lane(j, 0),
+                                Bpad_);
+    kernels_->divide_rows(gmean_.data(), static_cast<double>(H_), Bpad_);
+  }
+
+  HonestSummary summary_of(std::size_t r) const {
+    HonestSummary s;
+    s.count = H_;
+    const std::size_t mid = H_ / 2;
+    s.state = {hx_[lane(0, r)], hx_[lane(mid, r)], hx_[lane(H_ - 1, r)]};
+    s.gradient = {hg_[lane(0, r)], hg_[lane(mid, r)], hg_[lane(H_ - 1, r)]};
+    s.gradient_mean = gmean_[r];
+    return s;
+  }
+
   // Step 2a for the whole round: the Byzantine payload rows of every
   // recipient class (partition_). A replica whose strategy declares
   // classes is asked once per class, at the class's first recipient, and
-  // the answer fills all F sender rows: the declaration promises a payload
+  // the answer fills all sender rows: the declaration promises a payload
   // that depends only on the attack config and the round view, and all F
-  // senders of a replica are built from one config. A per-message replica
-  // is asked for every (recipient, sender) in the scalar engine's call
-  // order (recipient outer, sender inner), so its RNG streams advance
-  // identically; each recipient is then its own class.
-  void collect_byzantine() {
+  // senders of a replica are built from one config. With selection it is
+  // asked through summary_payload, else through send_to and the round
+  // view. A per-message replica is asked for every (recipient, sender) in
+  // the scalar engine's call order (recipient outer, sender inner), so
+  // its RNG streams advance identically; each recipient is then its own
+  // class.
+  void collect_byzantine(Round t) {
     const std::size_t C = partition_.classes;
     for (std::size_t r = 0; r < B_; ++r) {
-      const RoundView<SbgPayload> view = views_.view(r);
       if (partition_.per_message[r]) {
+        const RoundView<SbgPayload> view = views_.view(r);
         for (std::size_t j = 0; j < H_; ++j)
           for (std::size_t b = 0; b < F_; ++b)
             store_payload(partition_.class_of[j], b, r,
@@ -321,17 +386,22 @@ class BatchedSbgRunner {
                                                     honest_ids_[j], view));
         continue;
       }
+      SbgAdversary& node = *byz_nodes_[r][0];
+      const HonestSummary summary = select_ ? summary_of(r) : HonestSummary{};
       for (std::size_t c = 0; c < C; ++c) {
         const std::size_t src = partition_.source[r * C + c];
         if (src == c) {
-          const std::optional<SbgPayload> payload = byz_nodes_[r][0]->send_to(
-              faulty_ids_[0], honest_ids_[partition_.first[c]], view);
-          for (std::size_t b = 0; b < F_; ++b) store_payload(c, b, r, payload);
+          const AgentId to = honest_ids_[partition_.first[c]];
+          const std::optional<SbgPayload> payload =
+              select_ ? node.summary_payload(summary, t, to)
+                      : node.send_to(faulty_ids_[0], to, views_.view(r));
+          for (std::size_t b = 0; b < payload_senders_; ++b)
+            store_payload(c, b, r, payload);
           continue;
         }
-        for (std::size_t b = 0; b < F_; ++b) {
-          const std::size_t from = (src * F_ + b) * Bpad_ + r;
-          const std::size_t to = (c * F_ + b) * Bpad_ + r;
+        for (std::size_t b = 0; b < payload_senders_; ++b) {
+          const std::size_t from = (src * payload_senders_ + b) * Bpad_ + r;
+          const std::size_t to = (c * payload_senders_ + b) * Bpad_ + r;
           bpx_[to] = bpx_[from];
           bpg_[to] = bpg_[from];
           bpresent_[to] = bpresent_[from];
@@ -342,80 +412,33 @@ class BatchedSbgRunner {
 
   void store_payload(std::size_t c, std::size_t b, std::size_t r,
                      const std::optional<SbgPayload>& payload) {
-    const std::size_t o = (c * F_ + b) * Bpad_ + r;
+    const std::size_t o = (c * payload_senders_ + b) * Bpad_ + r;
     bpx_[o] = payload ? payload->state : 0.0;
     bpg_[o] = payload ? payload->gradient : 0.0;
     bpresent_[o] = payload ? kAllBits : 0.0;
   }
 
-  // Steps 2b-3 for one recipient across all replicas: assemble the
-  // D^x/D^g multiset matrices, trim both with the batched kernels, apply
-  // the gradient step.
+  // Steps 2b-3 for one recipient across all replicas: trim the D^x/D^g
+  // multisets with the batched kernels, apply the gradient step.
   void step_recipient(std::size_t j, Round t, bool audit) {
-    const AgentId rid = honest_ids_[j];
     const std::size_t cls = partition_.class_of[j];
-    const std::size_t byz_base = cls * F_ * Bpad_;
 
     // Class trim sharing: without a delivery filter every recipient's
-    // honest rows are all H broadcasts, so recipients of one class
-    // assemble bitwise the same rows in a different (trim-irrelevant)
-    // order. The first recipient of each class computes the trim pair
-    // into the class row and the rest reuse its bits. A filter makes the
-    // honest rows per-recipient, so then each recipient trims its own.
+    // honest rows are all H broadcasts, so recipients of one class trim
+    // bitwise the same multiset in a different (trim-irrelevant) order.
+    // The first recipient of each class computes the trim pair into the
+    // class row and the rest reuse its bits. A filter makes the honest
+    // rows per-recipient, so then each recipient trims its own.
     const std::size_t unit = any_filter_ ? j : cls;
     double* tx = ctx_.data() + unit * Bpad_;
     double* tg = ctg_.data() + unit * Bpad_;
     if (!trim_done_[unit]) {
       trim_done_[unit] = 1;
-      // Multiset rows: own tuple, then every other engine-honest sender,
-      // then the Byzantine senders; undelivered slots hold the default
-      // payload — the same multiset the scalar agent assembles (inbox plus
-      // substituted defaults), in which order is irrelevant to Trim.
-      double* dx = dx_.data();
-      double* dg = dg_.data();
-      std::size_t slot = 0;
-      std::memcpy(dx, bx_.data() + lane(j, 0), Bpad_ * sizeof(double));
-      std::memcpy(dg, bg_.data() + lane(j, 0), Bpad_ * sizeof(double));
-      ++slot;
-      for (std::size_t s = 0; s < H_; ++s) {
-        if (s == j) continue;
-        double* dxr = dx + slot * Bpad_;
-        double* dgr = dg + slot * Bpad_;
-        const double* sx = bx_.data() + lane(s, 0);
-        const double* sg = bg_.data() + lane(s, 0);
-        if (!any_filter_) {
-          std::memcpy(dxr, sx, Bpad_ * sizeof(double));
-          std::memcpy(dgr, sg, Bpad_ * sizeof(double));
-        } else {
-          // The per-lane drop decision is an integer hash (inherently
-          // scalar); the payload-vs-default substitution it gates is a
-          // full-row masked lane blend. Padding lanes of dmask_ stay 0
-          // and blend to the benign default row.
-          const std::uint32_t sid = honest_ids_[s].value;
-          for (std::size_t r = 0; r < B_; ++r)
-            dmask_[r] =
-                deliverable(sid, rid.value, t.value, r) ? kAllBits : 0.0;
-          kernels_->masked_blend(dmask_.data(), sx, sg, defx_.data(),
-                                 defg_.data(), dxr, dgr, Bpad_);
-        }
-        ++slot;
+      if (select_) {
+        trim_selected(j, cls, t, tx, tg);
+      } else {
+        trim_sorted(j, cls, t, tx, tg);
       }
-      // Byzantine rows of the recipient's class: absent payloads (silent
-      // adversary) blend to the default payload through the same lane
-      // kernel — the stride-Bpad mask row was filled by collect_byzantine.
-      for (std::size_t b = 0; b < F_; ++b) {
-        double* dxr = dx + slot * Bpad_;
-        double* dgr = dg + slot * Bpad_;
-        const std::size_t o = byz_base + b * Bpad_;
-        kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
-                               bpg_.data() + o, defx_.data(), defg_.data(),
-                               dxr, dgr, Bpad_);
-        ++slot;
-      }
-      FTMAO_ENSURES(slot == n_);
-
-      trim_batch(dx, n_, Bpad_, f_, *kernels_, tx);
-      trim_batch(dg, n_, Bpad_, f_, *kernels_, tg);
     }
 
     // Fused projected step across the whole lane row:
@@ -434,18 +457,94 @@ class BatchedSbgRunner {
     }
   }
 
-  // Post-round bookkeeping per replica: metric series (when `keep`),
-  // projection-error fold, witness audits — each in the scalar runner's
-  // operation order.
+  // Rows 0..H-1 of the multiset matrices dx_/dg_: recipient j's own
+  // tuple, then every other engine-honest sender's, undelivered ones
+  // replaced by the default payload, as the scalar agent substitutes
+  // them. Order is irrelevant to Trim.
+  void assemble_honest(std::size_t j, Round t) {
+    const AgentId rid = honest_ids_[j];
+    double* dx = dx_.data();
+    double* dg = dg_.data();
+    std::size_t slot = 0;
+    std::memcpy(dx, bx_.data() + lane(j, 0), Bpad_ * sizeof(double));
+    std::memcpy(dg, bg_.data() + lane(j, 0), Bpad_ * sizeof(double));
+    ++slot;
+    for (std::size_t s = 0; s < H_; ++s) {
+      if (s == j) continue;
+      double* dxr = dx + slot * Bpad_;
+      double* dgr = dg + slot * Bpad_;
+      const double* sx = bx_.data() + lane(s, 0);
+      const double* sg = bg_.data() + lane(s, 0);
+      if (!any_filter_) {
+        std::memcpy(dxr, sx, Bpad_ * sizeof(double));
+        std::memcpy(dgr, sg, Bpad_ * sizeof(double));
+      } else {
+        // The per-lane drop decision is an integer hash (inherently
+        // scalar); the payload-vs-default substitution it gates is a
+        // full-row masked lane blend. Padding lanes of dmask_ stay 0
+        // and blend to the benign default row.
+        const std::uint32_t sid = honest_ids_[s].value;
+        for (std::size_t r = 0; r < B_; ++r)
+          dmask_[r] = deliverable(sid, rid.value, t.value, r) ? kAllBits : 0.0;
+        kernels_->masked_blend(dmask_.data(), sx, sg, defx_.data(),
+                               defg_.data(), dxr, dgr, Bpad_);
+      }
+      ++slot;
+    }
+    FTMAO_ENSURES(slot == H_);
+  }
+
+  // The trim pair by selection: the honest order statistics (this round's
+  // broadcast selection, or recipient j's own rows selected under a
+  // delivery filter) merged with the class's F identical Byzantine rows.
+  // An absent payload (silent adversary) blends to the default payload.
+  void trim_selected(std::size_t j, std::size_t cls, Round t, double* tx,
+                     double* tg) {
+    const double* hx = hx_.data();
+    const double* hg = hg_.data();
+    if (any_filter_) {
+      assemble_honest(j, t);
+      apply_network(dx_.data(), Bpad_, recipient_net_, *kernels_);
+      apply_network(dg_.data(), Bpad_, recipient_net_, *kernels_);
+      hx = dx_.data();
+      hg = dg_.data();
+    }
+    if (F_ > 0) {
+      const std::size_t o = cls * Bpad_;
+      kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
+                             bpg_.data() + o, defx_.data(), defg_.data(),
+                             vx_.data(), vg_.data(), Bpad_);
+    }
+    merge_trim_batch(hx, H_, F_, f_, vx_.data(), Bpad_, *kernels_, tx);
+    merge_trim_batch(hg, H_, F_, f_, vg_.data(), Bpad_, *kernels_, tg);
+  }
+
+  // The trim pair by sorting the whole n-row multiset: the honest rows,
+  // then the class's F Byzantine rows (per-message replicas may send
+  // each recipient F different payloads), absent payloads blended to the
+  // default payload.
+  void trim_sorted(std::size_t j, std::size_t cls, Round t, double* tx,
+                   double* tg) {
+    assemble_honest(j, t);
+    for (std::size_t b = 0; b < F_; ++b) {
+      const std::size_t o = (cls * F_ + b) * Bpad_;
+      kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
+                             bpg_.data() + o, defx_.data(), defg_.data(),
+                             dx_.data() + (H_ + b) * Bpad_,
+                             dg_.data() + (H_ + b) * Bpad_, Bpad_);
+    }
+    trim_batch(dx_.data(), n_, Bpad_, f_, *kernels_, tx);
+    trim_batch(dg_.data(), n_, Bpad_, f_, *kernels_, tg);
+  }
+
+  // Post-round bookkeeping per replica: metric series and the
+  // projection-error fold (when `keep`), witness audits — each in the
+  // scalar runner's operation order.
   void finish_round(bool audit, bool keep) {
     std::vector<double> pre_states;
     std::vector<double> pre_gradients;
     for (std::size_t r = 0; r < B_; ++r) {
       if (keep) record(r);
-
-      double max_proj = 0.0;
-      for (std::size_t j = 0; j < S_; ++j)
-        max_proj = std::max(max_proj, std::abs(pe_[lane(j, r)]));
 
       if (audit) {
         pre_states.clear();
@@ -473,7 +572,12 @@ class BatchedSbgRunner {
                  audit_trim(pre_gradients, trimmed_gradient_[lane(j, r)], f_));
         }
       }
-      if (keep) metrics_[r].max_projection_error.push(max_proj);
+      if (keep) {
+        double max_proj = 0.0;
+        for (std::size_t j = 0; j < S_; ++j)
+          max_proj = std::max(max_proj, std::abs(pe_[lane(j, r)]));
+        metrics_[r].max_projection_error.push(max_proj);
+      }
     }
   }
 
@@ -532,6 +636,13 @@ class BatchedSbgRunner {
   std::vector<std::vector<SbgAdversary*>> byz_nodes_;
   RecipientPartition partition_;  ///< built once from the declarations
 
+  // Trim by selection (see the constructor).
+  bool select_ = false;        ///< merge into selected honest ranks?
+  bool select_round_ = false;  ///< select the broadcasts once per round?
+  std::size_t payload_senders_ = 0;  ///< payload rows per class: F, or 1
+  std::span<const ComparatorPair> round_net_;      ///< broadcast selection
+  std::span<const ComparatorPair> recipient_net_;  ///< per-recipient one
+
   // Delivery-filter tables (crash schedule shared; drops seeded per
   // replica).
   bool has_crashes_ = false;
@@ -556,6 +667,9 @@ class BatchedSbgRunner {
   std::vector<double> bpresent_;     ///< all-ones/all-zeros lane masks
   std::vector<double> defx_, defg_;  ///< default payload rows, length Bpad
   std::vector<double> dmask_;        ///< per-row delivery mask scratch
+  std::vector<double> hx_, hg_;      ///< selected broadcasts, H x Bpad
+  std::vector<double> gmean_;        ///< mean broadcast gradient, Bpad
+  std::vector<double> vx_, vg_;      ///< a class's blended payload, Bpad
 };
 
 }  // namespace

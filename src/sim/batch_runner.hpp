@@ -10,20 +10,27 @@
 // lockstep over structure-of-arrays state (x[agent][replica],
 // broadcast[sender][replica], inbox matrices [slot][replica]) so the
 // dominant inner kernel — Trim over each recipient's fan-in — runs as a
-// branchless batched sorting network across the replica lanes
-// (trim/trim_batch.hpp).
+// branchless batched comparator network across the replica lanes
+// (trim/trim_batch.hpp). Unless a pack holds a per-message strategy or
+// n > 32, the honest broadcasts' order statistics are selected once per
+// round (once per recipient under a delivery filter) and each recipient
+// class's F identical Byzantine rows are merged into them.
 //
 // Determinism contract: the output is bit-identical to running run_sbg on
-// each scenario separately. Replicas never interact; per-replica adversary
-// objects observe per-replica RoundViews — per-message strategies in the
-// scalar engine's exact call order (so RNG streams advance identically),
-// class-declaring strategies once per (replica, recipient class), which
-// their declaration makes unobservable (net/batch.hpp); the batched trim
-// selects the same order statistics as the scalar nth_element path; and every
-// floating-point reduction (metrics folds, trimmed-mean style sums) runs
-// in the scalar path's operation order. tests/batch_runner_test.cpp pins
-// this contract across attacks, crashes, link drops, constraints, and
-// audit options.
+// each scenario separately. Replicas never interact; per-message
+// strategies observe per-replica RoundViews in the scalar engine's exact
+// call order (so RNG streams advance identically); class-declaring
+// strategies are asked once per (replica, recipient class), which their
+// declaration makes unobservable (net/batch.hpp), through summary_payload
+// where they answer it (adversary/strategies.hpp). The batched trims
+// select the same order statistics as the scalar nth_element path up to
+// the sign of zero, and a selected value reaches the output only through
+// a Trim midpoint y_s + (y_l - y_s)/2 or a comparison (pull's median
+// against its target), neither of which sees that sign; every
+// floating-point reduction (metrics folds, the summary's mean gradient)
+// runs in the scalar path's operation order.
+// tests/batch_runner_test.cpp pins this contract across attacks,
+// crashes, link drops, constraints, signed zeros, and audit options.
 
 #include <span>
 #include <vector>

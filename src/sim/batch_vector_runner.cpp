@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -141,6 +142,20 @@ class BatchedVectorSbgRunner {
     ctg_.assign(partition_.classes * Lpad_, 0.0);
     trim_done_.assign(partition_.classes, 0);
 
+    // Trim by selection unless some replica is asked per message (its F
+    // sender rows may all differ) or n is past the networks: the honest
+    // order statistics are selected once per round, and every class's F
+    // identical Byzantine rows are merged into them.
+    select_ = n_ <= kMaxSortingNetworkN && !partition_.any_per_message;
+    payload_senders_ = select_ ? std::min<std::size_t>(F_, 1) : F_;
+    if (select_) {
+      trim_net_ = selection_network(H_, merge_trim_ranks(H_, F_, f_));
+      hx_.assign(H_ * Lpad_, 0.0);
+      hg_.assign(H_ * Lpad_, 0.0);
+      vx_.assign(Lpad_, 0.0);
+      vg_.assign(Lpad_, 0.0);
+    }
+
     if (F_ > 0) {
       views_.resize(B_);
       for (std::size_t r = 0; r < B_; ++r) {
@@ -149,7 +164,7 @@ class BatchedVectorSbgRunner {
           views_[r].push_back({AgentId{static_cast<std::uint32_t>(j)},
                                VecPayload{Vec(d_), Vec(d_)}});
       }
-      const std::size_t payload_rows = partition_.classes * F_;
+      const std::size_t payload_rows = partition_.classes * payload_senders_;
       bpx_.assign(payload_rows * Lpad_, 0.0);
       bpg_.assign(payload_rows * Lpad_, 0.0);
       bpresent_.assign(payload_rows * Lpad_, 0.0);
@@ -225,12 +240,12 @@ class BatchedVectorSbgRunner {
 
   // Step 2a: the Byzantine payload rows of every recipient class
   // (partition_). A replica whose strategy declares classes is asked once
-  // per class, at the class's first recipient, and the answer fills all F
-  // sender rows (the declaration promises a payload independent of the
-  // sender). A per-message replica is asked for every (recipient, sender)
-  // in the engine's exact call order (recipient-major, sender-minor), so
-  // its RNG stream advances identically; each recipient is then its own
-  // class.
+  // per class, at the class's first recipient, and the answer fills every
+  // sender row, F or the one a selection trim reads (the declaration
+  // promises a payload independent of the sender). A per-message replica
+  // is asked for every (recipient, sender) in the engine's exact call
+  // order (recipient-major, sender-minor), so its RNG stream advances
+  // identically; each recipient is then its own class.
   void collect_byzantine(std::size_t t) {
     const Round round{static_cast<std::uint32_t>(t)};
     for (std::size_t r = 0; r < B_; ++r) {
@@ -262,12 +277,13 @@ class BatchedVectorSbgRunner {
         if (src == c) {
           const std::optional<VecPayload> payload = adversary.send_to(
               first_sender, AgentId{partition_.first[c]}, view);
-          for (std::size_t b = 0; b < F_; ++b) store_payload(c, b, r, payload);
+          for (std::size_t b = 0; b < payload_senders_; ++b)
+            store_payload(c, b, r, payload);
           continue;
         }
-        for (std::size_t b = 0; b < F_; ++b) {
-          const std::size_t from = (src * F_ + b) * Lpad_;
-          const std::size_t to = (c * F_ + b) * Lpad_;
+        for (std::size_t b = 0; b < payload_senders_; ++b) {
+          const std::size_t from = (src * payload_senders_ + b) * Lpad_;
+          const std::size_t to = (c * payload_senders_ + b) * Lpad_;
           for (std::size_t k = 0; k < d_; ++k) {
             const std::size_t l = k * B_ + r;
             bpx_[to + l] = bpx_[from + l];
@@ -285,7 +301,7 @@ class BatchedVectorSbgRunner {
       FTMAO_EXPECTS(payload->state.dim() == d_);
       FTMAO_EXPECTS(payload->gradient.dim() == d_);
     }
-    const std::size_t o = (c * F_ + b) * Lpad_;
+    const std::size_t o = (c * payload_senders_ + b) * Lpad_;
     for (std::size_t k = 0; k < d_; ++k) {
       const std::size_t l = o + k * B_ + r;
       bpx_[l] = payload ? payload->state[k] : 0.0;
@@ -318,6 +334,21 @@ class BatchedVectorSbgRunner {
     }
   }
 
+  // The trim pair of class `cls` by selection: the honest order
+  // statistics selected this round (every recipient's honest rows are the
+  // broadcast snapshot) merged with the class's F identical Byzantine
+  // rows, absent payloads blended to the per-replica default.
+  void trim_selected(std::size_t cls, double* tx, double* tg) {
+    if (F_ > 0) {
+      const std::size_t o = cls * Lpad_;
+      kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
+                             bpg_.data() + o, defx_.data(), defg_.data(),
+                             vx_.data(), vg_.data(), Lpad_);
+    }
+    merge_trim_batch(hx_.data(), H_, F_, f_, vx_.data(), Lpad_, *kernels_, tx);
+    merge_trim_batch(hg_.data(), H_, F_, f_, vg_.data(), Lpad_, *kernels_, tg);
+  }
+
   // Steps 2b-3: trim per (coordinate, replica) lane and apply the fused
   // projected step to each recipient row. Recipients of one class trim
   // the same multiset (this engine has no delivery filter), so the first
@@ -325,15 +356,25 @@ class BatchedVectorSbgRunner {
   // the rest reuse it.
   void step_phase() {
     std::fill(trim_done_.begin(), trim_done_.end(), std::uint8_t{0});
+    if (select_) {
+      std::memcpy(hx_.data(), bx_.data(), H_ * Lpad_ * sizeof(double));
+      std::memcpy(hg_.data(), bg_.data(), H_ * Lpad_ * sizeof(double));
+      apply_network(hx_.data(), Lpad_, trim_net_, *kernels_);
+      apply_network(hg_.data(), Lpad_, trim_net_, *kernels_);
+    }
     for (std::size_t j = 0; j < H_; ++j) {
       const std::size_t cls = partition_.class_of[j];
       double* tx = ctx_.data() + cls * Lpad_;
       double* tg = ctg_.data() + cls * Lpad_;
       if (!trim_done_[cls]) {
         trim_done_[cls] = 1;
-        assemble(cls);
-        trim_batch(dx_.data(), n_, Lpad_, f_, *kernels_, tx);
-        trim_batch(dg_.data(), n_, Lpad_, f_, *kernels_, tg);
+        if (select_) {
+          trim_selected(cls, tx, tg);
+        } else {
+          assemble(cls);
+          trim_batch(dx_.data(), n_, Lpad_, f_, *kernels_, tx);
+          trim_batch(dg_.data(), n_, Lpad_, f_, *kernels_, tg);
+        }
       }
       kernels_->fused_step(tx, tg, lam_.data(), clo_.data(),
                            chi_.data(), pemask_.data(), x_.data() + j * Lpad_,
@@ -376,6 +417,11 @@ class BatchedVectorSbgRunner {
   std::vector<double> lam_, pe_, pemask_, clo_, chi_, defx_, defg_;
   std::vector<double> bpx_, bpg_, bpresent_;  ///< C x F x Lpad payload rows
   RecipientPartition partition_;  ///< built once from the declarations
+  bool select_ = false;  ///< trim by selection (see the constructor)?
+  std::size_t payload_senders_ = 0;  ///< payload rows per class: F, or 1
+  std::span<const ComparatorPair> trim_net_;  ///< honest rank selection
+  std::vector<double> hx_, hg_;  ///< selected broadcasts, H x Lpad
+  std::vector<double> vx_, vg_;  ///< a class's blended payload, Lpad
   std::vector<std::unique_ptr<StepSchedule>> schedules_;
   std::vector<std::unique_ptr<VectorAdversary>> adversaries_;
   std::vector<std::vector<Received<VecPayload>>> views_;

@@ -11,8 +11,8 @@
 //   lane(k, r) = k * B + r        (k < dim, r < B)
 //
 // — padded at the row tail (only) to Lpad, a multiple of the SIMD
-// backend width. Every kernel of the round loop (sorting-network trim,
-// fused projected step, masked payload blend) then runs over Lpad-lane
+// backend width. Every kernel of the round loop (comparator-network
+// trim, fused projected step, masked payload blend) then runs over Lpad-lane
 // rows of the width-aware backend (simd_kernels_for_lanes(L)): the d=8,
 // B=3 cell that starves an 8-wide register at scalar batching (3 of 8
 // lanes useful) fills three full AVX-512 registers here.
@@ -28,7 +28,11 @@
 // them is unobservable), and a strategy that declares recipient classes
 // (net/batch.hpp) is asked once per (replica, class), with the class's
 // trim pair computed once and reused by all its recipients; per-message
-// strategies are asked in the scalar engine's call order.
+// strategies are asked in the scalar engine's call order. Unless a pack
+// holds a per-message strategy or n > 32, a class's trim pair merges its
+// F identical Byzantine rows into honest order statistics selected once
+// per round, which equal the full sort's up to the sign of zero, and the
+// Trim midpoint does not see that sign (trim/trim_batch.hpp).
 
 #include <span>
 #include <vector>

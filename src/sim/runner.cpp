@@ -156,8 +156,10 @@ RunMetrics run_with_agents(
 
     double max_proj = 0.0;
     if constexpr (std::is_same_v<Agent, SbgAgent>) {
-      for (const auto& agent : agents) {
-        max_proj = std::max(max_proj, std::abs(agent->last_step().projection_error));
+      if (keep) {
+        for (const auto& agent : agents)
+          max_proj = std::max(max_proj,
+                              std::abs(agent->last_step().projection_error));
       }
       if (audit) {
         auto absorb = [](WitnessStats& stats, const TrimAuditResult& r) {

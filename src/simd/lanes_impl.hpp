@@ -143,6 +143,28 @@ void trim_midpoint_impl(const double* ys, const double* yl, double* out,
 }
 
 template <class L>
+void merge_midpoint_impl(const double* v, const double* ys_lo,
+                         const double* ys_hi, const double* yl_lo,
+                         const double* yl_hi, double* out, std::size_t count) {
+  const typename L::Vec two = L::broadcast(2.0);
+  std::size_t k = 0;
+  for (; k + L::kWidth <= count; k += L::kWidth) {
+    const typename L::Vec vv = L::load(v + k);
+    const typename L::Vec s =
+        lane_clamp<L>(vv, L::load(ys_lo + k), L::load(ys_hi + k));
+    const typename L::Vec l =
+        lane_clamp<L>(vv, L::load(yl_lo + k), L::load(yl_hi + k));
+    L::store(out + k, L::add(s, L::div(L::sub(l, s), two)));
+  }
+  for (; k < count; ++k) {
+    using S = ScalarLanes;
+    const double s = lane_clamp<S>(v[k], ys_lo[k], ys_hi[k]);
+    const double l = lane_clamp<S>(v[k], yl_lo[k], yl_hi[k]);
+    out[k] = s + (l - s) / 2.0;
+  }
+}
+
+template <class L>
 void accumulate_rows_impl(double* acc, const double* row, std::size_t count) {
   std::size_t k = 0;
   for (; k + L::kWidth <= count; k += L::kWidth)
@@ -232,6 +254,7 @@ SimdKernels make_kernels(SimdIsa isa, const char* name) {
   k.width = L::kWidth;
   k.sort_network = &sort_network_impl<L>;
   k.trim_midpoint = &trim_midpoint_impl<L>;
+  k.merge_midpoint = &merge_midpoint_impl<L>;
   k.accumulate_rows = &accumulate_rows_impl<L>;
   k.divide_rows = &divide_rows_impl<L>;
   k.gradient_clamp = &gradient_clamp_impl<L>;

@@ -91,6 +91,17 @@ struct SimdKernels {
   void (*trim_midpoint)(const double* ys, const double* yl, double* out,
                         std::size_t count);
 
+  /// The Trim midpoint of a merged multiset (trim/trim_batch.hpp:
+  /// merge_trim_batch): ascending honest values h with F copies of v
+  /// inserted hold v clamped between h[i-F] and h[i] at rank i, so
+  ///   ys[k]  = clamp(v[k], ys_lo[k], ys_hi[k])
+  ///   yl[k]  = clamp(v[k], yl_lo[k], yl_hi[k])
+  ///   out[k] = ys[k] + (yl[k] - ys[k]) / 2
+  /// with clamp following std::clamp tie semantics (rule 3).
+  void (*merge_midpoint)(const double* v, const double* ys_lo,
+                         const double* ys_hi, const double* yl_lo,
+                         const double* yl_hi, double* out, std::size_t count);
+
   /// acc[k] += row[k]  — one ascending-order accumulation step of the
   /// batched trimmed mean.
   void (*accumulate_rows)(double* acc, const double* row, std::size_t count);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -34,6 +37,22 @@ std::vector<ComparatorPair> make_batcher_network(std::size_t n) {
   return pairs;
 }
 
+// Backward liveness over the full network: a comparator stays iff one of
+// its rows is live after it, and then both its rows are live before it.
+std::vector<ComparatorPair> prune_to_ranks(
+    std::span<const ComparatorPair> network, RankSet ranks) {
+  std::vector<ComparatorPair> kept;
+  RankSet live = ranks;
+  for (auto it = network.rbegin(); it != network.rend(); ++it) {
+    const RankSet rows = (RankSet{1} << it->first) | (RankSet{1} << it->second);
+    if ((live & rows) == 0) continue;
+    live |= rows;
+    kept.push_back(*it);
+  }
+  std::reverse(kept.begin(), kept.end());
+  return kept;
+}
+
 const std::array<std::vector<ComparatorPair>, kMaxSortingNetworkN + 1>&
 network_table() {
   // Magic static: built once, thread-safe, ~2 KiB total.
@@ -53,8 +72,7 @@ network_table() {
 // intact and all backends bit-identical; see simd/simd.hpp.)
 void sort_columns_network(double* data, std::size_t n, std::size_t batch,
                           const SimdKernels& kernels) {
-  const auto network = sorting_network(n);
-  kernels.sort_network(data, batch, network.data(), network.size(), batch);
+  apply_network(data, batch, sorting_network(n), kernels);
 }
 
 void sort_columns_fallback(double* data, std::size_t n, std::size_t batch) {
@@ -71,6 +89,51 @@ void sort_columns_fallback(double* data, std::size_t n, std::size_t batch) {
 std::span<const ComparatorPair> sorting_network(std::size_t n) {
   FTMAO_EXPECTS(n >= 2 && n <= kMaxSortingNetworkN);
   return network_table()[n];
+}
+
+std::span<const ComparatorPair> selection_network(std::size_t n,
+                                                  RankSet ranks) {
+  FTMAO_EXPECTS(n >= 1 && n <= kMaxSortingNetworkN);
+  FTMAO_EXPECTS(ranks != 0 && (n == 32 || ranks >> n == 0));
+  if (n == 1) return {};
+  // Node-based map: a returned span stays valid as entries are added.
+  using Key = std::pair<std::size_t, RankSet>;
+  static std::mutex mutex;
+  static std::map<Key, std::vector<ComparatorPair>> cache;
+  const std::lock_guard<std::mutex> lock(mutex);
+  auto [it, fresh] = cache.try_emplace({n, ranks});
+  if (fresh) it->second = prune_to_ranks(sorting_network(n), ranks);
+  return it->second;
+}
+
+void apply_network(double* data, std::size_t batch,
+                   std::span<const ComparatorPair> network,
+                   const SimdKernels& kernels) {
+  kernels.sort_network(data, batch, network.data(), network.size(), batch);
+}
+
+RankSet merge_trim_ranks(std::size_t honest, std::size_t copies,
+                         std::size_t f) {
+  FTMAO_EXPECTS(copies <= f && honest + copies >= 2 * f + 1);
+  const auto bit = [](std::size_t k) { return RankSet{1} << k; };
+  return bit(f - copies) | bit(f) | bit(honest - 1 - f) |
+         bit(honest - 1 - f + copies);
+}
+
+void merge_trim_batch(const double* selected, std::size_t honest,
+                      std::size_t copies, std::size_t f, const double* v,
+                      std::size_t batch, const SimdKernels& kernels,
+                      double* out) {
+  FTMAO_EXPECTS(copies <= f && honest + copies >= 2 * f + 1);
+  const auto row = [&](std::size_t k) { return selected + k * batch; };
+  if (copies == 0) {
+    kernels.trim_midpoint(row(f), row(honest - 1 - f), out, batch);
+    return;
+  }
+  // Ranks f and n-1-f of the merge: v clamped between the honest values
+  // F ranks below and at that rank (simd/simd.hpp, merge_midpoint).
+  kernels.merge_midpoint(v, row(f - copies), row(f), row(honest - 1 - f),
+                         row(honest - 1 - f + copies), out, batch);
 }
 
 void sort_columns(double* data, std::size_t n, std::size_t batch) {

@@ -4,29 +4,41 @@
 //
 // The sweep/certify/attack-search drivers run the *same* scenario shape
 // many times (seeds, attack candidates); advancing B replicas in lockstep
-// turns every Trim over a fan-in of n values into n compare-exchanges over
-// contiguous lanes of B doubles — a shape compilers auto-vectorize.
+// turns every Trim over a fan-in of n values into compare-exchanges over
+// contiguous lanes of B doubles, executed by the runtime-dispatched SIMD
+// lane backend (simd/simd.hpp: scalar, SSE2, AVX2 or AVX-512, selected by
+// cpuid).
 //
 // Layout: `data` holds an n x batch matrix, row-major by *slot*:
 // data[slot * batch + r] is the slot-th multiset entry of replica r. Rows
-// are contiguous, so an elementwise min/max of two rows is one vector loop.
+// are contiguous, so one comparator is one lanewise loop over two rows.
 //
-// Kernel: for n <= kMaxSortingNetworkN the rows are run through a Batcher
-// odd-even mergesort network — a fixed, data-independent comparator
-// sequence (branchless: each comparator is a lanewise conditional swap)
-// executed by the runtime-dispatched SIMD lane backend (simd/simd.hpp:
-// scalar, SSE2, or AVX2, selected by cpuid). After the network, row k
-// holds every replica's k-th order statistic, so Trim reads rows f and
-// n-1-f and the trimmed mean sums rows f..n-1-f. Larger n falls back to
-// the scalar per-replica path (nth_element / sort), bit-identical to
-// trim()/trimmed_mean() by construction.
+// Kernels. Trim reads only two order statistics of a multiset, ranks f
+// and n-1-f, so the kernels select rather than sort wherever they can:
+//   - sorting_network(n) is a Batcher odd-even mergesort network for
+//     n <= kMaxSortingNetworkN: a fixed, data-independent sequence of
+//     branchless lanewise conditional swaps. sort_columns runs it whole;
+//     trim_batch and trimmed_mean_batch sort the n rows and read ranks
+//     f..n-1-f. Larger n falls back to the scalar per-replica path
+//     (nth_element / sort), bit-identical to trim()/trimmed_mean().
+//   - selection_network(n, ranks) is that network pruned backward to the
+//     rows a caller reads: every comparator no requested row depends on
+//     is dropped. Selecting ranks {0, 10, 20} of 21 rows takes 96
+//     comparators, where sorting 21 rows takes 112 and 31 rows 186.
+//   - merge_trim_batch finishes the Trim of H honest values plus F
+//     identical values v (one recipient class's Byzantine rows, all sent
+//     by strategies built from one config) from four selected honest
+//     ranks, without assembling or sorting the n = H + F rows.
 //
 // Bit-identity with the scalar reducers holds for every n, batch, and
-// backend: the conditional-swap comparator is multiset-preserving even
-// across signed zeros (simd/simd.hpp, rule 2), so the network output is a
-// true permutation and order statistics are well-defined values of the
-// multiset; the midpoint / mean arithmetic matches the scalar
-// implementations operation for operation in every lane.
+// backend. The conditional-swap comparator is multiset-preserving even
+// across signed zeros (simd/simd.hpp, rule 2), so a network's output rows
+// are values of the input multiset and the order statistics it selects
+// equal the scalar nth_element path's as values. Equal doubles differ at
+// most in the sign of zero, and the Trim midpoint y_s + (y_l - y_s)/2 has
+// the same bits whichever zero either operand carries; the midpoint and
+// mean arithmetic matches the scalar implementations operation for
+// operation in every lane.
 
 #include <cstddef>
 #include <cstdint>
@@ -90,5 +102,44 @@ void trimmed_mean_batch(double* data, std::size_t n, std::size_t batch,
 void trimmed_mean_batch(double* data, std::size_t n, std::size_t batch,
                         std::size_t f, const SimdKernels& kernels,
                         double* out_mean);
+
+/// Bit k of a rank set names row k of an n-row matrix (n <= 32).
+using RankSet = std::uint32_t;
+
+/// The comparators of sorting_network(n) that the rows in `ranks` depend
+/// on, in network order: the network pruned backward, keeping a
+/// comparator iff a later kept comparator or a requested row reads one of
+/// its two rows. Applying it leaves every requested row with exactly the
+/// bits the full network leaves there; the other rows hold unspecified
+/// values of the column. 1 <= n <= kMaxSortingNetworkN, `ranks` a
+/// non-empty subset of [0, n). Built once per (n, ranks) and cached for
+/// the process; thread-safe.
+std::span<const ComparatorPair> selection_network(std::size_t n,
+                                                  RankSet ranks);
+
+/// Applies a comparator network (sorting_network or selection_network)
+/// to every column of a matrix whose rows are `batch` doubles apart.
+void apply_network(double* data, std::size_t batch,
+                   std::span<const ComparatorPair> network,
+                   const SimdKernels& kernels);
+
+/// The honest ranks merge_trim_batch reads: f-F, f, H-1-f and H-1-f+F
+/// for H honest values and F <= f copies, H + F >= 2f + 1.
+RankSet merge_trim_ranks(std::size_t honest, std::size_t copies,
+                         std::size_t f);
+
+/// Batched Trim of the multiset of H honest values plus F copies of v[r],
+/// per replica r: `selected` is an H x batch matrix whose rows at
+/// merge_trim_ranks(H, F, f) hold the honest order statistics (after
+/// apply_network with a selection_network covering them), `v` one row.
+/// Writes the midpoint of ranks f and H+F-1-f of the merged multiset to
+/// out[r]. Requires F <= f and H + F >= 2f + 1; `v` is not read when
+/// F == 0. Bit-identical to trim_batch on the assembled H + F rows: the
+/// selected values agree up to the sign of zero, which the midpoint
+/// ignores.
+void merge_trim_batch(const double* selected, std::size_t honest,
+                      std::size_t copies, std::size_t f, const double* v,
+                      std::size_t batch, const SimdKernels& kernels,
+                      double* out);
 
 }  // namespace ftmao

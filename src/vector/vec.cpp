@@ -37,6 +37,10 @@ Vec& Vec::operator*=(double s) {
   return *this;
 }
 
+void Vec::fill(double value) {
+  for (double& x : data_) x = value;
+}
+
 double Vec::dot(const Vec& other) const {
   FTMAO_EXPECTS(dim() == other.dim());
   double acc = 0.0;

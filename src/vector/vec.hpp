@@ -23,6 +23,7 @@ class Vec {
   Vec& operator+=(const Vec& other);
   Vec& operator-=(const Vec& other);
   Vec& operator*=(double s);
+  void fill(double value);  ///< every coordinate = value
 
   friend Vec operator+(Vec a, const Vec& b) { return a += b; }
   friend Vec operator-(Vec a, const Vec& b) { return a -= b; }

@@ -82,12 +82,22 @@ double RadialHuber::value(const Vec& x) const {
 }
 
 Vec RadialHuber::gradient(const Vec& x) const {
+  Vec g(dim());
+  gradient_into(x, g);
+  return g;
+}
+
+void RadialHuber::gradient_into(const Vec& x, Vec& out) const {
   FTMAO_EXPECTS(x.dim() == dim());
-  Vec diff = x;
-  diff -= center_;
-  const double r = diff.norm2();
-  if (r == 0.0) return Vec(dim(), 0.0);
-  return (scale_ * huber_slope(r, delta_) / r) * diff;
+  FTMAO_EXPECTS(out.dim() == dim());
+  out = x;  // same size: copies into out's storage
+  out -= center_;
+  const double r = out.norm2();
+  if (r == 0.0) {
+    out.fill(0.0);
+    return;
+  }
+  out *= scale_ * huber_slope(r, delta_) / r;
 }
 
 // ------------------------------------------------------- DirectionalHuber
@@ -181,12 +191,19 @@ double VectorWeightedSum::value(const Vec& x) const {
 
 Vec VectorWeightedSum::gradient(const Vec& x) const {
   Vec g(dim());
+  Vec gi(dim());
+  accumulate_gradient(x, g, gi);
+  return g;
+}
+
+void VectorWeightedSum::accumulate_gradient(const Vec& x, Vec& g,
+                                            Vec& gi) const {
+  g.fill(0.0);
   for (const auto& t : terms_) {
-    Vec gi = t.function->gradient(x);
+    t.function->gradient_into(x, gi);
     gi *= t.weight;
     g += gi;
   }
-  return g;
 }
 
 double VectorWeightedSum::gradient_bound() const {
@@ -211,8 +228,10 @@ Vec VectorWeightedSum::a_minimizer() const {
 
   // Polyak-free fallback: scale steps to the inverse gradient bound.
   const double step0 = 1.0 / std::max(gradient_bound(), 1e-9);
+  Vec g(dim());
+  Vec gi(dim());
   for (int t = 1; t <= 20000; ++t) {
-    Vec g = gradient(x);
+    accumulate_gradient(x, g, gi);
     if (g.norm2() < 1e-10) break;
     g *= step0 * 10.0 / static_cast<double>(t);
     x -= g;

@@ -83,6 +83,9 @@ class RadialHuber final : public VectorFunction {
   std::size_t dim() const override { return center_.dim(); }
   double value(const Vec& x) const override;
   Vec gradient(const Vec& x) const override;
+  /// Allocation-free: forms x - c in `out`, takes its Vec::norm2 and
+  /// scales it in place (gradient() calls this).
+  void gradient_into(const Vec& x, Vec& out) const override;
   double gradient_bound() const override { return scale_ * delta_; }
   Vec a_minimizer() const override { return center_; }
 
@@ -157,10 +160,14 @@ class VectorWeightedSum final : public VectorFunction {
 
   /// Numeric: gradient descent with diminishing steps from the centroid of
   /// the terms' minimizers (adequate for the smooth convex sums used in
-  /// tests/benches).
+  /// tests/benches). Allocates only before its first iteration.
   Vec a_minimizer() const override;
 
  private:
+  /// gradient(x) into `g`, with `gi` as the per-term scratch: the terms'
+  /// weighted gradients summed in term order onto zeros.
+  void accumulate_gradient(const Vec& x, Vec& g, Vec& gi) const;
+
   std::vector<Term> terms_;
 };
 

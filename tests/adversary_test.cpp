@@ -337,5 +337,80 @@ TEST(RecipientClass, DeclaredClassesKeepTheirPromise) {
   }
 }
 
+// ------------------------------------------------------- summary payloads
+
+TEST(SummaryPayload, PerMessageStrategiesAreNeverAsked) {
+  RandomNoiseAdversary noise(Rng(3), 5.0, 1.0);
+  EXPECT_THROW(noise.summary_payload(HonestSummary{}, Round{1}, AgentId{0}),
+               ContractViolation);
+}
+
+TEST(SummaryPayload, HonestSummaryFoldsLikeTheScalarStrategies) {
+  const double states[] = {3.0, -1.0, 2.0, -0.0, 0.0};
+  const double gradients[] = {0.5, -2.0, 1.5, 0.25, -0.75};
+  std::vector<Received<SbgPayload>> msgs;
+  for (std::uint32_t j = 0; j < 5; ++j)
+    msgs.push_back({AgentId{j}, SbgPayload{states[j], gradients[j]}});
+  const HonestSummary s = HonestSummary::of({Round{1}, msgs});
+  EXPECT_EQ(s.count, 5u);
+  EXPECT_EQ(s.state.min, -1.0);
+  EXPECT_EQ(s.state.median, 0.0);  // rank 5/2 = 2 of {-1, -0, 0, 2, 3}
+  EXPECT_EQ(s.state.max, 3.0);
+  EXPECT_EQ(s.gradient.min, -2.0);
+  EXPECT_EQ(s.gradient.median, 0.25);
+  EXPECT_EQ(s.gradient.max, 1.5);
+  EXPECT_EQ(s.gradient_mean, (((0.5 + -2.0) + 1.5) + 0.25 + -0.75) / 5.0);
+  EXPECT_EQ(HonestSummary::of({Round{1}, {}}).count, 0u);
+}
+
+TEST(SummaryPayload, MatchesSendToOverRandomViews) {
+  // Strategy `a` is asked through send_to for every recipient in engine
+  // order, as the scalar engines ask. A twin from the same config answers
+  // summary_payload(HonestSummary::of(view), ...) once per class at the
+  // class's first recipient, as the sync batch engine asks. The payloads
+  // must agree bit for bit. Views draw ties and signed zeros, one round
+  // is empty, and the rounds straddle delayed-strike's activation.
+  constexpr std::uint32_t kRecipients = 9;
+  const Rng rng(13);
+  const double pool[] = {0.0, -0.0, 1.0, -1.0};
+  for (bool consistent : {false, true}) {
+    for (AttackKind kind : kEveryAttack) {
+      if (kind == AttackKind::RandomNoise) continue;
+      SCOPED_TRACE(std::string(consistent ? "consistent " : "") +
+                   std::to_string(static_cast<int>(kind)));
+      const AttackConfig config = attack_config(kind, consistent);
+      BuiltAdversary a(config, rng.substream("adversary", 7));
+      BuiltAdversary twin(config, rng.substream("adversary", 8));
+      Rng draws(17);
+      auto draw = [&](double range) {
+        return draws.uniform(0.0, 1.0) < 0.5
+                   ? pool[draws.uniform_int(0, 3)]
+                   : draws.uniform(-range, range);
+      };
+      for (std::uint32_t t = 1; t <= 6; ++t) {
+        std::vector<Received<SbgPayload>> msgs;
+        if (t != 2)
+          for (std::uint32_t j = 0; j < kRecipients; ++j)
+            msgs.push_back({AgentId{j}, SbgPayload{draw(5.0), draw(2.0)}});
+        const RoundView<SbgPayload> view{Round{t}, msgs};
+        const HonestSummary summary = HonestSummary::of(view);
+        std::vector<std::optional<SbgPayload>> answer(kRecipients);
+        for (std::uint32_t j = 0; j < kRecipients; ++j) {
+          const std::optional<SbgPayload> seen =
+              a.get().send_to(AgentId{20}, AgentId{j}, view);
+          const RecipientClass cls = a.get().recipient_class(AgentId{j});
+          std::uint32_t first = 0;
+          while (a.get().recipient_class(AgentId{first}) != cls) ++first;
+          if (first == j)
+            answer[j] = twin.get().summary_payload(summary, Round{t},
+                                                   AgentId{j});
+          EXPECT_TRUE(same_bits(seen, answer[first]))
+              << "round " << t << " recipient " << j;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ftmao

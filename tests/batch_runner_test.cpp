@@ -8,15 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "func/functions.hpp"
 #include "sim/attack_search.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/certify.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
+#include "trim/trim_batch.hpp"
 
 namespace ftmao {
 namespace {
@@ -266,6 +271,148 @@ TEST(BatchRunner, FinalValuesOnlyMatchScalarAndTheFullRun) {
   finals_only.record_trace = true;  // a trace needs every round
   EXPECT_THROW(run_sbg_batch(replicas, finals_only), ContractViolation);
   EXPECT_THROW(run_sbg(replicas[0], finals_only), ContractViolation);
+}
+
+// Trim by selection: packs without a per-message replica select the
+// honest order statistics and merge each class's F identical Byzantine
+// rows into them; summary readers are asked through summary_payload. The
+// packs below cover the paths that keep the full n-row sort or mix the
+// two, and the signed zeros the selections may return.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_series_bits(const Series& a, const Series& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(bits(a[i]), bits(b[i])) << what << " diverges at index " << i;
+}
+
+void expect_batch_matches_scalar_bitwise(
+    const std::vector<Scenario>& replicas) {
+  const std::vector<RunMetrics> batched = run_sbg_batch(replicas);
+  ASSERT_EQ(batched.size(), replicas.size());
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    SCOPED_TRACE("replica " + std::to_string(i));
+    const RunMetrics scalar = run_sbg(replicas[i]);
+    expect_series_bits(scalar.disagreement, batched[i].disagreement,
+                       "disagreement");
+    expect_series_bits(scalar.max_dist_to_y, batched[i].max_dist_to_y,
+                       "max_dist_to_y");
+    expect_series_bits(scalar.max_projection_error,
+                       batched[i].max_projection_error,
+                       "max_projection_error");
+    ASSERT_EQ(scalar.final_states.size(), batched[i].final_states.size());
+    for (std::size_t j = 0; j < scalar.final_states.size(); ++j)
+      EXPECT_EQ(bits(scalar.final_states[j]), bits(batched[i].final_states[j]))
+          << "final state " << j;
+  }
+}
+
+TEST(BatchRunner, NoisePackKeepsTheFullSortBesideSummaryReaders) {
+  // One per-message replica sends the whole pack down the full n-row
+  // sort, with every strategy asked through send_to and a view.
+  std::vector<Scenario> replicas =
+      seed_axis(13, 4, AttackKind::RandomNoise, 50, 5);
+  replicas[1].attack.kind = AttackKind::SignFlip;
+  replicas[2].attack.kind = AttackKind::HullEdgeDown;
+  replicas[3].attack.kind = AttackKind::FlipFlop;
+  replicas[4].attack.kind = AttackKind::DelayedStrike;
+  replicas[4].attack.activation_round = 20;
+  expect_batch_matches_scalar(replicas);
+}
+
+TEST(BatchRunner, DropsAndCrashSelectPerRecipientBesideSummaryReaders) {
+  // A delivery filter: each recipient's own honest rows are selected and
+  // merged, while the summaries come from one selection of the
+  // broadcasts per round (the rushing adversary sees every broadcast).
+  RunOptions options;
+  options.audit_witnesses = true;
+  options.audit_every = 5;
+  options.audit_max_rounds = 50;
+  std::vector<Scenario> replicas =
+      seed_axis(13, 4, AttackKind::HullEdgeUp, 50, 5);
+  replicas[1].attack.kind = AttackKind::FlipFlop;
+  replicas[2].attack.kind = AttackKind::DelayedStrike;
+  replicas[2].attack.activation_round = 25;
+  replicas[3].attack.kind = AttackKind::Silent;
+  replicas[3].default_payload = SbgPayload{0.75, -0.25};
+  replicas[4].attack.kind = AttackKind::FixedValue;
+  replicas[4].attack.consistent = true;
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    replicas[i].faulty = {10, 11, 12};  // three Byzantine + one crash, f = 4
+    replicas[i].crashes = {{2, 15}};
+    replicas[i].drop_probability = 0.08 * static_cast<double>(i);
+  }
+  expect_batch_matches_scalar(replicas, options);
+}
+
+TEST(BatchRunner, PartialByzantineMergesFewerCopiesThanF) {
+  // F < f: the merge reads honest ranks f-F and H-1-f+F. F = 0 trims the
+  // honest rows alone. With drops, each recipient's rows are selected.
+  for (std::size_t byzantine : {0u, 1u, 2u, 3u}) {
+    for (double drop : {0.0, 0.15}) {
+      SCOPED_TRACE(std::to_string(byzantine) + " Byzantine, drop " +
+                   std::to_string(drop));
+      std::vector<Scenario> replicas =
+          seed_axis(13, 4, AttackKind::SplitBrain, 40, 4);
+      replicas[1].attack.kind = AttackKind::SignFlip;
+      replicas[2].attack.kind = AttackKind::PullToTarget;
+      replicas[2].attack.target = 9.0;
+      replicas[3].attack.kind = AttackKind::HullEdgeDown;
+      for (Scenario& s : replicas) {
+        s.faulty.clear();
+        for (std::size_t b = 0; b < byzantine; ++b) s.faulty.push_back(12 - b);
+        s.drop_probability = drop;
+      }
+      expect_batch_matches_scalar(replicas);
+    }
+  }
+}
+
+TEST(BatchRunner, NetworkLimitBoundaryMatchesScalar) {
+  // n = 32 selects from H = 22 honest rows; n = 33 is past the networks
+  // and keeps the full sort (the nth_element fallback).
+  for (std::size_t n : {kMaxSortingNetworkN, kMaxSortingNetworkN + 1}) {
+    SCOPED_TRACE(n);
+    std::vector<Scenario> replicas =
+        seed_axis(n, 10, AttackKind::SignFlip, 25, 4);
+    replicas[1].attack.kind = AttackKind::SplitBrain;
+    replicas[2].attack.kind = AttackKind::PullToTarget;
+    replicas[3].attack.kind = AttackKind::HullEdgeUp;
+    replicas[3].attack.consistent = true;
+    expect_batch_matches_scalar(replicas);
+  }
+}
+
+TEST(BatchRunner, SignedZeroStatesAndBoundsMatchScalarBitwise) {
+  // Every cost is a Huber centred at 0, initial states alternate +0.0 and
+  // -0.0, and the payloads are zeros of either sign, so every order
+  // statistic ties between the two zeros. The selections and the merge
+  // may return the other zero than the scalar nth_element; the Trim
+  // midpoint ignores that, so every output keeps the scalar engine's
+  // bits, signs of zero included.
+  std::vector<Scenario> replicas;
+  for (AttackKind kind :
+       {AttackKind::Silent, AttackKind::FixedValue, AttackKind::HullEdgeUp,
+        AttackKind::SignFlip, AttackKind::PullToTarget,
+        AttackKind::SplitBrain}) {
+    Scenario s = make_standard_scenario(10, 3, 8.0, kind, 30, 1);
+    for (std::size_t i = 0; i < s.n; ++i) {
+      s.functions[i] = std::make_shared<Huber>(0.0, 2.0, 1.0);
+      s.initial_states[i] = i % 2 == 0 ? 0.0 : -0.0;
+    }
+    s.default_payload = SbgPayload{-0.0, -0.0};
+    s.attack.state_magnitude = -0.0;
+    s.attack.gradient_magnitude = 0.0;
+    s.attack.target = -0.0;
+    replicas.push_back(s);
+  }
+  replicas[1].constraint = Interval(-0.0, 0.0);
+  replicas[3].constraint = Interval(-0.0, 0.0);
+  expect_batch_matches_scalar_bitwise(replicas);
+  // The same pack with a drop filter selects per recipient.
+  for (Scenario& s : replicas) s.drop_probability = 0.2;
+  expect_batch_matches_scalar_bitwise(replicas);
 }
 
 TEST(BatchRunner, MismatchedShapeThrows) {

@@ -20,6 +20,7 @@
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "sim/vector_scenario.hpp"
+#include "trim/trim_batch.hpp"
 #include "vector/vector_function.hpp"
 
 namespace ftmao {
@@ -177,6 +178,33 @@ TEST(BatchVectorRunner, DelayedStrikeMidRunBesideSplitBrainMatchesScalar) {
   replicas[2].attack.activation_round = 30;
   replicas[2].attack.target = 12.0;
   expect_batch_matches_scalar(replicas);
+}
+
+TEST(BatchVectorRunner, NoByzantineAgentsTrimTheHonestRowsAlone) {
+  // F = 0: the selected honest ranks f and H-1-f give the trim pair.
+  auto replicas = seed_axis(7, 2, 2, AttackKind::SignFlip, 30, 3);
+  for (VectorScenario& s : replicas) {
+    s.byzantine_count = 0;
+    for (double c : {1.0, -2.0}) {
+      s.honest_costs.push_back(
+          std::make_shared<SeparableHuber>(Vec{c, -c}, 1.0, 1.0));
+      s.honest_initial.push_back(Vec{c, 0.5 * c});
+    }
+  }
+  expect_batch_matches_scalar(replicas);
+}
+
+TEST(BatchVectorRunner, NetworkLimitBoundaryMatchesScalar) {
+  // n = 32 merges the class payloads into ranks selected from H = 22
+  // honest rows; n = 33 is past the networks and keeps the full sort.
+  // The d = 2 lanes mix two declared classes (split-brain) with one.
+  for (std::size_t n : {kMaxSortingNetworkN, kMaxSortingNetworkN + 1}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    auto replicas = seed_axis(n, 10, 2, AttackKind::SplitBrain, 20, 3);
+    replicas[1].attack.kind = AttackKind::SignFlip;
+    replicas[2].attack.kind = AttackKind::HullEdgeDown;
+    expect_batch_matches_scalar(replicas);
+  }
 }
 
 TEST(BatchVectorRunner, SpecialValuesMatchScalar) {

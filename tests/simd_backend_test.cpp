@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -222,6 +224,46 @@ TEST(SimdKernels, RowKernelsBitIdenticalAcrossBackends) {
         ASSERT_EQ(bits(acc_expected[i]), bits(acc[i])) << k.name;
         ASSERT_EQ(bits(div_expected[i]), bits(divr[i])) << k.name;
       }
+    });
+  }
+}
+
+TEST(SimdKernels, MergeMidpointBitIdenticalAcrossBackends) {
+  // The merged-trim midpoint: v clamped into [ys_lo, ys_hi] and
+  // [yl_lo, yl_hi] (bounds ordered, as selected ranks are), then the
+  // Trim midpoint, on special values; every backend and the vector-tail
+  // path must give the scalar backend's bits.
+  const SimdKernels& scalar = simd_kernels_for(SimdIsa::kScalar);
+  Rng rng(107);
+  for (std::size_t count : {1u, 2u, 3u, 4u, 7u, 16u, 33u}) {
+    const auto v = mixed_matrix(1, count, rng);
+    auto a = mixed_matrix(1, count, rng);
+    auto b = mixed_matrix(1, count, rng);
+    auto c = mixed_matrix(1, count, rng);
+    auto d = mixed_matrix(1, count, rng);
+    for (std::size_t i = 0; i < count; ++i) {
+      double q[] = {a[i], b[i], c[i], d[i]};
+      std::sort(std::begin(q), std::end(q));
+      a[i] = q[0];
+      b[i] = q[1];
+      c[i] = q[2];
+      d[i] = q[3];
+    }
+    std::vector<double> expected(count);
+    scalar.merge_midpoint(v.data(), a.data(), b.data(), c.data(), d.data(),
+                          expected.data(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      // std::clamp's operation order, spelled out per lane.
+      const double s = std::clamp(v[i], a[i], b[i]);
+      const double l = std::clamp(v[i], c[i], d[i]);
+      ASSERT_EQ(bits(s + (l - s) / 2.0), bits(expected[i]));
+    }
+    for_each_backend([&](const SimdKernels& k) {
+      std::vector<double> out(count);
+      k.merge_midpoint(v.data(), a.data(), b.data(), c.data(), d.data(),
+                       out.data(), count);
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(bits(expected[i]), bits(out[i])) << k.name;
     });
   }
 }
