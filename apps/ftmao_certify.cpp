@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
                                 "is not)", "10.0", false},
       {"help", "show usage", "false", true},
   };
-  cli::append_flags(specs, cli::engine_flag_specs("report", "attacks"));
+  cli::append_flags(specs, cli::engine_flag_specs("report", "attack"));
   cli::append_flags(specs, cli::cache_flag_specs());
   cli::ArgParser parser(std::move(specs));
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -74,7 +74,6 @@ int main(int argc, char** argv) {
     options.num_threads = static_cast<std::size_t>(parser.get_int("threads"));
     options.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
     options.scalar_engine = parser.get_bool("scalar");
-    options.megabatch = cli::megabatch_flag(parser);
     options.async_n = static_cast<std::size_t>(parser.get_int("async-n"));
     options.async_f = static_cast<std::size_t>(parser.get_int("async-f"));
     options.async_rounds =

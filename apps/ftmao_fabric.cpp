@@ -110,8 +110,7 @@ fabric::ShardRunner make_subprocess_runner(const cli::ArgParser& parser,
   std::vector<std::string> engine_args;
   for (const std::string& flag :
        {std::string("threads"), std::string("batch"), std::string("isa"),
-        std::string("megabatch"), std::string("cache-dir"),
-        std::string("cache-mem-mb")}) {
+        std::string("cache-dir"), std::string("cache-mem-mb")}) {
     engine_args.push_back("--" + flag);
     engine_args.push_back(parser.get(flag));
   }
@@ -287,7 +286,7 @@ int main(int argc, char** argv) {
                    "shard is completed", "false", true},
       {"max-wall-sec", "overall deadline for --wait-all (0 = none)", "0",
        false},
-      {"fleet-index", "claim only shards with index %% --fleet-size == "
+      {"fleet-index", "claim only shards with index % --fleet-size == "
                       "this (CI matrix slice); -1 = claim anything", "-1",
        false},
       {"fleet-size", "number of fleet slices (0 = slicing off)", "0", false},
@@ -304,7 +303,7 @@ int main(int argc, char** argv) {
        false},
       {"help", "show usage", "false", true},
   };
-  cli::append_flags(specs, cli::engine_flag_specs("merged output", "seeds"));
+  cli::append_flags(specs, cli::engine_flag_specs("merged output", "seed"));
   cli::append_flags(specs, cli::cache_flag_specs());
   cli::ArgParser parser(std::move(specs));
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -321,9 +320,6 @@ int main(int argc, char** argv) {
 
   try {
     if (!cli::apply_isa_flag(parser, std::cerr)) return 2;
-    // Checked up front so a bad value fails before init or any claim,
-    // not in every shard worker it is forwarded to.
-    cli::megabatch_flag(parser);
     const std::string mode = parser.get("mode");
     fabric::LeaseDir dir(parser.get("fabric-dir"));
     std::string worker_id = parser.get("worker-id");

@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
        false},
       {"help", "show usage", "false", true},
   };
-  cli::append_flags(specs, cli::engine_flag_specs("merged output", "seeds"));
+  cli::append_flags(specs, cli::engine_flag_specs("merged output", "seed"));
   cli::append_flags(specs, cli::cache_flag_specs());
   cli::ArgParser parser(std::move(specs));
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -182,8 +182,8 @@ int main(int argc, char** argv) {
       // its cells from the shared directory before simulating).
       const std::vector<std::string> pass_through = {
           "sizes", "dim", "attacks",    "seeds", "rounds",   "spread", "step",
-          "step-scale", "step-exp", "threads", "batch", "isa", "megabatch",
-          "cache-dir", "cache-mem-mb"};
+          "step-scale", "step-exp", "threads", "batch", "isa", "cache-dir",
+          "cache-mem-mb"};
 
       auto worker_args = [&](const ShardJob& job) {
         std::vector<std::string> wargs = {worker};

@@ -47,7 +47,6 @@ SweepConfig config_from(const cli::ArgParser& parser) {
   config.num_threads = static_cast<std::size_t>(parser.get_int("threads"));
   config.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
   config.scalar_engine = parser.get_bool("scalar");
-  config.megabatch = cli::megabatch_flag(parser);
   const std::string engine = parser.get("engine");
   if (engine == "async") {
     config.async_engine = true;
@@ -102,7 +101,7 @@ int main(int argc, char** argv) {
       {"csv", "emit CSV instead of the table", "false", true},
       {"help", "show usage", "false", true},
   };
-  cli::append_flags(specs, cli::engine_flag_specs("output", "seeds"));
+  cli::append_flags(specs, cli::engine_flag_specs("output", "seed"));
   cli::append_flags(specs, cli::cache_flag_specs());
   cli::ArgParser parser(std::move(specs));
   const std::vector<std::string> args(argv + 1, argv + argc);

@@ -30,12 +30,11 @@
 // ratio — the tracked vector-batch speedup. --vector-rounds 0 skips it
 // ("vector": null).
 //
-// A `megabatch` block A/Bs the cross-cell megabatch scheduler
-// (sim/megabatch.hpp) on the sync grid, single-threaded: runs/sec with
-// megabatching off (independent per-cell batches, the legacy slicing) vs
-// on (shape-keyed cross-cell packs), their ratio — the tracked megabatch
-// speedup — and each mode's SIMD lane occupancy (useful lanes / padded
-// lanes dispatched, from the engines' own counters).
+// A `megabatch` block times the sync grid single-threaded through the
+// batched engines under the megabatch planner (sim/megabatch.hpp, the
+// sweep's only scheduler) and reports its runs/sec, engine calls, and
+// SIMD lane occupancy (useful lanes / padded lanes dispatched, from the
+// engines' own counters).
 //
 // The top-level `ladder_collapsed` flag is true when the thread ladder
 // degenerates to a single rung (a 1-core machine); scripts/bench_check.sh
@@ -200,7 +199,9 @@ int main(int argc, char** argv) {
       {"rounds", "iterations per run", "1000", false},
       {"seeds", "seeds per cell (1..k)", "3", false},
       {"engine", "sweep engine: batched | scalar", "batched", false},
-      {"batch", "replicas per batched-engine call (0 = whole seed axis)",
+      {"batch",
+       "replicas per batched-engine call (0 = register-aligned packs of "
+       "about 32 lanes)",
        "0", false},
       {"repeats", "grid passes per rung; best (min-time) pass is reported",
        "20", false},
@@ -258,25 +259,14 @@ int main(int argc, char** argv) {
       results.push_back(measure(config, threads, repeats));
 
     // Megabatch block: the sync grid, single-threaded, through the
-    // batched engines with cross-cell megabatching off (one batch per
-    // cell — the legacy slicing) vs on (shape-keyed cross-cell packs).
-    // The engines' own lane counters give each mode's occupancy: useful
-    // lanes / padded lanes actually dispatched, accumulated over every
-    // batched-engine call of the timed passes.
+    // batched engines. The engines' own lane counters give the occupancy:
+    // useful lanes / padded lanes actually dispatched, accumulated over
+    // every batched-engine call of the timed passes.
     SweepConfig mb_config = config;
     mb_config.scalar_engine = false;
-    mb_config.megabatch = false;
-    engine_stats_reset();
-    const Throughput mb_per_cell = measure(mb_config, 1, repeats);
-    const EngineStats mb_per_cell_stats = engine_stats_snapshot();
-    mb_config.megabatch = true;
     engine_stats_reset();
     const Throughput mb_on = measure(mb_config, 1, repeats);
     const EngineStats mb_on_stats = engine_stats_snapshot();
-    const double mb_speedup =
-        mb_per_cell.runs_per_sec > 0.0
-            ? mb_on.runs_per_sec / mb_per_cell.runs_per_sec
-            : 1.0;
 
     // Async block: the n > 5f grid, single-threaded, scalar event loop vs
     // batched replay engine. Their runs/sec ratio is the tracked speedup.
@@ -420,14 +410,8 @@ int main(int argc, char** argv) {
        << "  \"ladder_collapsed\": "
        << (results.size() == 1 ? "true" : "false") << ",\n"
        << "  \"megabatch\": {\n"
-       << "    \"per_cell_runs_per_sec\": " << mb_per_cell.runs_per_sec
-       << ",\n"
        << "    \"megabatch_runs_per_sec\": " << mb_on.runs_per_sec << ",\n"
-       << "    \"speedup\": " << mb_speedup << ",\n"
-       << "    \"per_cell_occupancy\": " << mb_per_cell_stats.occupancy()
-       << ",\n"
        << "    \"megabatch_occupancy\": " << mb_on_stats.occupancy() << ",\n"
-       << "    \"per_cell_batches\": " << mb_per_cell_stats.batches << ",\n"
        << "    \"megabatch_batches\": " << mb_on_stats.batches << "\n  },\n"
        << "  \"cache\": {\n"
        << "    \"cold_runs_per_sec\": " << cache_cold.runs_per_sec << ",\n"

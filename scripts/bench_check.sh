@@ -7,13 +7,11 @@
 # `perf` (CONFIGURATIONS perf, so the default tier-1 `ctest` run skips it;
 # run it with `ctest -C perf` or directly).
 #
-# Two further gates ride along, each with an explicit SKIP path so a
-# missing comparison never silently passes:
-#   - parallel speedup (best rung vs 1 thread) — SKIPPED with a message
-#     when the fresh run reports ladder_collapsed (a 1-core machine has
-#     one rung, so there is no parallel speedup to compare);
-#   - megabatch speedup (cross-cell packing vs the per-cell baseline)
-#     — SKIPPED with a message when either JSON predates the block.
+# A second gate rides along, with an explicit SKIP path so a missing
+# comparison never silently passes: parallel speedup (best rung vs 1
+# thread) — SKIPPED with a message when the fresh run reports
+# ladder_collapsed (a 1-core machine has one rung, so there is no
+# parallel speedup to compare).
 #
 #   scripts/bench_check.sh <bench_sweep_json-binary> <baseline.json> [tolerance]
 #
@@ -105,26 +103,6 @@ else:
           f"fresh {fresh_speedup:.2f}x, floor {speedup_floor:.2f}x")
     if fresh_speedup < speedup_floor:
         print("bench_check: FAIL — parallel speedup regressed")
-        failed = True
-
-# Megabatch gate: cross-cell packing must stay ahead of the per-cell
-# baseline by at least the committed ratio (less tolerance). Skipped when
-# either JSON predates the megabatch block.
-base_mb = baseline_doc.get("megabatch")
-fresh_mb = fresh_doc.get("megabatch")
-if not isinstance(base_mb, dict) or not isinstance(fresh_mb, dict):
-    print("bench_check: SKIP megabatch gate — no megabatch block in "
-          "baseline or fresh JSON")
-else:
-    base_ratio = float(base_mb["speedup"])
-    fresh_ratio = float(fresh_mb["speedup"])
-    ratio_floor = base_ratio * (1.0 - tolerance)
-    print(f"bench_check: megabatch speedup baseline {base_ratio:.2f}x, "
-          f"fresh {fresh_ratio:.2f}x, floor {ratio_floor:.2f}x "
-          f"(occupancy {float(fresh_mb['per_cell_occupancy']):.3f} -> "
-          f"{float(fresh_mb['megabatch_occupancy']):.3f})")
-    if fresh_ratio < ratio_floor:
-        print("bench_check: FAIL — megabatch speedup regressed")
         failed = True
 
 if failed:

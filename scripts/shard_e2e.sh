@@ -109,31 +109,21 @@ if ! cmp -s "$WORK/single_vec.csv" "$WORK/merged_vec.csv"; then
   exit 1
 fi
 
-echo "shard_e2e: megabatch A/B (--megabatch off vs default on) ..."
-# Cross-cell megabatching is a scheduling lever, never an output lever:
-# the same grid with --megabatch off (per-cell batches) must produce a
-# byte-identical CSV, both single-process and through the orchestrator
-# (which forwards the flag to every worker).
-MGRID="--sizes 7:2,10:3 --dim 1,3 --seeds 3 --rounds 300"
-# shellcheck disable=SC2086  # word-splitting of $MGRID is intended
-"$SWEEP" $MGRID --csv > "$WORK/single_mb_on.csv"
+echo "shard_e2e: scalar reference engine (--scalar) through the shard pipeline ..."
+# --scalar runs the batched engines' plan in one-replica tasks on the
+# reference engines. Forwarded to both workers, it must merge
+# byte-identical to the single-process batched run of the same grid.
+SGRID="--sizes 7:2,10:3 --dim 1,3 --seeds 3 --rounds 300"
+# shellcheck disable=SC2086  # word-splitting of $SGRID is intended
+"$SWEEP" $SGRID --csv > "$WORK/single_mixed.csv"
 # shellcheck disable=SC2086
-"$SWEEP" $MGRID --megabatch off --csv > "$WORK/single_mb_off.csv"
+"$SHARDSWEEP" $SGRID --shards 2 --scalar \
+  --workdir "$WORK/shards_scalar" --out "$WORK/merged_scalar.csv" \
+  2> "$WORK/orchestrator_scalar.log"
 
-if ! cmp -s "$WORK/single_mb_on.csv" "$WORK/single_mb_off.csv"; then
-  echo "shard_e2e: FAIL — --megabatch off changed the sweep CSV" >&2
-  diff "$WORK/single_mb_on.csv" "$WORK/single_mb_off.csv" >&2 || true
-  exit 1
-fi
-
-# shellcheck disable=SC2086
-"$SHARDSWEEP" $MGRID --shards 2 --megabatch off \
-  --workdir "$WORK/shards_mb" --out "$WORK/merged_mb_off.csv" \
-  2> "$WORK/orchestrator_mb.log"
-
-if ! cmp -s "$WORK/single_mb_on.csv" "$WORK/merged_mb_off.csv"; then
-  echo "shard_e2e: FAIL — sharded --megabatch off merged CSV differs" >&2
-  diff "$WORK/single_mb_on.csv" "$WORK/merged_mb_off.csv" >&2 || true
+if ! cmp -s "$WORK/single_mixed.csv" "$WORK/merged_scalar.csv"; then
+  echo "shard_e2e: FAIL — sharded --scalar merged CSV differs" >&2
+  diff "$WORK/single_mixed.csv" "$WORK/merged_scalar.csv" >&2 || true
   exit 1
 fi
 
@@ -240,56 +230,56 @@ if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric.csv"; then
   exit 1
 fi
 
-echo "shard_e2e: fabric --megabatch (bogus refused, off forwarded) ..."
-# ftmao_fabric checks --megabatch before it touches the fabric directory:
-# a bogus value exits 2 in init mode (no directory is created) and in work
-# mode (no shard is claimed). A valid value reaches every shard worker:
-# the workers run through a wrapper that logs their argv, and the
-# --megabatch off run merges byte-identical to the single-process sweep.
-MBFAB="$WORK/fabric_mb"
-BOGUS_STATUS=0
+echo "shard_e2e: fabric (--megabatch refused, --scalar forwarded) ..."
+# ftmao_fabric has no --megabatch flag: the parser rejects it (exit 2)
+# before the fabric directory is touched, so init creates no directory
+# and work claims no shard. --scalar reaches every shard worker: the
+# workers run through a wrapper that logs their argv, and the --scalar
+# run merges byte-identical to the single-process sweep.
+SCFAB="$WORK/fabric_scalar"
+MB_STATUS=0
 # shellcheck disable=SC2086  # word-splitting of $FGRID is intended
-"$FABRIC" --mode init --fabric-dir "$MBFAB" $FGRID --shards 2 \
-  --megabatch bogus 2> "$WORK/fabric_mb_bogus_init.log" || BOGUS_STATUS=$?
-if [ "$BOGUS_STATUS" -ne 2 ] || [ -e "$MBFAB" ]; then
-  echo "shard_e2e: FAIL — init accepted --megabatch bogus (exit $BOGUS_STATUS)" >&2
-  cat "$WORK/fabric_mb_bogus_init.log" >&2
+"$FABRIC" --mode init --fabric-dir "$SCFAB" $FGRID --shards 2 \
+  --megabatch off 2> "$WORK/fabric_mb_init.log" || MB_STATUS=$?
+if [ "$MB_STATUS" -ne 2 ] || [ -e "$SCFAB" ]; then
+  echo "shard_e2e: FAIL — init accepted --megabatch off (exit $MB_STATUS)" >&2
+  cat "$WORK/fabric_mb_init.log" >&2
   exit 1
 fi
 # shellcheck disable=SC2086
-"$FABRIC" --mode init --fabric-dir "$MBFAB" $FGRID --shards 2 \
-  2> "$WORK/fabric_mb_init.log"
-BOGUS_STATUS=0
-"$FABRIC" --mode work --fabric-dir "$MBFAB" --worker-id bogus \
-  --worker "$SWEEP" --megabatch bogus \
-  2> "$WORK/fabric_mb_bogus_work.log" || BOGUS_STATUS=$?
-if [ "$BOGUS_STATUS" -ne 2 ] || grep -rqs '"worker_id": "bogus"' "$MBFAB"; then
-  echo "shard_e2e: FAIL — work accepted --megabatch bogus (exit $BOGUS_STATUS)" >&2
-  cat "$WORK/fabric_mb_bogus_work.log" >&2
+"$FABRIC" --mode init --fabric-dir "$SCFAB" $FGRID --shards 2 \
+  2> "$WORK/fabric_scalar_init.log"
+MB_STATUS=0
+"$FABRIC" --mode work --fabric-dir "$SCFAB" --worker-id mboff \
+  --worker "$SWEEP" --megabatch off \
+  2> "$WORK/fabric_mb_work.log" || MB_STATUS=$?
+if [ "$MB_STATUS" -ne 2 ] || grep -rqs '"worker_id": "mboff"' "$SCFAB"; then
+  echo "shard_e2e: FAIL — work accepted --megabatch off (exit $MB_STATUS)" >&2
+  cat "$WORK/fabric_mb_work.log" >&2
   exit 1
 fi
 
-ARGV_LOG="$WORK/fabric_mb_argv.log"
+ARGV_LOG="$WORK/fabric_scalar_argv.log"
 cat > "$WORK/sweep_argv_logger.sh" <<EOF
 #!/bin/sh
 echo "\$*" >> "$ARGV_LOG"
 exec "$SWEEP" "\$@"
 EOF
 chmod +x "$WORK/sweep_argv_logger.sh"
-"$FABRIC" --mode work --fabric-dir "$MBFAB" --worker-id mboff \
-  --worker "$WORK/sweep_argv_logger.sh" --megabatch off --wait-all \
-  2> "$WORK/fabric_mb_work.log"
-if [ "$(grep -c -- "--megabatch off" "$ARGV_LOG")" -ne 2 ]; then
-  echo "shard_e2e: FAIL — --megabatch off was not forwarded to both shards" >&2
+"$FABRIC" --mode work --fabric-dir "$SCFAB" --worker-id scalar \
+  --worker "$WORK/sweep_argv_logger.sh" --scalar --wait-all \
+  2> "$WORK/fabric_scalar_work.log"
+if [ "$(grep -c -- "--scalar" "$ARGV_LOG")" -ne 2 ]; then
+  echo "shard_e2e: FAIL — --scalar was not forwarded to both shards" >&2
   cat "$ARGV_LOG" >&2
   exit 1
 fi
-"$FABRIC" --mode merge --fabric-dir "$MBFAB" --out "$WORK/merged_fabric_mb.csv" \
-  2> "$WORK/fabric_mb_merge.log"
-if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric_mb.csv"; then
-  echo "shard_e2e: FAIL — fabric --megabatch off merged CSV differs" >&2
-  diff "$WORK/single_fabric.csv" "$WORK/merged_fabric_mb.csv" >&2 || true
+"$FABRIC" --mode merge --fabric-dir "$SCFAB" \
+  --out "$WORK/merged_fabric_scalar.csv" 2> "$WORK/fabric_scalar_merge.log"
+if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric_scalar.csv"; then
+  echo "shard_e2e: FAIL — fabric --scalar merged CSV differs" >&2
+  diff "$WORK/single_fabric.csv" "$WORK/merged_fabric_scalar.csv" >&2 || true
   exit 1
 fi
 
-echo "shard_e2e: OK — retry exercised, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, megabatch A/B identical, warm-start served from cache, fabric steal recovered, fabric --megabatch checked and forwarded"
+echo "shard_e2e: OK — retry exercised, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, sharded --scalar identical, warm-start served from cache, fabric steal recovered, fabric --megabatch refused and --scalar forwarded"

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "cache/result_cache.hpp"
-#include "common/contracts.hpp"
+#include "sim/megabatch.hpp"
 #include "simd/simd.hpp"
 
 namespace ftmao::cli {
@@ -28,25 +28,15 @@ std::vector<FlagSpec> engine_flag_specs(const std::string& subject,
            " is identical for every value",
        "1", false},
       {"batch",
-       unit + " per batched-engine call (0 = one full batch); " + subject +
-           " is identical for every value",
+       unit + " runs per batched-engine call (0 = register-aligned packs "
+           "of about " + std::to_string(kMegabatchAutoLaneTarget) +
+           " lanes); " + subject + " is identical for every value",
        "0", false},
       {"scalar",
        "force the scalar reference engine (one run per " + unit + ")", "false",
        true},
-      {"megabatch",
-       "on | off: lane-aligned cross-cell megabatch packing; " + subject +
-           " is identical either way (off = per-cell baseline)",
-       "on", false},
       isa_flag_spec(subject),
   };
-}
-
-bool megabatch_flag(const ArgParser& parser) {
-  const std::string value = parser.get("megabatch");
-  if (value == "on") return true;
-  if (value == "off") return false;
-  throw ContractViolation("--megabatch expects on|off, got '" + value + "'");
 }
 
 std::vector<FlagSpec> cache_flag_specs() {

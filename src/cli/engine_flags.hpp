@@ -30,20 +30,15 @@ void append_flags(std::vector<FlagSpec>& specs, std::vector<FlagSpec> extra);
 FlagSpec isa_flag_spec(const std::string& subject);
 
 /// The execution-strategy quartet: --threads, --batch, --scalar, --isa.
-/// `subject` as above; `unit` names what one batched-engine call groups
-/// ("seeds", "attacks") and what the scalar engine runs one at a time.
+/// `subject` as above; `unit` names one replica run, in the singular
+/// ("seed", "attack"): what a batched-engine call groups and what the
+/// scalar engine runs one at a time.
 std::vector<FlagSpec> engine_flag_specs(const std::string& subject,
                                         const std::string& unit);
 
 /// The result-cache pair: --cache-dir (persistent tier root; empty =
 /// caching off) and --cache-mem-mb (in-memory LRU budget).
 std::vector<FlagSpec> cache_flag_specs();
-
-/// Reads --megabatch: "on" (the default) keeps cross-cell megabatch
-/// packing live, "off" runs the per-cell batched baseline (the A/B
-/// lever). Throws on any other value. The flag never changes output
-/// bytes, only how work is grouped into batched-engine calls.
-bool megabatch_flag(const ArgParser& parser);
 
 /// Applies --isa: "auto" keeps width-aware auto-dispatch live (the
 /// engines pick the widest backend whose register the lane count can

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "cache/cell_key.hpp"
@@ -15,7 +16,6 @@
 #include "sim/batch_async_runner.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/megabatch.hpp"
-#include "sim/runner.hpp"
 #include "sim/scenario_io.hpp"
 
 namespace ftmao {
@@ -41,7 +41,7 @@ std::string attack_config_spec(const AttackConfig& c) {
 // Canonical base identity for the synchronous search: the full scenario
 // file of the attack-free variant (save_scenario writes every field at
 // round-trip precision, functions in spec syntax).
-std::string sync_base_spec(const Scenario& clean) {
+std::string base_spec(const Scenario& clean) {
   std::ostringstream os;
   save_scenario(clean, os);
   return os.str();
@@ -49,7 +49,7 @@ std::string sync_base_spec(const Scenario& clean) {
 
 // Canonical base identity for the asynchronous search: every AsyncScenario
 // field except the attack (candidates supply it).
-std::string async_base_spec(const AsyncScenario& base) {
+std::string base_spec(const AsyncScenario& base) {
   std::ostringstream os;
   os << "n=" << base.n << ";f=" << base.f << ";faulty=";
   for (std::size_t a : base.faulty) os << a << ',';
@@ -69,32 +69,6 @@ std::string async_base_spec(const AsyncScenario& base) {
      << ";slow=" << cache_canon_double(base.slow_delay) << 'x'
      << base.slow_count;
   return os.str();
-}
-
-// Task slicing for a search section: the megabatch planner's lane-aligned
-// slices (full-register chunks plus one narrow tail) when enabled, the
-// legacy fixed-size chunks otherwise. Bit-identical outcomes either way —
-// only the chunk boundaries move.
-std::vector<MegabatchTask> search_slices(std::size_t pending_count,
-                                         std::size_t count,
-                                         std::size_t batch_size,
-                                         bool scalar_engine, bool megabatch,
-                                         const MegabatchKey& key,
-                                         std::size_t rounds) {
-  if (!scalar_engine && megabatch)
-    return plan_uniform_slices(pending_count, batch_size, rounds, key);
-  const std::size_t chunk =
-      scalar_engine ? 1
-                    : std::min(batch_size == 0 ? count : batch_size, count);
-  std::vector<MegabatchTask> tasks;
-  for (std::size_t first = 0; first < pending_count; first += chunk) {
-    MegabatchTask task;
-    task.first = first;
-    task.count = std::min(chunk, pending_count - first);
-    task.key = key;
-    tasks.push_back(task);
-  }
-  return tasks;
 }
 
 }  // namespace
@@ -144,28 +118,36 @@ std::vector<AttackCandidate> standard_attack_grid() {
   return grid;
 }
 
-AttackSearchResult find_strongest_attack(
-    const Scenario& base, const std::vector<AttackCandidate>& candidates,
+namespace {
+
+// The search body of both engines. S (Scenario or AsyncScenario) picks the
+// base rendering and the run_replicas overload; `engine` tags the cache
+// keys and `plan_engine` keys the plan.
+template <class S>
+AttackSearchResult search_attacks(
+    const S& base, const std::vector<AttackCandidate>& candidates,
     std::size_t num_threads, std::size_t batch_size, bool scalar_engine,
-    ResultCache* cache, bool megabatch) {
+    ResultCache* cache, const std::string& engine,
+    MegabatchEngine plan_engine) {
   FTMAO_EXPECTS(!candidates.empty());
 
-  Scenario clean = base;
+  S clean = base;
   clean.attack = AttackConfig{};
   clean.attack.kind = AttackKind::None;
-  const std::string base_spec =
-      cache != nullptr ? sync_base_spec(clean) : std::string{};
+  const std::string key_suffix =
+      cache != nullptr ? ";engine=" + engine + ";base=" + base_spec(clean)
+                       : std::string{};
 
   AttackSearchResult result;
 
-  // Reference run (attack-free). Cached payload carries the consensus
-  // state and the Y interval bit-exactly, so bias computed against a
-  // restored reference equals bias against a recomputed one.
+  // Reference run (attack-free, on the reference engine). Cached payload
+  // carries the consensus state and the Y interval bit-exactly, so bias
+  // computed against a restored reference equals bias against a
+  // recomputed one.
   bool have_reference = false;
   CellKey reference_key;
   if (cache != nullptr) {
-    reference_key =
-        make_cell_key("attack-search-ref;engine=sync;base=" + base_spec);
+    reference_key = make_cell_key("attack-search-ref" + key_suffix);
     if (const std::optional<std::string> payload = cache->lookup(reference_key)) {
       try {
         PayloadReader reader(*payload);
@@ -183,9 +165,10 @@ AttackSearchResult find_strongest_attack(
     }
   }
   if (!have_reference) {
-    const RunMetrics reference = run_sbg(clean);
-    result.reference_state = reference.final_states.front();
-    result.optima = reference.optima;
+    const auto reference =
+        run_replicas(std::span<const S>(&clean, 1), /*scalar_engine=*/true);
+    result.reference_state = reference.front().final_states.front();
+    result.optima = reference.front().optima;
     if (cache != nullptr) {
       PayloadWriter writer;
       writer.put_double(result.reference_state);
@@ -196,150 +179,16 @@ AttackSearchResult find_strongest_attack(
   }
 
   // Index-addressed evaluation: outcome i always describes candidate i,
-  // so the sort below sees the same array whatever the thread count or
-  // batch size. All candidates share the base scenario's shape, so a
-  // chunk of them advances in lockstep through the batched engine.
-  const std::size_t count = candidates.size();
-  result.outcomes.resize(count);
-  const double reference_state = result.reference_state;
-
-  // Cache pre-pass over the candidates; misses land on `pending` and run
-  // through the unchanged chunked loop below.
-  std::vector<std::size_t> pending(count);
-  std::iota(pending.begin(), pending.end(), std::size_t{0});
-  std::vector<CellKey> keys;
-  if (cache != nullptr) {
-    pending.clear();
-    keys.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      keys.push_back(
-          make_cell_key("attack-search;engine=sync;base=" + base_spec +
-                        ";cand=" + attack_config_spec(candidates[i].config)));
-      bool filled = false;
-      if (const std::optional<std::string> payload = cache->lookup(keys[i])) {
-        try {
-          PayloadReader reader(*payload);
-          AttackOutcome outcome;
-          outcome.name = candidates[i].name;
-          outcome.final_state = reader.get_double();
-          outcome.dist_to_y = reader.get_double();
-          outcome.disagreement = reader.get_double();
-          if (reader.exhausted()) {
-            outcome.bias = std::abs(outcome.final_state - reference_state);
-            result.outcomes[i] = std::move(outcome);
-            filled = true;
-          }
-        } catch (const ContractViolation&) {
-          filled = false;
-        }
-      }
-      if (!filled) pending.push_back(i);
-    }
-  }
-
-  const std::vector<MegabatchTask> tasks = search_slices(
-      pending.size(), count, batch_size, scalar_engine, megabatch,
-      MegabatchKey{MegabatchEngine::kSync, base.n, base.f, 1}, base.rounds);
-  parallel_for_each(num_threads, tasks.size(), [&](std::size_t task) {
-    const std::size_t first = tasks[task].first;
-    const std::size_t batch = tasks[task].count;
-    std::vector<Scenario> replicas;
-    replicas.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      Scenario attacked = base;
-      attacked.attack = candidates[pending[first + i]].config;
-      replicas.push_back(std::move(attacked));
-    }
-    std::vector<RunMetrics> metrics;
-    if (scalar_engine) {
-      for (const Scenario& s : replicas) metrics.push_back(run_sbg(s));
-    } else {
-      metrics = run_sbg_batch(replicas);
-    }
-    for (std::size_t i = 0; i < batch; ++i) {
-      const RunMetrics& m = metrics[i];
-      AttackOutcome& outcome = result.outcomes[pending[first + i]];
-      outcome.name = candidates[pending[first + i]].name;
-      outcome.final_state = m.final_states.front();
-      outcome.bias = std::abs(outcome.final_state - reference_state);
-      outcome.dist_to_y = m.final_max_dist();
-      outcome.disagreement = m.final_disagreement();
-    }
-  });
-
-  if (cache != nullptr) {
-    for (std::size_t i : pending) {
-      const AttackOutcome& outcome = result.outcomes[i];
-      PayloadWriter writer;
-      writer.put_double(outcome.final_state);
-      writer.put_double(outcome.dist_to_y);
-      writer.put_double(outcome.disagreement);
-      cache->insert(keys[i], writer.bytes());
-    }
-  }
-
-  std::sort(result.outcomes.begin(), result.outcomes.end(),
-            [](const AttackOutcome& a, const AttackOutcome& b) {
-              return a.bias > b.bias;
-            });
-  return result;
-}
-
-AttackSearchResult find_strongest_attack_async(
-    const AsyncScenario& base, const std::vector<AttackCandidate>& candidates,
-    std::size_t num_threads, std::size_t batch_size, bool scalar_engine,
-    ResultCache* cache, bool megabatch) {
-  FTMAO_EXPECTS(!candidates.empty());
-
-  AsyncScenario clean = base;
-  clean.attack = AttackConfig{};
-  clean.attack.kind = AttackKind::None;
-  const std::string base_spec =
-      cache != nullptr ? async_base_spec(base) : std::string{};
-
-  AttackSearchResult result;
-
-  bool have_reference = false;
-  CellKey reference_key;
-  if (cache != nullptr) {
-    reference_key =
-        make_cell_key("attack-search-ref;engine=async;base=" + base_spec);
-    if (const std::optional<std::string> payload = cache->lookup(reference_key)) {
-      try {
-        PayloadReader reader(*payload);
-        const double state = reader.get_double();
-        const double lo = reader.get_double();
-        const double hi = reader.get_double();
-        if (reader.exhausted()) {
-          result.reference_state = state;
-          result.optima = Interval(lo, hi);
-          have_reference = true;
-        }
-      } catch (const ContractViolation&) {
-        have_reference = false;
-      }
-    }
-  }
-  if (!have_reference) {
-    const AsyncRunMetrics reference = run_async_sbg(clean);
-    result.reference_state = reference.final_states.front();
-    result.optima = reference.optima;
-    if (cache != nullptr) {
-      PayloadWriter writer;
-      writer.put_double(result.reference_state);
-      writer.put_double(result.optima.lo());
-      writer.put_double(result.optima.hi());
-      cache->insert(reference_key, writer.bytes());
-    }
-  }
-
-  // Same index-addressed contract as the synchronous search: outcome i
-  // always describes candidate i, whatever the thread count, chunking, or
+  // so the sort below sees the same array whatever the thread count,
+  // batch size, or engine. All candidates share the base scenario's
+  // shape, so a task's candidates advance in lockstep through the batched
   // engine.
   const std::size_t count = candidates.size();
   result.outcomes.resize(count);
   const double reference_state = result.reference_state;
 
+  // Cache pre-pass over the candidates; misses land on `pending` and run
+  // through the planned tasks below.
   std::vector<std::size_t> pending(count);
   std::iota(pending.begin(), pending.end(), std::size_t{0});
   std::vector<CellKey> keys;
@@ -348,8 +197,8 @@ AttackSearchResult find_strongest_attack_async(
     keys.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       keys.push_back(
-          make_cell_key("attack-search;engine=async;base=" + base_spec +
-                        ";cand=" + attack_config_spec(candidates[i].config)));
+          make_cell_key("attack-search" + key_suffix + ";cand=" +
+                        attack_config_spec(candidates[i].config)));
       bool filled = false;
       if (const std::optional<std::string> payload = cache->lookup(keys[i])) {
         try {
@@ -372,28 +221,24 @@ AttackSearchResult find_strongest_attack_async(
     }
   }
 
-  const std::vector<MegabatchTask> tasks = search_slices(
-      pending.size(), count, batch_size, scalar_engine, megabatch,
-      MegabatchKey{MegabatchEngine::kAsync, base.n, base.f, 1}, base.rounds);
+  // Lane-aligned tasks over the pending list (batch-1 tasks on the
+  // reference engine under scalar_engine); task ranges index `pending`.
+  const std::vector<MegabatchTask> tasks = plan_uniform_slices(
+      pending.size(), scalar_engine ? 1 : batch_size, base.rounds,
+      MegabatchKey{plan_engine, base.n, base.f, 1});
   parallel_for_each(num_threads, tasks.size(), [&](std::size_t task) {
     const std::size_t first = tasks[task].first;
     const std::size_t batch = tasks[task].count;
-    std::vector<AsyncScenario> replicas;
+    std::vector<S> replicas;
     replicas.reserve(batch);
     for (std::size_t i = 0; i < batch; ++i) {
-      AsyncScenario attacked = base;
+      S attacked = base;
       attacked.attack = candidates[pending[first + i]].config;
       replicas.push_back(std::move(attacked));
     }
-    std::vector<AsyncRunMetrics> metrics;
-    if (scalar_engine) {
-      for (const AsyncScenario& s : replicas)
-        metrics.push_back(run_async_sbg(s));
-    } else {
-      metrics = run_async_sbg_batch(replicas);
-    }
+    const auto metrics = run_replicas(replicas, scalar_engine);
     for (std::size_t i = 0; i < batch; ++i) {
-      const AsyncRunMetrics& m = metrics[i];
+      const auto& m = metrics[i];
       AttackOutcome& outcome = result.outcomes[pending[first + i]];
       outcome.name = candidates[pending[first + i]].name;
       outcome.final_state = m.final_states.front();
@@ -419,6 +264,25 @@ AttackSearchResult find_strongest_attack_async(
               return a.bias > b.bias;
             });
   return result;
+}
+
+}  // namespace
+
+AttackSearchResult find_strongest_attack(
+    const Scenario& base, const std::vector<AttackCandidate>& candidates,
+    std::size_t num_threads, std::size_t batch_size, bool scalar_engine,
+    ResultCache* cache) {
+  return search_attacks(base, candidates, num_threads, batch_size,
+                        scalar_engine, cache, "sync", MegabatchEngine::kSync);
+}
+
+AttackSearchResult find_strongest_attack_async(
+    const AsyncScenario& base, const std::vector<AttackCandidate>& candidates,
+    std::size_t num_threads, std::size_t batch_size, bool scalar_engine,
+    ResultCache* cache) {
+  return search_attacks(base, candidates, num_threads, batch_size,
+                        scalar_engine, cache, "async",
+                        MegabatchEngine::kAsync);
 }
 
 }  // namespace ftmao

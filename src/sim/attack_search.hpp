@@ -42,29 +42,25 @@ struct AttackSearchResult {
 /// targets/amplifications.
 std::vector<AttackCandidate> standard_attack_grid();
 
-/// Runs `base` once without attack (reference) and once per candidate.
-/// `base`'s own attack field is ignored. Candidates are evaluated on
-/// `num_threads` workers (1 = serial, 0 = hardware concurrency), in
-/// lockstep batches of `batch_size` candidates through the batched engine
-/// (0 = all candidates in one batch; they share the base scenario's
-/// shape). `scalar_engine` forces one run_sbg per candidate instead.
-/// Each run writes to its own slot, so the ranking is bit-identical for
-/// every thread count, batch size, and engine.
+/// Runs `base` once without attack (the reference run, on the scalar
+/// engine) and once per candidate. `base`'s own attack field is ignored.
+/// Candidates share the base scenario's shape; the megabatch planner
+/// (plan_uniform_slices, sim/megabatch.hpp) slices them into lockstep
+/// batches of `batch_size` candidates through the batched engine (0 =
+/// register-aligned packs of about kMegabatchAutoLaneTarget lanes), run
+/// on `num_threads` workers (1 = serial, 0 = hardware concurrency).
+/// `scalar_engine` runs the same plan with one candidate per task through
+/// run_sbg instead. Each run writes to its own slot, so the ranking is
+/// bit-identical for every thread count, batch size, and engine.
 ///
 /// When `cache` is set, the reference run and every candidate run are
 /// looked up by their canonical key (full serialized base scenario +
 /// rendered candidate attack config) before simulating and inserted
 /// after; the result is bit-identical cold vs warm vs mixed.
-///
-/// `megabatch` routes the chunking through the lane-aligned megabatch
-/// planner (sim/megabatch.hpp): full-SIMD-register chunks plus one narrow
-/// tail instead of naive fixed-size chunks. The ranking is bit-identical
-/// on or off; off is the legacy A/B baseline. Ignored under scalar_engine.
 AttackSearchResult find_strongest_attack(
     const Scenario& base, const std::vector<AttackCandidate>& candidates,
     std::size_t num_threads = 1, std::size_t batch_size = 0,
-    bool scalar_engine = false, ResultCache* cache = nullptr,
-    bool megabatch = true);
+    bool scalar_engine = false, ResultCache* cache = nullptr);
 
 /// The asynchronous-engine counterpart: same contract, candidates
 /// evaluated through run_async_sbg_batch (run_async_sbg when
@@ -72,7 +68,6 @@ AttackSearchResult find_strongest_attack(
 AttackSearchResult find_strongest_attack_async(
     const AsyncScenario& base, const std::vector<AttackCandidate>& candidates,
     std::size_t num_threads = 1, std::size_t batch_size = 0,
-    bool scalar_engine = false, ResultCache* cache = nullptr,
-    bool megabatch = true);
+    bool scalar_engine = false, ResultCache* cache = nullptr);
 
 }  // namespace ftmao

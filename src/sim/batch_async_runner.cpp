@@ -532,4 +532,13 @@ std::vector<AsyncRunMetrics> run_async_sbg_batch(
   return BatchedAsyncRunner(replicas).run();
 }
 
+std::vector<AsyncRunMetrics> run_replicas(
+    std::span<const AsyncScenario> replicas, bool scalar_engine) {
+  if (!scalar_engine) return run_async_sbg_batch(replicas);
+  std::vector<AsyncRunMetrics> out;
+  out.reserve(replicas.size());
+  for (const AsyncScenario& s : replicas) out.push_back(run_async_sbg(s));
+  return out;
+}
+
 }  // namespace ftmao

@@ -52,4 +52,11 @@ namespace ftmao {
 std::vector<RunMetrics> run_sbg_batch(std::span<const Scenario> replicas,
                                       const RunOptions& options = {});
 
+/// The grid drivers' engine switch: run_sbg_batch, or, when
+/// `scalar_engine`, run_sbg on each replica in order (the reference
+/// engine). Either way the result is bit-identical.
+std::vector<RunMetrics> run_replicas(std::span<const Scenario> replicas,
+                                     bool scalar_engine,
+                                     const RunOptions& options = {});
+
 }  // namespace ftmao

@@ -439,4 +439,14 @@ std::vector<VectorRunResult> run_vector_sbg_batch(
   return runner.run();
 }
 
+std::vector<VectorRunResult> run_replicas(
+    std::span<const VectorScenario> replicas, bool scalar_engine) {
+  if (!scalar_engine) return run_vector_sbg_batch(replicas);
+  std::vector<VectorRunResult> out;
+  out.reserve(replicas.size());
+  for (const VectorScenario& s : replicas)
+    out.push_back(run_vector_scenario(s));
+  return out;
+}
+
 }  // namespace ftmao

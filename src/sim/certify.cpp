@@ -60,37 +60,6 @@ std::string certify_cache_spec(const CertifyOptions& o, const char* section,
   return os.str();
 }
 
-// Slices a section's pending list into engine batches. Every attack in a
-// section runs the same scenario shape, so with megabatching on the
-// planner contributes its lane-aligned chunking (full-register batches
-// plus one narrow tail instead of a padded one), cost-ordered submission,
-// and occupancy accounting; off reproduces the fixed batch_size chunks.
-// The scalar engine runs one replica per task either way. Task ranges
-// index the pending list: [task.first, task.first + task.count).
-std::vector<MegabatchTask> section_slices(const CertifyOptions& options,
-                                          std::size_t pending_count,
-                                          std::size_t grid_count,
-                                          const MegabatchKey& key,
-                                          std::size_t rounds) {
-  if (!options.scalar_engine && options.megabatch)
-    return plan_uniform_slices(pending_count, options.batch_size, rounds, key);
-  const std::size_t chunk =
-      options.scalar_engine
-          ? 1
-          : std::min(
-                options.batch_size == 0 ? grid_count : options.batch_size,
-                grid_count);
-  std::vector<MegabatchTask> tasks;
-  for (std::size_t first = 0; first < pending_count; first += chunk) {
-    MegabatchTask task;
-    task.first = first;
-    task.count = std::min(chunk, pending_count - first);
-    task.key = key;
-    tasks.push_back(task);
-  }
-  return tasks;
-}
-
 }  // namespace
 
 CertificationReport certify_sbg(const CertifyOptions& options) {
@@ -166,16 +135,18 @@ CertificationReport certify_sbg(const CertifyOptions& options) {
   }
 
   const HarmonicStep harmonic;
-  // A batch of attacks advances in lockstep through the batched engine;
-  // the per-attack verdicts (audits, invariants, bound domination) are
-  // then computed from each replica's metrics exactly as the scalar path
-  // would. Chunking over the pending subset is sound for the same reason
-  // chunking at all is: each replica's numbers are independent of its
-  // batch-mates.
-  const std::vector<MegabatchTask> sync_tasks = section_slices(
-      options, pending.size(), grid.size(),
-      MegabatchKey{MegabatchEngine::kSync, options.n, options.f, 1},
-      options.rounds);
+  // Every attack in a section runs the same scenario shape, so each
+  // section's pending list is sliced by the megabatch planner into
+  // lane-aligned tasks (batch-1 tasks on the reference engine under
+  // scalar_engine); task ranges index the pending list. A task's attacks
+  // advance in lockstep through the batched engine, and the per-attack
+  // verdicts (audits, invariants, bound domination) are then computed
+  // from each replica's metrics exactly as the scalar path would: each
+  // replica's numbers are independent of its batch-mates.
+  const std::size_t batch_size = options.scalar_engine ? 1 : options.batch_size;
+  const std::vector<MegabatchTask> sync_tasks = plan_uniform_slices(
+      pending.size(), batch_size, options.rounds,
+      MegabatchKey{MegabatchEngine::kSync, options.n, options.f, 1});
   const std::size_t num_chunks = sync_tasks.size();
   parallel_for_each(options.num_threads, num_chunks, [&](std::size_t task) {
     const std::size_t first = sync_tasks[task].first;
@@ -190,12 +161,8 @@ CertificationReport certify_sbg(const CertifyOptions& options) {
     replicas.reserve(batch);
     for (std::size_t i = 0; i < batch; ++i)
       replicas.push_back(scenario_for(options, grid[pending[first + i]]));
-    std::vector<RunMetrics> metrics;
-    if (options.scalar_engine) {
-      for (const Scenario& s : replicas) metrics.push_back(run_sbg(s, run_options));
-    } else {
-      metrics = run_sbg_batch(replicas, run_options);
-    }
+    const std::vector<RunMetrics> metrics =
+        run_replicas(replicas, options.scalar_engine, run_options);
 
     for (std::size_t i = 0; i < batch; ++i) {
       const Scenario& s = replicas[i];
@@ -317,11 +284,10 @@ CertificationReport certify_sbg(const CertifyOptions& options) {
       }
     }
 
-    const std::vector<MegabatchTask> async_tasks = section_slices(
-        options, async_pending.size(), grid.size(),
+    const std::vector<MegabatchTask> async_tasks = plan_uniform_slices(
+        async_pending.size(), batch_size, options.async_rounds,
         MegabatchKey{MegabatchEngine::kAsync, options.async_n, options.async_f,
-                     1},
-        options.async_rounds);
+                     1});
     parallel_for_each(
         options.num_threads, async_tasks.size(), [&](std::size_t task) {
           const std::size_t first = async_tasks[task].first;
@@ -337,13 +303,8 @@ CertificationReport certify_sbg(const CertifyOptions& options) {
             s.attack.gradient_magnitude = 10.0;
             replicas.push_back(std::move(s));
           }
-          std::vector<AsyncRunMetrics> metrics;
-          if (options.scalar_engine) {
-            for (const AsyncScenario& s : replicas)
-              metrics.push_back(run_async_sbg(s));
-          } else {
-            metrics = run_async_sbg_batch(replicas);
-          }
+          const std::vector<AsyncRunMetrics> metrics =
+              run_replicas(replicas, options.scalar_engine);
           for (std::size_t i = 0; i < batch; ++i)
             async_results[async_pending[first + i]] = {
                 metrics[i].disagreement.back(),
@@ -419,11 +380,10 @@ CertificationReport certify_sbg(const CertifyOptions& options) {
       }
     }
 
-    const std::vector<MegabatchTask> vector_tasks = section_slices(
-        options, vector_pending.size(), grid.size(),
+    const std::vector<MegabatchTask> vector_tasks = plan_uniform_slices(
+        vector_pending.size(), batch_size, options.vector_rounds,
         MegabatchKey{MegabatchEngine::kVector, options.n, options.f,
-                     options.vector_dim},
-        options.vector_rounds);
+                     options.vector_dim});
     parallel_for_each(
         options.num_threads, vector_tasks.size(), [&](std::size_t task) {
           const std::size_t first = vector_tasks[task].first;
@@ -439,13 +399,8 @@ CertificationReport certify_sbg(const CertifyOptions& options) {
             s.attack.gradient_magnitude = 10.0;
             replicas.push_back(std::move(s));
           }
-          std::vector<VectorRunResult> metrics;
-          if (options.scalar_engine) {
-            for (const VectorScenario& s : replicas)
-              metrics.push_back(run_vector_scenario(s));
-          } else {
-            metrics = run_vector_sbg_batch(replicas);
-          }
+          const std::vector<VectorRunResult> metrics =
+              run_replicas(replicas, options.scalar_engine);
           for (std::size_t i = 0; i < batch; ++i)
             vector_results[vector_pending[first + i]] = {
                 metrics[i].disagreement.back(),

@@ -28,20 +28,16 @@ struct CertifyOptions {
   /// results are computed into fixed slots and folded in grid order.
   std::size_t num_threads = 1;
 
-  /// Attacks per batched-engine call (the whole grid shares one scenario
-  /// shape). 0 = all attacks in one lockstep batch (the default). The
-  /// report is bit-identical for every value, and to scalar_engine.
+  /// Attacks per batched-engine call (a section's attacks share one
+  /// scenario shape, sliced by plan_uniform_slices, sim/megabatch.hpp).
+  /// 0 = the planner's register-aligned packs of about
+  /// kMegabatchAutoLaneTarget lanes (the default). The report is
+  /// bit-identical for every value, and to scalar_engine.
   std::size_t batch_size = 0;
 
-  /// Force the scalar reference engine (one run_sbg per attack).
+  /// Force the scalar reference engines: the same plan with one attack per
+  /// task, each run by run_sbg (run_async_sbg, run_vector_scenario).
   bool scalar_engine = false;
-
-  /// Lane-aligned megabatch slicing (sim/megabatch.hpp) for the batched
-  /// sections: pending attacks are packed into full-SIMD-register chunks
-  /// with one narrow tail instead of naive fixed-size chunks. The report
-  /// is bit-identical on or off; off runs the legacy per-chunk slicing
-  /// (the A/B baseline). Ignored under scalar_engine.
-  bool megabatch = true;
 
   /// Asynchronous-engine section (Section 7, n > 5f variant): the attack
   /// grid is re-run through the batched asynchronous engine at this size

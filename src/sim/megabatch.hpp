@@ -1,12 +1,14 @@
 #pragma once
 
-// Grid-level megabatch planning: packs pending (cell, seed) replicas from
-// *different* grid cells — different attacks and seeds, same engine shape —
-// into lane-filling batches for the SoA engines, instead of one batch per
-// cell. The batched engines are bit-identical to the scalar reference per
-// replica regardless of batch composition (see batch_runner.hpp), so the
-// plan changes wall-clock and lane occupancy, never output: results scatter
-// back into the same per-(cell, seed) slots the per-cell path fills.
+// Grid-level megabatch planning, the grid drivers' only scheduler: packs
+// pending (cell, seed) replicas from *different* grid cells — different
+// attacks and seeds, same engine shape — into lane-filling batches for the
+// SoA engines, instead of one batch per cell. The batched engines are
+// bit-identical to the scalar reference per replica regardless of batch
+// composition (see batch_runner.hpp), so the plan changes wall-clock and
+// lane occupancy, never output: results scatter back into per-(cell, seed)
+// slots. A plan with batch_size 1 is the scalar reference's schedule (each
+// one-replica task runs on the reference engine, via run_replicas).
 //
 // The planner is pure arithmetic over shape keys — no engine calls — so its
 // slicing and occupancy accounting are unit-testable with an injected lane
@@ -116,7 +118,7 @@ std::vector<MegabatchTask> plan_uniform_slices(
 
 /// Process-global occupancy accumulator. The three batch engines record one
 /// EngineStats per engine call (thread-safe, negligible cost) so any driver
-/// — megabatched or per-cell — can be measured: reset, run, snapshot.
+/// can be measured: reset, run, snapshot.
 void engine_stats_reset();
 void engine_stats_record(std::size_t replicas, std::size_t lanes,
                          std::size_t padded_lanes);

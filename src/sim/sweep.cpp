@@ -1,6 +1,5 @@
 #include "sim/sweep.hpp"
 
-#include <algorithm>
 #include <numeric>
 #include <span>
 #include <sstream>
@@ -72,129 +71,19 @@ namespace {
 // otherwise holds ~3 MiB of metric values nobody reads.
 const RunOptions kFinalsOnly{.record_series = false};
 
-// Per-cell task path (--megabatch off, and the scalar reference engine):
-// one task per (pending cell, seed-chunk). Each chunk's replicas share a
-// shape (only the seed differs) and advance in lockstep through the
-// batched engine. Every run derives its randomness solely from its own
-// seed and writes to its own index, so the aggregate sees exactly the
-// sequence the serial scalar path would have produced, whatever the
-// thread count, batch size, engine, or cache hit pattern.
-void run_pending_per_cell(const SweepConfig& config,
-                          const std::vector<CellSpec>& specs,
-                          const std::vector<std::size_t>& pending,
-                          std::vector<double>& disagreements,
-                          std::vector<double>& dists) {
-  const std::size_t num_seeds = config.seeds.size();
-  const std::size_t chunk =
-      config.scalar_engine
-          ? 1
-          : std::min(config.batch_size == 0 ? num_seeds : config.batch_size,
-                     num_seeds);
-  const std::size_t chunks_per_cell = (num_seeds + chunk - 1) / chunk;
-  parallel_for_each(
-      config.num_threads, pending.size() * chunks_per_cell,
-      [&](std::size_t task) {
-        const std::size_t cell = pending[task / chunks_per_cell];
-        const CellSpec& spec = specs[cell];
-        const std::size_t first = (task % chunks_per_cell) * chunk;
-        const std::size_t count = std::min(chunk, num_seeds - first);
-        const std::size_t base = cell * num_seeds + first;
-        if (config.async_engine) {
-          std::vector<AsyncScenario> replicas;
-          replicas.reserve(count);
-          for (std::size_t i = 0; i < count; ++i) {
-            AsyncScenario s = make_standard_async_scenario(
-                spec.n, spec.f, config.spread, spec.attack, config.rounds,
-                config.seeds[first + i]);
-            s.step = config.step;
-            s.delay_kind = config.delay_kind;
-            s.delay_lo = config.delay_lo;
-            s.delay_hi = config.delay_hi;
-            replicas.push_back(std::move(s));
-          }
-          if (config.scalar_engine) {
-            for (std::size_t i = 0; i < count; ++i) {
-              const AsyncRunMetrics m = run_async_sbg(replicas[i]);
-              disagreements[base + i] = m.disagreement.back();
-              dists[base + i] = m.max_dist_to_y.back();
-            }
-          } else {
-            const std::vector<AsyncRunMetrics> ms =
-                run_async_sbg_batch(replicas);
-            for (std::size_t i = 0; i < count; ++i) {
-              disagreements[base + i] = ms[i].disagreement.back();
-              dists[base + i] = ms[i].max_dist_to_y.back();
-            }
-          }
-          return;
-        }
-        if (spec.dim >= 2) {
-          // Vector cell: one standard vector scenario per seed. The costs
-          // depend only on (n, f, spread, dim), so the seed replicas share
-          // the base scenario's cost vector — the batched engine's optimum
-          // memoization then computes the reference minimizer once.
-          const VectorScenario proto = make_standard_vector_scenario(
-              spec.n, spec.f, config.spread, spec.attack, config.rounds,
-              config.seeds[first], spec.dim);
-          std::vector<VectorScenario> replicas(count, proto);
-          for (std::size_t i = 0; i < count; ++i) {
-            replicas[i].seed = config.seeds[first + i];
-            replicas[i].step = config.step;
-          }
-          if (config.scalar_engine) {
-            for (std::size_t i = 0; i < count; ++i) {
-              const VectorRunResult m = run_vector_scenario(replicas[i]);
-              disagreements[base + i] = m.disagreement.back();
-              dists[base + i] = m.dist_to_average_optimum.back();
-            }
-          } else {
-            const std::vector<VectorRunResult> ms =
-                run_vector_sbg_batch(replicas);
-            for (std::size_t i = 0; i < count; ++i) {
-              disagreements[base + i] = ms[i].disagreement.back();
-              dists[base + i] = ms[i].dist_to_average_optimum.back();
-            }
-          }
-          return;
-        }
-        std::vector<Scenario> replicas;
-        replicas.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-          Scenario s = make_standard_scenario(spec.n, spec.f, config.spread,
-                                              spec.attack, config.rounds,
-                                              config.seeds[first + i]);
-          s.step = config.step;
-          replicas.push_back(std::move(s));
-        }
-        if (config.scalar_engine) {
-          for (std::size_t i = 0; i < count; ++i) {
-            const RunMetrics m = run_sbg(replicas[i], kFinalsOnly);
-            disagreements[base + i] = m.final_disagreement();
-            dists[base + i] = m.final_max_dist();
-          }
-        } else {
-          const std::vector<RunMetrics> ms =
-              run_sbg_batch(replicas, kFinalsOnly);
-          for (std::size_t i = 0; i < count; ++i) {
-            disagreements[base + i] = ms[i].final_disagreement();
-            dists[base + i] = ms[i].final_max_dist();
-          }
-        }
-      });
-}
-
-// Megabatch path: pack pending (cell, seed) replicas that share an engine
-// shape — any attack, any seed — into lane-filling batches
-// (sim/megabatch.hpp) and submit them cost-ordered, longest first. Every
-// replica still derives its randomness solely from its own seed and
+// The one scheduling path: pack pending (cell, seed) replicas that share
+// an engine shape — any attack, any seed — into lane-filling batches
+// (sim/megabatch.hpp) and submit them cost-ordered, longest first. Under
+// scalar_engine the plan is batch-1 tasks run on the reference engines.
+// Every replica derives its randomness solely from its own seed and
 // scatters into its own pre-assigned slot, and the batch engines are
-// bit-identical to the scalar reference per replica regardless of batch
-// composition, so the aggregate cannot tell the paths apart.
-void run_pending_megabatched(const SweepConfig& config,
-                             const std::vector<CellSpec>& specs,
-                             const std::vector<std::size_t>& pending,
-                             std::vector<double>& disagreements,
-                             std::vector<double>& dists) {
+// bit-identical to the reference engines per replica regardless of batch
+// composition, so the aggregate is the same whatever the thread count,
+// batch size, engine, or cache hit pattern.
+void run_pending(const SweepConfig& config, const std::vector<CellSpec>& specs,
+                 const std::vector<std::size_t>& pending,
+                 std::vector<double>& disagreements,
+                 std::vector<double>& dists) {
   const std::size_t num_seeds = config.seeds.size();
   std::vector<MegabatchItem> items;
   items.reserve(pending.size() * num_seeds);
@@ -209,13 +98,19 @@ void run_pending_megabatched(const SweepConfig& config,
     key.dim = spec.dim;
     for (std::size_t i = 0; i < num_seeds; ++i) items.push_back({key, c, i});
   }
-  const MegabatchPlan plan =
-      plan_megabatches(std::move(items), config.batch_size, config.rounds);
+  const MegabatchPlan plan = plan_megabatches(
+      std::move(items), config.scalar_engine ? 1 : config.batch_size,
+      config.rounds);
   parallel_for_each(
       config.num_threads, plan.tasks.size(), [&](std::size_t ti) {
         const MegabatchTask& task = plan.tasks[ti];
         const std::span<const MegabatchItem> batch(
             plan.items.data() + task.first, task.count);
+        auto scatter = [&](std::size_t i, double disagreement, double dist) {
+          const std::size_t slot = batch[i].cell * num_seeds + batch[i].seed;
+          disagreements[slot] = disagreement;
+          dists[slot] = dist;
+        };
         switch (task.key.engine) {
           case MegabatchEngine::kAsync: {
             std::vector<AsyncScenario> replicas;
@@ -232,20 +127,17 @@ void run_pending_megabatched(const SweepConfig& config,
               replicas.push_back(std::move(s));
             }
             const std::vector<AsyncRunMetrics> ms =
-                run_async_sbg_batch(replicas);
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-              const std::size_t slot =
-                  batch[i].cell * num_seeds + batch[i].seed;
-              disagreements[slot] = ms[i].disagreement.back();
-              dists[slot] = ms[i].max_dist_to_y.back();
-            }
+                run_replicas(replicas, config.scalar_engine);
+            for (std::size_t i = 0; i < batch.size(); ++i)
+              scatter(i, ms[i].disagreement.back(),
+                      ms[i].max_dist_to_y.back());
             break;
           }
           case MegabatchEngine::kVector: {
             // One proto per cell run: the plan keeps same-cell replicas
             // adjacent, so seed copies share the proto's cost vector and
-            // the engine's optimum memoization fires exactly as on the
-            // per-cell path.
+            // the engine's optimum memoization computes the reference
+            // minimizer once per cell run.
             std::vector<VectorScenario> replicas;
             replicas.reserve(batch.size());
             std::size_t i = 0;
@@ -263,13 +155,10 @@ void run_pending_megabatched(const SweepConfig& config,
               }
             }
             const std::vector<VectorRunResult> ms =
-                run_vector_sbg_batch(replicas);
-            for (std::size_t r = 0; r < batch.size(); ++r) {
-              const std::size_t slot =
-                  batch[r].cell * num_seeds + batch[r].seed;
-              disagreements[slot] = ms[r].disagreement.back();
-              dists[slot] = ms[r].dist_to_average_optimum.back();
-            }
+                run_replicas(replicas, config.scalar_engine);
+            for (std::size_t r = 0; r < batch.size(); ++r)
+              scatter(r, ms[r].disagreement.back(),
+                      ms[r].dist_to_average_optimum.back());
             break;
           }
           case MegabatchEngine::kSync: {
@@ -284,13 +173,9 @@ void run_pending_megabatched(const SweepConfig& config,
               replicas.push_back(std::move(s));
             }
             const std::vector<RunMetrics> ms =
-                run_sbg_batch(replicas, kFinalsOnly);
-            for (std::size_t i = 0; i < batch.size(); ++i) {
-              const std::size_t slot =
-                  batch[i].cell * num_seeds + batch[i].seed;
-              disagreements[slot] = ms[i].final_disagreement();
-              dists[slot] = ms[i].final_max_dist();
-            }
+                run_replicas(replicas, config.scalar_engine, kFinalsOnly);
+            for (std::size_t i = 0; i < batch.size(); ++i)
+              scatter(i, ms[i].final_disagreement(), ms[i].final_max_dist());
             break;
           }
         }
@@ -342,11 +227,7 @@ std::vector<SweepCell> run_sweep_cells(const SweepConfig& config,
     std::iota(pending.begin(), pending.end(), std::size_t{0});
   }
 
-  if (config.megabatch && !config.scalar_engine) {
-    run_pending_megabatched(config, specs, pending, disagreements, dists);
-  } else {
-    run_pending_per_cell(config, specs, pending, disagreements, dists);
-  }
+  run_pending(config, specs, pending, disagreements, dists);
 
   if (config.cache != nullptr) {
     for (std::size_t c : pending) {

@@ -37,31 +37,27 @@ struct SweepConfig {
   /// pre-assigned output slot, so scheduling order cannot leak in.
   std::size_t num_threads = 1;
 
-  /// Replicas per batched-engine call (sim/batch_runner): the seed axis of
-  /// each cell is cut into chunks of this size and every chunk advances in
-  /// lockstep. 0 = the whole seed axis of a cell (the default). Results
-  /// are bit-identical for every value, and to scalar_engine.
+  /// Replicas per batched-engine call. The megabatch planner
+  /// (sim/megabatch.hpp) packs pending (cell, seed) replicas that share an
+  /// engine shape — same (n, f, dim, engine), any attack or seed — into
+  /// tasks of exactly this many replicas (fewer in a shape's last task).
+  /// 0 = the planner's register-aligned packs of about
+  /// kMegabatchAutoLaneTarget lanes (the default). Results are
+  /// bit-identical for every value, and to scalar_engine.
   std::size_t batch_size = 0;
 
-  /// Force the scalar reference engine (one run_sbg per seed). For
-  /// benchmarking the batched path against its baseline.
+  /// Force the scalar reference engines: the same plan with one replica
+  /// per task, each run by run_sbg (run_vector_scenario, run_async_sbg).
+  /// For checking and benchmarking the batched engines against their
+  /// reference.
   bool scalar_engine = false;
-
-  /// Cross-cell megabatching (sim/megabatch.hpp): pack pending (cell,
-  /// seed) replicas that share an engine shape — same (n, f, dim, engine),
-  /// any attack/seed — into lane-filling batches instead of one batch per
-  /// cell, with cost-ordered task submission. Like every engine knob,
-  /// results are bit-identical on or off; off runs the per-cell batches
-  /// (the A/B baseline). Ignored under scalar_engine.
-  bool megabatch = true;
 
   /// Run the asynchronous engine (Section 7, n > 5f variant) over the
   /// grid instead of the synchronous one: each (cell, seed) run is the
   /// standard async scenario under the delay model below, advanced by
-  /// run_async_sbg_batch per seed chunk (run_async_sbg when
-  /// scalar_engine). Sizes must then satisfy n > 5f. batch_size /
-  /// num_threads / scalar_engine keep their meanings, and results stay
-  /// bit-identical across all of them.
+  /// run_async_sbg_batch (run_async_sbg when scalar_engine). Sizes must
+  /// then satisfy n > 5f. batch_size / num_threads / scalar_engine keep
+  /// their meanings, and results stay bit-identical across all of them.
   bool async_engine = false;
   DelayKind delay_kind = DelayKind::Uniform;  ///< async mode only
   double delay_lo = 0.5;

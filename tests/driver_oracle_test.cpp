@@ -1,0 +1,251 @@
+// The grid drivers against a serial oracle. run_sweep and both attack
+// searches must equal plain loops written in this file: one reference-
+// engine run (run_sbg, run_vector_scenario, run_async_sbg) per (cell,
+// seed) or per candidate, aggregated in order. The loops share no
+// scheduling, scenario packing or result scatter with the drivers, so a
+// driver bug common to the batched engines and the --scalar path (which
+// run the same plan) cannot hide behind their agreement. Every driver
+// mode is checked: scalar and batched engines, several batch sizes, one
+// and several threads.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/stats.hpp"
+#include "sim/async_runner.hpp"
+#include "sim/attack_search.hpp"
+#include "sim/runner.hpp"
+#include "sim/sweep.hpp"
+#include "sim/vector_scenario.hpp"
+
+namespace ftmao {
+namespace {
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// One standard run per (cell, seed) in grid order — sizes, then dims,
+// then attacks, seeds innermost — folded per cell by summarize.
+std::vector<SweepCell> serial_sweep(const SweepConfig& config) {
+  std::vector<SweepCell> cells;
+  for (const auto& [n, f] : config.sizes) {
+    for (std::size_t dim : config.dims) {
+      for (AttackKind attack : config.attacks) {
+        std::vector<double> disagreements;
+        std::vector<double> dists;
+        for (std::uint64_t seed : config.seeds) {
+          if (config.async_engine) {
+            AsyncScenario s = make_standard_async_scenario(
+                n, f, config.spread, attack, config.rounds, seed);
+            s.step = config.step;
+            s.delay_kind = config.delay_kind;
+            s.delay_lo = config.delay_lo;
+            s.delay_hi = config.delay_hi;
+            const AsyncRunMetrics m = run_async_sbg(s);
+            disagreements.push_back(m.disagreement.back());
+            dists.push_back(m.max_dist_to_y.back());
+          } else if (dim == 1) {
+            Scenario s = make_standard_scenario(n, f, config.spread, attack,
+                                                config.rounds, seed);
+            s.step = config.step;
+            const RunMetrics m = run_sbg(s);
+            disagreements.push_back(m.final_disagreement());
+            dists.push_back(m.final_max_dist());
+          } else {
+            VectorScenario s = make_standard_vector_scenario(
+                n, f, config.spread, attack, config.rounds, seed, dim);
+            s.step = config.step;
+            const VectorRunResult m = run_vector_scenario(s);
+            disagreements.push_back(m.disagreement.back());
+            dists.push_back(m.dist_to_average_optimum.back());
+          }
+        }
+        SweepCell cell;
+        cell.n = n;
+        cell.f = f;
+        cell.dim = dim;
+        cell.attack = attack;
+        cell.disagreement = summarize(disagreements);
+        cell.dist_to_y = summarize(dists);
+        cells.push_back(cell);
+      }
+    }
+  }
+  return cells;
+}
+
+void expect_summary_bits(const Summary& got, const Summary& want) {
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(bits(got.mean), bits(want.mean));
+  EXPECT_EQ(bits(got.stddev), bits(want.stddev));
+  EXPECT_EQ(bits(got.min), bits(want.min));
+  EXPECT_EQ(bits(got.median), bits(want.median));
+  EXPECT_EQ(bits(got.max), bits(want.max));
+}
+
+// run_sweep in every engine / batch size / thread count mode must equal
+// the serial loop: the CSV byte for byte, and every summary bit for bit.
+void expect_sweep_matches_serial_loop(SweepConfig config) {
+  const std::vector<SweepCell> want = serial_sweep(config);
+  const std::string want_csv = sweep_to_csv(want);
+  for (bool scalar : {true, false}) {
+    for (std::size_t batch : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE("scalar=" + std::to_string(scalar) +
+                     " batch=" + std::to_string(batch) +
+                     " threads=" + std::to_string(threads));
+        config.scalar_engine = scalar;
+        config.batch_size = batch;
+        config.num_threads = threads;
+        const std::vector<SweepCell> got = run_sweep(config);
+        EXPECT_EQ(sweep_to_csv(got), want_csv);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t c = 0; c < got.size(); ++c) {
+          EXPECT_EQ(got[c].n, want[c].n);
+          EXPECT_EQ(got[c].f, want[c].f);
+          EXPECT_EQ(got[c].dim, want[c].dim);
+          EXPECT_EQ(got[c].attack, want[c].attack);
+          expect_summary_bits(got[c].disagreement, want[c].disagreement);
+          expect_summary_bits(got[c].dist_to_y, want[c].dist_to_y);
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepOracle, SyncAndVectorGridMatchesSerialLoop) {
+  SweepConfig config;
+  config.sizes = {{7, 2}, {10, 3}};
+  config.dims = {1, 3};
+  config.attacks = {AttackKind::SplitBrain, AttackKind::SignFlip,
+                    AttackKind::PullToTarget, AttackKind::RandomNoise};
+  config.seeds = {1, 2, 3, 4, 5};
+  config.rounds = 120;
+  // Non-default spread and step, so a driver that dropped either would
+  // disagree with the loop.
+  config.spread = 6.0;
+  config.step.kind = StepKind::Power;
+  config.step.scale = 1.5;
+  config.step.exponent = 0.8;
+  expect_sweep_matches_serial_loop(config);
+}
+
+TEST(SweepOracle, AsyncGridMatchesSerialLoop) {
+  SweepConfig config;
+  config.async_engine = true;
+  config.sizes = {{6, 1}, {11, 2}};
+  config.attacks = {AttackKind::SplitBrain, AttackKind::SignFlip,
+                    AttackKind::PullToTarget, AttackKind::RandomNoise};
+  config.seeds = {1, 2, 3, 4, 5};
+  config.rounds = 150;
+  config.delay_lo = 0.4;
+  config.delay_hi = 1.7;
+  expect_sweep_matches_serial_loop(config);
+}
+
+// The expected search result: the attack-free reference run of `base`
+// and one run per candidate, keyed by candidate name.
+struct SerialSearch {
+  double reference_state = 0.0;
+  Interval optima{0.0};
+  std::map<std::string, AttackOutcome> outcomes;
+};
+
+template <class S, class Run>
+SerialSearch serial_search(const S& base,
+                           const std::vector<AttackCandidate>& candidates,
+                           Run run) {
+  SerialSearch want;
+  S clean = base;
+  clean.attack = AttackConfig{};
+  const auto reference = run(clean);
+  want.reference_state = reference.final_states.front();
+  want.optima = reference.optima;
+  for (const AttackCandidate& c : candidates) {
+    S attacked = base;
+    attacked.attack = c.config;
+    const auto m = run(attacked);
+    AttackOutcome& o = want.outcomes[c.name];
+    o.name = c.name;
+    o.final_state = m.final_states.front();
+    o.bias = std::abs(o.final_state - want.reference_state);
+    o.dist_to_y = m.max_dist_to_y.back();
+    o.disagreement = m.disagreement.back();
+  }
+  return want;
+}
+
+void expect_search_matches(const AttackSearchResult& got,
+                           const SerialSearch& want) {
+  EXPECT_EQ(bits(got.reference_state), bits(want.reference_state));
+  EXPECT_EQ(bits(got.optima.lo()), bits(want.optima.lo()));
+  EXPECT_EQ(bits(got.optima.hi()), bits(want.optima.hi()));
+  ASSERT_EQ(got.outcomes.size(), want.outcomes.size());
+  std::map<std::string, int> seen;
+  for (std::size_t i = 0; i < got.outcomes.size(); ++i) {
+    const AttackOutcome& o = got.outcomes[i];
+    if (i > 0) {
+      EXPECT_GE(got.outcomes[i - 1].bias, o.bias) << o.name;
+    }
+    ++seen[o.name];
+    const auto it = want.outcomes.find(o.name);
+    ASSERT_NE(it, want.outcomes.end()) << o.name;
+    EXPECT_EQ(bits(o.final_state), bits(it->second.final_state)) << o.name;
+    EXPECT_EQ(bits(o.bias), bits(it->second.bias)) << o.name;
+    EXPECT_EQ(bits(o.dist_to_y), bits(it->second.dist_to_y)) << o.name;
+    EXPECT_EQ(bits(o.disagreement), bits(it->second.disagreement)) << o.name;
+  }
+  EXPECT_EQ(seen.size(), want.outcomes.size());
+}
+
+template <class S, class Search, class Run>
+void expect_search_matches_direct_runs(const S& base, Search search,
+                                       Run run) {
+  const std::vector<AttackCandidate> candidates = standard_attack_grid();
+  const SerialSearch want = serial_search(base, candidates, run);
+  ASSERT_EQ(want.outcomes.size(), candidates.size()) << "names not unique";
+  for (bool scalar : {true, false}) {
+    for (std::size_t batch : {std::size_t{0}, std::size_t{3}}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE("scalar=" + std::to_string(scalar) +
+                     " batch=" + std::to_string(batch) +
+                     " threads=" + std::to_string(threads));
+        expect_search_matches(search(base, candidates, threads, batch, scalar),
+                              want);
+      }
+    }
+  }
+}
+
+TEST(AttackSearchOracle, SyncOutcomesMatchDirectRuns) {
+  // The base's own attack must be ignored: the reference is attack-free.
+  const Scenario base =
+      make_standard_scenario(7, 2, 8.0, AttackKind::SplitBrain, 200, 3);
+  expect_search_matches_direct_runs(
+      base,
+      [](const Scenario& b, const std::vector<AttackCandidate>& c,
+         std::size_t threads, std::size_t batch, bool scalar) {
+        return find_strongest_attack(b, c, threads, batch, scalar);
+      },
+      [](const Scenario& s) { return run_sbg(s); });
+}
+
+TEST(AttackSearchOracle, AsyncOutcomesMatchDirectRuns) {
+  const AsyncScenario base =
+      make_standard_async_scenario(11, 2, 8.0, AttackKind::SplitBrain, 100, 3);
+  expect_search_matches_direct_runs(
+      base,
+      [](const AsyncScenario& b, const std::vector<AttackCandidate>& c,
+         std::size_t threads, std::size_t batch, bool scalar) {
+        return find_strongest_attack_async(b, c, threads, batch, scalar);
+      },
+      [](const AsyncScenario& s) { return run_async_sbg(s); });
+}
+
+}  // namespace
+}  // namespace ftmao

@@ -1,10 +1,12 @@
 // Tests for the grid-level megabatch planner (sim/megabatch.hpp) and the
-// bit-identity contract of the megabatched drivers: sweep, certify, and
-// attack-search results must be byte/bit-identical with megabatching on,
-// off, and against the scalar reference engine — the plan changes lane
-// occupancy and wall-clock, never output. Planner arithmetic is pinned
-// with an injected lane-width function so the expectations hold on any
-// machine and under any FTMAO_ISA override.
+// bit-identity contract of the drivers it schedules: sweep, certify, and
+// attack-search results must be byte/bit-identical for every batch size
+// and thread count, and against the scalar reference engine (the same
+// plan in batch-1 tasks) — the plan changes lane occupancy and
+// wall-clock, never output. tests/driver_oracle_test.cpp checks the
+// drivers against serial loops that share no driver code. Planner
+// arithmetic is pinned with an injected lane-width function so the
+// expectations hold on any machine and under any FTMAO_ISA override.
 
 #include <gtest/gtest.h>
 
@@ -192,7 +194,7 @@ TEST(MegabatchStats, GlobalAccumulatorSumsRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Driver bit-identity: megabatch on / off / scalar engine.
+// Driver bit-identity: batch sizes / thread counts / scalar engine.
 
 SweepConfig matrix_config() {
   SweepConfig c;
@@ -210,16 +212,12 @@ TEST(MegabatchSweep, CsvIdenticalAcrossModesBatchSizesAndThreads) {
   config.scalar_engine = true;
   const std::string reference = sweep_to_csv(run_sweep(config));
   config.scalar_engine = false;
-  for (bool megabatch : {true, false}) {
-    for (std::size_t batch : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
-      for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-        config.megabatch = megabatch;
-        config.batch_size = batch;
-        config.num_threads = threads;
-        EXPECT_EQ(sweep_to_csv(run_sweep(config)), reference)
-            << "megabatch=" << megabatch << " batch=" << batch
-            << " threads=" << threads;
-      }
+  for (std::size_t batch : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      config.batch_size = batch;
+      config.num_threads = threads;
+      EXPECT_EQ(sweep_to_csv(run_sweep(config)), reference)
+          << "batch=" << batch << " threads=" << threads;
     }
   }
 }
@@ -235,13 +233,10 @@ TEST(MegabatchSweep, AsyncCsvIdenticalAcrossModes) {
   config.scalar_engine = true;
   const std::string reference = sweep_to_csv(run_sweep(config));
   config.scalar_engine = false;
-  for (bool megabatch : {true, false}) {
-    for (std::size_t batch : {std::size_t{0}, std::size_t{2}}) {
-      config.megabatch = megabatch;
-      config.batch_size = batch;
-      EXPECT_EQ(sweep_to_csv(run_sweep(config)), reference)
-          << "megabatch=" << megabatch << " batch=" << batch;
-    }
+  for (std::size_t batch : {std::size_t{0}, std::size_t{2}}) {
+    config.batch_size = batch;
+    EXPECT_EQ(sweep_to_csv(run_sweep(config)), reference)
+        << "batch=" << batch;
   }
 }
 
@@ -262,10 +257,10 @@ TEST(MegabatchCertify, ReportIdenticalAcrossModes) {
   options.scalar_engine = true;
   const std::string reference = report_text(certify_sbg(options));
   options.scalar_engine = false;
-  for (bool megabatch : {true, false}) {
-    options.megabatch = megabatch;
+  for (std::size_t batch : {std::size_t{0}, std::size_t{3}}) {
+    options.batch_size = batch;
     EXPECT_EQ(report_text(certify_sbg(options)), reference)
-        << "megabatch=" << megabatch;
+        << "batch=" << batch;
   }
 }
 
@@ -289,12 +284,11 @@ TEST(MegabatchAttackSearch, RankingIdenticalAcrossModes) {
   const auto candidates = standard_attack_grid();
   const AttackSearchResult scalar = find_strongest_attack(
       base, candidates, 1, 0, /*scalar_engine=*/true, nullptr);
-  const AttackSearchResult on = find_strongest_attack(
-      base, candidates, 1, 0, false, nullptr, /*megabatch=*/true);
-  const AttackSearchResult off = find_strongest_attack(
-      base, candidates, 1, 0, false, nullptr, /*megabatch=*/false);
-  expect_outcomes_identical(scalar, on);
-  expect_outcomes_identical(scalar, off);
+  for (std::size_t batch : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    expect_outcomes_identical(
+        scalar, find_strongest_attack(base, candidates, 1, batch, false));
+  }
 }
 
 }  // namespace
