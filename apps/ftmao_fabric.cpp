@@ -25,25 +25,21 @@
 // Exit status: 0 = success, 3 = degraded (incomplete work / merge
 // inconsistencies), 4 = claim refused, 2 = usage/setup error.
 
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <chrono>
-#include <cstring>
-#include <filesystem>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli/args.hpp"
 #include "cli/engine_flags.hpp"
 #include "fabric/fabric.hpp"
+#include "fabric/process.hpp"
 #include "sim/scenario_io.hpp"
 #include "simd/simd.hpp"
 
@@ -73,27 +69,22 @@ SweepConfig grid_config_from(const cli::ArgParser& parser) {
   return config;
 }
 
-std::string default_worker_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  if (self.has_parent_path())
-    return (self.parent_path() / "ftmao_sweep").string();
-  return "ftmao_sweep";
-}
-
-pid_t spawn_worker(const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& a : args)
-    argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-  const pid_t pid = fork();
-  if (pid == 0) {
-    execv(argv[0], argv.data());
-    std::cerr << "fabric: exec '" << args[0]
-              << "' failed: " << std::strerror(errno) << "\n";
-    _exit(127);
-  }
-  return pid;  // -1 on fork failure
+/// Why `--mode work` cannot run with these flags, or "" if it can.
+/// Checked before the worker claims anything.
+std::string worker_flag_error(const cli::ArgParser& parser) {
+  const double timeout_sec = parser.get_double("timeout-sec");
+  if (!std::isfinite(timeout_sec) || timeout_sec <= 0)
+    return "--timeout-sec must be a finite number > 0";
+  const long retries = parser.get_int("retries");
+  if (retries < 0 || retries > std::numeric_limits<int>::max())
+    return "--retries must be in [0, 2147483647]";
+  if (parser.get_int("backoff-ms") < 0) return "--backoff-ms must be >= 0";
+  if (parser.get_int("lease-ttl-ms") < 1)
+    return "--lease-ttl-ms must be >= 1";
+  const double max_wall_sec = parser.get_double("max-wall-sec");
+  if (!std::isfinite(max_wall_sec) || max_wall_sec < 0)
+    return "--max-wall-sec must be a finite number >= 0";
+  return "";
 }
 
 /// The subprocess shard runner: `ftmao_sweep --shard-index` with the
@@ -153,26 +144,7 @@ fabric::ShardRunner make_subprocess_runner(const cli::ArgParser& parser,
         spawn_count == 1)
       args.push_back("--inject-fail");
 
-    const pid_t pid = spawn_worker(args);
-    if (pid < 0) return -1;
-    const auto started = std::chrono::steady_clock::now();
-    const auto timeout = std::chrono::duration<double>(timeout_sec);
-    while (true) {
-      int status = 0;
-      const pid_t r = waitpid(pid, &status, WNOHANG);
-      if (r == pid) {
-        if (WIFEXITED(status)) return WEXITSTATUS(status);
-        if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
-        return -1;
-      }
-      if (r != 0) return -1;  // waitpid failed
-      if (std::chrono::steady_clock::now() - started > timeout) {
-        kill(pid, SIGKILL);
-        waitpid(pid, &status, 0);
-        return 124;  // timeout, in coreutils convention
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+    return fabric::run_process(args, timeout_sec);
   };
 }
 
@@ -392,8 +364,13 @@ int main(int argc, char** argv) {
       return 2;
     }
 
+    const std::string flag_error = worker_flag_error(parser);
+    if (!flag_error.empty()) {
+      std::cerr << "error: " << flag_error << "\n";
+      return 2;
+    }
     std::string worker_bin = parser.get("worker");
-    if (worker_bin.empty()) worker_bin = default_worker_path(argv[0]);
+    if (worker_bin.empty()) worker_bin = fabric::default_worker_path(argv[0]);
 
     fabric::WorkerOptions options;
     options.fabric_dir = dir.root();

@@ -22,10 +22,8 @@
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -37,6 +35,7 @@
 #include "cli/args.hpp"
 #include "cli/engine_flags.hpp"
 #include "fabric/backoff.hpp"
+#include "fabric/process.hpp"
 #include "sim/shard.hpp"
 #include "sim/shard_merge.hpp"
 #include "simd/simd.hpp"
@@ -72,31 +71,6 @@ std::string shard_csv_path(const std::string& workdir, std::size_t i) {
 
 std::string shard_manifest_path(const std::string& workdir, std::size_t i) {
   return workdir + "/shard_" + std::to_string(i) + ".json";
-}
-
-/// Sibling ftmao_sweep next to this binary; bare name as a fallback.
-std::string default_worker_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  if (self.has_parent_path())
-    return (self.parent_path() / "ftmao_sweep").string();
-  return "ftmao_sweep";
-}
-
-pid_t spawn_worker(const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-  argv.push_back(nullptr);
-
-  const pid_t pid = fork();
-  if (pid == 0) {
-    execv(argv[0], argv.data());
-    // Only reached when exec itself failed (bad worker path).
-    std::cerr << "shardsweep: exec '" << args[0] << "' failed: "
-              << std::strerror(errno) << "\n";
-    _exit(127);
-  }
-  return pid;  // -1 on fork failure
 }
 
 }  // namespace
@@ -174,7 +148,7 @@ int main(int argc, char** argv) {
     if (!parser.get_bool("merge-only")) {
       std::filesystem::create_directories(workdir);
       std::string worker = parser.get("worker");
-      if (worker.empty()) worker = default_worker_path(argv[0]);
+      if (worker.empty()) worker = fabric::default_worker_path(argv[0]);
 
       // Flags forwarded verbatim: every worker must see the same grid so
       // every worker computes the same partition. Forwarding --cache-dir
@@ -239,7 +213,7 @@ int main(int argc, char** argv) {
           if (job.state == ShardJob::State::Pending && running < parallel &&
               Clock::now() >= job.eligible) {
             ++job.attempts;
-            const pid_t pid = spawn_worker(worker_args(job));
+            const pid_t pid = fabric::spawn_process(worker_args(job));
             if (pid < 0) {
               fail_attempt(job, "fork failed");
               continue;

@@ -6,6 +6,9 @@
 # worker failure that must be retried — and asserts that
 #   1. the orchestrator actually exercised the retry path, and
 #   2. the merged CSV is byte-identical to the single-process CSV.
+# Later stages drive the same properties through ftmao_fabric: a
+# SIGKILLed worker's lease is stolen, unusable worker flags are refused,
+# and a hung shard process is killed at --timeout-sec and retried.
 #
 # Registered as the ctest `shard_e2e` (label `shard`); also runnable
 # directly:
@@ -282,4 +285,69 @@ if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric_scalar.csv"; then
   exit 1
 fi
 
-echo "shard_e2e: OK — retry exercised, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, sharded --scalar identical, warm-start served from cache, fabric steal recovered, fabric --megabatch refused and --scalar forwarded"
+echo "shard_e2e: fabric — unusable worker flags refused before any claim ..."
+# Each of these values makes a worker that can never finish a shard
+# (every attempt killed at once, no attempt allowed, ...): --mode work
+# must exit 2 before it claims anything. No --wait-all, so a worker that
+# wrongly accepts --retries -1 exits at once instead of waiting forever.
+TOFAB="$WORK/fabric_timeout"
+# shellcheck disable=SC2086  # word-splitting of $FGRID is intended
+"$FABRIC" --mode init --fabric-dir "$TOFAB" $FGRID --shards 2 \
+  2> "$WORK/fabric_timeout_init.log"
+for BAD in "--timeout-sec 0" "--timeout-sec -1" "--timeout-sec inf" \
+           "--timeout-sec nan" "--retries -1" "--backoff-ms -1" \
+           "--lease-ttl-ms 0" "--max-wall-sec -1" "--max-wall-sec inf"; do
+  BAD_STATUS=0
+  # shellcheck disable=SC2086  # word-splitting of $BAD is intended
+  "$FABRIC" --mode work --fabric-dir "$TOFAB" --worker-id badflag \
+    --worker "$SWEEP" $BAD \
+    2> "$WORK/fabric_badflag.log" || BAD_STATUS=$?
+  if [ "$BAD_STATUS" -ne 2 ] ||
+     grep -rqs '"worker_id": "badflag"' "$TOFAB/leases"; then
+    echo "shard_e2e: FAIL — work accepted $BAD (exit $BAD_STATUS)" >&2
+    cat "$WORK/fabric_badflag.log" >&2
+    exit 1
+  fi
+done
+
+echo "shard_e2e: fabric — a hung shard process is killed at --timeout-sec ..."
+# The worker binary is a wrapper whose first spawn for shard 1 sleeps for
+# 30 s. The worker must kill it 0.5 s in (status 124), retry the shard
+# under the same lease, and finish in seconds, not after the sleep.
+cat > "$WORK/sweep_hang_once.sh" <<EOF
+#!/bin/sh
+case " \$* " in
+  *" --shard-index 1 "*)
+    if [ ! -e "$WORK/hang_once.marker" ]; then
+      : > "$WORK/hang_once.marker"
+      exec sleep 30
+    fi ;;
+esac
+exec "$SWEEP" "\$@"
+EOF
+chmod +x "$WORK/sweep_hang_once.sh"
+TO_START=$(date +%s)
+"$FABRIC" --mode work --fabric-dir "$TOFAB" --worker-id timer \
+  --worker "$WORK/sweep_hang_once.sh" --timeout-sec 0.5 --retries 1 \
+  --backoff-ms 10 --wait-all 2> "$WORK/fabric_timeout.log"
+TO_SECONDS=$(( $(date +%s) - TO_START ))
+if ! grep -q "shard 1 attempt 1 failed (status 124)" \
+       "$WORK/fabric_timeout.log" ||
+   ! grep -q "completed shard 1 " "$WORK/fabric_timeout.log"; then
+  echo "shard_e2e: FAIL — the hung attempt was not timed out and retried" >&2
+  cat "$WORK/fabric_timeout.log" >&2
+  exit 1
+fi
+if [ "$TO_SECONDS" -ge 15 ]; then
+  echo "shard_e2e: FAIL — the timeout stage took $TO_SECONDS s" >&2
+  exit 1
+fi
+"$FABRIC" --mode merge --fabric-dir "$TOFAB" \
+  --out "$WORK/merged_fabric_timeout.csv" 2> "$WORK/fabric_timeout_merge.log"
+if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric_timeout.csv"; then
+  echo "shard_e2e: FAIL — fabric merged CSV after a timeout differs" >&2
+  diff "$WORK/single_fabric.csv" "$WORK/merged_fabric_timeout.csv" >&2 || true
+  exit 1
+fi
+
+echo "shard_e2e: OK — retry exercised, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, sharded --scalar identical, warm-start served from cache, fabric steal recovered, fabric --megabatch refused and --scalar forwarded, unusable worker flags refused, hung shard timed out and retried"

@@ -43,6 +43,27 @@ void log_line(std::ostream* log, const std::string& line) {
   if (log != nullptr) *log << "fabric: " << line << std::endl;
 }
 
+/// An idle worker rescans every shard (claims, steals) this often.
+constexpr auto kRescanPeriod = std::chrono::milliseconds(20);
+
+/// Between rescans an idle worker stats the open shards' done records
+/// this often, so a --wait-all worker leaves within about 1 ms of the
+/// grid's last completion. (A kernel directory watch would wake on the
+/// event itself, but closing one took 16-24 ms on Linux 6.x, a cost
+/// every worker would then pay on exit.)
+constexpr Clock::duration kCompletionCheck = std::chrono::milliseconds(1);
+
+/// Sleeps until `until`, or until one of the `open` shards completes.
+void wait_for_completion(const LeaseDir& dir,
+                         const std::vector<std::size_t>& open,
+                         Clock::time_point until) {
+  for (auto now = Clock::now(); now < until; now = Clock::now()) {
+    std::this_thread::sleep_for(std::min(kCompletionCheck, until - now));
+    for (const std::size_t shard : open)
+      if (dir.completed(shard)) return;
+  }
+}
+
 /// Renews a lease's heartbeat from a side thread while the shard runs,
 /// so a long shard never looks stale to other workers.
 class HeartbeatThread {
@@ -111,34 +132,35 @@ WorkerReport run_fabric_worker(const WorkerOptions& options) {
   const std::size_t rotation = fnv1a(options.worker_id) % shard_count;
 
   std::vector<int> attempts_used(shard_count, 0);
-  std::vector<Clock::time_point> eligible(shard_count, Clock::now());
+  const Clock::time_point start = Clock::now();
+  std::vector<Clock::time_point> eligible(shard_count, start);
+  // A deadline beyond the clock's range is no deadline.
+  const std::chrono::duration<double> max_wall(options.max_wall_sec);
   const Clock::time_point deadline =
-      options.max_wall_sec > 0
-          ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(
-                                   options.max_wall_sec))
+      options.max_wall_sec > 0 && max_wall < Clock::time_point::max() - start
+          ? start + std::chrono::duration_cast<Clock::duration>(max_wall)
           : Clock::time_point::max();
 
   const std::string isa = simd_isa_name(simd_active());
 
   while (true) {
-    bool all_done = true;
+    std::vector<std::size_t> open;
     bool slice_done = true;
     for (std::size_t i = 0; i < shard_count; ++i) {
       if (dir.completed(i)) continue;
-      all_done = false;
+      open.push_back(i);
       if (claimable(i)) slice_done = false;
     }
-    if (all_done || (slice_done && !options.wait_all)) break;
+    if (open.empty() || (slice_done && !options.wait_all)) break;
 
     bool did_work = false;
-    bool retry_pending = false;
+    Clock::time_point next_retry = Clock::time_point::max();
     for (std::size_t off = 0; off < shard_count; ++off) {
       const std::size_t i = (rotation + off) % shard_count;
       if (!claimable(i) || dir.completed(i)) continue;
       if (attempts_used[i] > options.retries) continue;  // local budget spent
       if (Clock::now() < eligible[i]) {
-        retry_pending = true;
+        next_retry = std::min(next_retry, eligible[i]);
         continue;
       }
 
@@ -235,7 +257,6 @@ WorkerReport run_fabric_worker(const WorkerOptions& options) {
         const std::int64_t delay = retry_delay_ms(
             options.backoff, shard_backoff_seed(i), attempts_used[i]);
         eligible[i] = Clock::now() + std::chrono::milliseconds(delay);
-        retry_pending = true;
         log_line(options.log, "shard " + std::to_string(i) + " attempt " +
                                   std::to_string(attempts_used[i]) +
                                   " failed (status " + std::to_string(status) +
@@ -245,16 +266,17 @@ WorkerReport run_fabric_worker(const WorkerOptions& options) {
     }
 
     if (did_work) continue;
-    if (Clock::now() >= deadline) {
+    const Clock::time_point now = Clock::now();
+    if (now >= deadline) {
       report.errors.push_back("deadline (--max-wall-sec) passed with shards "
                               "still incomplete");
       break;
     }
-    if (retry_pending || options.wait_all) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      continue;
-    }
-    break;  // nothing claimable and not asked to wait
+    // Nothing claimable and not asked to wait.
+    if (next_retry == Clock::time_point::max() && !options.wait_all) break;
+    const Clock::time_point wake =
+        std::min({now + kRescanPeriod, next_retry, deadline});
+    wait_for_completion(dir, open, wake);
   }
 
   report.all_done = true;

@@ -3,11 +3,16 @@
 // completion, and the merge-side audits (double completion, build and
 // ISA disagreement). The in-process end-to-end at the bottom drives
 // run_fabric_worker with a lambda runner, so the whole claim → run →
-// publish → steal → merge loop is exercised without subprocesses; the
-// subprocess transport is covered by scripts/shard_e2e.sh.
+// publish → steal → merge loop is exercised without subprocesses. The
+// spawn-and-wait helper is driven with /bin/sh; the whole subprocess
+// transport is covered by scripts/shard_e2e.sh.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +27,7 @@
 #include "fabric/backoff.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/lease.hpp"
+#include "fabric/process.hpp"
 #include "sim/shard.hpp"
 #include "sim/shard_merge.hpp"
 #include "sim/sweep.hpp"
@@ -485,6 +491,76 @@ TEST_F(FabricDirTest, MergeRejectsForeignBuildAndIsaDisagreement) {
                                    ? std::string("merge errors")
                                    : merged.errors.front());
   EXPECT_EQ(merged.merge.csv, sweep_to_csv(run_sweep(config)));
+}
+
+TEST_F(FabricDirTest, WaitAllWorkerLeavesWhenForeignShardCompletes) {
+  // The only shard is under a live foreign lease, so the worker has
+  // nothing to claim and must wait; another thread then publishes that
+  // shard's completion, which has to end the wait.
+  LeaseDir dir(root_);
+  const SweepConfig config = grid_config();
+  dir.init(make_fabric_grid(config, 1));
+  ShardLease holder = make_lease(0, 1, "holder");
+  holder.shard_count = 1;
+  ASSERT_TRUE(dir.try_claim(holder));
+
+  std::thread publisher([this, &config] {
+    LeaseDir holder_dir(root_);
+    const std::string csv = holder_dir.scratch_path("holder", "s.csv");
+    const std::string manifest = holder_dir.scratch_path("holder", "s.json");
+    in_process_runner()(config, 0, 1, csv, manifest);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    CompletionRecord record;
+    record.shard_index = 0;
+    record.worker_id = "holder";
+    record.git_rev = build_git_revision();
+    record.isa = simd_isa_name(simd_active());
+    holder_dir.publish_completion(record, csv, manifest);
+  });
+
+  WorkerOptions options;
+  options.fabric_dir = root_;
+  options.worker_id = "waiter";
+  options.runner = in_process_runner();
+  options.wait_all = true;
+  options.max_wall_sec = 60;  // a missed wake-up fails instead of hanging
+  options.log = nullptr;
+  const WorkerReport report = run_fabric_worker(options);
+  publisher.join();
+  EXPECT_TRUE(report.errors.empty());
+  EXPECT_TRUE(report.all_done);
+  EXPECT_EQ(report.claimed, 0u);
+  EXPECT_EQ(report.completed, 0u);
+}
+
+int run_sh(const std::string& script, double timeout_sec) {
+  return run_process({"/bin/sh", "-c", script}, timeout_sec);
+}
+
+TEST(FabricProcess, ExitCodeIsReturned) {
+  EXPECT_EQ(run_sh("exit 0", 10), 0);
+  EXPECT_EQ(run_sh("exit 3", 10), 3);
+}
+
+TEST(FabricProcess, KillingSignalMapsTo128PlusSignal) {
+  EXPECT_EQ(run_sh("kill -KILL $$", 10), 128 + SIGKILL);
+}
+
+TEST(FabricProcess, TimeoutKillsAndReapsTheChild) {
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_EQ(run_sh("exec sleep 5", 0.2), 124);
+  // Killed at the limit, not waited out (no tighter bound: the
+  // sanitizer lanes run this too).
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(4));
+  // Reaped: this process has no child left, not even a zombie.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(FabricProcess, MissingBinaryExits127) {
+  EXPECT_EQ(run_process({"/nonexistent/ftmao_no_such_worker"}, 10), 127);
 }
 
 }  // namespace
