@@ -1,11 +1,9 @@
-// ftmao_fabric — multi-node sweep fabric driver. Where ftmao_shardsweep
-// spawns all its workers itself, the fabric inverts control: any number
-// of independent worker processes — on one machine or on separate CI
-// runners exchanging the fabric directory as an artifact — coordinate
-// purely through atomic lease files (src/fabric/lease.hpp) and a
-// first-wins completion protocol, stealing work from stale leases, and a
-// final verifying merge reproduces the single-process sweep CSV
-// byte-for-byte.
+// ftmao_fabric — sweep fabric driver. Any number of independent worker
+// processes — on one machine or on separate CI runners exchanging the
+// fabric directory as an artifact — coordinate purely through atomic
+// lease files (src/fabric/lease.hpp) and a first-wins completion
+// protocol, stealing work from stale leases, and a final verifying merge
+// reproduces the single-process sweep CSV byte-for-byte.
 //
 //   ftmao_fabric --mode init  --fabric-dir fab --shards 8 [grid flags]
 //   ftmao_fabric --mode work  --fabric-dir fab --worker-id w0 &
@@ -13,65 +11,94 @@
 //   wait
 //   ftmao_fabric --mode merge --fabric-dir fab --out merged.csv
 //
+//   ftmao_fabric --mode local --fabric-dir fab --shards 4 [grid flags]
+//                --out merged.csv
+//
 // Modes:
-//   init    pin the grid (idempotent for an identical grid)
-//   work    claim/steal shards and run them via `ftmao_sweep --shard-index`
+//   init    pin the grid in grid.json (idempotent for an identical grid)
+//   work    claim/steal shards and run each as
+//           `ftmao_sweep --spec <fabric-dir>/grid.json --shard-index i`
+//   local   init, one in-process worker per shard, then merge: a whole
+//           run on one machine. Re-running on the same directory resumes
+//           (completed shards are skipped) and merges again.
 //   claim   probe-claim one shard and exit (protocol testing): 0 =
 //           claimed (lease left in place), 4 = refused (live holder or
 //           already completed)
 //   status  print the lease/completion table
 //   merge   audit completion records + order-free verifying merge
 //
+// Each mode accepts only the flags it reads; any other flag is refused
+// (exit 2) before the fabric directory is touched.
+//
 // Exit status: 0 = success, 3 = degraded (incomplete work / merge
 // inconsistencies), 4 = claim refused, 2 = usage/setup error.
+//
+// This mirrors the paper's fault model one level up: Su & Vaidya's SBG
+// tolerates f Byzantine agents out of n > 3f by redundancy and trimming;
+// the sweep survives crashed or wedged workers by re-execution and a
+// merge that cross-checks any overlapping work bit-for-bit.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli/args.hpp"
 #include "cli/engine_flags.hpp"
+#include "common/file_io.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/process.hpp"
-#include "sim/scenario_io.hpp"
 #include "simd/simd.hpp"
 
 namespace {
 
 using namespace ftmao;
 
-std::string format_double(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
+/// Whether `mode` reads `flag`; any other flag is refused.
+bool mode_reads(const std::string& mode, const std::string& flag) {
+  const auto among = [&flag](const std::vector<std::string>& names) {
+    return std::find(names.begin(), names.end(), flag) != names.end();
+  };
+  const auto in = [&flag](const std::vector<cli::FlagSpec>& specs) {
+    return std::any_of(
+        specs.begin(), specs.end(),
+        [&flag](const cli::FlagSpec& s) { return s.name == flag; });
+  };
+  const bool grid = in(cli::grid_flag_specs());
+  const bool engine =
+      in(cli::engine_flag_specs("", "")) || in(cli::cache_flag_specs());
+  const bool runner = among(
+      {"worker", "timeout-sec", "retries", "backoff-ms", "inject-fail-shard"});
+  if (among({"mode", "fabric-dir", "help"})) return true;
+  if (mode == "init") return grid || flag == "shards";
+  if (mode == "local")
+    return grid || engine || runner || among({"shards", "out"});
+  if (mode == "work")
+    return engine || runner ||
+           among({"worker-id", "lease-ttl-ms", "wait-all", "max-wall-sec",
+                  "fleet-index", "fleet-size", "inject-die-shard"});
+  if (mode == "claim")
+    return among({"claim-shard", "worker-id", "lease-ttl-ms"});
+  return mode == "merge" && among({"out", "allow-isa-mix"});
 }
 
-SweepConfig grid_config_from(const cli::ArgParser& parser) {
-  SweepConfig config;
-  config.sizes = parse_sizes(parser.get("sizes"));
-  config.dims = parse_dims(parser.get("dim"));
-  config.attacks = parse_attacks(parser.get("attacks"));
-  const auto seed_count = static_cast<std::uint64_t>(parser.get_int("seeds"));
-  for (std::uint64_t s = 1; s <= seed_count; ++s) config.seeds.push_back(s);
-  config.rounds = static_cast<std::size_t>(parser.get_int("rounds"));
-  config.spread = parser.get_double("spread");
-  config.step.kind = parse_step_kind(parser.get("step"));
-  config.step.scale = parser.get_double("step-scale");
-  config.step.exponent = parser.get_double("step-exp");
-  return config;
-}
-
-/// Why `--mode work` cannot run with these flags, or "" if it can.
-/// Checked before the worker claims anything.
-std::string worker_flag_error(const cli::ArgParser& parser) {
+/// Why `mode` cannot run with these flags, or "" if it can. Checked
+/// before the fabric directory is touched.
+std::string usage_error(const cli::ArgParser& parser, const std::string& mode,
+                        const std::vector<cli::FlagSpec>& flags) {
+  if (mode != "init" && mode != "work" && mode != "local" &&
+      mode != "claim" && mode != "status" && mode != "merge")
+    return "unknown --mode '" + mode +
+           "' (init | work | local | claim | status | merge)";
+  for (const cli::FlagSpec& flag : flags)
+    if (parser.has(flag.name) && !mode_reads(mode, flag.name))
+      return "--" + flag.name + " is not a --mode " + mode + " flag";
+  if (mode != "work" && mode != "local") return "";
   const double timeout_sec = parser.get_double("timeout-sec");
   if (!std::isfinite(timeout_sec) || timeout_sec <= 0)
     return "--timeout-sec must be a finite number > 0";
@@ -87,48 +114,33 @@ std::string worker_flag_error(const cli::ArgParser& parser) {
   return "";
 }
 
-/// The subprocess shard runner: `ftmao_sweep --shard-index` with the
-/// fabric grid and the operator's engine/cache knobs, killed past the
-/// per-attempt timeout. Lease heartbeats run on the fabric worker's side
-/// thread, so a slow shard never looks stale while this blocks.
+/// The subprocess shard runner: `ftmao_sweep --spec <grid.json>` on one
+/// shard, with the engine and cache flags the operator gave, killed past
+/// the per-attempt timeout. Lease heartbeats run on the fabric worker's
+/// side thread, so a slow shard never looks stale while this blocks.
 fabric::ShardRunner make_subprocess_runner(const cli::ArgParser& parser,
                                            const std::string& worker_bin,
-                                           long inject_fail_shard) {
+                                           const std::string& spec_path) {
   // Spawn counter per shard: --inject-fail is forwarded only on the first
   // attempt, so the worker's own jittered retry recovers.
   auto spawns = std::make_shared<std::map<std::size_t, int>>();
   const double timeout_sec = parser.get_double("timeout-sec");
+  const long inject_fail_shard = parser.get_int("inject-fail-shard");
   std::vector<std::string> engine_args;
-  for (const std::string& flag :
-       {std::string("threads"), std::string("batch"), std::string("isa"),
-        std::string("cache-dir"), std::string("cache-mem-mb")}) {
-    engine_args.push_back("--" + flag);
+  for (const char* flag :
+       {"threads", "batch", "isa", "cache-dir", "cache-mem-mb"}) {
+    if (!parser.has(flag)) continue;
+    engine_args.push_back(std::string("--") + flag);
     engine_args.push_back(parser.get(flag));
   }
   if (parser.get_bool("scalar")) engine_args.push_back("--scalar");
 
-  return [=](const SweepConfig& config, std::size_t shard,
-             std::size_t shard_count, const std::string& csv_scratch,
+  return [=](const GridSpec&, std::size_t shard, std::size_t shard_count,
+             const std::string& csv_scratch,
              const std::string& manifest_scratch) -> int {
     std::vector<std::string> args = {worker_bin,
-                                     "--sizes",
-                                     format_sizes(config.sizes),
-                                     "--dim",
-                                     format_dims(config.dims),
-                                     "--attacks",
-                                     format_attacks(config.attacks),
-                                     "--seeds",
-                                     std::to_string(config.seeds.size()),
-                                     "--rounds",
-                                     std::to_string(config.rounds),
-                                     "--spread",
-                                     format_double(config.spread),
-                                     "--step",
-                                     step_kind_name(config.step.kind),
-                                     "--step-scale",
-                                     format_double(config.step.scale),
-                                     "--step-exp",
-                                     format_double(config.step.exponent),
+                                     "--spec",
+                                     spec_path,
                                      "--shard-index",
                                      std::to_string(shard),
                                      "--shard-count",
@@ -143,9 +155,51 @@ fabric::ShardRunner make_subprocess_runner(const cli::ArgParser& parser,
         shard == static_cast<std::size_t>(inject_fail_shard) &&
         spawn_count == 1)
       args.push_back("--inject-fail");
-
     return fabric::run_process(args, timeout_sec);
   };
+}
+
+/// The worker options shared by --mode work and --mode local (flags a
+/// mode does not accept read as their defaults).
+fabric::WorkerOptions worker_options(const cli::ArgParser& parser,
+                                     const std::string& fabric_dir) {
+  fabric::WorkerOptions options;
+  options.fabric_dir = fabric_dir;
+  options.lease_ttl_ms =
+      static_cast<std::uint64_t>(parser.get_int("lease-ttl-ms"));
+  options.retries = static_cast<int>(parser.get_int("retries"));
+  options.backoff.base_ms = parser.get_int("backoff-ms");
+  options.fleet_index = parser.get_int("fleet-index");
+  options.fleet_size = parser.get_int("fleet-size");
+  options.wait_all = parser.get_bool("wait-all");
+  options.max_wall_sec = parser.get_double("max-wall-sec");
+  options.inject_die_shard = parser.get_int("inject-die-shard");
+  options.log = &std::cerr;
+  return options;
+}
+
+/// Writes the merged CSV and the merge summary. Returns the exit status:
+/// 0 for a complete merge, 3 for a degraded one.
+int report_merge(const fabric::FabricMergeReport& report,
+                 const std::string& out_path) {
+  if (!out_path.empty())
+    write_file(out_path, report.merge.csv);
+  else
+    std::cout << report.merge.csv;
+  std::cerr << "fabric: merged " << report.merge.merged_cells << "/"
+            << report.merge.expected_cells << " cells from "
+            << report.completions.size() << " completed shard(s)\n";
+  for (const std::string& error : report.errors)
+    std::cerr << "fabric: error: " << error << "\n";
+  for (const std::string& error : report.merge.errors)
+    std::cerr << "fabric: merge error: " << error << "\n";
+  if (!report.merge.missing_cells.empty()) {
+    std::cerr << "fabric: missing cells:";
+    for (const std::string& key : report.merge.missing_cells)
+      std::cerr << ' ' << key;
+    std::cerr << "\n";
+  }
+  return report.ok() ? 0 : 3;
 }
 
 int run_claim_probe(fabric::LeaseDir& dir, std::size_t shard,
@@ -198,10 +252,8 @@ void print_status(fabric::LeaseDir& dir) {
     done.emplace(r.shard_index, r);
   const std::uint64_t now_ms = fabric::wall_clock_ms();
   std::cout << "fabric " << dir.root() << ": " << grid.shard_count
-            << " shards, grid sizes=" << grid.sizes
-            << " attacks=" << grid.attacks << " dims=" << grid.dims
-            << " seeds=" << grid.seeds << " rounds=" << grid.rounds
-            << " rev=" << grid.git_rev << "\n";
+            << " shards, rev " << grid.git_rev << ", grid "
+            << grid_spec_to_json(grid.spec) << "\n";
   for (std::size_t i = 0; i < grid.shard_count; ++i) {
     std::cout << "  shard " << i << ": ";
     if (const auto it = done.find(i); it != done.end()) {
@@ -227,21 +279,12 @@ void print_status(fabric::LeaseDir& dir) {
 int main(int argc, char** argv) {
   using namespace ftmao;
   std::vector<cli::FlagSpec> specs = {
-      {"mode", "init | work | claim | status | merge", "work", false},
+      {"mode", "init | work | local | claim | status | merge", "work",
+       false},
       {"fabric-dir", "shared fabric directory (leases, results, grid pin)",
        ".ftmao_fabric", false},
-      {"sizes", "comma list of n:f pairs (init)", "7:2,10:3,13:4", false},
-      {"dim", "comma list of state dimensions (init)", "1", false},
-      {"attacks", "comma list of attack names (init)",
-       "split-brain,sign-flip,pull", false},
-      {"seeds", "number of seeds per cell (1..k) (init)", "3", false},
-      {"rounds", "iterations per run (init)", "4000", false},
-      {"spread", "cost-optima layout width (init)", "8", false},
-      {"step", "harmonic | power | constant (init)", "harmonic", false},
-      {"step-scale", "step size scale (init)", "1", false},
-      {"step-exp", "exponent for --step power (init)", "0.75", false},
-      {"shards", "number of disjoint shards the grid is split into (init)",
-       "8", false},
+      {"shards", "number of disjoint shards the grid is split into (init, "
+                 "local)", "8", false},
       {"worker-id", "unique id recorded in leases and completion records "
                     "(default: w<pid>)", "", false},
       {"worker", "path to the ftmao_sweep worker binary (default: sibling "
@@ -275,8 +318,10 @@ int main(int argc, char** argv) {
        false},
       {"help", "show usage", "false", true},
   };
+  cli::append_flags(specs, cli::grid_flag_specs());
   cli::append_flags(specs, cli::engine_flag_specs("merged output", "seed"));
   cli::append_flags(specs, cli::cache_flag_specs());
+  const std::vector<cli::FlagSpec> all_flags = specs;
   cli::ArgParser parser(std::move(specs));
   const std::vector<std::string> args(argv + 1, argv + argc);
   if (const auto error = parser.parse(args)) {
@@ -284,33 +329,50 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (parser.get_bool("help")) {
-    std::cout << "ftmao_fabric — multi-node sweep fabric (lease directory + "
+    std::cout << "ftmao_fabric — sweep fabric (lease directory + "
                  "work-stealing workers + verifying merge)\n\n"
               << parser.help_text();
     return 0;
   }
 
   try {
-    if (!cli::apply_isa_flag(parser, std::cerr)) return 2;
     const std::string mode = parser.get("mode");
+    const std::string error = usage_error(parser, mode, all_flags);
+    if (!error.empty()) {
+      std::cerr << "error: " << error << "\n";
+      return 2;
+    }
+    if (!cli::apply_isa_flag(parser, std::cerr)) return 2;
+
     fabric::LeaseDir dir(parser.get("fabric-dir"));
     std::string worker_id = parser.get("worker-id");
     if (worker_id.empty()) worker_id = "w" + std::to_string(getpid());
-    const auto ttl_ms =
-        static_cast<std::uint64_t>(parser.get_int("lease-ttl-ms"));
+    std::string worker_bin = parser.get("worker");
+    if (worker_bin.empty()) worker_bin = fabric::default_worker_path(argv[0]);
 
-    if (mode == "init") {
-      const SweepConfig config = grid_config_from(parser);
-      config.validate();
-      const auto shards = static_cast<std::size_t>(parser.get_int("shards"));
+    if (mode == "init" || mode == "local") {
+      const long shards = parser.get_int("shards");
       if (shards < 1) {
         std::cerr << "error: --shards must be >= 1\n";
         return 2;
       }
-      dir.init(fabric::make_fabric_grid(config, shards));
-      std::cerr << "fabric: initialized '" << dir.root() << "' with "
-                << shards << " shards\n";
-      return 0;
+      const fabric::FabricGrid grid{
+          .shard_count = static_cast<std::size_t>(shards),
+          .spec = cli::grid_from_flags(parser)};
+      if (mode == "init") {
+        dir.init(grid);
+        std::cerr << "fabric: initialized '" << dir.root() << "' with "
+                  << shards << " shards\n";
+        return 0;
+      }
+      const fabric::LocalReport report = fabric::run_local_fabric(
+          grid, worker_options(parser, dir.root()), [&] {
+            return make_subprocess_runner(parser, worker_bin,
+                                          dir.grid_path());
+          });
+      std::cerr << "fabric: local run claimed " << report.claimed
+                << " lease(s) across " << shards << " worker(s)\n";
+      return report_merge(report, parser.get("out"));
     }
     if (mode == "claim") {
       const long shard = parser.get_int("claim-shard");
@@ -318,8 +380,9 @@ int main(int argc, char** argv) {
         std::cerr << "error: --mode claim needs --claim-shard\n";
         return 2;
       }
-      return run_claim_probe(dir, static_cast<std::size_t>(shard), worker_id,
-                             ttl_ms);
+      return run_claim_probe(
+          dir, static_cast<std::size_t>(shard), worker_id,
+          static_cast<std::uint64_t>(parser.get_int("lease-ttl-ms")));
     }
     if (mode == "status") {
       print_status(dir);
@@ -329,64 +392,14 @@ int main(int argc, char** argv) {
       fabric::FabricMergeOptions options;
       options.fabric_dir = dir.root();
       options.allow_isa_mix = parser.get_bool("allow-isa-mix");
-      const fabric::FabricMergeReport report = fabric::collect_and_merge(options);
-
-      const std::string out_path = parser.get("out");
-      if (!out_path.empty()) {
-        std::ofstream os(out_path, std::ios::binary);
-        if (!os) {
-          std::cerr << "error: cannot open '" << out_path
-                    << "' for writing\n";
-          return 2;
-        }
-        os << report.merge.csv;
-      } else {
-        std::cout << report.merge.csv;
-      }
-      std::cerr << "fabric: merged " << report.merge.merged_cells << "/"
-                << report.merge.expected_cells << " cells from "
-                << report.completions.size() << " completed shard(s)\n";
-      for (const std::string& error : report.errors)
-        std::cerr << "fabric: error: " << error << "\n";
-      for (const std::string& error : report.merge.errors)
-        std::cerr << "fabric: merge error: " << error << "\n";
-      if (!report.merge.missing_cells.empty()) {
-        std::cerr << "fabric: missing cells:";
-        for (const std::string& key : report.merge.missing_cells)
-          std::cerr << ' ' << key;
-        std::cerr << "\n";
-      }
-      return report.ok() ? 0 : 3;
-    }
-    if (mode != "work") {
-      std::cerr << "error: unknown --mode '" << mode
-                << "' (init | work | claim | status | merge)\n";
-      return 2;
+      return report_merge(fabric::collect_and_merge(options),
+                          parser.get("out"));
     }
 
-    const std::string flag_error = worker_flag_error(parser);
-    if (!flag_error.empty()) {
-      std::cerr << "error: " << flag_error << "\n";
-      return 2;
-    }
-    std::string worker_bin = parser.get("worker");
-    if (worker_bin.empty()) worker_bin = fabric::default_worker_path(argv[0]);
-
-    fabric::WorkerOptions options;
-    options.fabric_dir = dir.root();
+    fabric::WorkerOptions options = worker_options(parser, dir.root());
     options.worker_id = worker_id;
-    options.runner = make_subprocess_runner(
-        parser, worker_bin, parser.get_int("inject-fail-shard"));
-    options.lease_ttl_ms = ttl_ms;
-    options.retries = static_cast<int>(parser.get_int("retries"));
-    options.backoff.base_ms = parser.get_int("backoff-ms");
-    options.fleet_index = parser.get_int("fleet-index");
-    options.fleet_size = parser.get_int("fleet-size");
-    options.wait_all = parser.get_bool("wait-all");
-    options.max_wall_sec = parser.get_double("max-wall-sec");
-    options.inject_die_shard = parser.get_int("inject-die-shard");
-    options.log = &std::cerr;
-
+    options.runner =
+        make_subprocess_runner(parser, worker_bin, dir.grid_path());
     const fabric::WorkerReport report = fabric::run_fabric_worker(options);
     std::cerr << "fabric: worker '" << worker_id << "' claimed "
               << report.claimed << " lease(s) (" << report.stolen

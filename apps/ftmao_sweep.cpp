@@ -4,15 +4,18 @@
 //
 //   ftmao_sweep --sizes 7:2,10:3,13:4 --attacks split-brain,sign-flip
 //               --seeds 5 --rounds 4000 [--csv]
+//   ftmao_sweep --spec grid.json [--csv]
+//
+// --spec reads the whole grid from a JSON file (sim/grid_spec.hpp); it is
+// the only way to give an explicit seed list.
 //
 // Shard-worker mode: --shard-index i --shard-count K runs only the cells
 // the stable partition (sim/shard.hpp) assigns to shard i, and --out /
 // --manifest write the per-shard CSV and JSON manifest the merge stage
-// (ftmao_shardsweep) verifies and recombines. The merged K-shard CSV is
+// (ftmao_fabric) verifies and recombines. The merged K-shard CSV is
 // byte-identical to the single-process run.
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -22,74 +25,17 @@
 #include "cache/result_cache.hpp"
 #include "cli/args.hpp"
 #include "cli/engine_flags.hpp"
+#include "common/file_io.hpp"
 #include "common/table.hpp"
 #include "sim/scenario_io.hpp"
 #include "sim/shard.hpp"
 #include "sim/sweep.hpp"
 #include "simd/simd.hpp"
 
-namespace {
-
-using namespace ftmao;
-
-SweepConfig config_from(const cli::ArgParser& parser) {
-  SweepConfig config;
-  config.sizes = parse_sizes(parser.get("sizes"));
-  config.dims = parse_dims(parser.get("dim"));
-  config.attacks = parse_attacks(parser.get("attacks"));
-  const auto seed_count = static_cast<std::uint64_t>(parser.get_int("seeds"));
-  for (std::uint64_t s = 1; s <= seed_count; ++s) config.seeds.push_back(s);
-  config.rounds = static_cast<std::size_t>(parser.get_int("rounds"));
-  config.spread = parser.get_double("spread");
-  config.step.kind = parse_step_kind(parser.get("step"));
-  config.step.scale = parser.get_double("step-scale");
-  config.step.exponent = parser.get_double("step-exp");
-  config.num_threads = static_cast<std::size_t>(parser.get_int("threads"));
-  config.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
-  config.scalar_engine = parser.get_bool("scalar");
-  const std::string engine = parser.get("engine");
-  if (engine == "async") {
-    config.async_engine = true;
-    config.delay_kind = parse_delay_kind(parser.get("delay"));
-    config.delay_lo = parser.get_double("delay-lo");
-    config.delay_hi = parser.get_double("delay-hi");
-  } else if (engine != "sync") {
-    throw ContractViolation("unknown engine '" + engine +
-                            "' (expected sync|async)");
-  }
-  return config;
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) throw ContractViolation("cannot open '" + path + "' for writing");
-  os << text;
-  if (!os.flush()) throw ContractViolation("write to '" + path + "' failed");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace ftmao;
-  std::vector<cli::FlagSpec> specs = {
-      {"sizes", "comma list of n:f pairs", "7:2,10:3,13:4", false},
-      {"dim", "comma list of state dimensions (1 = scalar SBG; d >= 2 runs "
-              "the coordinate-wise vector engine)", "1", false},
-      {"attacks", "comma list of attack names", "split-brain,sign-flip,pull",
-       false},
-      {"seeds", "number of seeds per cell (1..k)", "3", false},
-      {"rounds", "iterations per run", "4000", false},
-      {"spread", "cost-optima layout width", "8", false},
-      {"step", "harmonic | power | constant", "harmonic", false},
-      {"step-scale", "step size scale", "1", false},
-      {"step-exp", "exponent for --step power", "0.75", false},
-      {"engine", "sync | async (event-driven rounds, requires n > 5f)",
-       "sync", false},
-      {"delay", "async delay model: fixed | uniform | targeted-slow",
-       "uniform", false},
-      {"delay-lo", "async delay lower bound (fixed delay value)", "0.5",
-       false},
-      {"delay-hi", "async delay upper bound (uniform model)", "1.5", false},
+  std::vector<cli::FlagSpec> specs = cli::grid_flag_specs();
+  cli::append_flags(specs, {
       {"shard-index", "run only this shard of the grid (< --shard-count)",
        "0", false},
       {"shard-count", "number of disjoint shards the grid is split into",
@@ -100,7 +46,7 @@ int main(int argc, char** argv) {
        "false", true},
       {"csv", "emit CSV instead of the table", "false", true},
       {"help", "show usage", "false", true},
-  };
+  });
   cli::append_flags(specs, cli::engine_flag_specs("output", "seed"));
   cli::append_flags(specs, cli::cache_flag_specs());
   cli::ArgParser parser(std::move(specs));
@@ -121,26 +67,20 @@ int main(int argc, char** argv) {
       std::cerr << "ftmao_sweep: --inject-fail — exiting before the run\n";
       return 7;
     }
-    SweepConfig config = config_from(parser);
-    const std::unique_ptr<ResultCache> cache = cli::cache_from(parser);
-    config.cache = cache.get();
-    const auto shard_index =
-        static_cast<std::size_t>(parser.get_int("shard-index"));
-    const auto shard_count =
-        static_cast<std::size_t>(parser.get_int("shard-count"));
-    if (shard_count < 1 || shard_index >= shard_count) {
+    const long index = parser.get_int("shard-index");
+    const long count = parser.get_int("shard-count");
+    if (count < 1 || index < 0 || index >= count) {
       std::cerr << "error: need 0 <= --shard-index < --shard-count\n";
       return 2;
     }
-    // Shard manifests do not (yet) record the async-engine knobs, so a
-    // merge could silently combine shards run under different engines;
-    // refuse the combination instead.
-    if (config.async_engine &&
-        (shard_count > 1 || !parser.get("manifest").empty())) {
-      std::cerr << "error: --engine async does not support sharding "
-                   "(--shard-count > 1 / --manifest)\n";
-      return 2;
-    }
+    const auto shard_index = static_cast<std::size_t>(index);
+    const auto shard_count = static_cast<std::size_t>(count);
+    SweepConfig config{cli::grid_from_flags(parser)};
+    config.num_threads = static_cast<std::size_t>(parser.get_int("threads"));
+    config.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
+    config.scalar_engine = parser.get_bool("scalar");
+    const std::unique_ptr<ResultCache> cache = cli::cache_from(parser);
+    config.cache = cache.get();
 
     const auto start = std::chrono::steady_clock::now();
     const std::vector<SweepCell> cells =
@@ -178,13 +118,19 @@ int main(int argc, char** argv) {
 
     const std::string manifest_path = parser.get("manifest");
     if (!manifest_path.empty()) {
-      ShardManifest manifest =
-          make_shard_manifest(config, shard_index, shard_count);
-      manifest.isa = simd_isa_name(simd_active());
-      manifest.wall_ms = wall_ms;
+      const ShardManifest manifest{
+          .shard_index = shard_index,
+          .shard_count = shard_count,
+          .grid = config,
+          .cells = shard_cell_keys(config, shard_index, shard_count),
+          .isa = simd_isa_name(simd_active()),
+          .wall_ms = wall_ms};
       write_file(manifest_path, manifest_to_json(manifest));
     }
     return 0;
+  } catch (const cli::UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -1,66 +1,96 @@
 #!/usr/bin/env sh
-# shard_e2e.sh — end-to-end check of the sharded sweep subsystem.
+# shard_e2e.sh — end-to-end check of sharded sweeps over real subprocesses.
 #
-# Runs the default grid once in a single process and once through
-# ftmao_shardsweep across 4 worker subprocesses — with one injected
-# worker failure that must be retried — and asserts that
-#   1. the orchestrator actually exercised the retry path, and
-#   2. the merged CSV is byte-identical to the single-process CSV.
-# Later stages drive the same properties through ftmao_fabric: a
-# SIGKILLed worker's lease is stolen, unusable worker flags are refused,
-# and a hung shard process is killed at --timeout-sec and retried.
+# Runs grids once in a single ftmao_sweep process and once through
+# `ftmao_fabric --mode local` (one worker per shard, each running its
+# shards as `ftmao_sweep --spec <fabric-dir>/grid.json` subprocesses) and
+# asserts the merged CSV is byte-identical every time: with an injected
+# worker failure that must be retried, on a re-run that resumes the
+# finished directory, with forwarded engine flags, on the vector dim
+# axis, under --scalar, from a warm cache, on an async grid, and with an
+# explicit seed list from a --spec file. Later stages drive the
+# multi-worker fabric: a SIGKILLed worker's lease is stolen, workers get
+# --spec and no grid flags, flags a mode does not read and malformed
+# grids are refused, unusable worker flags are refused, and a hung shard
+# process is killed at --timeout-sec and retried.
 #
 # Registered as the ctest `shard_e2e` (label `shard`); also runnable
 # directly:
 #
-#   scripts/shard_e2e.sh <ftmao_sweep> <ftmao_shardsweep> <ftmao_fabric> <workdir>
+#   scripts/shard_e2e.sh <ftmao_sweep> <ftmao_fabric> <workdir>
 
 set -eu
 
-if [ "$#" -ne 4 ]; then
-  echo "usage: $0 <ftmao_sweep-binary> <ftmao_shardsweep-binary>" \
-       "<ftmao_fabric-binary> <workdir>" >&2
+if [ "$#" -ne 3 ]; then
+  echo "usage: $0 <ftmao_sweep-binary> <ftmao_fabric-binary> <workdir>" >&2
   exit 2
 fi
 
 SWEEP=$1
-SHARDSWEEP=$2
-FABRIC=$3
-WORK=$4
+FABRIC=$2
+WORK=$3
 
-if [ ! -x "$SWEEP" ] || [ ! -x "$SHARDSWEEP" ] || [ ! -x "$FABRIC" ]; then
-  echo "shard_e2e: worker, orchestrator, or fabric binary missing/not executable" >&2
+if [ ! -x "$SWEEP" ] || [ ! -x "$FABRIC" ]; then
+  echo "shard_e2e: sweep or fabric binary missing/not executable" >&2
   exit 2
 fi
 
 rm -rf "$WORK"
 mkdir -p "$WORK"
 
+# same_csv <expected> <actual> <what>: fails the run unless byte-identical.
+same_csv() {
+  if ! cmp -s "$1" "$2"; then
+    echo "shard_e2e: FAIL — $3 merged CSV differs from single-process CSV" >&2
+    diff "$1" "$2" >&2 || true
+    exit 1
+  fi
+}
+
+# each_manifest_has <fabric-dir> <text> <what>: every shard manifest of
+# the directory contains <text>.
+each_manifest_has() {
+  for MANIFEST in "$1"/results/shard_*[0-9].json; do
+    if ! grep -q "$2" "$MANIFEST"; then
+      echo "shard_e2e: FAIL — $MANIFEST does not record $3" >&2
+      cat "$MANIFEST" >&2
+      exit 1
+    fi
+  done
+}
+
 echo "shard_e2e: single-process reference sweep ..."
 "$SWEEP" --csv > "$WORK/single.csv"
 
-echo "shard_e2e: 4-shard sweep with one injected worker failure ..."
+echo "shard_e2e: 4-shard local run with one injected worker failure ..."
 # Shard 1 owns cells of the default grid; its first attempt exits 7 and
 # must be retried. Exit status must still be 0 (full recovery).
-"$SHARDSWEEP" --shards 4 --inject-fail-shard 1 --retries 2 --backoff-ms 50 \
-  --workdir "$WORK/shards" --out "$WORK/merged.csv" \
-  2> "$WORK/orchestrator.log"
+"$FABRIC" --mode local --fabric-dir "$WORK/local" --worker "$SWEEP" \
+  --shards 4 --inject-fail-shard 1 --retries 2 --backoff-ms 50 \
+  --out "$WORK/merged.csv" 2> "$WORK/local.log"
 
-if ! grep -q "retrying" "$WORK/orchestrator.log"; then
+if ! grep -q "retrying" "$WORK/local.log"; then
   echo "shard_e2e: FAIL — injected failure did not exercise the retry path" >&2
-  cat "$WORK/orchestrator.log" >&2
+  cat "$WORK/local.log" >&2
   exit 1
 fi
+same_csv "$WORK/single.csv" "$WORK/merged.csv" "local"
 
-if ! cmp -s "$WORK/single.csv" "$WORK/merged.csv"; then
-  echo "shard_e2e: FAIL — merged CSV differs from single-process CSV" >&2
-  diff "$WORK/single.csv" "$WORK/merged.csv" >&2 || true
+echo "shard_e2e: local re-run on the finished directory resumes ..."
+# Every shard is already complete: the re-run claims nothing and merges
+# the same bytes again.
+"$FABRIC" --mode local --fabric-dir "$WORK/local" --worker "$SWEEP" \
+  --shards 4 --out "$WORK/merged_again.csv" 2> "$WORK/local_again.log"
+if ! grep -q "local run claimed 0 lease(s)" "$WORK/local_again.log"; then
+  echo "shard_e2e: FAIL — the re-run claimed shards again" >&2
+  cat "$WORK/local_again.log" >&2
   exit 1
 fi
+same_csv "$WORK/single.csv" "$WORK/merged_again.csv" "resumed"
 
 echo "shard_e2e: engine-flag forwarding (--isa scalar --batch 2 --threads 2) ..."
-# The orchestrator must hand its engine knobs through to the workers: run
-# a small grid with a forced backend and assert (a) every worker manifest
+# Local mode must hand its engine knobs through to the workers: run a
+# small grid with a forced backend and assert (a) every worker manifest
 # records that backend, and (b) the merged CSV still matches a
 # single-process run of the same grid with default engine knobs — the
 # engine flags select an implementation, never the output.
@@ -68,51 +98,26 @@ GRID="--sizes 7:2,10:3 --seeds 2 --rounds 500"
 # shellcheck disable=SC2086  # word-splitting of $GRID is intended
 "$SWEEP" $GRID --csv > "$WORK/single_small.csv"
 # shellcheck disable=SC2086
-"$SHARDSWEEP" $GRID --shards 2 --isa scalar --batch 2 --threads 2 \
-  --workdir "$WORK/shards_fwd" --out "$WORK/merged_fwd.csv" \
-  2> "$WORK/orchestrator_fwd.log"
+"$FABRIC" --mode local --fabric-dir "$WORK/local_fwd" --worker "$SWEEP" \
+  $GRID --shards 2 --isa scalar --batch 2 --threads 2 \
+  --out "$WORK/merged_fwd.csv" 2> "$WORK/local_fwd.log"
+each_manifest_has "$WORK/local_fwd" '"isa": "scalar"' "the forwarded ISA"
+same_csv "$WORK/single_small.csv" "$WORK/merged_fwd.csv" "forwarded-flags"
 
-for MANIFEST in "$WORK"/shards_fwd/shard_*.json; do
-  if ! grep -q '"isa": "scalar"' "$MANIFEST"; then
-    echo "shard_e2e: FAIL — $MANIFEST does not record the forwarded ISA" >&2
-    cat "$MANIFEST" >&2
-    exit 1
-  fi
-done
-
-if ! cmp -s "$WORK/single_small.csv" "$WORK/merged_fwd.csv"; then
-  echo "shard_e2e: FAIL — forwarded-flags merged CSV differs" >&2
-  diff "$WORK/single_small.csv" "$WORK/merged_fwd.csv" >&2 || true
-  exit 1
-fi
-
-echo "shard_e2e: vector dim axis (--dim 1,4) through the shard pipeline ..."
-# The --dim grid axis must survive the orchestrator -> worker -> manifest
-# -> merge round trip: worker manifests record the full dims axis, and the
-# merged CSV is byte-identical to a single-process run of the same grid.
+echo "shard_e2e: vector dim axis (--dim 1,4) through local mode ..."
+# The --dim grid axis must survive the pin -> worker -> manifest -> merge
+# round trip: worker manifests record the full dims axis, and the merged
+# CSV is byte-identical to a single-process run of the same grid.
 VGRID="--sizes 7:2 --dim 1,4 --seeds 2 --rounds 300"
 # shellcheck disable=SC2086  # word-splitting of $VGRID is intended
 "$SWEEP" $VGRID --csv > "$WORK/single_vec.csv"
 # shellcheck disable=SC2086
-"$SHARDSWEEP" $VGRID --shards 2 \
-  --workdir "$WORK/shards_vec" --out "$WORK/merged_vec.csv" \
-  2> "$WORK/orchestrator_vec.log"
+"$FABRIC" --mode local --fabric-dir "$WORK/local_vec" --worker "$SWEEP" \
+  $VGRID --shards 2 --out "$WORK/merged_vec.csv" 2> "$WORK/local_vec.log"
+each_manifest_has "$WORK/local_vec" '"dims": "1,4"' "the dims axis"
+same_csv "$WORK/single_vec.csv" "$WORK/merged_vec.csv" "vector-dim"
 
-for MANIFEST in "$WORK"/shards_vec/shard_*.json; do
-  if ! grep -q '"dims": "1,4"' "$MANIFEST"; then
-    echo "shard_e2e: FAIL — $MANIFEST does not record the dims axis" >&2
-    cat "$MANIFEST" >&2
-    exit 1
-  fi
-done
-
-if ! cmp -s "$WORK/single_vec.csv" "$WORK/merged_vec.csv"; then
-  echo "shard_e2e: FAIL — vector-dim merged CSV differs" >&2
-  diff "$WORK/single_vec.csv" "$WORK/merged_vec.csv" >&2 || true
-  exit 1
-fi
-
-echo "shard_e2e: scalar reference engine (--scalar) through the shard pipeline ..."
+echo "shard_e2e: scalar reference engine (--scalar) through local mode ..."
 # --scalar runs the batched engines' plan in one-replica tasks on the
 # reference engines. Forwarded to both workers, it must merge
 # byte-identical to the single-process batched run of the same grid.
@@ -120,55 +125,145 @@ SGRID="--sizes 7:2,10:3 --dim 1,3 --seeds 3 --rounds 300"
 # shellcheck disable=SC2086  # word-splitting of $SGRID is intended
 "$SWEEP" $SGRID --csv > "$WORK/single_mixed.csv"
 # shellcheck disable=SC2086
-"$SHARDSWEEP" $SGRID --shards 2 --scalar \
-  --workdir "$WORK/shards_scalar" --out "$WORK/merged_scalar.csv" \
-  2> "$WORK/orchestrator_scalar.log"
-
-if ! cmp -s "$WORK/single_mixed.csv" "$WORK/merged_scalar.csv"; then
-  echo "shard_e2e: FAIL — sharded --scalar merged CSV differs" >&2
-  diff "$WORK/single_mixed.csv" "$WORK/merged_scalar.csv" >&2 || true
-  exit 1
-fi
+"$FABRIC" --mode local --fabric-dir "$WORK/local_scalar" --worker "$SWEEP" \
+  $SGRID --shards 2 --scalar --out "$WORK/merged_scalar.csv" \
+  2> "$WORK/local_scalar.log"
+same_csv "$WORK/single_mixed.csv" "$WORK/merged_scalar.csv" "--scalar"
 
 echo "shard_e2e: cache warm-start (shared --cache-dir across two runs) ..."
-# The orchestrator forwards --cache-dir to every worker, so a second run
-# over the same grid must be served from the first run's records: every
+# Local mode forwards --cache-dir to every worker, so a second run over
+# the same grid must be served from the first run's records: every
 # worker reports hits and zero misses, and the merged CSV is still
 # byte-identical — the cache can change wall-clock, never output.
 CGRID="--sizes 7:2,10:3 --seeds 2 --rounds 400"
 # shellcheck disable=SC2086  # word-splitting of $CGRID is intended
 "$SWEEP" $CGRID --csv > "$WORK/single_cache.csv"
-# shellcheck disable=SC2086
-"$SHARDSWEEP" $CGRID --shards 2 --cache-dir "$WORK/cache" \
-  --workdir "$WORK/shards_cold" --out "$WORK/merged_cold.csv" \
-  2> "$WORK/orchestrator_cold.log"
-# shellcheck disable=SC2086
-"$SHARDSWEEP" $CGRID --shards 2 --cache-dir "$WORK/cache" \
-  --workdir "$WORK/shards_warm" --out "$WORK/merged_warm.csv" \
-  2> "$WORK/orchestrator_warm.log"
+for RUN in cold warm; do
+  # shellcheck disable=SC2086
+  "$FABRIC" --mode local --fabric-dir "$WORK/local_$RUN" --worker "$SWEEP" \
+    $CGRID --shards 2 --cache-dir "$WORK/cache" \
+    --out "$WORK/merged_$RUN.csv" 2> "$WORK/local_$RUN.log"
+  same_csv "$WORK/single_cache.csv" "$WORK/merged_$RUN.csv" "$RUN-cache"
+done
 
-if [ "$(grep -c "cache: hits=" "$WORK/orchestrator_warm.log")" -lt 2 ]; then
+if [ "$(grep -c "cache: hits=" "$WORK/local_warm.log")" -lt 2 ]; then
   echo "shard_e2e: FAIL — warm workers did not report cache counters" >&2
-  cat "$WORK/orchestrator_warm.log" >&2
+  cat "$WORK/local_warm.log" >&2
   exit 1
 fi
-if grep "cache: hits=" "$WORK/orchestrator_warm.log" | grep -qv "misses=0 "; then
+if grep "cache: hits=" "$WORK/local_warm.log" | grep -qv "misses=0 "; then
   echo "shard_e2e: FAIL — a warm worker recomputed cells (misses != 0)" >&2
-  cat "$WORK/orchestrator_warm.log" >&2
+  cat "$WORK/local_warm.log" >&2
   exit 1
 fi
-if grep -q "cache: hits=0 " "$WORK/orchestrator_warm.log"; then
+if grep -q "cache: hits=0 " "$WORK/local_warm.log"; then
   echo "shard_e2e: FAIL — a warm worker was not served from the cache" >&2
-  cat "$WORK/orchestrator_warm.log" >&2
+  cat "$WORK/local_warm.log" >&2
   exit 1
 fi
 
-if ! cmp -s "$WORK/single_cache.csv" "$WORK/merged_cold.csv" ||
-   ! cmp -s "$WORK/single_cache.csv" "$WORK/merged_warm.csv"; then
-  echo "shard_e2e: FAIL — cached merged CSV differs from single-process CSV" >&2
-  diff "$WORK/single_cache.csv" "$WORK/merged_warm.csv" >&2 || true
+echo "shard_e2e: async grid (--engine async) through local mode ..."
+# Manifests record the async engine and its delay model, so async grids
+# shard like sync ones and merge byte-identical.
+AGRID="--engine async --sizes 6:1,11:2 --seeds 3 --rounds 500"
+# shellcheck disable=SC2086  # word-splitting of $AGRID is intended
+"$SWEEP" $AGRID --csv > "$WORK/single_async.csv"
+# shellcheck disable=SC2086
+"$FABRIC" --mode local --fabric-dir "$WORK/local_async" --worker "$SWEEP" \
+  $AGRID --shards 3 --out "$WORK/merged_async.csv" 2> "$WORK/local_async.log"
+each_manifest_has "$WORK/local_async" '"engine": "async"' "the async engine"
+same_csv "$WORK/single_async.csv" "$WORK/merged_async.csv" "async"
+
+echo "shard_e2e: explicit seed list [3, 5] from a --spec file ..."
+# Only a spec file can carry seeds other than 1..k. The local run pins
+# that list, its workers run it, and the merge matches a single-process
+# --spec run; the noise attack makes the seeds visible in the bytes.
+SPEC="$WORK/spec_seeds35.json"
+cat > "$SPEC" <<'JSON'
+{
+  "grid": {
+    "sizes": "7:2,10:3",
+    "dims": "1",
+    "attacks": "noise,split-brain",
+    "seeds": [3, 5],
+    "rounds": 300,
+    "spread": 8,
+    "step": "harmonic:1:0.75",
+    "engine": "sync",
+    "delay": "uniform",
+    "delay_lo": 0.5,
+    "delay_hi": 1.5
+  }
+}
+JSON
+"$SWEEP" --spec "$SPEC" --csv > "$WORK/single_spec.csv"
+"$SWEEP" --sizes 7:2,10:3 --attacks noise,split-brain --seeds 2 \
+  --rounds 300 --csv > "$WORK/single_seeds12.csv"
+if cmp -s "$WORK/single_spec.csv" "$WORK/single_seeds12.csv"; then
+  echo "shard_e2e: FAIL — seeds [3, 5] ran as seeds 1, 2" >&2
   exit 1
 fi
+"$FABRIC" --mode local --fabric-dir "$WORK/local_spec" --worker "$SWEEP" \
+  --spec "$SPEC" --shards 3 --out "$WORK/merged_spec.csv" \
+  2> "$WORK/local_spec.log"
+if ! grep -q '"seeds": \[3,5\]' "$WORK/local_spec/grid.json"; then
+  echo "shard_e2e: FAIL — grid.json does not pin the seed list" >&2
+  cat "$WORK/local_spec/grid.json" >&2
+  exit 1
+fi
+same_csv "$WORK/single_spec.csv" "$WORK/merged_spec.csv" "--spec"
+
+echo "shard_e2e: malformed grids and cross-mode flags refused up front ..."
+# A malformed grid exits non-zero before anything runs or is written;
+# a grid flag next to --spec, and a flag the --mode does not read, exit 2
+# before the fabric directory is touched.
+for BAD in "--seeds -1" "--rounds -1" "--sizes 7:2x" "--sizes 7:2," \
+           "--dim 1,,2"; do
+  BAD_STATUS=0
+  # shellcheck disable=SC2086  # word-splitting of $BAD is intended
+  "$SWEEP" $BAD --out "$WORK/bad.csv" 2> "$WORK/bad.log" || BAD_STATUS=$?
+  if [ "$BAD_STATUS" -eq 0 ] || [ -e "$WORK/bad.csv" ]; then
+    echo "shard_e2e: FAIL — ftmao_sweep accepted $BAD (exit $BAD_STATUS)" >&2
+    exit 1
+  fi
+done
+BAD_STATUS=0
+"$SWEEP" --spec "$SPEC" --seeds 2 --csv 2> "$WORK/bad.log" || BAD_STATUS=$?
+if [ "$BAD_STATUS" -ne 2 ]; then
+  echo "shard_e2e: FAIL — ftmao_sweep took --seeds with --spec" \
+       "(exit $BAD_STATUS)" >&2
+  exit 1
+fi
+XFAB="$WORK/fabric_xmode"
+for BAD in "--mode init --shards -1" \
+           "--mode init --spec $SPEC --sizes 7:2" \
+           "--mode init --threads 4 --cache-dir /nonexistent/zzz --timeout-sec 0" \
+           "--mode local --shards 2 --wait-all"; do
+  BAD_STATUS=0
+  # shellcheck disable=SC2086  # word-splitting of $BAD is intended
+  "$FABRIC" --fabric-dir "$XFAB" $BAD 2> "$WORK/bad.log" || BAD_STATUS=$?
+  if [ "$BAD_STATUS" -ne 2 ] || [ -e "$XFAB" ]; then
+    echo "shard_e2e: FAIL — ftmao_fabric accepted $BAD (exit $BAD_STATUS)" >&2
+    cat "$WORK/bad.log" >&2
+    exit 1
+  fi
+done
+"$FABRIC" --mode init --fabric-dir "$XFAB" --sizes 7:2 --seeds 1 \
+  --rounds 50 --shards 2 2> "$WORK/fabric_xmode_init.log"
+for BAD in "--mode work --worker $SWEEP --seeds 9 --sizes 13:4 --shards 5" \
+           "--mode merge --rounds 7 --out $WORK/xmode.csv" \
+           "--mode status --worker-id w" \
+           "--mode claim --claim-shard 0 --out $WORK/xmode.csv"; do
+  BAD_STATUS=0
+  # shellcheck disable=SC2086  # word-splitting of $BAD is intended
+  "$FABRIC" --fabric-dir "$XFAB" $BAD 2> "$WORK/bad.log" || BAD_STATUS=$?
+  if [ "$BAD_STATUS" -ne 2 ] || [ -e "$WORK/xmode.csv" ] ||
+     find "$XFAB/leases" -type f | grep -q .; then
+    echo "shard_e2e: FAIL — ftmao_fabric accepted $BAD (exit $BAD_STATUS)" >&2
+    cat "$WORK/bad.log" >&2
+    exit 1
+  fi
+done
 
 echo "shard_e2e: fabric — stale-lease steal + duplicate-claim rejection ..."
 # The multi-node fabric's crash-fault path, end to end over real
@@ -233,12 +328,13 @@ if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric.csv"; then
   exit 1
 fi
 
-echo "shard_e2e: fabric (--megabatch refused, --scalar forwarded) ..."
+echo "shard_e2e: fabric (--megabatch refused, --spec and --scalar forwarded) ..."
 # ftmao_fabric has no --megabatch flag: the parser rejects it (exit 2)
 # before the fabric directory is touched, so init creates no directory
-# and work claims no shard. --scalar reaches every shard worker: the
-# workers run through a wrapper that logs their argv, and the --scalar
-# run merges byte-identical to the single-process sweep.
+# and work claims no shard. The workers run through a wrapper that logs
+# their argv: each shard process gets the pinned grid as --spec and no
+# grid flag, --scalar reaches every one of them, and the --scalar run
+# merges byte-identical to the single-process sweep.
 SCFAB="$WORK/fabric_scalar"
 MB_STATUS=0
 # shellcheck disable=SC2086  # word-splitting of $FGRID is intended
@@ -274,6 +370,13 @@ chmod +x "$WORK/sweep_argv_logger.sh"
   2> "$WORK/fabric_scalar_work.log"
 if [ "$(grep -c -- "--scalar" "$ARGV_LOG")" -ne 2 ]; then
   echo "shard_e2e: FAIL — --scalar was not forwarded to both shards" >&2
+  cat "$ARGV_LOG" >&2
+  exit 1
+fi
+if [ "$(grep -c -- "--spec $SCFAB/grid.json " "$ARGV_LOG")" -ne 2 ] ||
+   grep -qE -- "--(sizes|dim|attacks|seeds|rounds|spread|step|step-scale|step-exp|engine|delay|delay-lo|delay-hi) " \
+     "$ARGV_LOG"; then
+  echo "shard_e2e: FAIL — workers did not get --spec alone for the grid" >&2
   cat "$ARGV_LOG" >&2
   exit 1
 fi
@@ -350,4 +453,4 @@ if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric_timeout.csv"; then
   exit 1
 fi
 
-echo "shard_e2e: OK — retry exercised, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, sharded --scalar identical, warm-start served from cache, fabric steal recovered, fabric --megabatch refused and --scalar forwarded, unusable worker flags refused, hung shard timed out and retried"
+echo "shard_e2e: OK — retry exercised, re-run resumed, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, sharded --scalar identical, warm-start served from cache, async and --spec seed-list grids sharded, malformed grids and cross-mode flags refused, fabric steal recovered, workers given --spec and --scalar, unusable worker flags refused, hung shard timed out and retried"

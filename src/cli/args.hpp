@@ -7,10 +7,16 @@
 
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace ftmao::cli {
+
+/// A flag combination the tool cannot act on (exit 2), unlike a bad value.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Declaration of one accepted flag.
 struct FlagSpec {

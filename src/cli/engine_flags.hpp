@@ -1,12 +1,12 @@
 #pragma once
 
-// Shared engine-execution and result-cache CLI flags. Every tool that
-// drives the simulation engines (ftmao_sweep, ftmao_certify,
-// ftmao_shardsweep, ftmao, the benches) accepts the same --threads /
-// --batch / --scalar / --isa quartet with the same semantics and the
-// same identity promise; the sweep-family tools add --cache-dir /
-// --cache-mem-mb. Declaring them here keeps the help texts, defaults,
-// and wiring from drifting apart per binary.
+// Shared CLI flag sets. Every tool that drives the simulation engines
+// (ftmao_sweep, ftmao_certify, ftmao_fabric, ftmao, the benches) accepts
+// the same --threads / --batch / --scalar / --isa quartet with the same
+// semantics and the same identity promise; the sweep-family tools add
+// --cache-dir / --cache-mem-mb and the grid flags. Declaring them here
+// keeps the help texts, defaults, and wiring from drifting apart per
+// binary.
 
 #include <iosfwd>
 #include <memory>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cli/args.hpp"
+#include "sim/grid_spec.hpp"
 
 namespace ftmao {
 class ResultCache;  // cache/result_cache.hpp
@@ -39,6 +40,15 @@ std::vector<FlagSpec> engine_flag_specs(const std::string& subject,
 /// The result-cache pair: --cache-dir (persistent tier root; empty =
 /// caching off) and --cache-mem-mb (in-memory LRU budget).
 std::vector<FlagSpec> cache_flag_specs();
+
+/// The grid flags: --spec FILE (a document with a "grid" object, such as
+/// a fabric's grid.json; sim/grid_spec.hpp), or the axis flags.
+std::vector<FlagSpec> grid_flag_specs();
+
+/// The validated grid of --spec's file, or of the axis flags (--seeds k
+/// is the seeds 1..k). Throws UsageError for an axis flag next to --spec,
+/// ContractViolation naming the field for a bad value or grid.
+GridSpec grid_from_flags(const ArgParser& parser);
 
 /// Applies --isa: "auto" keeps width-aware auto-dispatch live (the
 /// engines pick the widest backend whose register the lane count can

@@ -5,15 +5,14 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
 #include "common/contracts.hpp"
+#include "common/file_io.hpp"
+#include "common/rng.hpp"
 #include "simd/simd.hpp"
 
 namespace ftmao::fabric {
@@ -21,14 +20,6 @@ namespace ftmao::fabric {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw ContractViolation("fabric: cannot read '" + path + "'");
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 1469598103934665603ull;
@@ -39,8 +30,10 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
+/// One insertion per line, so workers sharing a stream (local mode) do
+/// not interleave mid-line.
 void log_line(std::ostream* log, const std::string& line) {
-  if (log != nullptr) *log << "fabric: " << line << std::endl;
+  if (log != nullptr) *log << ("fabric: " + line + "\n") << std::flush;
 }
 
 /// An idle worker rescans every shard (claims, steals) this often.
@@ -96,6 +89,20 @@ class HeartbeatThread {
 
 }  // namespace
 
+std::uint64_t shard_backoff_seed(std::size_t shard_index) {
+  return mix64(static_cast<std::uint64_t>(shard_index));
+}
+
+std::int64_t retry_delay_ms(const BackoffPolicy& policy, std::uint64_t seed,
+                            int attempt) {
+  if (policy.base_ms <= 0) return 0;
+  if (attempt < 1) attempt = 1;
+  const std::uint64_t mix = mix64(seed ^ static_cast<std::uint64_t>(attempt));
+  const auto jitter = static_cast<std::int64_t>(
+      mix % static_cast<std::uint64_t>(policy.base_ms));
+  return std::min(policy.max_ms, policy.base_ms * attempt + jitter);
+}
+
 WorkerReport run_fabric_worker(const WorkerOptions& options) {
   WorkerReport report;
   FTMAO_EXPECTS(options.runner != nullptr);
@@ -103,11 +110,9 @@ WorkerReport run_fabric_worker(const WorkerOptions& options) {
 
   LeaseDir dir(options.fabric_dir);
   FabricGrid grid;
-  SweepConfig config;
   try {
     grid = dir.load_grid();
-    config = config_from_grid(grid);
-    config.validate();
+    grid.spec.validate();
   } catch (const std::exception& e) {
     report.errors.push_back(std::string("cannot load fabric grid: ") +
                             e.what());
@@ -215,7 +220,7 @@ WorkerReport run_fabric_worker(const WorkerOptions& options) {
       {
         HeartbeatThread heartbeat(dir, mine, options.lease_ttl_ms);
         try {
-          status = options.runner(config, i, shard_count, csv_scratch,
+          status = options.runner(grid.spec, i, shard_count, csv_scratch,
                                   manifest_scratch);
         } catch (const std::exception& e) {
           status = -1;
@@ -361,18 +366,62 @@ FabricMergeReport collect_and_merge(const FabricMergeOptions& options) {
 
   std::vector<ShardArtifact> artifacts;
   for (const CompletionRecord& record : report.completions) {
+    const std::string tag = "shard " + std::to_string(record.shard_index);
+    ShardArtifact artifact;
     try {
-      ShardArtifact artifact;
       artifact.manifest =
           manifest_from_json(read_file(dir.manifest_path(record.shard_index)));
       artifact.csv = read_file(dir.csv_path(record.shard_index));
-      artifacts.push_back(std::move(artifact));
     } catch (const std::exception& e) {
-      report.errors.push_back("shard " + std::to_string(record.shard_index) +
-                              ": unreadable artifacts: " + e.what());
+      report.errors.push_back(tag + ": unreadable artifacts: " + e.what());
+      continue;
     }
+    // The manifest records the grid its worker actually ran; one that is
+    // not this shard of the pinned grid cannot be merged into it.
+    const ShardManifest& m = artifact.manifest;
+    if (m.grid != grid.spec || m.shard_count != grid.shard_count ||
+        m.shard_index != record.shard_index) {
+      report.errors.push_back(tag + ": manifest describes shard " +
+                              std::to_string(m.shard_index) + "/" +
+                              std::to_string(m.shard_count) +
+                              " of a grid other than the pinned grid.json");
+      continue;
+    }
+    artifacts.push_back(std::move(artifact));
   }
   report.merge = merge_shards(artifacts);
+  return report;
+}
+
+LocalReport run_local_fabric(const FabricGrid& grid,
+                             const WorkerOptions& worker,
+                             const std::function<ShardRunner()>& make_runner) {
+  LeaseDir(worker.fabric_dir).init(grid);
+  std::vector<WorkerReport> reports(grid.shard_count);
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t i = 0; i < grid.shard_count; ++i) {
+      WorkerOptions options = worker;
+      options.worker_id = "local" + std::to_string(i);
+      options.runner = make_runner();
+      threads.emplace_back([&report = reports[i], options] {
+        try {
+          report = run_fabric_worker(options);
+        } catch (const std::exception& e) {
+          report.errors.push_back("worker '" + options.worker_id +
+                                  "': " + e.what());
+        }
+      });
+    }
+  }
+  FabricMergeOptions merge;
+  merge.fabric_dir = worker.fabric_dir;
+  LocalReport report{collect_and_merge(merge)};
+  for (const WorkerReport& r : reports) {
+    report.claimed += r.claimed;
+    report.errors.insert(report.errors.end(), r.errors.begin(),
+                         r.errors.end());
+  }
   return report;
 }
 

@@ -12,21 +12,23 @@
 //   2. atomically claim the next attempt of anything unclaimed or stale
 //      (claiming attempt k+1 of a stale attempt-k lease IS the
 //      work-stealing move);
-//   3. execute the shard through the existing `ftmao_sweep --shard-index`
-//      path (or an injected runner in tests), renewing the lease's
-//      heartbeat from a side thread while it runs;
+//   3. execute the shard as `ftmao_sweep --spec <dir>/grid.json
+//      --shard-index i` (or an injected runner in tests), renewing the
+//      lease's heartbeat from a side thread while it runs;
 //   4. publish CSV + manifest + completion record first-wins;
-//   5. on failure, retry under the same lease with the unified
-//      backoff-with-deterministic-jitter policy (fabric/backoff.hpp) up
-//      to a local budget.
+//   5. on failure, retry under the same lease with the
+//      backoff-with-deterministic-jitter policy below, up to a local
+//      budget.
 //
 // Worker-local retries stay within one lease (the holder is alive — it
 // just had a failing attempt); cross-worker re-leasing happens only when
 // heartbeats go stale. The merge stage then audits completion records
 // (protocol version, exactly one completion per shard, git-rev/ISA
-// agreement) before handing the per-shard artifacts to the existing
-// order-free verifying merge (sim/shard_merge.hpp), so a complete fabric
-// run's CSV is byte-identical to the single-process `run_sweep` CSV.
+// agreement) and manifests (each must be its shard of the pinned grid)
+// before handing the per-shard artifacts to the order-free verifying
+// merge (sim/shard_merge.hpp), so a complete fabric run's CSV is
+// byte-identical to the single-process `run_sweep` CSV. run_local_fabric
+// is the whole loop on one machine: init, one worker per shard, merge.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,18 +37,36 @@
 #include <string>
 #include <vector>
 
-#include "fabric/backoff.hpp"
 #include "fabric/lease.hpp"
 #include "sim/shard_merge.hpp"
 
 namespace ftmao::fabric {
 
-/// Executes one shard of `config`, writing the shard CSV and manifest to
-/// the given scratch paths. Returns a process-style status (0 = success).
-/// The default (apps/ftmao_fabric.cpp) spawns `ftmao_sweep`; tests inject
-/// an in-process runner.
+/// Retry k of a shard waits min(max_ms, k * base_ms + jitter), the jitter
+/// drawn from [0, base_ms) by splitmix64 over (shard seed ^ k). It is
+/// deterministic, so retries reproduce, and seeded by the shard, so
+/// shards that fail together (a wedged machine) retry staggered instead
+/// of stampeding the lease directory.
+struct BackoffPolicy {
+  std::int64_t base_ms = 200;  ///< linear step; also the jitter window
+  std::int64_t max_ms = 10'000;  ///< cap on any single delay
+};
+
+/// The shard's jitter seed: its splitmix64-finalized index.
+std::uint64_t shard_backoff_seed(std::size_t shard_index);
+
+/// Delay scheduled after attempt `attempt` (1-based) failed; 0 when
+/// base_ms <= 0.
+std::int64_t retry_delay_ms(const BackoffPolicy& policy, std::uint64_t seed,
+                            int attempt);
+
+/// Executes one shard of the pinned `grid`, writing the shard CSV and
+/// manifest to the given scratch paths. Returns a process-style status
+/// (0 = success). The default (apps/ftmao_fabric.cpp) spawns
+/// `ftmao_sweep --spec <fabric>/grid.json`; tests inject an in-process
+/// runner.
 using ShardRunner = std::function<int(
-    const SweepConfig& config, std::size_t shard, std::size_t shard_count,
+    const GridSpec& grid, std::size_t shard, std::size_t shard_count,
     const std::string& csv_scratch, const std::string& manifest_scratch)>;
 
 struct WorkerOptions {
@@ -113,8 +133,25 @@ struct FabricMergeReport {
 };
 
 /// Audits completion records (version, double completion, git-rev/ISA
-/// agreement), loads the per-shard artifacts, and runs the order-free
-/// verifying merge. Inconsistent *data* is reported, not thrown.
+/// agreement), loads the per-shard artifacts, refuses any manifest whose
+/// grid or shard differs from the pinned grid.json, and runs the
+/// order-free verifying merge. Inconsistent *data* is reported, not
+/// thrown.
 FabricMergeReport collect_and_merge(const FabricMergeOptions& options);
+
+/// A local run's merge; `errors` also carries the workers' errors.
+struct LocalReport : FabricMergeReport {
+  std::size_t claimed = 0;  ///< leases won, summed over the workers
+};
+
+/// A whole fabric run on one machine (`ftmao_fabric --mode local`): pins
+/// `grid` in `worker.fabric_dir`, runs one worker per shard, each on its
+/// own thread with its own runner from `make_runner` and the id local<i>
+/// (the other fields of `worker` apply to all), then merges. Retry,
+/// backoff and timeout are the lease protocol's. A directory already
+/// pinned with the same grid resumes: completed shards are skipped.
+LocalReport run_local_fabric(const FabricGrid& grid,
+                             const WorkerOptions& worker,
+                             const std::function<ShardRunner()>& make_runner);
 
 }  // namespace ftmao::fabric

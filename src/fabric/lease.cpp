@@ -6,11 +6,11 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "common/contracts.hpp"
+#include "common/file_io.hpp"
 #include "common/json_min.hpp"
 
 namespace ftmao::fabric {
@@ -19,31 +19,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string format_double(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw ContractViolation("fabric: cannot read '" + path + "'");
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os)
-    throw ContractViolation("fabric: cannot open '" + path +
-                            "' for writing");
-  os << text;
-  os.flush();
-  if (!os)
-    throw ContractViolation("fabric: write to '" + path + "' failed");
-}
+constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
 
 void check_version(int version, const std::string& what) {
   if (version != kFabricProtocolVersion)
@@ -79,52 +55,12 @@ void publish_replace(const std::string& tmp, const std::string& target) {
 
 }  // namespace
 
-FabricGrid make_fabric_grid(const SweepConfig& config,
-                            std::size_t shard_count) {
-  FTMAO_EXPECTS(shard_count >= 1);
-  // The fabric forwards the grid to ftmao_sweep workers through its CLI,
-  // whose --seeds flag can only express the canonical 1..k axis.
-  for (std::size_t i = 0; i < config.seeds.size(); ++i)
-    if (config.seeds[i] != i + 1)
-      throw ContractViolation(
-          "fabric grids require the canonical 1..k seed axis");
-  FabricGrid grid;
-  grid.shard_count = shard_count;
-  grid.sizes = format_sizes(config.sizes);
-  grid.dims = format_dims(config.dims);
-  grid.attacks = format_attacks(config.attacks);
-  grid.seeds = format_seeds(config.seeds);
-  grid.rounds = config.rounds;
-  grid.spread = config.spread;
-  grid.step = format_step(config.step);
-  grid.git_rev = build_git_revision();
-  return grid;
-}
-
-SweepConfig config_from_grid(const FabricGrid& grid) {
-  SweepConfig config;
-  config.sizes = parse_sizes(grid.sizes);
-  config.dims = parse_dims(grid.dims);
-  config.attacks = parse_attacks(grid.attacks);
-  config.seeds = parse_seeds(grid.seeds);
-  config.rounds = grid.rounds;
-  config.spread = grid.spread;
-  config.step = parse_step(grid.step);
-  return config;
-}
-
 std::string grid_to_json(const FabricGrid& g) {
   std::ostringstream os;
   os << "{\n"
      << "  \"version\": " << g.version << ",\n"
      << "  \"shard_count\": " << g.shard_count << ",\n"
-     << "  \"sizes\": \"" << g.sizes << "\",\n"
-     << "  \"dims\": \"" << g.dims << "\",\n"
-     << "  \"attacks\": \"" << g.attacks << "\",\n"
-     << "  \"seeds\": \"" << g.seeds << "\",\n"
-     << "  \"rounds\": " << g.rounds << ",\n"
-     << "  \"spread\": " << format_double(g.spread) << ",\n"
-     << "  \"step\": \"" << g.step << "\",\n"
+     << "  \"grid\": " << grid_spec_to_json(g.spec) << ",\n"
      << "  \"git_rev\": \"" << g.git_rev << "\"\n"
      << "}\n";
   return os.str();
@@ -133,16 +69,10 @@ std::string grid_to_json(const FabricGrid& g) {
 FabricGrid grid_from_json(const std::string& json) {
   using namespace jsonmin;
   FabricGrid g;
-  g.version = static_cast<int>(number_field(json, "version"));
+  g.version = static_cast<int>(uint_field(json, "version", kIntMax));
   check_version(g.version, "grid");
-  g.shard_count = static_cast<std::size_t>(number_field(json, "shard_count"));
-  g.sizes = string_field(json, "sizes");
-  g.dims = string_field(json, "dims");
-  g.attacks = string_field(json, "attacks");
-  g.seeds = string_field(json, "seeds");
-  g.rounds = static_cast<std::size_t>(number_field(json, "rounds"));
-  g.spread = number_field(json, "spread");
-  g.step = string_field(json, "step");
+  g.shard_count = uint_field(json, "shard_count");
+  g.spec = grid_spec_from_json(json);
   g.git_rev = string_field(json, "git_rev");
   if (g.shard_count < 1)
     throw ContractViolation("fabric grid: shard_count must be >= 1");
@@ -167,16 +97,15 @@ std::string lease_to_json(const ShardLease& l) {
 ShardLease lease_from_json(const std::string& json) {
   using namespace jsonmin;
   ShardLease l;
-  l.version = static_cast<int>(number_field(json, "version"));
+  l.version = static_cast<int>(uint_field(json, "version", kIntMax));
   check_version(l.version, "lease");
-  l.shard_index = static_cast<std::size_t>(number_field(json, "shard_index"));
-  l.shard_count = static_cast<std::size_t>(number_field(json, "shard_count"));
-  l.attempt = static_cast<int>(number_field(json, "attempt"));
+  l.shard_index = uint_field(json, "shard_index");
+  l.shard_count = uint_field(json, "shard_count");
+  l.attempt = static_cast<int>(uint_field(json, "attempt", kIntMax));
   l.worker_id = string_field(json, "worker_id");
   l.git_rev = string_field(json, "git_rev");
   l.isa = string_field(json, "isa");
-  l.heartbeat_ms =
-      static_cast<std::uint64_t>(number_field(json, "heartbeat_ms"));
+  l.heartbeat_ms = uint_field(json, "heartbeat_ms");
   if (l.shard_index >= l.shard_count)
     throw ContractViolation("fabric lease: shard_index >= shard_count");
   if (l.attempt < 1)
@@ -193,7 +122,7 @@ std::string completion_to_json(const CompletionRecord& r) {
      << "  \"worker_id\": \"" << r.worker_id << "\",\n"
      << "  \"git_rev\": \"" << r.git_rev << "\",\n"
      << "  \"isa\": \"" << r.isa << "\",\n"
-     << "  \"wall_ms\": " << format_double(r.wall_ms) << "\n"
+     << "  \"wall_ms\": " << jsonmin::exact_number(r.wall_ms) << "\n"
      << "}\n";
   return os.str();
 }
@@ -201,10 +130,10 @@ std::string completion_to_json(const CompletionRecord& r) {
 CompletionRecord completion_from_json(const std::string& json) {
   using namespace jsonmin;
   CompletionRecord r;
-  r.version = static_cast<int>(number_field(json, "version"));
+  r.version = static_cast<int>(uint_field(json, "version", kIntMax));
   check_version(r.version, "completion record");
-  r.shard_index = static_cast<std::size_t>(number_field(json, "shard_index"));
-  r.attempt = static_cast<int>(number_field(json, "attempt"));
+  r.shard_index = uint_field(json, "shard_index");
+  r.attempt = static_cast<int>(uint_field(json, "attempt", kIntMax));
   r.worker_id = string_field(json, "worker_id");
   r.git_rev = string_field(json, "git_rev");
   r.isa = string_field(json, "isa");
@@ -250,10 +179,14 @@ std::string LeaseDir::scratch_path(const std::string& worker_id,
   return root_ + "/results/.wip_" + worker_id + "_" + name;
 }
 
+std::string LeaseDir::grid_path() const { return root_ + "/grid.json"; }
+
+bool LeaseDir::initialized() const { return fs::exists(grid_path()); }
+
 void LeaseDir::init(const FabricGrid& grid) {
   fs::create_directories(root_ + "/leases");
   fs::create_directories(root_ + "/results");
-  const std::string grid_path = root_ + "/grid.json";
+  const std::string grid_path = this->grid_path();
   const std::string json = grid_to_json(grid);
   if (fs::exists(grid_path)) {
     if (grid_from_json(read_file(grid_path)) != grid)
@@ -273,12 +206,8 @@ void LeaseDir::init(const FabricGrid& grid) {
   }
 }
 
-bool LeaseDir::initialized() const {
-  return fs::exists(root_ + "/grid.json");
-}
-
 FabricGrid LeaseDir::load_grid() const {
-  return grid_from_json(read_file(root_ + "/grid.json"));
+  return grid_from_json(read_file(grid_path()));
 }
 
 std::optional<ShardLease> LeaseDir::current_lease(std::size_t shard) const {

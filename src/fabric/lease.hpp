@@ -34,35 +34,26 @@
 #include <string>
 #include <vector>
 
+#include "sim/grid_spec.hpp"
 #include "sim/shard.hpp"
-#include "sim/sweep.hpp"
 
 namespace ftmao::fabric {
 
-inline constexpr int kFabricProtocolVersion = 1;
+inline constexpr int kFabricProtocolVersion = 2;
 
 /// The grid a fabric run computes, pinned once at `--mode init` so every
 /// worker — local process or CI runner — enumerates the identical cell
-/// set and partition. Field syntax is the shard-manifest grid codec
-/// (sim/shard.hpp format_*/parse_* helpers).
+/// set and partition. grid.json embeds the GridSpec JSON object, and
+/// shard workers read it straight from that file (`ftmao_sweep --spec`).
 struct FabricGrid {
   int version = kFabricProtocolVersion;
   std::size_t shard_count = 0;
-  std::string sizes;
-  std::string dims = "1";
-  std::string attacks;
-  std::string seeds;  ///< must be the canonical 1..k list (CLI-expressible)
-  std::size_t rounds = 0;
-  double spread = 8.0;
-  std::string step;
-  std::string git_rev = "unknown";  ///< build that initialized the fabric
+  GridSpec spec;
+  std::string git_rev = build_git_revision();  ///< build that pinned it
 
   friend bool operator==(const FabricGrid&, const FabricGrid&) = default;
 };
 
-FabricGrid make_fabric_grid(const SweepConfig& config,
-                            std::size_t shard_count);
-SweepConfig config_from_grid(const FabricGrid& grid);
 std::string grid_to_json(const FabricGrid& grid);
 FabricGrid grid_from_json(const std::string& json);  ///< throws on mismatch
 
@@ -123,6 +114,7 @@ class LeaseDir {
   void init(const FabricGrid& grid);
   bool initialized() const;
   FabricGrid load_grid() const;  ///< throws if absent/mismatched version
+  std::string grid_path() const;  ///< <root>/grid.json
 
   /// The highest-attempt lease on `shard`, if any worker ever claimed it.
   std::optional<ShardLease> current_lease(std::size_t shard) const;

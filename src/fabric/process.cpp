@@ -59,15 +59,8 @@ void write_stderr(const char* text) {
   }
 }
 
-}  // namespace
-
-std::string default_worker_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  if (self.has_parent_path())
-    return (self.parent_path() / "ftmao_sweep").string();
-  return "ftmao_sweep";
-}
-
+/// fork + execv(args[0], args). If exec fails the child writes the reason
+/// to stderr and exits 127. Returns the child's pid, or -1 when fork fails.
 pid_t spawn_process(const std::vector<std::string>& args) {
   FTMAO_EXPECTS(!args.empty());
   std::vector<char*> argv;
@@ -88,6 +81,15 @@ pid_t spawn_process(const std::vector<std::string>& args) {
     ::_exit(127);
   }
   return pid;
+}
+
+}  // namespace
+
+std::string default_worker_path(const char* argv0) {
+  const std::filesystem::path self(argv0);
+  if (self.has_parent_path())
+    return (self.parent_path() / "ftmao_sweep").string();
+  return "ftmao_sweep";
 }
 
 int run_process(const std::vector<std::string>& args, double timeout_sec) {

@@ -51,6 +51,8 @@ struct StepConfig {
   StepKind kind = StepKind::Harmonic;
   double scale = 1.0;
   double exponent = 0.75;  ///< Power only
+
+  friend bool operator==(const StepConfig&, const StepConfig&) = default;
 };
 
 struct Scenario {

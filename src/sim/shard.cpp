@@ -34,21 +34,6 @@ void fnv_mix_str(std::uint64_t& h, const std::string& s) {
   }
 }
 
-std::string format_double(double v) {
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> out;
-  std::istringstream is(text);
-  std::string token;
-  while (std::getline(is, token, sep)) out.push_back(token);
-  return out;
-}
-
 }  // namespace
 
 std::size_t shard_of_cell(const CellSpec& cell, std::size_t shard_count) {
@@ -72,12 +57,12 @@ std::size_t shard_of_cell(const CellSpec& cell, std::size_t shard_count) {
   return static_cast<std::size_t>(h % shard_count);
 }
 
-std::vector<CellSpec> shard_cell_specs(const SweepConfig& config,
+std::vector<CellSpec> shard_cell_specs(const GridSpec& grid,
                                        std::size_t shard_index,
                                        std::size_t shard_count) {
   FTMAO_EXPECTS(shard_index < shard_count);
   std::vector<CellSpec> mine;
-  for (const CellSpec& cell : sweep_cell_specs(config))
+  for (const CellSpec& cell : sweep_cell_specs(grid))
     if (shard_of_cell(cell, shard_count) == shard_index) mine.push_back(cell);
   return mine;
 }
@@ -96,127 +81,13 @@ std::string cell_key(const CellSpec& cell) {
   return os.str();
 }
 
-std::string format_sizes(
-    const std::vector<std::pair<std::size_t, std::size_t>>& sizes) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (i) os << ',';
-    os << sizes[i].first << ':' << sizes[i].second;
-  }
-  return os.str();
-}
-
-std::vector<std::pair<std::size_t, std::size_t>> parse_sizes(
-    const std::string& text) {
-  std::vector<std::pair<std::size_t, std::size_t>> sizes;
-  for (const std::string& pair : split(text, ',')) {
-    const auto colon = pair.find(':');
-    if (colon == std::string::npos)
-      throw ContractViolation("sizes spec expects n:f pairs, got '" + pair +
-                              "'");
-    sizes.emplace_back(std::stoul(pair.substr(0, colon)),
-                       std::stoul(pair.substr(colon + 1)));
-  }
-  return sizes;
-}
-
-std::string format_attacks(const std::vector<AttackKind>& attacks) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < attacks.size(); ++i) {
-    if (i) os << ',';
-    os << attack_kind_name(attacks[i]);
-  }
-  return os.str();
-}
-
-std::vector<AttackKind> parse_attacks(const std::string& text) {
-  std::vector<AttackKind> attacks;
-  for (const std::string& name : split(text, ','))
-    attacks.push_back(parse_attack_kind(name));
-  return attacks;
-}
-
-std::string format_dims(const std::vector<std::size_t>& dims) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < dims.size(); ++i) {
-    if (i) os << ',';
-    os << dims[i];
-  }
-  return os.str();
-}
-
-std::vector<std::size_t> parse_dims(const std::string& text) {
-  std::vector<std::size_t> dims;
-  for (const std::string& token : split(text, ','))
-    dims.push_back(std::stoul(token));
-  return dims;
-}
-
-std::string format_seeds(const std::vector<std::uint64_t>& seeds) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    if (i) os << ',';
-    os << seeds[i];
-  }
-  return os.str();
-}
-
-std::vector<std::uint64_t> parse_seeds(const std::string& text) {
-  std::vector<std::uint64_t> seeds;
-  for (const std::string& token : split(text, ','))
-    seeds.push_back(std::stoull(token));
-  return seeds;
-}
-
-std::string format_step(const StepConfig& step) {
-  std::ostringstream os;
-  os << step_kind_name(step.kind) << ':' << format_double(step.scale) << ':'
-     << format_double(step.exponent);
-  return os.str();
-}
-
-StepConfig parse_step(const std::string& text) {
-  const std::vector<std::string> parts = split(text, ':');
-  if (parts.size() != 3)
-    throw ContractViolation("step spec expects kind:scale:exponent, got '" +
-                            text + "'");
-  StepConfig step;
-  step.kind = parse_step_kind(parts[0]);
-  step.scale = std::stod(parts[1]);
-  step.exponent = std::stod(parts[2]);
-  return step;
-}
-
-ShardManifest make_shard_manifest(const SweepConfig& config,
-                                  std::size_t shard_index,
-                                  std::size_t shard_count) {
-  ShardManifest m;
-  m.shard_index = shard_index;
-  m.shard_count = shard_count;
-  m.sizes = format_sizes(config.sizes);
-  m.dims = format_dims(config.dims);
-  m.attacks = format_attacks(config.attacks);
-  m.seeds = format_seeds(config.seeds);
-  m.rounds = config.rounds;
-  m.spread = config.spread;
-  m.step = format_step(config.step);
-  for (const CellSpec& cell :
-       shard_cell_specs(config, shard_index, shard_count))
-    m.cells.push_back(cell_key(cell));
-  m.git_rev = build_git_revision();
-  return m;
-}
-
-SweepConfig config_from_manifest(const ShardManifest& manifest) {
-  SweepConfig config;
-  config.sizes = parse_sizes(manifest.sizes);
-  config.dims = parse_dims(manifest.dims);
-  config.attacks = parse_attacks(manifest.attacks);
-  config.seeds = parse_seeds(manifest.seeds);
-  config.rounds = manifest.rounds;
-  config.spread = manifest.spread;
-  config.step = parse_step(manifest.step);
-  return config;
+std::vector<std::string> shard_cell_keys(const GridSpec& grid,
+                                         std::size_t shard_index,
+                                         std::size_t shard_count) {
+  std::vector<std::string> keys;
+  for (const CellSpec& cell : shard_cell_specs(grid, shard_index, shard_count))
+    keys.push_back(cell_key(cell));
+  return keys;
 }
 
 std::string manifest_to_json(const ShardManifest& m) {
@@ -225,15 +96,7 @@ std::string manifest_to_json(const ShardManifest& m) {
      << "  \"schema\": " << m.schema << ",\n"
      << "  \"shard_index\": " << m.shard_index << ",\n"
      << "  \"shard_count\": " << m.shard_count << ",\n"
-     << "  \"grid\": {\n"
-     << "    \"sizes\": \"" << m.sizes << "\",\n"
-     << "    \"dims\": \"" << m.dims << "\",\n"
-     << "    \"attacks\": \"" << m.attacks << "\",\n"
-     << "    \"seeds\": \"" << m.seeds << "\",\n"
-     << "    \"rounds\": " << m.rounds << ",\n"
-     << "    \"spread\": " << format_double(m.spread) << ",\n"
-     << "    \"step\": \"" << m.step << "\"\n"
-     << "  },\n"
+     << "  \"grid\": " << grid_spec_to_json(m.grid) << ",\n"
      << "  \"cells\": [";
   for (std::size_t i = 0; i < m.cells.size(); ++i) {
     if (i) os << ", ";
@@ -242,35 +105,28 @@ std::string manifest_to_json(const ShardManifest& m) {
   os << "],\n"
      << "  \"git_rev\": \"" << m.git_rev << "\",\n"
      << "  \"isa\": \"" << m.isa << "\",\n"
-     << "  \"wall_ms\": " << format_double(m.wall_ms) << ",\n"
+     << "  \"wall_ms\": " << jsonmin::exact_number(m.wall_ms) << ",\n"
      << "  \"exit_status\": " << m.exit_status << "\n"
      << "}\n";
   return os.str();
 }
 
 ShardManifest manifest_from_json(const std::string& json) {
-  using jsonmin::number_field;
-  using jsonmin::string_array_field;
-  using jsonmin::string_field;
+  using namespace jsonmin;
+  constexpr std::uint64_t kIntMax = std::numeric_limits<int>::max();
   ShardManifest m;
-  m.schema = static_cast<int>(number_field(json, "schema"));
-  if (m.schema != 1)
+  m.schema = static_cast<int>(uint_field(json, "schema", kIntMax));
+  if (m.schema != 2)
     throw ContractViolation("manifest JSON: unsupported schema " +
                             std::to_string(m.schema));
-  m.shard_index = static_cast<std::size_t>(number_field(json, "shard_index"));
-  m.shard_count = static_cast<std::size_t>(number_field(json, "shard_count"));
-  m.sizes = string_field(json, "sizes");
-  m.dims = string_field(json, "dims");
-  m.attacks = string_field(json, "attacks");
-  m.seeds = string_field(json, "seeds");
-  m.rounds = static_cast<std::size_t>(number_field(json, "rounds"));
-  m.spread = number_field(json, "spread");
-  m.step = string_field(json, "step");
+  m.shard_index = uint_field(json, "shard_index");
+  m.shard_count = uint_field(json, "shard_count");
+  m.grid = grid_spec_from_json(json);
   m.cells = string_array_field(json, "cells");
   m.git_rev = string_field(json, "git_rev");
   m.isa = string_field(json, "isa");
   m.wall_ms = number_field(json, "wall_ms");
-  m.exit_status = static_cast<int>(number_field(json, "exit_status"));
+  m.exit_status = static_cast<int>(uint_field(json, "exit_status", kIntMax));
   if (m.shard_index >= m.shard_count)
     throw ContractViolation("manifest JSON: shard_index >= shard_count");
   return m;

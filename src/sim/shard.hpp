@@ -16,15 +16,18 @@
 // time.
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "sim/scenario.hpp"
+#include "sim/grid_spec.hpp"
 #include "sim/sweep.hpp"
 
 namespace ftmao {
+
+/// The git revision baked in at configure time ("unknown" outside a git
+/// checkout). Recorded in manifests so a merge can refuse to combine
+/// artifacts from different builds.
+std::string build_git_revision();
 
 /// Stable shard assignment: FNV-1a over (n, f, dim, attack name) mod
 /// shard_count. Depends only on the cell identity and shard_count — not
@@ -35,9 +38,9 @@ namespace ftmao {
 std::size_t shard_of_cell(const CellSpec& cell, std::size_t shard_count);
 
 /// The cells of shard `shard_index` (< shard_count), in canonical grid
-/// order. The K shards partition sweep_cell_specs(config): disjoint,
+/// order. The K shards partition sweep_cell_specs(grid): disjoint,
 /// complete, possibly empty for small grids.
-std::vector<CellSpec> shard_cell_specs(const SweepConfig& config,
+std::vector<CellSpec> shard_cell_specs(const GridSpec& grid,
                                        std::size_t shard_index,
                                        std::size_t shard_count);
 
@@ -52,45 +55,24 @@ std::vector<SweepCell> run_sweep_shard(const SweepConfig& config,
 /// entries, merge diagnostics).
 std::string cell_key(const CellSpec& cell);
 
-// Grid-spec codec: the canonical flag-syntax strings ("7:2,10:3",
-// "split-brain,sign-flip", "1,2,3", "harmonic:1:0.75") used by the CLI
-// and embedded in manifests so the merge stage can reconstruct the grid
-// without re-passing flags. Doubles round-trip exactly (max_digits10).
-std::string format_sizes(
-    const std::vector<std::pair<std::size_t, std::size_t>>& sizes);
-std::vector<std::pair<std::size_t, std::size_t>> parse_sizes(
-    const std::string& text);
-std::string format_dims(const std::vector<std::size_t>& dims);
-std::vector<std::size_t> parse_dims(const std::string& text);
-std::string format_attacks(const std::vector<AttackKind>& attacks);
-std::vector<AttackKind> parse_attacks(const std::string& text);
-std::string format_seeds(const std::vector<std::uint64_t>& seeds);
-std::vector<std::uint64_t> parse_seeds(const std::string& text);
-std::string format_step(const StepConfig& step);
-StepConfig parse_step(const std::string& text);
+/// cell_key() of every cell of shard_cell_specs(grid, ...), in order.
+std::vector<std::string> shard_cell_keys(const GridSpec& grid,
+                                         std::size_t shard_index,
+                                         std::size_t shard_count);
 
 /// Everything a merge needs to audit one shard's output: which grid it
 /// believes it is part of, which cells it covered, and under what
 /// conditions it ran. Written next to the shard CSV by
 /// `ftmao_sweep --manifest`.
 struct ShardManifest {
-  int schema = 1;
+  int schema = 2;
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-
-  // The full grid (not just this shard's slice) in canonical spec syntax;
-  // all manifests of one sweep must agree on these.
-  std::string sizes;
-  std::string dims = "1";
-  std::string attacks;
-  std::string seeds;
-  std::size_t rounds = 0;
-  double spread = 8.0;
-  std::string step;
+  GridSpec grid;  ///< the full grid, not just this shard's slice
 
   std::vector<std::string> cells;  ///< cell_key()s covered, grid order
 
-  std::string git_rev = "unknown";  ///< build's git revision (configure time)
+  std::string git_rev = build_git_revision();  ///< the writing build
   std::string isa = "scalar";       ///< active SIMD backend during the run
   double wall_ms = 0.0;             ///< wall time of the shard run
   int exit_status = 0;              ///< 0 = completed
@@ -98,24 +80,11 @@ struct ShardManifest {
   friend bool operator==(const ShardManifest&, const ShardManifest&) = default;
 };
 
-/// Manifest for one shard of this config's grid (cells filled from
-/// shard_cell_specs; run metadata left at defaults for the caller).
-ShardManifest make_shard_manifest(const SweepConfig& config,
-                                  std::size_t shard_index,
-                                  std::size_t shard_count);
-
-/// Reconstructs the grid a manifest describes (engine knobs — threads,
-/// batch, scalar — stay at their defaults; they do not affect output).
-SweepConfig config_from_manifest(const ShardManifest& manifest);
-
-/// JSON round-trip. manifest_from_json throws ContractViolation on
-/// missing/malformed fields.
+/// JSON round-trip; the grid is the GridSpec object under "grid".
+/// manifest_from_json throws ContractViolation on missing/malformed
+/// fields, including counts that are negative, fractional or out of
+/// range.
 std::string manifest_to_json(const ShardManifest& manifest);
 ShardManifest manifest_from_json(const std::string& json);
-
-/// The git revision baked in at configure time ("unknown" outside a git
-/// checkout). Recorded in manifests so a merge can refuse to combine
-/// artifacts from different builds.
-std::string build_git_revision();
 
 }  // namespace ftmao

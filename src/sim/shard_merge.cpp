@@ -36,13 +36,6 @@ std::string shard_tag(const ShardManifest& m) {
          std::to_string(m.shard_count);
 }
 
-bool same_grid(const ShardManifest& a, const ShardManifest& b) {
-  return a.schema == b.schema && a.shard_count == b.shard_count &&
-         a.sizes == b.sizes && a.dims == b.dims && a.attacks == b.attacks &&
-         a.seeds == b.seeds && a.rounds == b.rounds && a.spread == b.spread &&
-         a.step == b.step;
-}
-
 }  // namespace
 
 MergeReport merge_shards(const std::vector<ShardArtifact>& shards) {
@@ -53,10 +46,9 @@ MergeReport merge_shards(const std::vector<ShardArtifact>& shards) {
   }
 
   const ShardManifest& ref = shards.front().manifest;
-  SweepConfig config;
+  const GridSpec& grid = ref.grid;
   try {
-    config = config_from_manifest(ref);
-    config.validate();
+    grid.validate();
   } catch (const std::exception& e) {
     report.errors.push_back("reference manifest does not describe a valid "
                             "grid: " +
@@ -64,7 +56,7 @@ MergeReport merge_shards(const std::vector<ShardArtifact>& shards) {
     return report;
   }
 
-  const std::vector<CellSpec> expected = sweep_cell_specs(config);
+  const std::vector<CellSpec> expected = sweep_cell_specs(grid);
   report.expected_cells = expected.size();
 
   std::map<std::string, std::string> rows;        // cell key -> CSV line
@@ -74,7 +66,8 @@ MergeReport merge_shards(const std::vector<ShardArtifact>& shards) {
     const ShardManifest& m = artifact.manifest;
     const std::string tag = shard_tag(m);
 
-    if (!same_grid(m, ref)) {
+    if (m.schema != ref.schema || m.shard_count != ref.shard_count ||
+        m.grid != ref.grid) {
       report.errors.push_back(tag + ": manifest disagrees with the reference "
                                     "grid (mixing artifacts from different "
                                     "sweeps?)");
@@ -94,10 +87,8 @@ MergeReport merge_shards(const std::vector<ShardArtifact>& shards) {
 
     // The manifest's claimed coverage must be exactly what the partition
     // assigns — a worker that ran the wrong cells is not mergeable.
-    std::vector<std::string> assigned;
-    for (const CellSpec& cell :
-         shard_cell_specs(config, m.shard_index, m.shard_count))
-      assigned.push_back(cell_key(cell));
+    const std::vector<std::string> assigned =
+        shard_cell_keys(grid, m.shard_index, m.shard_count);
     if (m.cells != assigned) {
       report.errors.push_back(tag + ": manifest cell list does not match the "
                                     "partition's assignment");

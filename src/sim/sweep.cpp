@@ -15,49 +15,32 @@
 #include "sim/megabatch.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario_io.hpp"
-#include "sim/shard.hpp"
 #include "sim/vector_scenario.hpp"
 
 namespace ftmao {
 
-void SweepConfig::validate() const {
-  FTMAO_EXPECTS(!sizes.empty());
-  FTMAO_EXPECTS(!attacks.empty());
-  FTMAO_EXPECTS(!seeds.empty());
-  FTMAO_EXPECTS(!dims.empty());
-  FTMAO_EXPECTS(rounds >= 1);
-  for (std::size_t d : dims) FTMAO_EXPECTS(d >= 1);
-  // The async engine is scalar-only; a vector async heuristic would need
-  // its own per-coordinate delay semantics first.
-  if (async_engine)
-    for (std::size_t d : dims) FTMAO_EXPECTS(d == 1);
-  for (const auto& [n, f] : sizes)
-    FTMAO_EXPECTS(async_engine ? n > 5 * f : n > 3 * f);
-}
-
-std::vector<CellSpec> sweep_cell_specs(const SweepConfig& config) {
+std::vector<CellSpec> sweep_cell_specs(const GridSpec& grid) {
   std::vector<CellSpec> specs;
-  specs.reserve(config.sizes.size() * config.dims.size() *
-                config.attacks.size());
-  for (const auto& [n, f] : config.sizes)
-    for (std::size_t dim : config.dims)
-      for (AttackKind attack : config.attacks)
+  specs.reserve(grid.sizes.size() * grid.dims.size() * grid.attacks.size());
+  for (const auto& [n, f] : grid.sizes)
+    for (std::size_t dim : grid.dims)
+      for (AttackKind attack : grid.attacks)
         specs.push_back({n, f, dim, attack});
   return specs;
 }
 
-std::string sweep_cell_cache_spec(const SweepConfig& config,
+std::string sweep_cell_cache_spec(const GridSpec& grid,
                                   const CellSpec& spec) {
   std::ostringstream os;
   os << "sweep;family=std-mixed;n=" << spec.n << ";f=" << spec.f
      << ";dim=" << spec.dim << ";attack=" << attack_kind_name(spec.attack)
-     << ";spread=" << cache_canon_double(config.spread)
-     << ";rounds=" << config.rounds << ";step=" << format_step(config.step)
-     << ";seeds=" << format_seeds(config.seeds) << ";constraint=none";
-  if (config.async_engine) {
-    os << ";engine=async;delay=" << delay_kind_name(config.delay_kind) << ':'
-       << cache_canon_double(config.delay_lo) << ':'
-       << cache_canon_double(config.delay_hi);
+     << ";spread=" << cache_canon_double(grid.spread)
+     << ";rounds=" << grid.rounds << ";step=" << format_step(grid.step)
+     << ";seeds=" << format_seeds(grid.seeds) << ";constraint=none";
+  if (grid.async_engine) {
+    os << ";engine=async;delay=" << delay_kind_name(grid.delay_kind) << ':'
+       << cache_canon_double(grid.delay_lo) << ':'
+       << cache_canon_double(grid.delay_hi);
   } else {
     os << ";engine=sync";
   }

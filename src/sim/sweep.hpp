@@ -9,28 +9,17 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "sim/async_runner.hpp"
+#include "sim/grid_spec.hpp"
 #include "sim/scenario.hpp"
 
 namespace ftmao {
 
 class ResultCache;  // cache/result_cache.hpp
 
-struct SweepConfig {
-  std::vector<std::pair<std::size_t, std::size_t>> sizes;  ///< (n, f) pairs
-  std::vector<AttackKind> attacks;
-  std::vector<std::uint64_t> seeds;
-  double spread = 8.0;
-  std::size_t rounds = 4000;
-  StepConfig step;
-
-  /// State dimensions to sweep. 1 = the paper's scalar algorithm (the
-  /// default grid, run through the scalar engines); d >= 2 runs the
-  /// coordinate-wise vector-SBG heuristic cell (standard vector scenario)
-  /// through run_vector_sbg_batch (run_vector_scenario when
-  /// scalar_engine). Incompatible with async_engine.
-  std::vector<std::size_t> dims = {1};
-
+/// A grid (sim/grid_spec.hpp) plus the engine knobs that run it. The
+/// knobs never change a byte of output, so they are not part of the
+/// grid's identity.
+struct SweepConfig : GridSpec {
   /// Worker threads for the grid. 1 = serial (the reference path); 0 =
   /// hardware concurrency. Results are bit-identical for every value:
   /// each (cell, seed) run is independently seeded and written to its own
@@ -52,26 +41,12 @@ struct SweepConfig {
   /// reference.
   bool scalar_engine = false;
 
-  /// Run the asynchronous engine (Section 7, n > 5f variant) over the
-  /// grid instead of the synchronous one: each (cell, seed) run is the
-  /// standard async scenario under the delay model below, advanced by
-  /// run_async_sbg_batch (run_async_sbg when scalar_engine). Sizes must
-  /// then satisfy n > 5f. batch_size / num_threads / scalar_engine keep
-  /// their meanings, and results stay bit-identical across all of them.
-  bool async_engine = false;
-  DelayKind delay_kind = DelayKind::Uniform;  ///< async mode only
-  double delay_lo = 0.5;
-  double delay_hi = 1.5;
-
   /// Content-addressed result cache (cache/result_cache.hpp). When set,
   /// each cell's per-seed results are looked up by their canonical key
   /// before simulating and inserted after, so repeated grids are served
   /// from memory/disk. Output is byte-identical cold vs warm vs mixed:
-  /// payloads carry the raw per-seed doubles bit-exactly. Like the engine
-  /// knobs above, the cache is not part of the grid's identity.
+  /// payloads carry the raw per-seed doubles bit-exactly.
   ResultCache* cache = nullptr;
-
-  void validate() const;
 };
 
 /// Identity of one grid cell: a (n, f) size crossed with a dimension and
@@ -98,7 +73,7 @@ struct SweepCell {
 
 /// The grid's cells in canonical (sizes-major, dims-middle, attacks-minor)
 /// order.
-std::vector<CellSpec> sweep_cell_specs(const SweepConfig& config);
+std::vector<CellSpec> sweep_cell_specs(const GridSpec& grid);
 
 /// Canonical cache-spec string for one cell of this grid: every knob that
 /// can influence the cell's numbers (cell identity, cost-family tag,
@@ -106,7 +81,7 @@ std::vector<CellSpec> sweep_cell_specs(const SweepConfig& config);
 /// none that provably cannot (threads, batch size, scalar engine, ISA).
 /// Feed to make_cell_key (cache/cell_key.hpp); pinned by the golden-key
 /// test, so accidental drift fails CI.
-std::string sweep_cell_cache_spec(const SweepConfig& config,
+std::string sweep_cell_cache_spec(const GridSpec& grid,
                                   const CellSpec& spec);
 
 /// Runs exactly the given cells (each across all seeds), in the given

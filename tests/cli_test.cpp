@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "cli/args.hpp"
 #include "cli/cli_app.hpp"
+#include "cli/engine_flags.hpp"
 #include "common/contracts.hpp"
+#include "common/file_io.hpp"
 
 namespace ftmao::cli {
 namespace {
@@ -234,6 +237,75 @@ TEST(Cli, DeterministicOutputPerSeed) {
   run({"--rounds", "200", "--attack", "noise", "--seed", "10"}, &c);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+// ------------------------------------------------------------- grid flags
+
+/// The grid the shared grid flags in `args` describe.
+GridSpec grid_of(const std::vector<std::string>& args) {
+  ArgParser parser(grid_flag_specs());
+  const auto error = parser.parse(args);
+  if (error) throw UsageError(*error);
+  return grid_from_flags(parser);
+}
+
+TEST(GridFlags, AxisFlagsDescribeTheGrid) {
+  const GridSpec grid =
+      grid_of({"--sizes", "6:1,11:2", "--seeds", "2", "--rounds", "50",
+               "--engine", "async", "--delay", "fixed", "--delay-lo", "0.75"});
+  EXPECT_EQ(grid.sizes,
+            (std::vector<std::pair<std::size_t, std::size_t>>{{6, 1},
+                                                               {11, 2}}));
+  EXPECT_EQ(grid.seeds, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(grid.rounds, 50u);
+  EXPECT_TRUE(grid.async_engine);
+  EXPECT_EQ(grid.delay_kind, DelayKind::Fixed);
+  EXPECT_EQ(grid.delay_lo, 0.75);
+}
+
+TEST(GridFlags, SpecFileCarriesAnExplicitSeedListAndExcludesAxisFlags) {
+  GridSpec grid = grid_of({"--sizes", "7:2", "--rounds", "40"});
+  grid.seeds = {3, 5};
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "ftmao_cli_grid_spec.json")
+          .string();
+  write_file(path, "{\"grid\": " + grid_spec_to_json(grid) + "}\n");
+  EXPECT_EQ(grid_of({"--spec", path}), grid);
+  EXPECT_THROW(grid_of({"--spec", path, "--sizes", "7:2"}), UsageError);
+  EXPECT_THROW(grid_of({"--spec", path, "--engine", "sync"}), UsageError);
+  std::filesystem::remove(path);
+  EXPECT_THROW(grid_of({"--spec", path}), ContractViolation);
+}
+
+TEST(GridFlags, MalformedGridsFailNamingTheFlag) {
+  // Each is refused before anything runs; the message names the field.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {
+          {{"--seeds", "-1"}, "--seeds"},
+          {{"--seeds", "0"}, "--seeds"},
+          {{"--seeds", "2.5"}, "--seeds"},
+          {{"--rounds", "-1"}, "--rounds"},
+          {{"--sizes", "7:2x"}, "sizes"},
+          {{"--sizes", "7:2,"}, "sizes"},
+          {{"--sizes", "6:2"}, "sizes"},
+          {{"--dim", "1,,2"}, "dims"},
+          {{"--attacks", "pull,,sign-flip"}, "attack"},
+          {{"--engine", "warp"}, "engine"},
+          {{"--engine", "async"}, "sizes"},  // 7:2 violates n > 5f
+          {{"--spread", "inf"}, "spread"},
+          {{"--step-scale", "0"}, "step"},
+          {{"--step", "geometric"}, "step"},
+          {{"--delay-lo", "nan"}, "delay"},
+      };
+  for (const auto& [args, field] : cases) {
+    try {
+      grid_of(args);
+      ADD_FAILURE() << args.front() << " " << args.back() << ": accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << args.front() << " " << args.back() << ": " << e.what();
+    }
+  }
 }
 
 }  // namespace

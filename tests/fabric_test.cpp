@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -24,7 +25,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
-#include "fabric/backoff.hpp"
+#include "common/file_io.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/lease.hpp"
 #include "fabric/process.hpp"
@@ -43,6 +44,11 @@ SweepConfig grid_config() {
   c.seeds = {1, 2};
   c.rounds = 120;
   return c;
+}
+
+/// `grid` pinned for a fabric of `shards` shards by this build.
+FabricGrid pinned(const GridSpec& grid, std::size_t shards) {
+  return {.shard_count = shards, .spec = grid};
 }
 
 /// Fresh fabric directory under the test's scratch space.
@@ -77,48 +83,63 @@ ShardLease make_lease(std::size_t shard, int attempt,
   return lease;
 }
 
-void write_file(const std::string& path, const std::string& text) {
-  std::ofstream os(path, std::ios::binary);
-  ASSERT_TRUE(os) << path;
-  os << text;
-}
-
 /// A runner computing real shard artifacts in-process — the fabric's
 /// contract is transport-agnostic, so a lambda stands in for ftmao_sweep.
 ShardRunner in_process_runner() {
-  return [](const SweepConfig& config, std::size_t shard,
-            std::size_t shard_count, const std::string& csv_scratch,
+  return [](const GridSpec& grid, std::size_t shard, std::size_t shard_count,
+            const std::string& csv_scratch,
             const std::string& manifest_scratch) -> int {
-    std::ofstream csv(csv_scratch, std::ios::binary);
-    csv << sweep_to_csv(run_sweep_shard(config, shard, shard_count));
-    std::ofstream manifest(manifest_scratch, std::ios::binary);
-    manifest << manifest_to_json(
-        make_shard_manifest(config, shard, shard_count));
+    write_file(csv_scratch, sweep_to_csv(run_sweep_shard(
+                                SweepConfig{grid}, shard, shard_count)));
+    const ShardManifest manifest{
+        .shard_index = shard,
+        .shard_count = shard_count,
+        .grid = grid,
+        .cells = shard_cell_keys(grid, shard, shard_count)};
+    write_file(manifest_scratch, manifest_to_json(manifest));
     return 0;
   };
 }
 
-TEST(FabricCodec, GridRoundTrip) {
-  const FabricGrid grid = make_fabric_grid(grid_config(), 4);
-  EXPECT_EQ(grid.version, kFabricProtocolVersion);
-  EXPECT_EQ(grid.shard_count, 4u);
-  EXPECT_EQ(grid.seeds, "1,2");
-  EXPECT_EQ(grid.git_rev, build_git_revision());
-  EXPECT_EQ(grid_from_json(grid_to_json(grid)), grid);
-
-  // The grid → config → grid loop is lossless, so every worker
-  // re-derives the identical cell partition from the pinned JSON.
-  const SweepConfig config = config_from_grid(grid);
-  EXPECT_EQ(make_fabric_grid(config, 4), grid);
+/// Runs one worker over the whole fabric at `root`, then merges.
+FabricMergeReport work_and_merge(const std::string& root) {
+  WorkerOptions options;
+  options.fabric_dir = root;
+  options.worker_id = "solo";
+  options.runner = in_process_runner();
+  const WorkerReport report = run_fabric_worker(options);
+  EXPECT_TRUE(report.errors.empty());
+  EXPECT_TRUE(report.all_done);
+  FabricMergeOptions merge_options;
+  merge_options.fabric_dir = root;
+  return collect_and_merge(merge_options);
 }
 
-TEST(FabricCodec, GridRequiresCanonicalSeeds) {
-  // The fabric re-expresses seeds through ftmao_sweep's `--seeds <count>`
-  // flag, which always yields 1..k — any other list cannot ride the
-  // subprocess transport and must be refused at init.
-  SweepConfig config = grid_config();
-  config.seeds = {3, 5};
-  EXPECT_THROW(make_fabric_grid(config, 4), ContractViolation);
+std::string first_error(const FabricMergeReport& report) {
+  if (!report.errors.empty()) return report.errors.front();
+  if (!report.merge.errors.empty()) return report.merge.errors.front();
+  return "no error";
+}
+
+TEST(FabricCodec, GridRoundTrip) {
+  GridSpec spec = grid_config();
+  spec.seeds = {3, 5};
+  const FabricGrid grid = pinned(spec, 4);
+  EXPECT_EQ(grid.version, kFabricProtocolVersion);
+  EXPECT_EQ(grid.shard_count, 4u);
+  EXPECT_EQ(grid.git_rev, build_git_revision());
+  // Lossless, explicit seed list included, so every worker re-derives the
+  // identical grid and cell partition from the pinned JSON.
+  EXPECT_EQ(grid_from_json(grid_to_json(grid)), grid);
+  // A shard worker reads the same file as a grid spec.
+  EXPECT_EQ(grid_spec_from_json(grid_to_json(grid)), spec);
+
+  for (const char* bad : {"0", "-1", "2.5", "18446744073709551616"}) {
+    std::string json = grid_to_json(grid);
+    json.replace(json.find("\"shard_count\": 4"), 16,
+                 std::string("\"shard_count\": ") + bad);
+    EXPECT_THROW(grid_from_json(json), ContractViolation) << bad;
+  }
 }
 
 TEST(FabricCodec, LeaseRoundTrip) {
@@ -139,13 +160,13 @@ TEST(FabricCodec, CompletionRoundTrip) {
 
 TEST(FabricCodec, VersionMismatchRejected) {
   // A future protocol bump must not be silently misread by old readers.
-  const FabricGrid grid = make_fabric_grid(grid_config(), 2);
+  const FabricGrid grid = pinned(grid_config(), 2);
   std::string json = grid_to_json(grid);
   const auto bump = [](std::string text) {
-    const std::string needle = "\"version\": 1";
+    const std::string needle = "\"version\": 2";
     const auto pos = text.find(needle);
     EXPECT_NE(pos, std::string::npos);
-    return text.replace(pos, needle.size(), "\"version\": 2");
+    return text.replace(pos, needle.size(), "\"version\": 3");
   };
   EXPECT_THROW(grid_from_json(bump(json)), ContractViolation);
   EXPECT_THROW(lease_from_json(bump(lease_to_json(make_lease(0, 1, "w")))),
@@ -158,20 +179,23 @@ TEST(FabricCodec, VersionMismatchRejected) {
 TEST_F(FabricDirTest, InitIsIdempotentForIdenticalGridOnly) {
   LeaseDir dir(root_);
   EXPECT_FALSE(dir.initialized());
-  const FabricGrid grid = make_fabric_grid(grid_config(), 4);
+  const FabricGrid grid = pinned(grid_config(), 4);
   dir.init(grid);
   EXPECT_TRUE(dir.initialized());
   dir.init(grid);  // same grid: no-op
   EXPECT_EQ(dir.load_grid(), grid);
 
   FabricGrid other = grid;
-  other.rounds += 1;
+  other.spec.rounds += 1;
+  EXPECT_THROW(dir.init(other), ContractViolation);
+  other = grid;
+  other.spec.async_engine = true;
   EXPECT_THROW(dir.init(other), ContractViolation);
 }
 
 TEST_F(FabricDirTest, ClaimRenewExpireRoundTrip) {
   LeaseDir dir(root_);
-  dir.init(make_fabric_grid(grid_config(), 4));
+  dir.init(pinned(grid_config(), 4));
   EXPECT_FALSE(dir.current_lease(0).has_value());
 
   ShardLease lease = make_lease(0, 1, "w0");
@@ -201,7 +225,7 @@ TEST_F(FabricDirTest, ClaimRenewExpireRoundTrip) {
 
 TEST_F(FabricDirTest, DuplicateClaimRejected) {
   LeaseDir dir(root_);
-  dir.init(make_fabric_grid(grid_config(), 4));
+  dir.init(pinned(grid_config(), 4));
   ASSERT_TRUE(dir.try_claim(make_lease(1, 1, "w0")));
   EXPECT_FALSE(dir.try_claim(make_lease(1, 1, "w1")));
   // The loser did not clobber the winner's lease.
@@ -210,7 +234,7 @@ TEST_F(FabricDirTest, DuplicateClaimRejected) {
 
 TEST_F(FabricDirTest, ConcurrentClaimHasExactlyOneWinner) {
   LeaseDir dir(root_);
-  dir.init(make_fabric_grid(grid_config(), 4));
+  dir.init(pinned(grid_config(), 4));
   constexpr int kWorkers = 8;
   std::vector<int> won(kWorkers, 0);
   std::vector<std::thread> threads;
@@ -229,7 +253,7 @@ TEST_F(FabricDirTest, ConcurrentClaimHasExactlyOneWinner) {
 
 TEST_F(FabricDirTest, CompletionIsFirstWins) {
   LeaseDir dir(root_);
-  dir.init(make_fabric_grid(grid_config(), 4));
+  dir.init(pinned(grid_config(), 4));
 
   CompletionRecord first;
   first.shard_index = 0;
@@ -294,7 +318,7 @@ TEST(FabricBackoff, JitterIsDeterministicBoundedAndPerShard) {
 TEST_F(FabricDirTest, WorkerEndToEndMergesByteIdentical) {
   LeaseDir dir(root_);
   const SweepConfig config = grid_config();
-  dir.init(make_fabric_grid(config, 3));
+  dir.init(pinned(config, 3));
 
   WorkerOptions options;
   options.fabric_dir = root_;
@@ -317,10 +341,99 @@ TEST_F(FabricDirTest, WorkerEndToEndMergesByteIdentical) {
   EXPECT_EQ(merged.merge.csv, sweep_to_csv(run_sweep(config)));
 }
 
+TEST_F(FabricDirTest, ExplicitSeedListShardsByteIdentical) {
+  // Seeds need not be 1..k: the worker reads the pinned list itself.
+  // The noise attack is the seed-dependent one, so the list shows.
+  SweepConfig config = grid_config();
+  config.attacks = {AttackKind::RandomNoise, AttackKind::SignFlip};
+  config.seeds = {3, 5};
+  LeaseDir(root_).init(pinned(config, 3));
+  const FabricMergeReport merged = work_and_merge(root_);
+  EXPECT_TRUE(merged.ok()) << first_error(merged);
+  EXPECT_EQ(merged.merge.csv, sweep_to_csv(run_sweep(config)));
+  config.seeds = {1, 2};
+  EXPECT_NE(merged.merge.csv, sweep_to_csv(run_sweep(config)));
+}
+
+TEST_F(FabricDirTest, AsyncGridShardsAndMergesByteIdentical) {
+  SweepConfig config;
+  config.sizes = {{6, 1}, {11, 2}};
+  config.attacks = {AttackKind::SplitBrain, AttackKind::SignFlip,
+                    AttackKind::PullToTarget};
+  config.seeds = {1, 2, 3};
+  config.rounds = 80;
+  config.async_engine = true;
+  config.delay_kind = DelayKind::Uniform;
+  config.delay_lo = 0.25;
+  config.delay_hi = 2.0;
+  LeaseDir(root_).init(pinned(config, 3));
+  const FabricMergeReport merged = work_and_merge(root_);
+  EXPECT_TRUE(merged.ok()) << first_error(merged);
+  EXPECT_EQ(merged.merge.csv, sweep_to_csv(run_sweep(config)));
+}
+
+TEST_F(FabricDirTest, MergeRefusesManifestOfAnotherGrid) {
+  // Workers ran the pinned seeds 1, 2; then grid.json was edited to seeds
+  // 3, 5. The manifests agree with each other, but not with the pin.
+  LeaseDir dir(root_);
+  dir.init(pinned(grid_config(), 2));
+  ASSERT_TRUE(work_and_merge(root_).ok());
+  std::string json = read_file(dir.grid_path());
+  json.replace(json.find("[1,2]"), 5, "[3,5]");
+  write_file(dir.grid_path(), json);
+
+  FabricMergeOptions merge_options;
+  merge_options.fabric_dir = root_;
+  const FabricMergeReport merged = collect_and_merge(merge_options);
+  EXPECT_FALSE(merged.ok());
+  ASSERT_EQ(merged.errors.size(), 2u);
+  EXPECT_NE(merged.errors.front().find("pinned grid.json"),
+            std::string::npos)
+      << merged.errors.front();
+}
+
+TEST_F(FabricDirTest, LocalModeRunsEveryShardAndResumes) {
+  // One worker per shard, each with its own runner; shard 1's first
+  // attempt fails and is retried under its lease.
+  const SweepConfig config = grid_config();
+  const FabricGrid grid = pinned(config, 4);
+  WorkerOptions worker;
+  worker.fabric_dir = root_;
+  worker.backoff.base_ms = 1;
+  std::atomic<int> runners = 0;
+  const auto make_runner = [&runners]() -> ShardRunner {
+    ++runners;
+    auto spawns = std::make_shared<std::map<std::size_t, int>>();
+    return [spawns](const GridSpec& g, std::size_t shard,
+                    std::size_t shard_count, const std::string& csv,
+                    const std::string& manifest) {
+      if (++(*spawns)[shard] == 1 && shard == 1) return 7;
+      return in_process_runner()(g, shard, shard_count, csv, manifest);
+    };
+  };
+  const LocalReport first = run_local_fabric(grid, worker, make_runner);
+  EXPECT_EQ(runners.load(), 4);
+  EXPECT_TRUE(first.ok()) << first_error(first);
+  EXPECT_EQ(first.claimed, 4u);
+  EXPECT_EQ(first.merge.csv, sweep_to_csv(run_sweep(config)));
+
+  // A re-run on the same directory claims nothing and merges again.
+  const LocalReport again = run_local_fabric(grid, worker, make_runner);
+  EXPECT_TRUE(again.ok()) << first_error(again);
+  EXPECT_EQ(again.claimed, 0u);
+  EXPECT_EQ(again.merge.csv, first.merge.csv);
+
+  // The directory stays pinned to its grid.
+  FabricGrid other = grid;
+  other.spec.rounds += 1;
+  EXPECT_THROW(run_local_fabric(other, worker, make_runner),
+               ContractViolation);
+}
+
 TEST_F(FabricDirTest, FleetSlicesPartitionTheGrid) {
   LeaseDir dir(root_);
   const SweepConfig config = grid_config();
-  dir.init(make_fabric_grid(config, 4));
+  dir.init(pinned(config, 4));
 
   for (long slice = 0; slice < 2; ++slice) {
     WorkerOptions options;
@@ -342,7 +455,7 @@ TEST_F(FabricDirTest, FleetSlicesPartitionTheGrid) {
 TEST_F(FabricDirTest, StaleLeaseIsStolenAndRecorded) {
   LeaseDir dir(root_);
   const SweepConfig config = grid_config();
-  dir.init(make_fabric_grid(config, 2));
+  dir.init(pinned(config, 2));
 
   // A worker claimed shard 0 and died: its heartbeat never advances.
   ShardLease dead = make_lease(0, 1, "dead-worker");
@@ -379,15 +492,15 @@ TEST_F(FabricDirTest, StaleLeaseIsStolenAndRecorded) {
 TEST_F(FabricDirTest, FailedAttemptsRetryWithBackoffThenSucceed) {
   LeaseDir dir(root_);
   const SweepConfig config = grid_config();
-  dir.init(make_fabric_grid(config, 2));
+  dir.init(pinned(config, 2));
 
   std::map<std::size_t, int> calls;
-  ShardRunner flaky = [&calls](const SweepConfig& cfg, std::size_t shard,
+  ShardRunner flaky = [&calls](const GridSpec& grid, std::size_t shard,
                                std::size_t shard_count,
                                const std::string& csv_scratch,
                                const std::string& manifest_scratch) -> int {
     if (++calls[shard] == 1 && shard == 1) return 7;  // first attempt fails
-    return in_process_runner()(cfg, shard, shard_count, csv_scratch,
+    return in_process_runner()(grid, shard, shard_count, csv_scratch,
                                manifest_scratch);
   };
 
@@ -414,7 +527,7 @@ TEST_F(FabricDirTest, FailedAttemptsRetryWithBackoffThenSucceed) {
 TEST_F(FabricDirTest, MergeRejectsDoubleCompletion) {
   LeaseDir dir(root_);
   const SweepConfig config = grid_config();
-  dir.init(make_fabric_grid(config, 2));
+  dir.init(pinned(config, 2));
   WorkerOptions options;
   options.fabric_dir = root_;
   options.worker_id = "w0";
@@ -446,7 +559,7 @@ TEST_F(FabricDirTest, MergeRejectsDoubleCompletion) {
 TEST_F(FabricDirTest, MergeRejectsForeignBuildAndIsaDisagreement) {
   LeaseDir dir(root_);
   const SweepConfig config = grid_config();
-  dir.init(make_fabric_grid(config, 2));
+  dir.init(pinned(config, 2));
   WorkerOptions options;
   options.fabric_dir = root_;
   options.worker_id = "w0";
@@ -499,7 +612,7 @@ TEST_F(FabricDirTest, WaitAllWorkerLeavesWhenForeignShardCompletes) {
   // shard's completion, which has to end the wait.
   LeaseDir dir(root_);
   const SweepConfig config = grid_config();
-  dir.init(make_fabric_grid(config, 1));
+  dir.init(pinned(config, 1));
   ShardLease holder = make_lease(0, 1, "holder");
   holder.shard_count = 1;
   ASSERT_TRUE(dir.try_claim(holder));

@@ -7,11 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "sim/shard.hpp"
 #include "sim/shard_merge.hpp"
 #include "sim/sweep.hpp"
@@ -29,13 +34,22 @@ SweepConfig grid_config() {
   return c;
 }
 
+/// The manifest a worker writes for shard i of K of `grid`.
+ShardManifest manifest_for(const GridSpec& grid, std::size_t i,
+                           std::size_t shard_count) {
+  return {.shard_index = i,
+          .shard_count = shard_count,
+          .grid = grid,
+          .cells = shard_cell_keys(grid, i, shard_count)};
+}
+
 /// The K shard artifacts a fully healthy run of `config` would produce.
 std::vector<ShardArtifact> healthy_artifacts(const SweepConfig& config,
                                              std::size_t shard_count) {
   std::vector<ShardArtifact> artifacts;
   for (std::size_t i = 0; i < shard_count; ++i) {
     ShardArtifact a;
-    a.manifest = make_shard_manifest(config, i, shard_count);
+    a.manifest = manifest_for(config, i, shard_count);
     a.csv = sweep_to_csv(run_sweep_shard(config, i, shard_count));
     artifacts.push_back(std::move(a));
   }
@@ -118,7 +132,8 @@ TEST(GridSpecCodec, RoundTrips) {
   const SweepConfig config = grid_config();
   EXPECT_EQ(parse_sizes(format_sizes(config.sizes)), config.sizes);
   EXPECT_EQ(parse_attacks(format_attacks(config.attacks)), config.attacks);
-  EXPECT_EQ(parse_seeds(format_seeds(config.seeds)), config.seeds);
+  EXPECT_EQ(parse_dims(format_dims({1, 2, 9})),
+            (std::vector<std::size_t>{1, 2, 9}));
 
   StepConfig step;
   step.kind = StepKind::Power;
@@ -130,8 +145,115 @@ TEST(GridSpecCodec, RoundTrips) {
   EXPECT_EQ(back.exponent, step.exponent);
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(GridSpecCodec, JsonRoundTripIsBitwise) {
+  // Every field, the async and delay ones included, with doubles that
+  // need all 17 significant digits.
+  GridSpec grid;
+  grid.sizes = {{6, 1}, {11, 2}};
+  grid.attacks = {AttackKind::PullToTarget, AttackKind::RandomNoise};
+  grid.seeds = {3, 5, 18446744073709551615ull};
+  grid.rounds = 123;
+  grid.spread = 0.1 + 0.2;
+  grid.step = {StepKind::Power, 1.0 / 3.0, 0.6180339887498949};
+  grid.async_engine = true;
+  grid.delay_kind = DelayKind::Fixed;
+  grid.delay_lo = 2.0 / 3.0;
+  grid.delay_hi = 1e-300;
+  const GridSpec back =
+      grid_spec_from_json("{\"grid\": " + grid_spec_to_json(grid) + "}");
+  EXPECT_EQ(back, grid);
+  EXPECT_EQ(bits(back.spread), bits(grid.spread));
+  EXPECT_EQ(bits(back.step.scale), bits(grid.step.scale));
+  EXPECT_EQ(bits(back.step.exponent), bits(grid.step.exponent));
+  EXPECT_EQ(bits(back.delay_lo), bits(grid.delay_lo));
+  EXPECT_EQ(bits(back.delay_hi), bits(grid.delay_hi));
+
+  // The sync defaults survive too, and the two grids differ.
+  const GridSpec sync = grid_config();
+  EXPECT_EQ(grid_spec_from_json("{\"grid\": " + grid_spec_to_json(sync) + "}"),
+            sync);
+  EXPECT_NE(sync, grid);
+}
+
+TEST(GridSpecCodec, MalformedGridsFailNamingTheField) {
+  // Each case is refused before anything runs — by a strict parser, the
+  // JSON reader or validate() — with the field named.
+  const auto expect_refused = [](const std::string& field, auto run) {
+    try {
+      run();
+      ADD_FAILURE() << field << ": accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* text : {"7:2x", "7:2,", "-7:2", "7", "7:2:1", ""})
+    expect_refused("sizes", [&] { parse_sizes(text); });
+  for (const char* text : {"1,,2", "+2", "1.5"})
+    expect_refused("dims", [&] { parse_dims(text); });
+  expect_refused("attack", [] { parse_attacks("pull,nope"); });
+  for (const char* text : {"harmonic:1", "power:1x:0.5", "fast:1:1"})
+    expect_refused("step", [&] { parse_step(text); });
+  expect_refused("engine", [] { parse_engine("lockstep"); });
+
+  // The JSON reader reads counts exactly: a sign, a fraction or an
+  // overflow is refused, never cast.
+  const std::string good = grid_spec_to_json(grid_config());
+  const std::vector<std::array<std::string, 3>> edits = {
+      {"\"rounds\": 200", "\"rounds\": -1", "rounds"},
+      {"\"rounds\": 200", "\"rounds\": 2.5", "rounds"},
+      {"\"rounds\": 200", "\"rounds\": 2e2", "rounds"},
+      {"[1,2,3]", "[1,18446744073709551616]", "seeds"},
+      {"[1,2,3]", "[1,-2]", "seeds"},
+      {"[1,2,3]", "[1,2.0]", "seeds"},
+      {"\"engine\"", "\"engin\"", "engine"},
+  };
+  for (const auto& edit : edits) {
+    std::string json = good;
+    json.replace(json.find(edit[0]), edit[0].size(), edit[1]);
+    expect_refused(edit[2],
+                   [&] { grid_spec_from_json("{\"grid\": " + json + "}"); });
+  }
+
+  // validate() refuses each of these changes to a valid grid.
+  using Change = std::function<void(GridSpec&)>;
+  const std::vector<std::pair<std::string, Change>> changes = {
+      {"sizes", [](GridSpec& g) { g.sizes.clear(); }},
+      {"sizes", [](GridSpec& g) { g.sizes = {{6, 2}}; }},
+      {"sizes", [](GridSpec& g) { g.sizes = {{7, 2}, {7, 2}}; }},
+      {"sizes", [](GridSpec& g) { g.async_engine = true; }},  // 7:2 <= 5f
+      {"dims", [](GridSpec& g) { g.dims = {0}; }},
+      {"dims",
+       [](GridSpec& g) {
+         g.async_engine = true;
+         g.sizes = {{6, 1}};
+         g.dims = {2};
+       }},
+      {"attacks", [](GridSpec& g) { g.attacks.push_back(g.attacks[0]); }},
+      {"seeds", [](GridSpec& g) { g.seeds.clear(); }},
+      {"seeds", [](GridSpec& g) { g.seeds = {3, 3}; }},
+      {"rounds", [](GridSpec& g) { g.rounds = 0; }},
+      {"spread", [](GridSpec& g) { g.spread = std::nan(""); }},
+      {"step", [](GridSpec& g) { g.step.scale = 0; }},
+      {"delay",
+       [](GridSpec& g) {
+         g.async_engine = true;
+         g.sizes = {{6, 1}};
+         g.delay_hi = 0.25;
+       }},
+  };
+  for (const auto& change : changes) {
+    GridSpec grid = grid_config();
+    EXPECT_NO_THROW(grid.validate());
+    change.second(grid);
+    expect_refused(change.first, [&] { grid.validate(); });
+  }
+}
+
 TEST(ShardManifestJson, RoundTrips) {
-  ShardManifest m = make_shard_manifest(grid_config(), 2, 4);
+  ShardManifest m = manifest_for(grid_config(), 2, 4);
   m.isa = "avx2";
   m.wall_ms = 12.345678901234567;
   m.exit_status = 0;
@@ -140,27 +262,38 @@ TEST(ShardManifestJson, RoundTrips) {
 }
 
 TEST(ShardManifestJson, RejectsMalformedDocuments) {
-  const std::string good = manifest_to_json(make_shard_manifest(
-      grid_config(), 0, 2));
+  const std::string good = manifest_to_json(manifest_for(grid_config(), 0, 2));
   EXPECT_THROW(manifest_from_json("{}"), ContractViolation);
   EXPECT_THROW(manifest_from_json(""), ContractViolation);
 
-  std::string wrong_schema = good;
-  const auto at = wrong_schema.find("\"schema\": 1");
-  wrong_schema.replace(at, 11, "\"schema\": 9");
-  EXPECT_THROW(manifest_from_json(wrong_schema), ContractViolation);
+  const auto edit = [&good](const std::string& from, const std::string& to) {
+    std::string json = good;
+    const auto at = json.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return json.replace(at, from.size(), to);
+  };
+  EXPECT_NO_THROW(manifest_from_json(good));
+  EXPECT_THROW(manifest_from_json(edit("\"schema\": 2", "\"schema\": 9")),
+               ContractViolation);
+  // Counts are read exactly: a sign, a fraction or an overflow is refused,
+  // not cast.
+  for (const char* bad : {"-1", "1.5", "1e0", "18446744073709551616"})
+    EXPECT_THROW(manifest_from_json(edit("\"shard_count\": 2",
+                                         std::string("\"shard_count\": ") +
+                                             bad)),
+                 ContractViolation)
+        << bad;
+  EXPECT_THROW(
+      manifest_from_json(edit("\"schema\": 2", "\"schema\": 4294967298")),
+      ContractViolation);
 }
 
 TEST(ShardManifestJson, ConfigRoundTripsThroughManifest) {
   const SweepConfig config = grid_config();
-  const ShardManifest m = make_shard_manifest(config, 1, 3);
-  const SweepConfig back = config_from_manifest(m);
-  EXPECT_EQ(back.sizes, config.sizes);
-  EXPECT_EQ(back.attacks, config.attacks);
-  EXPECT_EQ(back.seeds, config.seeds);
-  EXPECT_EQ(back.rounds, config.rounds);
-  EXPECT_EQ(back.spread, config.spread);
-  EXPECT_EQ(sweep_cell_specs(back), sweep_cell_specs(config));
+  const ShardManifest back =
+      manifest_from_json(manifest_to_json(manifest_for(config, 1, 3)));
+  EXPECT_EQ(back.grid, static_cast<const GridSpec&>(config));
+  EXPECT_EQ(sweep_cell_specs(back.grid), sweep_cell_specs(config));
 }
 
 TEST(ShardSweep, ShardZeroOfOneIsTheWholeGrid) {
@@ -272,7 +405,28 @@ TEST(ShardMerge, MissingAssignedRowRejected) {
 TEST(ShardMerge, GridMismatchRejected) {
   const SweepConfig config = grid_config();
   std::vector<ShardArtifact> artifacts = healthy_artifacts(config, 4);
-  artifacts.back().manifest.rounds += 1;
+  artifacts.back().manifest.grid.rounds += 1;
+  const MergeReport report = merge_shards(artifacts);
+  EXPECT_FALSE(report.ok());
+  ASSERT_FALSE(report.errors.empty());
+  EXPECT_NE(report.errors.front().find("disagrees"), std::string::npos);
+}
+
+TEST(ShardMerge, SyncAndAsyncManifestsRefuseToMerge) {
+  // 6:1 is a valid size for both engines, so the two grids have the same
+  // cells and partition; only the engine differs, and with it the bits.
+  SweepConfig sync;
+  sync.sizes = {{6, 1}, {11, 1}};
+  sync.attacks = {AttackKind::SplitBrain, AttackKind::SignFlip};
+  sync.seeds = {1, 2};
+  sync.rounds = 60;
+  SweepConfig async = sync;
+  async.async_engine = true;
+  std::vector<ShardArtifact> artifacts = healthy_artifacts(sync, 2);
+  artifacts.back() = healthy_artifacts(async, 2).back();
+  ASSERT_EQ(artifacts.front().manifest.cells.size() +
+                artifacts.back().manifest.cells.size(),
+            4u);
   const MergeReport report = merge_shards(artifacts);
   EXPECT_FALSE(report.ok());
   ASSERT_FALSE(report.errors.empty());
