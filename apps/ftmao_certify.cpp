@@ -64,25 +64,23 @@ int main(int argc, char** argv) {
   try {
     if (!cli::apply_isa_flag(parser, std::cerr)) return 2;
     CertifyOptions options;
-    options.n = static_cast<std::size_t>(parser.get_int("n"));
-    options.f = static_cast<std::size_t>(parser.get_int("f"));
-    options.rounds = static_cast<std::size_t>(parser.get_int("rounds"));
-    options.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+    options.n = parser.get_count("n");
+    options.f = parser.get_count("f");
+    options.rounds = parser.get_count("rounds");
+    options.seed = parser.get_count("seed");
     options.spread = parser.get_double("spread");
     options.consensus_eps = parser.get_double("consensus-eps");
     options.optimality_eps = parser.get_double("optimality-eps");
-    options.num_threads = static_cast<std::size_t>(parser.get_int("threads"));
-    options.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
+    options.num_threads = parser.get_count("threads");
+    options.batch_size = parser.get_count("batch");
     options.scalar_engine = parser.get_bool("scalar");
-    options.async_n = static_cast<std::size_t>(parser.get_int("async-n"));
-    options.async_f = static_cast<std::size_t>(parser.get_int("async-f"));
-    options.async_rounds =
-        static_cast<std::size_t>(parser.get_int("async-rounds"));
+    options.async_n = parser.get_count("async-n");
+    options.async_f = parser.get_count("async-f");
+    options.async_rounds = parser.get_count("async-rounds");
     options.async_consensus_eps = parser.get_double("async-consensus-eps");
     options.async_optimality_eps = parser.get_double("async-optimality-eps");
-    options.vector_dim = static_cast<std::size_t>(parser.get_int("vector-dim"));
-    options.vector_rounds =
-        static_cast<std::size_t>(parser.get_int("vector-rounds"));
+    options.vector_dim = parser.get_count("vector-dim");
+    options.vector_rounds = parser.get_count("vector-rounds");
     options.vector_consensus_eps = parser.get_double("vector-consensus-eps");
     options.vector_optimality_eps = parser.get_double("vector-optimality-eps");
     const std::unique_ptr<ResultCache> cache = cli::cache_from(parser);

@@ -99,6 +99,10 @@ std::string usage_error(const cli::ArgParser& parser, const std::string& mode,
     if (parser.has(flag.name) && !mode_reads(mode, flag.name))
       return "--" + flag.name + " is not a --mode " + mode + " flag";
   if (mode != "work" && mode != "local") return "";
+  // Forwarded to every shard as given: a negative count throws here,
+  // naming the flag, instead of failing each shard attempt.
+  for (const char* flag : {"threads", "batch", "cache-mem-mb"})
+    parser.get_count(flag);
   const double timeout_sec = parser.get_double("timeout-sec");
   if (!std::isfinite(timeout_sec) || timeout_sec <= 0)
     return "--timeout-sec must be a finite number > 0";
@@ -165,8 +169,7 @@ fabric::WorkerOptions worker_options(const cli::ArgParser& parser,
                                      const std::string& fabric_dir) {
   fabric::WorkerOptions options;
   options.fabric_dir = fabric_dir;
-  options.lease_ttl_ms =
-      static_cast<std::uint64_t>(parser.get_int("lease-ttl-ms"));
+  options.lease_ttl_ms = parser.get_count("lease-ttl-ms");
   options.retries = static_cast<int>(parser.get_int("retries"));
   options.backoff.base_ms = parser.get_int("backoff-ms");
   options.fleet_index = parser.get_int("fleet-index");
@@ -380,9 +383,8 @@ int main(int argc, char** argv) {
         std::cerr << "error: --mode claim needs --claim-shard\n";
         return 2;
       }
-      return run_claim_probe(
-          dir, static_cast<std::size_t>(shard), worker_id,
-          static_cast<std::uint64_t>(parser.get_int("lease-ttl-ms")));
+      return run_claim_probe(dir, static_cast<std::size_t>(shard),
+                             worker_id, parser.get_count("lease-ttl-ms"));
     }
     if (mode == "status") {
       print_status(dir);

@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (parser.get_bool("help")) {
-    std::cout << "ftmao_sweep — grid evaluation over sizes x attacks x seeds\n\n"
-              << parser.help_text();
+    std::cout
+        << "ftmao_sweep — grid evaluation over sizes x attacks x seeds\n\n"
+        << parser.help_text();
     return 0;
   }
 
@@ -76,8 +77,8 @@ int main(int argc, char** argv) {
     const auto shard_index = static_cast<std::size_t>(index);
     const auto shard_count = static_cast<std::size_t>(count);
     SweepConfig config{cli::grid_from_flags(parser)};
-    config.num_threads = static_cast<std::size_t>(parser.get_int("threads"));
-    config.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
+    config.num_threads = parser.get_count("threads");
+    config.batch_size = parser.get_count("batch");
     config.scalar_engine = parser.get_bool("scalar");
     const std::unique_ptr<ResultCache> cache = cli::cache_from(parser);
     config.cache = cache.get();

@@ -158,7 +158,11 @@ Throughput measure(const SweepConfig& config, std::size_t threads,
 // is one replica trajectory, matching the sweep blocks' unit. `engine`
 // selects the rung: the scalar per-run path (run_sbg per replica), or
 // run_sbg_batch with the devirtualized kernels forced off or on.
-enum class TranscendentalRung { kScalarVirtual, kBatchedVirtual, kBatchedKernel };
+enum class TranscendentalRung {
+  kScalarVirtual,
+  kBatchedVirtual,
+  kBatchedKernel
+};
 
 double measure_transcendental(const std::vector<Scenario>& replicas,
                               std::size_t repeats, TranscendentalRung rung) {
@@ -236,9 +240,9 @@ int main(int argc, char** argv) {
     config.sizes = {{7, 2}, {10, 3}, {13, 4}};
     config.attacks = {AttackKind::SplitBrain, AttackKind::SignFlip,
                       AttackKind::PullToTarget};
-    const auto seed_count = static_cast<std::uint64_t>(parser.get_int("seeds"));
+    const auto seed_count = parser.get_count("seeds");
     for (std::uint64_t s = 1; s <= seed_count; ++s) config.seeds.push_back(s);
-    config.rounds = static_cast<std::size_t>(parser.get_int("rounds"));
+    config.rounds = parser.get_count("rounds");
 
     const std::string engine = parser.get("engine");
     if (engine != "batched" && engine != "scalar") {
@@ -246,7 +250,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     config.scalar_engine = engine == "scalar";
-    config.batch_size = static_cast<std::size_t>(parser.get_int("batch"));
+    config.batch_size = parser.get_count("batch");
 
     if (!cli::apply_isa_flag(parser, std::cerr)) return 2;
 
@@ -270,8 +274,7 @@ int main(int argc, char** argv) {
 
     // Async block: the n > 5f grid, single-threaded, scalar event loop vs
     // batched replay engine. Their runs/sec ratio is the tracked speedup.
-    const auto async_rounds =
-        static_cast<std::size_t>(parser.get_int("async-rounds"));
+    const auto async_rounds = parser.get_count("async-rounds");
     Throughput async_scalar, async_batched;
     if (async_rounds > 0) {
       SweepConfig async_config;
@@ -296,10 +299,8 @@ int main(int argc, char** argv) {
     // axis is widened to 8 so the pack (dim * seeds lanes per agent row)
     // fills whole SIMD registers at the default dim — the engine's
     // intended operating point — independent of the sync grid's --seeds.
-    const auto vector_rounds =
-        static_cast<std::size_t>(parser.get_int("vector-rounds"));
-    const auto vector_dim =
-        static_cast<std::size_t>(parser.get_int("vector-dim"));
+    const auto vector_rounds = parser.get_count("vector-rounds");
+    const auto vector_dim = parser.get_count("vector-dim");
     Throughput vector_scalar, vector_batched;
     if (vector_rounds > 0) {
       SweepConfig vector_config;
@@ -325,7 +326,7 @@ int main(int argc, char** argv) {
     // run_sbg_batch with the devirtualized kernels off (virtual
     // derivative() per lane) vs on (SIMD polynomial kernels per row).
     const auto transcendental_rounds =
-        static_cast<std::size_t>(parser.get_int("transcendental-rounds"));
+        parser.get_count("transcendental-rounds");
     double trans_virtual = 0.0, trans_bvirtual = 0.0, trans_kernel = 0.0;
     if (transcendental_rounds > 0) {
       const auto family = make_transcendental_family(7, 8.0);

@@ -11,8 +11,9 @@
 # explicit seed list from a --spec file. Later stages drive the
 # multi-worker fabric: a SIGKILLed worker's lease is stolen, workers get
 # --spec and no grid flags, flags a mode does not read and malformed
-# grids are refused, unusable worker flags are refused, and a hung shard
-# process is killed at --timeout-sec and retried.
+# grids are refused, unusable worker flags and negative counts are
+# refused, and a hung shard process is killed at --timeout-sec and
+# retried.
 #
 # Registered as the ctest `shard_e2e` (label `shard`); also runnable
 # directly:
@@ -88,7 +89,8 @@ if ! grep -q "local run claimed 0 lease(s)" "$WORK/local_again.log"; then
 fi
 same_csv "$WORK/single.csv" "$WORK/merged_again.csv" "resumed"
 
-echo "shard_e2e: engine-flag forwarding (--isa scalar --batch 2 --threads 2) ..."
+echo "shard_e2e: engine-flag forwarding" \
+     "(--isa scalar --batch 2 --threads 2) ..."
 # Local mode must hand its engine knobs through to the workers: run a
 # small grid with a forced backend and assert (a) every worker manifest
 # records that backend, and (b) the merged CSV still matches a
@@ -237,7 +239,8 @@ fi
 XFAB="$WORK/fabric_xmode"
 for BAD in "--mode init --shards -1" \
            "--mode init --spec $SPEC --sizes 7:2" \
-           "--mode init --threads 4 --cache-dir /nonexistent/zzz --timeout-sec 0" \
+           "--mode init --threads 4 --cache-dir /nonexistent/zzz \
+--timeout-sec 0" \
            "--mode local --shards 2 --wait-all"; do
   BAD_STATUS=0
   # shellcheck disable=SC2086  # word-splitting of $BAD is intended
@@ -293,7 +296,8 @@ fi
 PROBE_STATUS=0
 "$FABRIC" --mode claim --fabric-dir "$FAB" --claim-shard 2 \
   --worker-id prober > "$WORK/fabric_probe.log" || PROBE_STATUS=$?
-if [ "$PROBE_STATUS" -ne 4 ] || ! grep -q "refused" "$WORK/fabric_probe.log"; then
+if [ "$PROBE_STATUS" -ne 4 ] ||
+   ! grep -q "refused" "$WORK/fabric_probe.log"; then
   echo "shard_e2e: FAIL — duplicate claim of a live lease was not refused" \
        "(exit $PROBE_STATUS)" >&2
   cat "$WORK/fabric_probe.log" >&2
@@ -328,7 +332,8 @@ if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric.csv"; then
   exit 1
 fi
 
-echo "shard_e2e: fabric (--megabatch refused, --spec and --scalar forwarded) ..."
+echo "shard_e2e: fabric" \
+     "(--megabatch refused, --spec and --scalar forwarded) ..."
 # ftmao_fabric has no --megabatch flag: the parser rejects it (exit 2)
 # before the fabric directory is touched, so init creates no directory
 # and work claims no shard. The workers run through a wrapper that logs
@@ -374,8 +379,8 @@ if [ "$(grep -c -- "--scalar" "$ARGV_LOG")" -ne 2 ]; then
   exit 1
 fi
 if [ "$(grep -c -- "--spec $SCFAB/grid.json " "$ARGV_LOG")" -ne 2 ] ||
-   grep -qE -- "--(sizes|dim|attacks|seeds|rounds|spread|step|step-scale|step-exp|engine|delay|delay-lo|delay-hi) " \
-     "$ARGV_LOG"; then
+   grep -qE -- "--(sizes|dim|attacks|seeds|rounds|spread|step|step-scale|\
+step-exp|engine|delay|delay-lo|delay-hi) " "$ARGV_LOG"; then
   echo "shard_e2e: FAIL — workers did not get --spec alone for the grid" >&2
   cat "$ARGV_LOG" >&2
   exit 1
@@ -409,6 +414,50 @@ for BAD in "--timeout-sec 0" "--timeout-sec -1" "--timeout-sec inf" \
      grep -rqs '"worker_id": "badflag"' "$TOFAB/leases"; then
     echo "shard_e2e: FAIL — work accepted $BAD (exit $BAD_STATUS)" >&2
     cat "$WORK/fabric_badflag.log" >&2
+    exit 1
+  fi
+done
+
+echo "shard_e2e: negative counts refused before any output or lease ..."
+# A count flag at -1 must not wrap to 2^64 - 1 (--threads -1 would start
+# one OS thread per task): ftmao_sweep exits non-zero naming the flag and
+# writes no CSV. ftmao_fabric forwards --threads, --batch and
+# --cache-mem-mb to every shard, so local mode exits 2 before it creates
+# the fabric directory, and work mode exits 2 before it claims a shard.
+NEG="$WORK/negative"
+mkdir -p "$NEG"
+"$FABRIC" --mode init --fabric-dir "$NEG/fab" --sizes 7:2 --seeds 1 \
+  --rounds 20 --shards 1 2> "$NEG/init.log"
+for FLAG in --threads --batch --cache-mem-mb; do
+  NEG_STATUS=0
+  "$SWEEP" --sizes 7:2 --seeds 1 --rounds 20 "$FLAG" -1 \
+    --out "$NEG/sweep.csv" 2> "$NEG/bad.log" || NEG_STATUS=$?
+  if [ "$NEG_STATUS" -eq 0 ] || [ -e "$NEG/sweep.csv" ] ||
+     ! grep -q -- "$FLAG" "$NEG/bad.log"; then
+    echo "shard_e2e: FAIL — ftmao_sweep accepted $FLAG -1" \
+         "(exit $NEG_STATUS)" >&2
+    cat "$NEG/bad.log" >&2
+    exit 1
+  fi
+  NEG_STATUS=0
+  "$FABRIC" --mode local --fabric-dir "$NEG/local" --worker "$SWEEP" \
+    --sizes 7:2 --seeds 1 --rounds 20 --shards 1 "$FLAG" -1 \
+    --out "$NEG/local.csv" 2> "$NEG/bad.log" || NEG_STATUS=$?
+  if [ "$NEG_STATUS" -ne 2 ] || [ -e "$NEG/local" ] ||
+     [ -e "$NEG/local.csv" ] || ! grep -q -- "$FLAG" "$NEG/bad.log"; then
+    echo "shard_e2e: FAIL — local mode accepted $FLAG -1" \
+         "(exit $NEG_STATUS)" >&2
+    cat "$NEG/bad.log" >&2
+    exit 1
+  fi
+  NEG_STATUS=0
+  "$FABRIC" --mode work --fabric-dir "$NEG/fab" --worker "$SWEEP" \
+    "$FLAG" -1 2> "$NEG/bad.log" || NEG_STATUS=$?
+  if [ "$NEG_STATUS" -ne 2 ] || find "$NEG/fab" -name '*.lease' | grep -q . ||
+     ! grep -q -- "$FLAG" "$NEG/bad.log"; then
+    echo "shard_e2e: FAIL — work mode accepted $FLAG -1" \
+         "(exit $NEG_STATUS)" >&2
+    cat "$NEG/bad.log" >&2
     exit 1
   fi
 done
@@ -453,4 +502,10 @@ if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric_timeout.csv"; then
   exit 1
 fi
 
-echo "shard_e2e: OK — retry exercised, re-run resumed, merged CSVs byte-identical, engine flags forwarded, dim axis round-trips, sharded --scalar identical, warm-start served from cache, async and --spec seed-list grids sharded, malformed grids and cross-mode flags refused, fabric steal recovered, workers given --spec and --scalar, unusable worker flags refused, hung shard timed out and retried"
+echo "shard_e2e: OK — retry exercised, re-run resumed, merged CSVs \
+byte-identical, engine flags forwarded, dim axis round-trips, sharded \
+--scalar identical, warm-start served from cache, async and --spec \
+seed-list grids sharded, malformed grids and cross-mode flags refused, \
+fabric steal recovered, workers given --spec and --scalar, unusable \
+worker flags refused, negative counts refused, hung shard timed out and \
+retried"

@@ -53,12 +53,16 @@ bool ResultCache::memory_insert(const CellKey& key,
   const auto found = shard.map.find(std::string_view(key.spec));
   if (found != shard.map.end()) {
     shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
-    return false;
+    std::string& stored = found->second->payload;
+    if (stored == payload) return false;
+    shard.bytes = shard.bytes - stored.size() + payload.size();
+    stored = payload;
+  } else {
+    shard.lru.push_front(Entry{key.spec, payload});
+    const auto it = shard.lru.begin();
+    shard.map.emplace(std::string_view(it->spec), it);
+    shard.bytes += it->spec.size() + it->payload.size();
   }
-  shard.lru.push_front(Entry{key.spec, payload});
-  const auto it = shard.lru.begin();
-  shard.map.emplace(std::string_view(it->spec), it);
-  shard.bytes += it->spec.size() + it->payload.size();
 
   // Size-capped LRU: evict from the cold end until this shard is back
   // under its slice of the budget. The entry just inserted is never
@@ -137,7 +141,8 @@ std::optional<std::string> ResultCache::read_record(const CellKey& key) {
   if (bytes.size() - pos < 8) return defect();
   const std::uint64_t payload_size = read_u64(bytes, pos);
   pos += 8;
-  if (payload_size > bytes.size() - pos || bytes.size() - pos != payload_size + 8)
+  if (payload_size > bytes.size() - pos ||
+      bytes.size() - pos != payload_size + 8)
     return defect();
   std::string payload = bytes.substr(pos, payload_size);
   pos += payload_size;

@@ -47,7 +47,7 @@ struct CacheConfig {
 struct CacheStats {
   std::uint64_t hits = 0;        ///< lookups served (memory or disk)
   std::uint64_t misses = 0;      ///< lookups that found nothing usable
-  std::uint64_t inserts = 0;     ///< new entries stored
+  std::uint64_t inserts = 0;     ///< payloads stored (new or replaced)
   std::uint64_t evictions = 0;   ///< LRU entries dropped from memory
   std::uint64_t disk_hits = 0;   ///< hits that were faulted in from disk
   std::uint64_t disk_errors = 0; ///< corrupt/truncated/mismatched records
@@ -67,8 +67,10 @@ class ResultCache {
   std::optional<std::string> lookup(const CellKey& key);
 
   /// Stores `payload` under `key` (memory, and disk when configured).
-  /// Idempotent: re-inserting an existing key refreshes LRU and rewrites
-  /// nothing. Thread-safe.
+  /// Idempotent: re-inserting a key with the payload it holds refreshes
+  /// LRU and rewrites nothing. A different payload replaces the stored
+  /// one in memory and on disk and counts as an insert: a driver stores a
+  /// recomputed result over a payload it could not decode. Thread-safe.
   void insert(const CellKey& key, const std::string& payload);
 
   CacheStats stats() const;
@@ -92,7 +94,8 @@ class ResultCache {
   /// Verified read of a disk record; nullopt (+ disk_errors) on any defect.
   std::optional<std::string> read_record(const CellKey& key);
   void write_record(const CellKey& key, const std::string& payload);
-  /// Inserts into the shard map under its lock; returns false if present.
+  /// Stores into the shard map under its lock; returns false if the key
+  /// already holds this payload.
   bool memory_insert(const CellKey& key, const std::string& payload);
 
   CacheConfig config_;

@@ -58,7 +58,8 @@ bool ArgParser::has(const std::string& name) const {
 }
 
 std::string ArgParser::get(const std::string& name) const {
-  if (const auto it = values_.find(name); it != values_.end()) return it->second;
+  if (const auto it = values_.find(name); it != values_.end())
+    return it->second;
   const FlagSpec* spec = find_spec(name);
   FTMAO_EXPECTS(spec != nullptr);
   return spec->default_value;
@@ -72,7 +73,8 @@ double ArgParser::get_double(const std::string& name) const {
     if (consumed != v.size()) throw std::invalid_argument(v);
     return out;
   } catch (const std::exception&) {
-    throw ContractViolation("flag --" + name + " expects a number, got '" + v + "'");
+    throw ContractViolation("flag --" + name + " expects a number, got '" +
+                            v + "'");
   }
 }
 
@@ -84,22 +86,33 @@ long ArgParser::get_int(const std::string& name) const {
     if (consumed != v.size()) throw std::invalid_argument(v);
     return out;
   } catch (const std::exception&) {
-    throw ContractViolation("flag --" + name + " expects an integer, got '" + v + "'");
+    throw ContractViolation("flag --" + name + " expects an integer, got '" +
+                            v + "'");
   }
+}
+
+std::uint64_t ArgParser::get_count(const std::string& name) const {
+  const long value = get_int(name);
+  if (value < 0)
+    throw ContractViolation("flag --" + name + " expects a count >= 0, got '" +
+                            get(name) + "'");
+  return static_cast<std::uint64_t>(value);
 }
 
 bool ArgParser::get_bool(const std::string& name) const {
   const std::string v = get(name);
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no" || v.empty()) return false;
-  throw ContractViolation("flag --" + name + " expects a boolean, got '" + v + "'");
+  throw ContractViolation("flag --" + name + " expects a boolean, got '" + v +
+                          "'");
 }
 
 std::string ArgParser::help_text() const {
   std::ostringstream os;
   for (const auto& spec : specs_) {
     os << "  --" << spec.name;
-    if (!spec.default_value.empty()) os << " (default: " << spec.default_value << ")";
+    if (!spec.default_value.empty())
+      os << " (default: " << spec.default_value << ")";
     os << "\n      " << spec.help << "\n";
   }
   return os.str();

@@ -5,6 +5,7 @@
 // Unknown flags are an error (typos should not be silently ignored in an
 // experiment driver).
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -38,6 +39,10 @@ class ArgParser {
   std::string get(const std::string& name) const;  ///< value or default
   double get_double(const std::string& name) const;
   long get_int(const std::string& name) const;
+  /// An unsigned count (threads, rounds, a seed, ...). Throws
+  /// ContractViolation naming the flag for a negative value, which a cast
+  /// would wrap to 2^64 - 1.
+  std::uint64_t get_count(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
   std::string help_text() const;

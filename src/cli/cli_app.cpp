@@ -37,15 +37,17 @@ ArgParser make_parser() {
       {"step", "harmonic | power | constant", "harmonic", false},
       {"step-scale", "step size scale", "1", false},
       {"step-exp", "exponent for --step power", "0.75", false},
-      {"constraint-lo", "projection interval lower bound (with -hi)", "", false},
-      {"constraint-hi", "projection interval upper bound (with -lo)", "", false},
+      {"constraint-lo", "projection interval lower bound (with -hi)", "",
+       false},
+      {"constraint-hi", "projection interval upper bound (with -lo)", "",
+       false},
       {"target", "pull attack target", "-30", false},
       {"magnitude", "attack state magnitude", "100", false},
       {"gradient-magnitude", "attack gradient magnitude", "10", false},
       {"flip-period", "rounds per flip-flop phase", "1", false},
       {"activation-round", "delayed-strike activation round", "1", false},
-      {"consistent", "wrap adversary in reliable-broadcast restriction", "false",
-       true},
+      {"consistent", "wrap adversary in reliable-broadcast restriction",
+       "false", true},
       {"drop", "honest link-loss probability per message", "0", false},
       {"topology",
        "graph algorithm: complete | ring:<k> | barbell:<bridges> | random:<d>",
@@ -72,12 +74,12 @@ Scenario scenario_from(const ArgParser& parser) {
     }
     return load_scenario(file);
   }
-  const auto n = static_cast<std::size_t>(parser.get_int("n"));
-  const auto f = static_cast<std::size_t>(parser.get_int("f"));
+  const auto n = parser.get_count("n");
+  const auto f = parser.get_count("f");
   Scenario s = make_standard_scenario(
-      n, f, parser.get_double("spread"), parse_attack_kind(parser.get("attack")),
-      static_cast<std::size_t>(parser.get_int("rounds")),
-      static_cast<std::uint64_t>(parser.get_int("seed")));
+      n, f, parser.get_double("spread"),
+      parse_attack_kind(parser.get("attack")), parser.get_count("rounds"),
+      parser.get_count("seed"));
   s.step.kind = parse_step_kind(parser.get("step"));
   s.step.scale = parser.get_double("step-scale");
   s.step.exponent = parser.get_double("step-exp");
@@ -85,9 +87,8 @@ Scenario scenario_from(const ArgParser& parser) {
   s.attack.state_magnitude = parser.get_double("magnitude");
   s.attack.gradient_magnitude = parser.get_double("gradient-magnitude");
   s.attack.consistent = parser.get_bool("consistent");
-  s.attack.flip_period = static_cast<std::size_t>(parser.get_int("flip-period"));
-  s.attack.activation_round =
-      static_cast<std::size_t>(parser.get_int("activation-round"));
+  s.attack.flip_period = parser.get_count("flip-period");
+  s.attack.activation_round = parser.get_count("activation-round");
   s.drop_probability = parser.get_double("drop");
   if (parser.has("constraint-lo") || parser.has("constraint-hi")) {
     if (!(parser.has("constraint-lo") && parser.has("constraint-hi")))
@@ -200,7 +201,9 @@ int run_graph_algorithm(const ArgParser& parser, std::ostream& out) {
   table.row().add("robustness r").add(max_robustness(s.topology));
   table.row().add("needs (2f+1)-robust").add(required_robustness(s.f));
   table.row().add("final disagreement").add(m.disagreement.back(), 6);
-  table.row().add("final dist to complete-net Y").add(m.max_dist_to_y.back(), 6);
+  table.row()
+      .add("final dist to complete-net Y")
+      .add(m.max_dist_to_y.back(), 6);
   table.print(out);
   return 0;
 }
@@ -237,8 +240,8 @@ int run_crash_algorithm(const ArgParser& parser, std::ostream& out) {
 
 int run_async_algorithm(const ArgParser& parser, std::ostream& out) {
   AsyncScenario s;
-  s.n = static_cast<std::size_t>(parser.get_int("n"));
-  s.f = static_cast<std::size_t>(parser.get_int("f"));
+  s.n = parser.get_count("n");
+  s.f = parser.get_count("f");
   for (std::size_t i = s.n - s.f; i < s.n; ++i) s.faulty.push_back(i);
   const Scenario base = scenario_from(parser);
   s.functions = base.functions;
@@ -280,9 +283,10 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
   }
   try {
     if (!apply_isa_flag(parser, err)) return 2;
-    if (parser.get("algorithm") == "async") return run_async_algorithm(parser, out);
-    if (parser.get("algorithm") == "graph") return run_graph_algorithm(parser, out);
-    if (parser.get("algorithm") == "crash") return run_crash_algorithm(parser, out);
+    const std::string algorithm = parser.get("algorithm");
+    if (algorithm == "async") return run_async_algorithm(parser, out);
+    if (algorithm == "graph") return run_graph_algorithm(parser, out);
+    if (algorithm == "crash") return run_crash_algorithm(parser, out);
     return run_sync_algorithm(parser, out);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";

@@ -129,12 +129,10 @@ bool apply_isa_flag(const ArgParser& parser, std::ostream& err) {
 }
 
 std::unique_ptr<ResultCache> cache_from(const ArgParser& parser) {
-  const std::string dir = parser.get("cache-dir");
-  if (dir.empty()) return nullptr;
   CacheConfig config;
-  config.dir = dir;
-  config.max_memory_bytes =
-      static_cast<std::size_t>(parser.get_int("cache-mem-mb")) << 20;
+  config.dir = parser.get("cache-dir");
+  config.max_memory_bytes = parser.get_count("cache-mem-mb") << 20;
+  if (config.dir.empty()) return nullptr;
   return std::make_unique<ResultCache>(std::move(config));
 }
 

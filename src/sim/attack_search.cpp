@@ -2,20 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <optional>
-#include <span>
 #include <sstream>
 
-#include "cache/cell_key.hpp"
-#include "cache/result_cache.hpp"
-#include "common/contracts.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "func/spec.hpp"
-#include "sim/batch_async_runner.hpp"
-#include "sim/batch_runner.hpp"
-#include "sim/megabatch.hpp"
+#include "sim/replica_driver.hpp"
 #include "sim/scenario_io.hpp"
 
 namespace ftmao {
@@ -120,143 +111,96 @@ std::vector<AttackCandidate> standard_attack_grid() {
 
 namespace {
 
-// The search body of both engines. S (Scenario or AsyncScenario) picks the
-// base rendering and the run_replicas overload; `engine` tags the cache
-// keys and `plan_engine` keys the plan.
+// The attack-free reference run's consensus state and Y. Its cache
+// payload is the state, then Y's bounds, bit-exact, so bias against a
+// restored reference equals bias against a recomputed one.
+struct Reference {
+  double state = 0.0;
+  Interval optima{0.0};
+};
+
+// The search body of both engines. S (Scenario or AsyncScenario) picks
+// the base rendering and the engines; `engine` tags the cache keys.
 template <class S>
 AttackSearchResult search_attacks(
     const S& base, const std::vector<AttackCandidate>& candidates,
-    std::size_t num_threads, std::size_t batch_size, bool scalar_engine,
-    ResultCache* cache, const std::string& engine,
-    MegabatchEngine plan_engine) {
+    const EngineKnobs& knobs, ResultCache* cache, const std::string& engine) {
   FTMAO_EXPECTS(!candidates.empty());
 
   S clean = base;
   clean.attack = AttackConfig{};
-  clean.attack.kind = AttackKind::None;
   const std::string key_suffix =
       cache != nullptr ? ";engine=" + engine + ";base=" + base_spec(clean)
                        : std::string{};
 
-  AttackSearchResult result;
-
-  // Reference run (attack-free, on the reference engine). Cached payload
-  // carries the consensus state and the Y interval bit-exactly, so bias
-  // computed against a restored reference equals bias against a
-  // recomputed one.
-  bool have_reference = false;
-  CellKey reference_key;
-  if (cache != nullptr) {
-    reference_key = make_cell_key("attack-search-ref" + key_suffix);
-    if (const std::optional<std::string> payload = cache->lookup(reference_key)) {
-      try {
-        PayloadReader reader(*payload);
-        const double state = reader.get_double();
+  // The reference run, on the reference engine.
+  std::vector<Reference> reference(1);
+  cached_pass(
+      cache, reference,
+      [&](std::size_t) { return "attack-search-ref" + key_suffix; },
+      [](PayloadReader& reader) {
+        Reference r;
+        r.state = reader.get_double();
         const double lo = reader.get_double();
-        const double hi = reader.get_double();
-        if (reader.exhausted()) {
-          result.reference_state = state;
-          result.optima = Interval(lo, hi);
-          have_reference = true;
+        r.optima = Interval(lo, reader.get_double());
+        return r;
+      },
+      [](PayloadWriter& writer, const Reference& r) {
+        writer.put_double(r.state);
+        writer.put_double(r.optima.lo());
+        writer.put_double(r.optima.hi());
+      },
+      [&](const std::vector<std::size_t>& pending) {
+        for (std::size_t i : pending) {
+          const auto m = run_reference(clean);
+          reference[i] = {m.final_states.front(), m.optima};
         }
-      } catch (const ContractViolation&) {
-        have_reference = false;
-      }
-    }
-  }
-  if (!have_reference) {
-    const auto reference =
-        run_replicas(std::span<const S>(&clean, 1), /*scalar_engine=*/true);
-    result.reference_state = reference.front().final_states.front();
-    result.optima = reference.front().optima;
-    if (cache != nullptr) {
-      PayloadWriter writer;
-      writer.put_double(result.reference_state);
-      writer.put_double(result.optima.lo());
-      writer.put_double(result.optima.hi());
-      cache->insert(reference_key, writer.bytes());
-    }
-  }
+      });
 
   // Index-addressed evaluation: outcome i always describes candidate i,
   // so the sort below sees the same array whatever the thread count,
-  // batch size, or engine. All candidates share the base scenario's
-  // shape, so a task's candidates advance in lockstep through the batched
-  // engine.
-  const std::size_t count = candidates.size();
-  result.outcomes.resize(count);
-  const double reference_state = result.reference_state;
-
-  // Cache pre-pass over the candidates; misses land on `pending` and run
-  // through the planned tasks below.
-  std::vector<std::size_t> pending(count);
-  std::iota(pending.begin(), pending.end(), std::size_t{0});
-  std::vector<CellKey> keys;
-  if (cache != nullptr) {
-    pending.clear();
-    keys.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      keys.push_back(
-          make_cell_key("attack-search" + key_suffix + ";cand=" +
-                        attack_config_spec(candidates[i].config)));
-      bool filled = false;
-      if (const std::optional<std::string> payload = cache->lookup(keys[i])) {
-        try {
-          PayloadReader reader(*payload);
-          AttackOutcome outcome;
-          outcome.name = candidates[i].name;
-          outcome.final_state = reader.get_double();
-          outcome.dist_to_y = reader.get_double();
-          outcome.disagreement = reader.get_double();
-          if (reader.exhausted()) {
-            outcome.bias = std::abs(outcome.final_state - reference_state);
-            result.outcomes[i] = std::move(outcome);
-            filled = true;
-          }
-        } catch (const ContractViolation&) {
-          filled = false;
-        }
-      }
-      if (!filled) pending.push_back(i);
-    }
-  }
-
-  // Lane-aligned tasks over the pending list (batch-1 tasks on the
-  // reference engine under scalar_engine); task ranges index `pending`.
-  const std::vector<MegabatchTask> tasks = plan_uniform_slices(
-      pending.size(), scalar_engine ? 1 : batch_size, base.rounds,
-      MegabatchKey{plan_engine, base.n, base.f, 1});
-  parallel_for_each(num_threads, tasks.size(), [&](std::size_t task) {
-    const std::size_t first = tasks[task].first;
-    const std::size_t batch = tasks[task].count;
-    std::vector<S> replicas;
-    replicas.reserve(batch);
-    for (std::size_t i = 0; i < batch; ++i) {
-      S attacked = base;
-      attacked.attack = candidates[pending[first + i]].config;
-      replicas.push_back(std::move(attacked));
-    }
-    const auto metrics = run_replicas(replicas, scalar_engine);
-    for (std::size_t i = 0; i < batch; ++i) {
-      const auto& m = metrics[i];
-      AttackOutcome& outcome = result.outcomes[pending[first + i]];
-      outcome.name = candidates[pending[first + i]].name;
-      outcome.final_state = m.final_states.front();
-      outcome.bias = std::abs(outcome.final_state - reference_state);
-      outcome.dist_to_y = m.max_dist_to_y.back();
-      outcome.disagreement = m.disagreement.back();
-    }
-  });
-
-  if (cache != nullptr) {
-    for (std::size_t i : pending) {
-      const AttackOutcome& outcome = result.outcomes[i];
-      PayloadWriter writer;
-      writer.put_double(outcome.final_state);
-      writer.put_double(outcome.dist_to_y);
-      writer.put_double(outcome.disagreement);
-      cache->insert(keys[i], writer.bytes());
-    }
+  // batch size, engine, or cache state. Every candidate is a replica of
+  // the base's shape with the candidate's attack.
+  AttackSearchResult result;
+  result.reference_state = reference[0].state;
+  result.optima = reference[0].optima;
+  result.outcomes.resize(candidates.size());
+  cached_pass(
+      cache, result.outcomes,
+      [&](std::size_t i) {
+        return "attack-search" + key_suffix +
+               ";cand=" + attack_config_spec(candidates[i].config);
+      },
+      [](PayloadReader& reader) {
+        AttackOutcome outcome;
+        outcome.final_state = reader.get_double();
+        outcome.dist_to_y = reader.get_double();
+        outcome.disagreement = reader.get_double();
+        return outcome;
+      },
+      [](PayloadWriter& writer, const AttackOutcome& outcome) {
+        writer.put_double(outcome.final_state);
+        writer.put_double(outcome.dist_to_y);
+        writer.put_double(outcome.disagreement);
+      },
+      [&](const std::vector<std::size_t>& pending) {
+        run_shape(
+            base, pending.size(),
+            [&](std::size_t k) {
+              return Replica{candidates[pending[k]].config, base.seed};
+            },
+            knobs, RunOptions{},
+            [&](std::size_t k, const auto& m) {
+              AttackOutcome& outcome = result.outcomes[pending[k]];
+              outcome.final_state = m.final_states.front();
+              outcome.dist_to_y = m.max_dist_to_y.back();
+              outcome.disagreement = m.disagreement.back();
+            });
+      });
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    AttackOutcome& outcome = result.outcomes[i];
+    outcome.name = candidates[i].name;
+    outcome.bias = std::abs(outcome.final_state - result.reference_state);
   }
 
   std::sort(result.outcomes.begin(), result.outcomes.end(),
@@ -272,17 +216,18 @@ AttackSearchResult find_strongest_attack(
     const Scenario& base, const std::vector<AttackCandidate>& candidates,
     std::size_t num_threads, std::size_t batch_size, bool scalar_engine,
     ResultCache* cache) {
-  return search_attacks(base, candidates, num_threads, batch_size,
-                        scalar_engine, cache, "sync", MegabatchEngine::kSync);
+  return search_attacks(base, candidates,
+                        {num_threads, batch_size, scalar_engine}, cache,
+                        "sync");
 }
 
 AttackSearchResult find_strongest_attack_async(
     const AsyncScenario& base, const std::vector<AttackCandidate>& candidates,
     std::size_t num_threads, std::size_t batch_size, bool scalar_engine,
     ResultCache* cache) {
-  return search_attacks(base, candidates, num_threads, batch_size,
-                        scalar_engine, cache, "async",
-                        MegabatchEngine::kAsync);
+  return search_attacks(base, candidates,
+                        {num_threads, batch_size, scalar_engine}, cache,
+                        "async");
 }
 
 }  // namespace ftmao

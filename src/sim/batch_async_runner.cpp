@@ -190,7 +190,8 @@ LaneSchedule replay_schedule(const AsyncScenario& s) {
 class BatchedAsyncRunner {
  public:
   explicit BatchedAsyncRunner(std::span<const AsyncScenario> replicas)
-      : replicas_(replicas), kernels_(&simd_kernels_for_lanes(replicas.size())) {
+      : replicas_(replicas),
+        kernels_(&simd_kernels_for_lanes(replicas.size())) {
     const AsyncScenario& first = replicas.front();
     B_ = replicas.size();
     const std::size_t w = kernels_->width;
@@ -530,15 +531,6 @@ std::vector<AsyncRunMetrics> run_async_sbg_batch(
   }
 
   return BatchedAsyncRunner(replicas).run();
-}
-
-std::vector<AsyncRunMetrics> run_replicas(
-    std::span<const AsyncScenario> replicas, bool scalar_engine) {
-  if (!scalar_engine) return run_async_sbg_batch(replicas);
-  std::vector<AsyncRunMetrics> out;
-  out.reserve(replicas.size());
-  for (const AsyncScenario& s : replicas) out.push_back(run_async_sbg(s));
-  return out;
 }
 
 }  // namespace ftmao

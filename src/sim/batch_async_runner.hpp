@@ -57,9 +57,4 @@ namespace ftmao {
 std::vector<AsyncRunMetrics> run_async_sbg_batch(
     std::span<const AsyncScenario> replicas);
 
-/// run_async_sbg_batch, or run_async_sbg on each replica in order when
-/// `scalar_engine` (the reference engine). Bit-identical either way.
-std::vector<AsyncRunMetrics> run_replicas(
-    std::span<const AsyncScenario> replicas, bool scalar_engine);
-
 }  // namespace ftmao

@@ -680,14 +680,4 @@ std::vector<RunMetrics> run_sbg_batch(std::span<const Scenario> replicas,
   return BatchedSbgRunner(replicas, options).run();
 }
 
-std::vector<RunMetrics> run_replicas(std::span<const Scenario> replicas,
-                                     bool scalar_engine,
-                                     const RunOptions& options) {
-  if (!scalar_engine) return run_sbg_batch(replicas, options);
-  std::vector<RunMetrics> out;
-  out.reserve(replicas.size());
-  for (const Scenario& s : replicas) out.push_back(run_sbg(s, options));
-  return out;
-}
-
 }  // namespace ftmao

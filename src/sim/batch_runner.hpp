@@ -2,10 +2,10 @@
 
 // Batched replica execution of Algorithm SBG (Section 4).
 //
-// The grid drivers (sweep, certify, attack search) reduce to running many
-// independent replicas of one scenario *shape* — same population size,
-// fault set, crash schedule, and horizon, differing only in seed, cost
-// functions, initial states, attack configuration, step schedule, or
+// The grid drivers (sweep, certify, attack search; sim/replica_driver.hpp)
+// run many independent replicas of one scenario *shape* — same population
+// size, fault set, crash schedule, and horizon, differing only in seed,
+// cost functions, initial states, attack configuration, step schedule, or
 // constraint. BatchedSbgRunner advances B such replicas per round in
 // lockstep over structure-of-arrays state (x[agent][replica],
 // broadcast[sender][replica], inbox matrices [slot][replica]) so the
@@ -51,12 +51,5 @@ namespace ftmao {
 /// per replica.
 std::vector<RunMetrics> run_sbg_batch(std::span<const Scenario> replicas,
                                       const RunOptions& options = {});
-
-/// The grid drivers' engine switch: run_sbg_batch, or, when
-/// `scalar_engine`, run_sbg on each replica in order (the reference
-/// engine). Either way the result is bit-identical.
-std::vector<RunMetrics> run_replicas(std::span<const Scenario> replicas,
-                                     bool scalar_engine,
-                                     const RunOptions& options = {});
 
 }  // namespace ftmao

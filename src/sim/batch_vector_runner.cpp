@@ -170,9 +170,9 @@ class BatchedVectorSbgRunner {
       bpresent_.assign(payload_rows * Lpad_, 0.0);
     }
 
-    // Failure-free optima: identical cost sets (by object identity, the
-    // common case for a seed batch sharing one family) compute the
-    // reference minimizer once and reuse the result bits.
+    // Failure-free optima: identical cost sets (by object identity; the
+    // grid drivers' replicas of one shape share their shape's costs)
+    // compute the reference minimizer once and reuse the result bits.
     results_.resize(B_);
     for (std::size_t r = 0; r < B_; ++r) {
       if (r > 0 && replicas_[r].honest_costs == replicas_[r - 1].honest_costs) {
@@ -437,16 +437,6 @@ std::vector<VectorRunResult> run_vector_sbg_batch(
   if (replicas.empty()) return {};
   BatchedVectorSbgRunner runner(replicas);
   return runner.run();
-}
-
-std::vector<VectorRunResult> run_replicas(
-    std::span<const VectorScenario> replicas, bool scalar_engine) {
-  if (!scalar_engine) return run_vector_sbg_batch(replicas);
-  std::vector<VectorRunResult> out;
-  out.reserve(replicas.size());
-  for (const VectorScenario& s : replicas)
-    out.push_back(run_vector_scenario(s));
-  return out;
 }
 
 }  // namespace ftmao

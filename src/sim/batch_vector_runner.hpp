@@ -49,9 +49,4 @@ namespace ftmao {
 std::vector<VectorRunResult> run_vector_sbg_batch(
     std::span<const VectorScenario> replicas);
 
-/// run_vector_sbg_batch, or run_vector_scenario on each replica in order
-/// when `scalar_engine` (the reference engine). Bit-identical either way.
-std::vector<VectorRunResult> run_replicas(
-    std::span<const VectorScenario> replicas, bool scalar_engine);
-
 }  // namespace ftmao

@@ -8,7 +8,7 @@
 // composition (see batch_runner.hpp), so the plan changes wall-clock and
 // lane occupancy, never output: results scatter back into per-(cell, seed)
 // slots. A plan with batch_size 1 is the scalar reference's schedule (each
-// one-replica task runs on the reference engine, via run_replicas).
+// one-replica task runs on the reference engine; sim/replica_driver.hpp).
 //
 // The planner is pure arithmetic over shape keys — no engine calls — so its
 // slicing and occupancy accounting are unit-testable with an injected lane
@@ -23,7 +23,11 @@ namespace ftmao {
 
 /// Engine family of a replica. Families never share a batch: each has its
 /// own runner with its own lane layout.
-enum class MegabatchEngine : std::uint8_t { kSync = 0, kAsync = 1, kVector = 2 };
+enum class MegabatchEngine : std::uint8_t {
+  kSync = 0,
+  kAsync = 1,
+  kVector = 2
+};
 
 /// Shape key: replicas are batch-compatible iff their keys are equal. The
 /// grid axes that vary per cell beyond this key (attack, seed, step) are
@@ -88,7 +92,7 @@ std::size_t active_lane_width(std::size_t lanes);
 struct MegabatchPlan {
   /// Input items stable-grouped by shape key: within a group, caller order
   /// (cell-major, seed-minor) is preserved, so same-cell replicas stay
-  /// adjacent — the vector engine's optimum memoization relies on that.
+  /// adjacent and a shape's tasks cover contiguous runs of cells.
   std::vector<MegabatchItem> items;
   /// Tasks in submission order: cost-descending, ties by first index, so
   /// heterogeneous grids start their largest shapes first and the thread

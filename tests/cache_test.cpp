@@ -9,6 +9,10 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -66,6 +70,67 @@ SweepConfig small_async_grid() {
 
 std::string sweep_csv(const SweepConfig& config) {
   return sweep_to_csv(run_sweep(config));
+}
+
+// A small certification: every section on, each a few rounds.
+CertifyOptions small_certify() {
+  CertifyOptions options;
+  options.n = 4;
+  options.f = 1;
+  options.rounds = 30;
+  options.async_n = 6;
+  options.async_f = 1;
+  options.async_rounds = 20;
+  options.vector_dim = 2;
+  options.vector_rounds = 20;
+  return options;
+}
+
+std::string report_text(const CertificationReport& report) {
+  std::string text = report.passed ? "CERTIFIED\n" : "FAILED\n";
+  for (const CertifyCheck& check : report.checks)
+    text += check.name + (check.passed ? " PASS " : " FAIL ") +
+            check.detail + "\n";
+  return text;
+}
+
+// The base of the small attack searches: its own attack is ignored.
+Scenario small_search_base() {
+  return make_standard_scenario(4, 1, 8.0, AttackKind::SplitBrain, 50, 1);
+}
+
+// small_search_base's scenario file with the attack reset, as the
+// search's cache keys embed it.
+const char* const kSmallSearchBaseFile =
+    "# ftmao scenario\nn = 4\nf = 1\nfaulty = 3\nrounds = 50\nseed = 1\n"
+    "attack = none\nattack.state_magnitude = 100\n"
+    "attack.gradient_magnitude = 10\nattack.target = 0\n"
+    "attack.amplification = 3\nattack.flip_period = 1\n"
+    "attack.activation_round = 1\nattack.consistent = false\n"
+    "step = harmonic\nstep.scale = 1\nstep.exponent = 0.75\n"
+    "default.state = 0\ndefault.gradient = 0\ndrop_probability = 0\n"
+    "function = huber(-4, 2, 1)\n"
+    "function = logcosh(-1.3333333333333335, 1, 1.5)\n"
+    "function = smoothabs(1.333333333333333, 0.5, 1)\n"
+    "function = flathuber(3.5, 4.5, 2, 1)\n"
+    "initial = -4, -1.3333333333333335, 1.333333333333333, 4\n";
+
+std::string search_text(const AttackSearchResult& result) {
+  std::ostringstream os;
+  os << std::hexfloat << result.reference_state << ' ' << result.optima.lo()
+     << ' ' << result.optima.hi() << '\n';
+  for (const AttackOutcome& o : result.outcomes)
+    os << o.name << ' ' << o.final_state << ' ' << o.bias << ' '
+       << o.dist_to_y << ' ' << o.disagreement << '\n';
+  return os.str();
+}
+
+// The record file names of a disk cache directory.
+std::set<std::string> record_names(const std::filesystem::path& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    names.insert(entry.path().filename().string());
+  return names;
 }
 
 // --- key golden values ------------------------------------------------
@@ -129,6 +194,55 @@ TEST(CellKey, SweepSpecGrammarIsPinned) {
             "constraint=none;engine=async;delay=uniform:0.5:1.5");
   EXPECT_EQ(make_cell_key(async_spec).hex(),
             "1b45fc458d3f63e01adc22e7ef2252b1");
+}
+
+TEST(CellKey, CertifyAndAttackSearchSpecsArePinned) {
+  // Cold runs against a disk cache write exactly the records these spec
+  // strings name: a drift in either driver's key rendering would orphan
+  // every cache written before it.
+  const std::vector<std::string> attacks = {
+      "none",         "silent",         "fixed", "split-brain",
+      "hull-edge-up", "hull-edge-down", "noise", "sign-flip",
+      "pull",         "flip-flop"};
+  const auto certify_dir = fresh_dir("pinned_certify");
+  ResultCache certify_cache{CacheConfig{certify_dir.string()}};
+  CertifyOptions options = small_certify();
+  options.cache = &certify_cache;
+  certify_sbg(options);
+  std::set<std::string> want;
+  const auto expect_record = [&want](const std::string& spec) {
+    want.insert(make_cell_key(spec).hex() + ".ftc");
+  };
+  for (const std::string& attack : attacks) {
+    expect_record("certify-sync;family=std-mixed;n=4;f=1;dim=1;attack=" +
+                  attack + ";spread=8;rounds=30;seed=1;constraint=none");
+    expect_record("certify-async;family=std-mixed;n=6;f=1;dim=1;attack=" +
+                  attack + ";spread=8;rounds=20;seed=1;constraint=none");
+    expect_record("certify-vector;family=std-mixed;n=4;f=1;dim=2;attack=" +
+                  attack + ";spread=8;rounds=20;seed=1;constraint=none");
+  }
+  expect_record(
+      "certify-dgd;family=std-mixed;n=4;f=1;dim=1;attack=pull;spread=8;"
+      "rounds=30;seed=1;constraint=none");
+  EXPECT_EQ(record_names(certify_dir), want);
+
+  const auto search_dir = fresh_dir("pinned_search");
+  ResultCache search_cache{CacheConfig{search_dir.string()}};
+  const std::vector<AttackCandidate> candidates = standard_attack_grid();
+  find_strongest_attack(small_search_base(), candidates, 1, 0, false,
+                        &search_cache);
+  const std::set<std::string> records = record_names(search_dir);
+  EXPECT_EQ(records.size(), candidates.size() + 1);
+  const std::string base =
+      std::string(";engine=sync;base=") + kSmallSearchBaseFile;
+  EXPECT_TRUE(records.count(
+      make_cell_key("attack-search-ref" + base).hex() + ".ftc"));
+  EXPECT_TRUE(records.count(
+      make_cell_key("attack-search" + base +
+                    ";cand=kind=pull,smag=100,gmag=10,target=-10,amp=3,"
+                    "flip=1,act=1,consistent=0")
+          .hex() +
+      ".ftc"));
 }
 
 TEST(CellKey, CanonDoubleRoundTripsShortest) {
@@ -575,6 +689,80 @@ TEST(CachedAttackSearch, AsyncColdAndWarmMatchUncached) {
       EXPECT_EQ(result->outcomes[i].bias, reference.outcomes[i].bias);
     }
   }
+}
+
+// --- undecodable payloads ---------------------------------------------
+
+// A payload that passes the record checksum but not the driver's decode
+// is recomputed, and must not stay: run(cache) renders a driver's output
+// against a disk cache whose record under `key` is spoil(good), where
+// good is what a cold run stores there. The output equals the uncached
+// one, and afterwards `key` holds good, in memory and on disk.
+void expect_undecodable_payload_replaced(
+    const std::string& name, const CellKey& key,
+    const std::function<std::string(const std::string&)>& spoil,
+    const std::function<std::string(ResultCache*)>& run) {
+  SCOPED_TRACE(name);
+  const std::string uncached = run(nullptr);
+  ResultCache cold{CacheConfig{fresh_dir(name + "_cold").string()}};
+  ASSERT_EQ(run(&cold), uncached);
+  const std::optional<std::string> good = cold.lookup(key);
+  ASSERT_TRUE(good.has_value()) << "no record under " << key.spec;
+
+  const auto dir = fresh_dir(name + "_spoiled");
+  ResultCache{CacheConfig{dir.string()}}.insert(key, spoil(*good));
+  ResultCache cache{CacheConfig{dir.string()}};
+  EXPECT_EQ(run(&cache), uncached);
+  EXPECT_EQ(cache.lookup(key), good) << "in memory";
+  EXPECT_EQ(ResultCache{CacheConfig{dir.string()}}.lookup(key), good)
+      << "on disk";
+}
+
+TEST(CachedDrivers, UndecodablePayloadIsReplaced) {
+  SweepConfig sweep = small_grid();
+  sweep.dims = {1};
+  const std::size_t num_seeds = sweep.seeds.size();
+  expect_undecodable_payload_replaced(
+      "sweep",
+      make_cell_key(sweep_cell_cache_spec(sweep, sweep_cell_specs(sweep)[0])),
+      [num_seeds](const std::string&) {
+        // Well formed, but for one seed fewer than the grid has.
+        PayloadWriter writer;
+        writer.put_u64(num_seeds - 1);
+        for (std::size_t i = 0; i < 2 * (num_seeds - 1); ++i)
+          writer.put_double(0.5);
+        return writer.bytes();
+      },
+      [sweep](ResultCache* cache) {
+        SweepConfig config = sweep;
+        config.cache = cache;
+        return sweep_csv(config);
+      });
+
+  expect_undecodable_payload_replaced(
+      "certify",
+      make_cell_key("certify-async;family=std-mixed;n=6;f=1;dim=1;"
+                    "attack=split-brain;spread=8;rounds=20;seed=1;"
+                    "constraint=none"),
+      [](const std::string& good) { return good + '\0'; },
+      [](ResultCache* cache) {
+        CertifyOptions options = small_certify();
+        options.cache = cache;
+        return report_text(certify_sbg(options));
+      });
+
+  expect_undecodable_payload_replaced(
+      "search",
+      make_cell_key(std::string("attack-search-ref;engine=sync;base=") +
+                    kSmallSearchBaseFile),
+      [](const std::string& good) {
+        return good.substr(0, good.size() - 1);
+      },
+      [](ResultCache* cache) {
+        return search_text(find_strongest_attack(
+            small_search_base(), standard_attack_grid(), 1, 0, false,
+            cache));
+      });
 }
 
 }  // namespace

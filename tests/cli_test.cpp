@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "cache/result_cache.hpp"
 #include "cli/args.hpp"
 #include "cli/cli_app.hpp"
 #include "cli/engine_flags.hpp"
@@ -121,7 +122,8 @@ TEST(Cli, DefaultRunPrintsSummary) {
 TEST(Cli, CsvModeEmitsHeaderAndRows) {
   std::string out;
   EXPECT_EQ(run({"--rounds", "50", "--csv"}, &out), 0);
-  EXPECT_EQ(out.rfind("t,disagreement,max_dist_to_y,max_projection_error", 0), 0u);
+  EXPECT_EQ(out.rfind("t,disagreement,max_dist_to_y,max_projection_error", 0),
+            0u);
   // 50 rounds + initial row + header.
   EXPECT_EQ(static_cast<int>(std::count(out.begin(), out.end(), '\n')), 52);
 }
@@ -306,6 +308,53 @@ TEST(GridFlags, MalformedGridsFailNamingTheFlag) {
           << args.front() << " " << args.back() << ": " << e.what();
     }
   }
+}
+
+// ------------------------------------------------------------ count flags
+
+TEST(CountFlags, NegativeIsRefusedNamingTheFlagAndZeroIsAccepted) {
+  // Every flag read as an unsigned count: -1 must be refused with the
+  // flag named, not cast to 2^64 - 1 (--threads -1 would start one OS
+  // thread per task), and 0 reads as 0.
+  std::vector<FlagSpec> specs = engine_flag_specs("output", "seed");
+  append_flags(specs, cache_flag_specs());
+  for (const char* name :
+       {"n", "f", "rounds", "seed", "async-n", "async-f", "async-rounds",
+        "vector-dim", "vector-rounds", "flip-period", "activation-round",
+        "seeds", "lease-ttl-ms", "transcendental-rounds"})
+    specs.push_back({name, "a count", "1", false});
+  for (const FlagSpec& spec : specs) {
+    if (spec.boolean || spec.name == "isa" || spec.name == "cache-dir")
+      continue;
+    const std::string flag = "--" + spec.name;
+    ArgParser negative(specs);
+    ASSERT_FALSE(negative.parse({flag, "-1"}).has_value()) << flag;
+    try {
+      negative.get_count(spec.name);
+      ADD_FAILURE() << flag << " -1: accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(flag + " "), std::string::npos)
+          << e.what();
+    }
+    ArgParser zero(specs);
+    ASSERT_FALSE(zero.parse({flag, "0"}).has_value()) << flag;
+    EXPECT_EQ(zero.get_count(spec.name), 0u) << flag;
+  }
+
+  // The readers that use it refuse -1 before any work, naming the flag.
+  ArgParser cache_parser(specs);
+  ASSERT_FALSE(cache_parser.parse({"--cache-dir", "unused", "--cache-mem-mb",
+                                   "-1"}).has_value());
+  EXPECT_THROW(cache_from(cache_parser), ContractViolation);
+  for (const char* flag : {"--n", "--f", "--rounds", "--seed",
+                           "--flip-period", "--activation-round"}) {
+    std::string err;
+    EXPECT_EQ(run({flag, "-1"}, nullptr, &err), 1) << flag;
+    EXPECT_NE(err.find(std::string(flag) + " "), std::string::npos) << err;
+  }
+  std::string err;
+  EXPECT_EQ(run({"--algorithm", "async", "--n", "-1"}, nullptr, &err), 1);
+  EXPECT_NE(err.find("--n "), std::string::npos) << err;
 }
 
 }  // namespace

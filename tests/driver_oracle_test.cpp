@@ -1,12 +1,12 @@
-// The grid drivers against a serial oracle. run_sweep and both attack
-// searches must equal plain loops written in this file: one reference-
-// engine run (run_sbg, run_vector_scenario, run_async_sbg) per (cell,
-// seed) or per candidate, aggregated in order. The loops share no
-// scheduling, scenario packing or result scatter with the drivers, so a
-// driver bug common to the batched engines and the --scalar path (which
-// run the same plan) cannot hide behind their agreement. Every driver
-// mode is checked: scalar and batched engines, several batch sizes, one
-// and several threads.
+// The grid drivers against a serial oracle. run_sweep, both attack
+// searches and certify_sbg must equal plain loops written in this file:
+// one reference-engine run (run_sbg, run_vector_scenario, run_async_sbg)
+// per (cell, seed), candidate or attack, aggregated in order. The loops
+// share no scheduling, scenario packing or result scatter with the
+// drivers, so a driver bug common to the batched engines and the --scalar
+// path (which run the same plan) cannot hide behind their agreement.
+// Every driver mode is checked: scalar and batched engines, several batch
+// sizes, one and several threads.
 
 #include <gtest/gtest.h>
 
@@ -18,10 +18,17 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "common/table.hpp"
+#include "core/step_size.hpp"
+#include "core/theory.hpp"
+#include "func/library.hpp"
 #include "sim/async_runner.hpp"
 #include "sim/attack_search.hpp"
+#include "sim/certify.hpp"
 #include "sim/runner.hpp"
+#include "sim/scenario_io.hpp"
 #include "sim/sweep.hpp"
+#include "sim/trace.hpp"
 #include "sim/vector_scenario.hpp"
 
 namespace ftmao {
@@ -245,6 +252,168 @@ TEST(AttackSearchOracle, AsyncOutcomesMatchDirectRuns) {
         return find_strongest_attack_async(b, c, threads, batch, scalar);
       },
       [](const AsyncScenario& s) { return run_async_sbg(s); });
+}
+
+// The expected certification: for each of certify's ten attacks, in its
+// grid order, one run_sbg with certify's audit and trace options, one
+// run_async_sbg and one run_vector_scenario on the standard scenarios,
+// each aimed at -6 * spread with gradient magnitude 10; then one run_dgd
+// under the aimed pull. Each "worst" names the first attack that reaches
+// it; a failed audit, invariant or bound names the last offender.
+CertificationReport serial_certify(const CertifyOptions& o) {
+  const std::vector<AttackKind> attacks = {
+      AttackKind::None,         AttackKind::Silent,
+      AttackKind::FixedValue,   AttackKind::SplitBrain,
+      AttackKind::HullEdgeUp,   AttackKind::HullEdgeDown,
+      AttackKind::RandomNoise,  AttackKind::SignFlip,
+      AttackKind::PullToTarget, AttackKind::FlipFlop};
+  const auto aim = [&o](auto s) {
+    s.attack.target = -6.0 * o.spread;
+    s.attack.gradient_magnitude = 10.0;
+    return s;
+  };
+  struct Worst {
+    double value = 0.0;
+    std::string attack = "none";
+    void fold(double v, AttackKind kind) {
+      if (v > value) {
+        value = v;
+        attack = attack_kind_name(kind);
+      }
+    }
+    std::string detail() const {
+      return "worst " + format_double(value, 4) + " (" + attack + ")";
+    }
+  };
+  CertificationReport report;
+  const auto add = [&report](const std::string& name, bool ok,
+                             const std::string& detail) {
+    report.checks.push_back({name, ok, detail});
+  };
+
+  Worst disagreement, dist;
+  bool witnesses_ok = true, invariants_ok = true, bounds_ok = true;
+  std::string witness_detail = "all audits passed";
+  std::string invariant_detail = "I1-I3 held every round";
+  std::string bound_detail = "measured <= Lemma 3 bound every round";
+  RunOptions audited;
+  audited.record_trace = true;
+  audited.audit_witnesses = true;
+  audited.audit_every = 5;
+  audited.audit_max_rounds = 100;
+  const HarmonicStep harmonic;
+  for (AttackKind kind : attacks) {
+    const std::string name = attack_kind_name(kind);
+    const Scenario s = aim(
+        make_standard_scenario(o.n, o.f, o.spread, kind, o.rounds, o.seed));
+    const RunMetrics m = run_sbg(s, audited);
+    disagreement.fold(m.final_disagreement(), kind);
+    dist.fold(m.final_max_dist(), kind);
+    if (!m.state_witness.all_passed() || !m.gradient_witness.all_passed()) {
+      witnesses_ok = false;
+      witness_detail = "witness audit failed under " + name;
+    }
+    const double L = family_gradient_bound(s.honest_functions());
+    const InvariantReport inv = check_sbg_invariants(*m.trace, s.f, L,
+                                                     harmonic);
+    if (!inv.ok) {
+      invariants_ok = false;
+      invariant_detail = "under " + name + ": " + inv.violations.front();
+    }
+    const Series bound = disagreement_upper_bound(
+        m.disagreement[0], L, harmonic, s.n - s.f, s.f, s.rounds);
+    for (std::size_t t = 0; t < bound.size(); ++t) {
+      if (m.disagreement[t] > bound[t] + 1e-9) {
+        bounds_ok = false;
+        bound_detail =
+            "bound violated under " + name + " at round " + std::to_string(t);
+        break;
+      }
+    }
+  }
+  add("theorem2-consensus", disagreement.value <= o.consensus_eps,
+      disagreement.detail());
+  add("theorem2-optimality", dist.value <= o.optimality_eps, dist.detail());
+  add("lemma2-witnesses", witnesses_ok, witness_detail);
+  add("trace-invariants", invariants_ok, invariant_detail);
+  add("lemma3-bound-domination", bounds_ok, bound_detail);
+
+  Worst async_disagreement, async_dist;
+  for (AttackKind kind : attacks) {
+    const AsyncRunMetrics m = run_async_sbg(aim(make_standard_async_scenario(
+        o.async_n, o.async_f, o.spread, kind, o.async_rounds, o.seed)));
+    async_disagreement.fold(m.disagreement.back(), kind);
+    async_dist.fold(m.max_dist_to_y.back(), kind);
+  }
+  add("async-consensus", async_disagreement.value <= o.async_consensus_eps,
+      async_disagreement.detail());
+  add("async-optimality", async_dist.value <= o.async_optimality_eps,
+      async_dist.detail());
+
+  Worst vector_disagreement, vector_dist;
+  for (AttackKind kind : attacks) {
+    const VectorRunResult m =
+        run_vector_scenario(aim(make_standard_vector_scenario(
+            o.n, o.f, o.spread, kind, o.vector_rounds, o.seed, o.vector_dim)));
+    vector_disagreement.fold(m.disagreement.back(), kind);
+    vector_dist.fold(m.dist_to_average_optimum.back(), kind);
+  }
+  add("vector-consensus", vector_disagreement.value <= o.vector_consensus_eps,
+      vector_disagreement.detail());
+  add("vector-optimality", vector_dist.value <= o.vector_optimality_eps,
+      vector_dist.detail());
+
+  const double dgd_dist =
+      run_dgd(aim(make_standard_scenario(o.n, o.f, o.spread,
+                                         AttackKind::PullToTarget, o.rounds,
+                                         o.seed)))
+          .final_max_dist();
+  add("attack-liveness (DGD must fail)", dgd_dist > 10.0 * o.optimality_eps,
+      "DGD dist " + format_double(dgd_dist, 4));
+
+  report.passed = true;
+  for (const CertifyCheck& check : report.checks)
+    report.passed = report.passed && check.passed;
+  return report;
+}
+
+TEST(CertifyOracle, ReportMatchesDirectRuns) {
+  CertifyOptions options;
+  options.rounds = 150;
+  options.async_rounds = 120;
+  options.vector_dim = 3;
+  options.vector_rounds = 120;
+  // A non-default seed and spread, so a driver that dropped either would
+  // disagree with the loops; thresholds that some sections miss, so the
+  // pass flags are exercised both ways.
+  options.seed = 3;
+  options.spread = 6.0;
+  options.consensus_eps = 0.015;
+  options.async_consensus_eps = 0.01;
+  options.vector_optimality_eps = 3.0;
+  const CertificationReport want = serial_certify(options);
+  for (bool scalar : {true, false}) {
+    for (std::size_t batch : {std::size_t{0}, std::size_t{3}}) {
+      for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE("scalar=" + std::to_string(scalar) +
+                     " batch=" + std::to_string(batch) +
+                     " threads=" + std::to_string(threads));
+        options.scalar_engine = scalar;
+        options.batch_size = batch;
+        options.num_threads = threads;
+        const CertificationReport got = certify_sbg(options);
+        EXPECT_EQ(got.passed, want.passed);
+        ASSERT_EQ(got.checks.size(), want.checks.size());
+        for (std::size_t i = 0; i < got.checks.size(); ++i) {
+          EXPECT_EQ(got.checks[i].name, want.checks[i].name);
+          EXPECT_EQ(got.checks[i].passed, want.checks[i].passed)
+              << want.checks[i].name;
+          EXPECT_EQ(got.checks[i].detail, want.checks[i].detail)
+              << want.checks[i].name;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
