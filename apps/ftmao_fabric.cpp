@@ -99,10 +99,10 @@ std::string usage_error(const cli::ArgParser& parser, const std::string& mode,
     if (parser.has(flag.name) && !mode_reads(mode, flag.name))
       return "--" + flag.name + " is not a --mode " + mode + " flag";
   if (mode != "work" && mode != "local") return "";
-  // Forwarded to every shard as given: a negative count throws here,
-  // naming the flag, instead of failing each shard attempt.
-  for (const char* flag : {"threads", "batch", "cache-mem-mb"})
-    parser.get_count(flag);
+  // Forwarded to every shard as given: a count a shard would refuse
+  // throws here, naming the flag, instead of failing each shard attempt.
+  for (const char* flag : {"threads", "batch"}) parser.get_count(flag);
+  cli::cache_memory_bytes(parser);
   const double timeout_sec = parser.get_double("timeout-sec");
   if (!std::isfinite(timeout_sec) || timeout_sec <= 0)
     return "--timeout-sec must be a finite number > 0";

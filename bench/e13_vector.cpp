@@ -15,6 +15,7 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "core/step_size.hpp"
+#include "vector/vector_attacks.hpp"
 #include "vector/vector_sbg.hpp"
 #include "vector/vector_valid.hpp"
 
@@ -70,7 +71,9 @@ int main() {
     config.n = 7;
     config.f = 2;
     config.dim = 2;
-    VectorSplitBrain attack(2, 50.0, 5.0);
+    CoordinatewiseAdversary attack(
+        std::make_unique<SplitBrainAdversary>(50.0, 5.0),
+        /*negate_odd=*/true);
     std::vector<Vec> init;
     for (int i = 0; i < 5; ++i)
       init.push_back(Vec{-4.0 + 2.0 * i, 4.0 - 2.0 * i});
@@ -86,7 +89,9 @@ int main() {
     config.n = 7;
     config.f = 2;
     config.dim = 2;
-    VectorSplitBrain attack(2, 50.0, 5.0);
+    CoordinatewiseAdversary attack(
+        std::make_unique<SplitBrainAdversary>(50.0, 5.0),
+        /*negate_odd=*/true);
     std::vector<Vec> init;
     for (int i = 0; i < 5; ++i)
       init.push_back(Vec{-4.0 + 2.0 * i, 4.0 - 2.0 * i});

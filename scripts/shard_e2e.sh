@@ -71,7 +71,8 @@ echo "shard_e2e: 4-shard local run with one injected worker failure ..."
   --out "$WORK/merged.csv" 2> "$WORK/local.log"
 
 if ! grep -q "retrying" "$WORK/local.log"; then
-  echo "shard_e2e: FAIL — injected failure did not exercise the retry path" >&2
+  echo "shard_e2e: FAIL — injected failure did not exercise the retry" \
+       "path" >&2
   cat "$WORK/local.log" >&2
   exit 1
 fi
@@ -318,7 +319,8 @@ fi
 # of the stolen shard name different workers.
 if ! grep -q '"worker_id": "dier"' "$FAB/leases/shard_2.a1.lease" ||
    ! grep -q '"worker_id": "rescuer"' "$FAB/results/shard_2.done.json"; then
-  echo "shard_e2e: FAIL — stolen shard's lease/completion worker ids wrong" >&2
+  echo "shard_e2e: FAIL — stolen shard's lease/completion worker ids" \
+       "wrong" >&2
   cat "$FAB/leases/shard_2.a1.lease" "$FAB/results/shard_2.done.json" >&2
   exit 1
 fi
@@ -327,7 +329,8 @@ fi
   2> "$WORK/fabric_merge.log"
 
 if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric.csv"; then
-  echo "shard_e2e: FAIL — fabric merged CSV differs from single-process CSV" >&2
+  echo "shard_e2e: FAIL — fabric merged CSV differs from" \
+       "single-process CSV" >&2
   diff "$WORK/single_fabric.csv" "$WORK/merged_fabric.csv" >&2 || true
   exit 1
 fi
@@ -418,44 +421,48 @@ for BAD in "--timeout-sec 0" "--timeout-sec -1" "--timeout-sec inf" \
   fi
 done
 
-echo "shard_e2e: negative counts refused before any output or lease ..."
+echo "shard_e2e: bad counts refused before any output or lease ..."
 # A count flag at -1 must not wrap to 2^64 - 1 (--threads -1 would start
-# one OS thread per task): ftmao_sweep exits non-zero naming the flag and
-# writes no CSV. ftmao_fabric forwards --threads, --batch and
-# --cache-mem-mb to every shard, so local mode exits 2 before it creates
-# the fabric directory, and work mode exits 2 before it claims a shard.
+# one OS thread per task), nor --cache-mem-mb 2^44 to a 0-byte budget
+# (2^64 bytes): ftmao_sweep exits non-zero naming the flag and writes no
+# CSV. ftmao_fabric forwards --threads, --batch and --cache-mem-mb to
+# every shard, so local mode exits 2 before it creates the fabric
+# directory, and work mode exits 2 before it claims a shard.
 NEG="$WORK/negative"
 mkdir -p "$NEG"
 "$FABRIC" --mode init --fabric-dir "$NEG/fab" --sizes 7:2 --seeds 1 \
   --rounds 20 --shards 1 2> "$NEG/init.log"
-for FLAG in --threads --batch --cache-mem-mb; do
+for CASE in threads:-1 batch:-1 cache-mem-mb:-1 \
+            cache-mem-mb:17592186044416; do
+  FLAG="--${CASE%%:*}"
+  VALUE="${CASE#*:}"
   NEG_STATUS=0
-  "$SWEEP" --sizes 7:2 --seeds 1 --rounds 20 "$FLAG" -1 \
+  "$SWEEP" --sizes 7:2 --seeds 1 --rounds 20 "$FLAG" "$VALUE" \
     --out "$NEG/sweep.csv" 2> "$NEG/bad.log" || NEG_STATUS=$?
   if [ "$NEG_STATUS" -eq 0 ] || [ -e "$NEG/sweep.csv" ] ||
      ! grep -q -- "$FLAG" "$NEG/bad.log"; then
-    echo "shard_e2e: FAIL — ftmao_sweep accepted $FLAG -1" \
+    echo "shard_e2e: FAIL — ftmao_sweep accepted $FLAG $VALUE" \
          "(exit $NEG_STATUS)" >&2
     cat "$NEG/bad.log" >&2
     exit 1
   fi
   NEG_STATUS=0
   "$FABRIC" --mode local --fabric-dir "$NEG/local" --worker "$SWEEP" \
-    --sizes 7:2 --seeds 1 --rounds 20 --shards 1 "$FLAG" -1 \
+    --sizes 7:2 --seeds 1 --rounds 20 --shards 1 "$FLAG" "$VALUE" \
     --out "$NEG/local.csv" 2> "$NEG/bad.log" || NEG_STATUS=$?
   if [ "$NEG_STATUS" -ne 2 ] || [ -e "$NEG/local" ] ||
      [ -e "$NEG/local.csv" ] || ! grep -q -- "$FLAG" "$NEG/bad.log"; then
-    echo "shard_e2e: FAIL — local mode accepted $FLAG -1" \
+    echo "shard_e2e: FAIL — local mode accepted $FLAG $VALUE" \
          "(exit $NEG_STATUS)" >&2
     cat "$NEG/bad.log" >&2
     exit 1
   fi
   NEG_STATUS=0
   "$FABRIC" --mode work --fabric-dir "$NEG/fab" --worker "$SWEEP" \
-    "$FLAG" -1 2> "$NEG/bad.log" || NEG_STATUS=$?
+    "$FLAG" "$VALUE" 2> "$NEG/bad.log" || NEG_STATUS=$?
   if [ "$NEG_STATUS" -ne 2 ] || find "$NEG/fab" -name '*.lease' | grep -q . ||
      ! grep -q -- "$FLAG" "$NEG/bad.log"; then
-    echo "shard_e2e: FAIL — work mode accepted $FLAG -1" \
+    echo "shard_e2e: FAIL — work mode accepted $FLAG $VALUE" \
          "(exit $NEG_STATUS)" >&2
     cat "$NEG/bad.log" >&2
     exit 1
@@ -507,5 +514,5 @@ byte-identical, engine flags forwarded, dim axis round-trips, sharded \
 --scalar identical, warm-start served from cache, async and --spec \
 seed-list grids sharded, malformed grids and cross-mode flags refused, \
 fabric steal recovered, workers given --spec and --scalar, unusable \
-worker flags refused, negative counts refused, hung shard timed out and \
+worker flags refused, bad counts refused, hung shard timed out and \
 retried"

@@ -53,10 +53,17 @@ std::optional<SbgPayload> SbgAdversary::summary_payload(const HonestSummary&,
   return std::nullopt;
 }
 
+std::optional<SbgPayload> UniformSummaryAdversary::send_to(
+    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
+  if (!cache_.fresh(view.round)) return cache_.get();
+  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
+                                                  view.round, recipient));
+}
+
 // --------------------------------------------------------------- Silent
 
-std::optional<SbgPayload> SilentAdversary::send_to(AgentId, AgentId,
-                                                   const RoundView<SbgPayload>&) {
+std::optional<SbgPayload> SilentAdversary::send_to(
+    AgentId, AgentId, const RoundView<SbgPayload>&) {
   return std::nullopt;
 }
 
@@ -84,7 +91,8 @@ std::optional<SbgPayload> FixedValueAdversary::summary_payload(
 
 SplitBrainAdversary::SplitBrainAdversary(double state_magnitude,
                                          double gradient_magnitude)
-    : state_magnitude_(state_magnitude), gradient_magnitude_(gradient_magnitude) {
+    : state_magnitude_(state_magnitude),
+      gradient_magnitude_(gradient_magnitude) {
   FTMAO_EXPECTS(state_magnitude >= 0.0);
   FTMAO_EXPECTS(gradient_magnitude >= 0.0);
 }
@@ -104,13 +112,6 @@ std::optional<SbgPayload> SplitBrainAdversary::summary_payload(
 // ------------------------------------------------------------- HullEdge
 
 HullEdgeAdversary::HullEdgeAdversary(bool push_up) : push_up_(push_up) {}
-
-std::optional<SbgPayload> HullEdgeAdversary::send_to(
-    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
-                                                  view.round, recipient));
-}
 
 std::optional<SbgPayload> HullEdgeAdversary::summary_payload(
     const HonestSummary& summary, Round, AgentId) {
@@ -142,13 +143,6 @@ SignFlipAdversary::SignFlipAdversary(double amplification)
   FTMAO_EXPECTS(amplification > 0.0);
 }
 
-std::optional<SbgPayload> SignFlipAdversary::send_to(
-    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
-                                                  view.round, recipient));
-}
-
 std::optional<SbgPayload> SignFlipAdversary::summary_payload(
     const HonestSummary& summary, Round, AgentId) {
   if (summary.count == 0) return std::nullopt;
@@ -164,13 +158,6 @@ PullToTargetAdversary::PullToTargetAdversary(double target,
   FTMAO_EXPECTS(gradient_magnitude >= 0.0);
 }
 
-std::optional<SbgPayload> PullToTargetAdversary::send_to(
-    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
-                                                  view.round, recipient));
-}
-
 std::optional<SbgPayload> PullToTargetAdversary::summary_payload(
     const HonestSummary& summary, Round, AgentId) {
   if (summary.count == 0) return SbgPayload{target_, 0.0};
@@ -182,8 +169,8 @@ std::optional<SbgPayload> PullToTargetAdversary::summary_payload(
 
 // ---------------------------------------------------- DelayedActivation
 
-DelayedActivationAdversary::DelayedActivationAdversary(Round activation_round,
-                                                       SbgAdversary& late_strategy)
+DelayedActivationAdversary::DelayedActivationAdversary(
+    Round activation_round, SbgAdversary& late_strategy)
     : activation_(activation_round), late_(&late_strategy) {}
 
 DelayedActivationAdversary::DelayedActivationAdversary(
@@ -217,13 +204,6 @@ std::optional<SbgPayload> DelayedActivationAdversary::summary_payload(
 
 FlipFlopAdversary::FlipFlopAdversary(std::size_t period) : period_(period) {
   FTMAO_EXPECTS(period >= 1);
-}
-
-std::optional<SbgPayload> FlipFlopAdversary::send_to(
-    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
-                                                  view.round, recipient));
 }
 
 std::optional<SbgPayload> FlipFlopAdversary::summary_payload(

@@ -22,8 +22,10 @@
 // (net/batch.hpp): class 0 for the strategies that send everyone one
 // payload, recipient parity for SplitBrain, kPerMessage for RandomNoise.
 // The class-declaring ones read the round view only through its
-// HonestSummary, so they also answer summary_payload, which the sync
-// batch engine fills from its own selected rows instead of a view.
+// HonestSummary, so they also answer summary_payload, which the batch
+// engines fill from their own selected rows instead of a view, and
+// which the vector catalogue (vector/vector_attacks.hpp) asks once per
+// coordinate.
 
 #include <cstdint>
 #include <memory>
@@ -43,8 +45,8 @@ namespace ftmao {
 /// the scalar operations those strategies always used, so their send_to
 /// keeps its bits: min/max as std::min/std::max folds from the first
 /// broadcast, the median as nth_element at rank count/2, the mean as a
-/// sum in sender order divided by the count. The sync batch engine fills
-/// the same fields from selected order statistics, which can differ from
+/// sum in sender order divided by the count. The batch engines fill the
+/// same fields from selected order statistics, which can differ from
 /// these in the sign of a zero and nothing else (see summary_payload).
 struct HonestSummary {
   struct Stats {
@@ -64,8 +66,9 @@ struct HonestSummary {
 class SbgAdversary : public ByzantineNode<SbgPayload>,
                      public AsyncByzantineNode<SbgPayload> {
  public:
-  std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
-                                    const RoundView<SbgPayload>& view) override = 0;
+  std::optional<SbgPayload> send_to(
+      AgentId self, AgentId recipient,
+      const RoundView<SbgPayload>& view) override = 0;
 
   /// Which recipients share a payload, independent of the round; see
   /// RecipientClass for the promise a class id makes. The default,
@@ -77,10 +80,10 @@ class SbgAdversary : public ByzantineNode<SbgPayload>,
   }
 
   /// The payload send_to gives `recipient` in round `round` when the
-  /// round's view has HonestSummary::of(view) == `summary`. The sync
-  /// batch engine asks this instead of send_to, once per (replica,
-  /// class), and its summary's order statistics may hold the other zero
-  /// than of()'s. So the sign of a zero in `summary` may reach the answer
+  /// round's view has HonestSummary::of(view) == `summary`. The batch
+  /// engines ask this instead of send_to, once per (replica, class), and
+  /// their summaries' order statistics may hold the other zero than
+  /// of()'s. So the sign of a zero in `summary` may reach the answer
   /// only as a payload value passed on unchanged: a payload reaches the
   /// state only through a Trim midpoint, which has the same bits for
   /// either zero. Only class-declaring strategies are asked.
@@ -93,33 +96,41 @@ class SbgAdversary : public ByzantineNode<SbgPayload>,
 /// async engines fix the view for the duration of a round and call
 /// send_to once per message, so the derivation runs once per round and is
 /// replayed for the remaining recipients — same payload bits, O(view)
-/// work per round instead of per message. (The sync and vector batch
-/// engines ask such strategies once per declared class instead.) Generic
-/// over the payload type so the vector strategies
-/// (vector/vector_attacks.hpp) memoize whole d-dimensional payloads the
-/// same way.
-template <typename Payload>
-class BasicRoundPayloadCache {
+/// work per round instead of per message. (The batch engines ask
+/// summary_payload instead, once per declared class.)
+class RoundPayloadCache {
  public:
   bool fresh(Round round) const {
     return !valid_ || round.value != round_;
   }
-  const std::optional<Payload>& store(Round round,
-                                      std::optional<Payload> payload) {
+  const std::optional<SbgPayload>& store(Round round,
+                                         std::optional<SbgPayload> payload) {
     round_ = round.value;
     valid_ = true;
     payload_ = std::move(payload);
     return payload_;
   }
-  const std::optional<Payload>& get() const { return payload_; }
+  const std::optional<SbgPayload>& get() const { return payload_; }
 
  private:
   std::uint32_t round_ = 0;
   bool valid_ = false;
-  std::optional<Payload> payload_;
+  std::optional<SbgPayload> payload_;
 };
 
-using RoundPayloadCache = BasicRoundPayloadCache<SbgPayload>;
+/// Base of the strategies that send every recipient one payload read
+/// from the round's HonestSummary: send_to is summary_payload of
+/// HonestSummary::of(view), derived once per round and replayed for the
+/// round's other recipients.
+class UniformSummaryAdversary : public SbgAdversary {
+ public:
+  std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
+                                    const RoundView<SbgPayload>& view) final;
+  RecipientClass recipient_class(AgentId) const final { return 0; }
+
+ private:
+  RoundPayloadCache cache_;
+};
 
 /// Sends nothing; honest agents fall back to the default tuple (Step 2).
 class SilentAdversary final : public SbgAdversary {
@@ -170,18 +181,14 @@ class SplitBrainAdversary final : public SbgAdversary {
 /// upward), push_down the reverse. Because the values stay inside the
 /// honest range, trimming can never identify them as outliers; this is
 /// the optimal-bias strategy against trim-midpoint.
-class HullEdgeAdversary final : public SbgAdversary {
+class HullEdgeAdversary final : public UniformSummaryAdversary {
  public:
   explicit HullEdgeAdversary(bool push_up);
-  std::optional<SbgPayload> send_to(AgentId, AgentId,
-                                    const RoundView<SbgPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round, AgentId) override;
 
  private:
   bool push_up_;
-  RoundPayloadCache cache_;
 };
 
 /// Independent uniform noise per (recipient, round); deterministic per
@@ -200,36 +207,28 @@ class RandomNoiseAdversary final : public SbgAdversary {
 
 /// Echoes the median honest state (looks perfectly plausible) but sends
 /// the negated mean honest gradient scaled by `amplification`.
-class SignFlipAdversary final : public SbgAdversary {
+class SignFlipAdversary final : public UniformSummaryAdversary {
  public:
   explicit SignFlipAdversary(double amplification);
-  std::optional<SbgPayload> send_to(AgentId, AgentId,
-                                    const RoundView<SbgPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round, AgentId) override;
 
  private:
   double amplification_;
-  RoundPayloadCache cache_;
 };
 
 /// Drags the system toward `target`: states at the target, gradients of
 /// magnitude `gradient_magnitude` pointing from the honest median toward
 /// the target.
-class PullToTargetAdversary final : public SbgAdversary {
+class PullToTargetAdversary final : public UniformSummaryAdversary {
  public:
   PullToTargetAdversary(double target, double gradient_magnitude);
-  std::optional<SbgPayload> send_to(AgentId, AgentId,
-                                    const RoundView<SbgPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round, AgentId) override;
 
  private:
   double target_;
   double gradient_magnitude_;
-  RoundPayloadCache cache_;
 };
 
 /// Sleeper: behaves exactly like an honest median agent until
@@ -239,7 +238,8 @@ class PullToTargetAdversary final : public SbgAdversary {
 class DelayedActivationAdversary final : public SbgAdversary {
  public:
   /// Does not own `late_strategy`; caller keeps it alive.
-  DelayedActivationAdversary(Round activation_round, SbgAdversary& late_strategy);
+  DelayedActivationAdversary(Round activation_round,
+                             SbgAdversary& late_strategy);
   /// Owning variant (used by the scenario factory).
   DelayedActivationAdversary(Round activation_round,
                              std::unique_ptr<SbgAdversary> late_strategy);
@@ -264,18 +264,14 @@ class DelayedActivationAdversary final : public SbgAdversary {
 /// Oscillator: alternates between pushing the extreme high and extreme low
 /// honest tuple each round (a resonance attempt against the diminishing
 /// step sizes).
-class FlipFlopAdversary final : public SbgAdversary {
+class FlipFlopAdversary final : public UniformSummaryAdversary {
  public:
   FlipFlopAdversary(std::size_t period = 1);
-  std::optional<SbgPayload> send_to(AgentId, AgentId,
-                                    const RoundView<SbgPayload>& view) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round, AgentId) override;
 
  private:
   std::size_t period_;
-  RoundPayloadCache cache_;
 };
 
 }  // namespace ftmao

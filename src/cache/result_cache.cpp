@@ -78,27 +78,34 @@ bool ResultCache::memory_insert(const CellKey& key,
   return true;
 }
 
-std::optional<std::string> ResultCache::lookup(const CellKey& key) {
-  Shard& shard = shard_for(key);
+std::optional<std::string> ResultCache::lookup(
+    const CellKey& key,
+    const std::function<bool(const std::string&)>& usable) {
+  std::optional<std::string> payload;
   {
+    Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto found = shard.map.find(std::string_view(key.spec));
     if (found != shard.map.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return found->second->payload;
+      payload = found->second->payload;
     }
   }
-  if (!config_.dir.empty()) {
-    if (std::optional<std::string> payload = read_record(key)) {
-      memory_insert(key, *payload);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      return payload;
-    }
+  bool from_disk = false;
+  if (!payload && !config_.dir.empty()) {
+    payload = read_record(key);
+    from_disk = payload.has_value();
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  if (!payload || (usable && !usable(*payload))) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    return std::nullopt;
+  }
+  if (from_disk) {
+    memory_insert(key, *payload);
+    disk_hits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return payload;
 }
 
 void ResultCache::insert(const CellKey& key, const std::string& payload) {

@@ -22,6 +22,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -62,9 +63,12 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The payload stored under `key`, or nullopt. Thread-safe; a hit
-  /// refreshes the entry's LRU position.
-  std::optional<std::string> lookup(const CellKey& key);
+  /// The payload stored under `key`, or nullopt. A payload `usable`
+  /// (when given) rejects counts as a miss and is not faulted in from
+  /// disk. Thread-safe; a hit refreshes the entry's LRU position.
+  std::optional<std::string> lookup(
+      const CellKey& key,
+      const std::function<bool(const std::string&)>& usable = {});
 
   /// Stores `payload` under `key` (memory, and disk when configured).
   /// Idempotent: re-inserting a key with the payload it holds refreshes

@@ -1,6 +1,8 @@
 #include "cli/engine_flags.hpp"
 
+#include <limits>
 #include <ostream>
+#include <string>
 #include <utility>
 
 #include "cache/result_cache.hpp"
@@ -128,10 +130,20 @@ bool apply_isa_flag(const ArgParser& parser, std::ostream& err) {
   return true;
 }
 
+std::size_t cache_memory_bytes(const ArgParser& parser) {
+  constexpr std::size_t kMaxMb = std::numeric_limits<std::size_t>::max() >> 20;
+  const std::uint64_t mb = parser.get_count("cache-mem-mb");
+  if (mb > kMaxMb)
+    throw ContractViolation("flag --cache-mem-mb expects at most " +
+                            std::to_string(kMaxMb) + ", got '" +
+                            parser.get("cache-mem-mb") + "'");
+  return static_cast<std::size_t>(mb) << 20;
+}
+
 std::unique_ptr<ResultCache> cache_from(const ArgParser& parser) {
   CacheConfig config;
   config.dir = parser.get("cache-dir");
-  config.max_memory_bytes = parser.get_count("cache-mem-mb") << 20;
+  config.max_memory_bytes = cache_memory_bytes(parser);
   if (config.dir.empty()) return nullptr;
   return std::make_unique<ResultCache>(std::move(config));
 }

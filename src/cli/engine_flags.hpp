@@ -57,6 +57,10 @@ GridSpec grid_from_flags(const ArgParser& parser);
 /// unsupported on this machine/build.
 bool apply_isa_flag(const ArgParser& parser, std::ostream& err);
 
+/// --cache-mem-mb in bytes. Throws ContractViolation naming the flag
+/// for a negative count or one whose bytes do not fit std::size_t.
+std::size_t cache_memory_bytes(const ArgParser& parser);
+
 /// The ResultCache configured by the cache flags, or nullptr when
 /// --cache-dir is empty (a one-shot process gains nothing from a private
 /// in-memory cache, so no directory means no caching).

@@ -2,21 +2,21 @@
 
 // Batched-replica extensions of the synchronous engine model (net/sync.hpp).
 //
-// The batched engine (sim/batch_runner) advances B independent replicas of
-// one scenario shape in lockstep: honest state lives in structure-of-arrays
-// form and the hot reducers run across the replica dimension. Byzantine
-// strategies, however, are arbitrary user code written against the scalar
-// RoundView<P> interface — they must keep working unmodified, and their
-// per-replica RNG streams must see exactly the call sequence the scalar
-// SyncEngine would have produced.
-//
-// This header provides the bridge: BatchedHonestBroadcasts collects one
-// round's honest broadcasts for every replica and exposes a per-replica
-// RoundView<P> that is indistinguishable (same sender order, same payload
-// values, same round) from the scalar engine's view. A strategy object
-// belongs to exactly one replica and is always shown that replica's view,
-// so rushing/adaptive/randomized adversaries behave identically whether
-// the replica runs alone or inside a batch.
+// The batch engines (sim/batch_runner, sim/batch_vector_runner) advance B
+// independent replicas of one scenario shape in lockstep: honest state
+// lives in structure-of-arrays form and the hot reducers run across the
+// replica dimension. Byzantine strategies see the rounds the scalar
+// SyncEngine shows them, with their per-replica RNG streams advanced by
+// exactly its call sequence, in one of two ways. A strategy that declares
+// recipient classes (below) is asked once per (replica, class), and, in
+// a pack the engine trims by selection, through summary_payload with the
+// HonestSummary of its own selected broadcasts (sim/broadcast_selection
+// .hpp) instead of a view. Every other ask goes through send_to and a
+// per-replica RoundView<P> indistinguishable (same sender order, same
+// payload values, same round) from the scalar engine's, so rushing,
+// adaptive and randomized adversaries behave identically whether the
+// replica runs alone or inside a batch; BatchedHonestBroadcasts builds
+// such views for the sync engine.
 
 #include <cstddef>
 #include <cstdint>

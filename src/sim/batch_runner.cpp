@@ -21,6 +21,7 @@
 #include "core/valid_set.hpp"
 #include "net/batch.hpp"
 #include "sim/batch_grad.hpp"
+#include "sim/broadcast_selection.hpp"
 #include "sim/megabatch.hpp"
 #include "simd/simd.hpp"
 #include "trim/trim_batch.hpp"
@@ -172,15 +173,7 @@ class BatchedSbgRunner {
     select_ = n_ <= kMaxSortingNetworkN && !partition_.any_per_message;
     if (select_) {
       const RankSet trim_ranks = merge_trim_ranks(H_, F_, f_);
-      const RankSet summary_ranks = (RankSet{1} << 0) |
-                                    (RankSet{1} << (H_ / 2)) |
-                                    (RankSet{1} << (H_ - 1));
-      const RankSet round_ranks = (any_filter_ ? 0 : trim_ranks) |
-                                  (F_ > 0 ? summary_ranks : 0);
-      if (round_ranks != 0) {
-        round_net_ = selection_network(H_, round_ranks);
-        select_round_ = true;
-      }
+      selection_.init(H_, Bpad_, any_filter_ ? 0 : trim_ranks, F_ > 0);
       if (any_filter_) recipient_net_ = selection_network(H_, trim_ranks);
     }
 
@@ -241,12 +234,7 @@ class BatchedSbgRunner {
       defg_[r] = defaults_[r].gradient;
     }
     dmask_.assign(Bpad_, 0.0);
-    if (select_round_) {
-      hx_.resize(H_ * Bpad_);
-      hg_.resize(H_ * Bpad_);
-    }
     if (select_ && F_ > 0) {
-      gmean_.resize(Bpad_);
       vx_.resize(Bpad_);
       vg_.resize(Bpad_);
     }
@@ -268,7 +256,8 @@ class BatchedSbgRunner {
       const Round round{static_cast<std::uint32_t>(t)};
 
       broadcast_phase(round);
-      if (select_round_) select_broadcasts();
+      if (selection_.active())
+        selection_.select(bx_.data(), bg_.data(), *kernels_);
       if (F_ > 0) collect_byzantine(round);
       for (std::size_t r = 0; r < B_; ++r)
         lambda_[r] = schedules_[r]->at(t - 1);
@@ -335,34 +324,6 @@ class BatchedSbgRunner {
     }
   }
 
-  // The honest broadcasts' order statistics for this round: round_net_
-  // selects the trim ranks (without a delivery filter every recipient's
-  // honest rows are these H broadcasts) and, with Byzantine senders, the
-  // summary ranks and the mean gradient, summed in sender order like
-  // HonestSummary::of.
-  void select_broadcasts() {
-    std::memcpy(hx_.data(), bx_.data(), H_ * Bpad_ * sizeof(double));
-    std::memcpy(hg_.data(), bg_.data(), H_ * Bpad_ * sizeof(double));
-    apply_network(hx_.data(), Bpad_, round_net_, *kernels_);
-    apply_network(hg_.data(), Bpad_, round_net_, *kernels_);
-    if (F_ == 0) return;
-    std::fill(gmean_.begin(), gmean_.end(), 0.0);
-    for (std::size_t j = 0; j < H_; ++j)
-      kernels_->accumulate_rows(gmean_.data(), bg_.data() + lane(j, 0),
-                                Bpad_);
-    kernels_->divide_rows(gmean_.data(), static_cast<double>(H_), Bpad_);
-  }
-
-  HonestSummary summary_of(std::size_t r) const {
-    HonestSummary s;
-    s.count = H_;
-    const std::size_t mid = H_ / 2;
-    s.state = {hx_[lane(0, r)], hx_[lane(mid, r)], hx_[lane(H_ - 1, r)]};
-    s.gradient = {hg_[lane(0, r)], hg_[lane(mid, r)], hg_[lane(H_ - 1, r)]};
-    s.gradient_mean = gmean_[r];
-    return s;
-  }
-
   // Step 2a for the whole round: the Byzantine payload rows of every
   // recipient class (partition_). A replica whose strategy declares
   // classes is asked once per class, at the class's first recipient, and
@@ -387,7 +348,8 @@ class BatchedSbgRunner {
         continue;
       }
       SbgAdversary& node = *byz_nodes_[r][0];
-      const HonestSummary summary = select_ ? summary_of(r) : HonestSummary{};
+      const HonestSummary summary =
+          select_ ? selection_.summary(r) : HonestSummary{};
       for (std::size_t c = 0; c < C; ++c) {
         const std::size_t src = partition_.source[r * C + c];
         if (src == c) {
@@ -500,8 +462,8 @@ class BatchedSbgRunner {
   // An absent payload (silent adversary) blends to the default payload.
   void trim_selected(std::size_t j, std::size_t cls, Round t, double* tx,
                      double* tg) {
-    const double* hx = hx_.data();
-    const double* hg = hg_.data();
+    const double* hx = selection_.states();
+    const double* hg = selection_.gradients();
     if (any_filter_) {
       assemble_honest(j, t);
       apply_network(dx_.data(), Bpad_, recipient_net_, *kernels_);
@@ -637,11 +599,11 @@ class BatchedSbgRunner {
   RecipientPartition partition_;  ///< built once from the declarations
 
   // Trim by selection (see the constructor).
-  bool select_ = false;        ///< merge into selected honest ranks?
-  bool select_round_ = false;  ///< select the broadcasts once per round?
+  bool select_ = false;  ///< merge into selected honest ranks?
   std::size_t payload_senders_ = 0;  ///< payload rows per class: F, or 1
-  std::span<const ComparatorPair> round_net_;      ///< broadcast selection
-  std::span<const ComparatorPair> recipient_net_;  ///< per-recipient one
+  /// The round's selected broadcasts; inactive when nothing reads them.
+  BroadcastSelection selection_;
+  std::span<const ComparatorPair> recipient_net_;  ///< per recipient
 
   // Delivery-filter tables (crash schedule shared; drops seeded per
   // replica).
@@ -667,8 +629,6 @@ class BatchedSbgRunner {
   std::vector<double> bpresent_;     ///< all-ones/all-zeros lane masks
   std::vector<double> defx_, defg_;  ///< default payload rows, length Bpad
   std::vector<double> dmask_;        ///< per-row delivery mask scratch
-  std::vector<double> hx_, hg_;      ///< selected broadcasts, H x Bpad
-  std::vector<double> gmean_;        ///< mean broadcast gradient, Bpad
   std::vector<double> vx_, vg_;      ///< a class's blended payload, Bpad
 };
 

@@ -14,6 +14,7 @@
 #include "common/contracts.hpp"
 #include "net/batch.hpp"
 #include "sim/batch_grad.hpp"
+#include "sim/broadcast_selection.hpp"
 #include "sim/megabatch.hpp"
 #include "simd/simd.hpp"
 #include "trim/trim_batch.hpp"
@@ -143,26 +144,25 @@ class BatchedVectorSbgRunner {
     trim_done_.assign(partition_.classes, 0);
 
     // Trim by selection unless some replica is asked per message (its F
-    // sender rows may all differ) or n is past the networks: the honest
-    // order statistics are selected once per round, and every class's F
-    // identical Byzantine rows are merged into them.
+    // sender rows may all differ) or n is past the networks. Then every
+    // class's F identical Byzantine rows are merged into the broadcasts'
+    // order statistics, and the strategies read their summaries.
     select_ = n_ <= kMaxSortingNetworkN && !partition_.any_per_message;
     payload_senders_ = select_ ? std::min<std::size_t>(F_, 1) : F_;
     if (select_) {
-      trim_net_ = selection_network(H_, merge_trim_ranks(H_, F_, f_));
-      hx_.assign(H_ * Lpad_, 0.0);
-      hg_.assign(H_ * Lpad_, 0.0);
+      selection_.init(H_, Lpad_, merge_trim_ranks(H_, F_, f_), F_ > 0);
       vx_.assign(Lpad_, 0.0);
       vg_.assign(Lpad_, 0.0);
+      summaries_.resize(d_);
     }
 
     if (F_ > 0) {
-      views_.resize(B_);
-      for (std::size_t r = 0; r < B_; ++r) {
-        views_[r].reserve(H_);
+      if (!select_) {
+        std::vector<Received<VecPayload>> view;
         for (std::size_t j = 0; j < H_; ++j)
-          views_[r].push_back({AgentId{static_cast<std::uint32_t>(j)},
-                               VecPayload{Vec(d_), Vec(d_)}});
+          view.push_back({AgentId{static_cast<std::uint32_t>(j)},
+                          VecPayload{Vec(d_), Vec(d_)}});
+        views_.assign(B_, view);
       }
       const std::size_t payload_rows = partition_.classes * payload_senders_;
       bpx_.assign(payload_rows * Lpad_, 0.0);
@@ -194,6 +194,7 @@ class BatchedVectorSbgRunner {
     for (std::size_t r = 0; r < B_; ++r) record(r);
     for (std::size_t t = 1; t <= rounds_; ++t) {
       broadcast_phase();
+      if (select_) selection_.select(bx_.data(), bg_.data(), *kernels_);
       if (F_ > 0) collect_byzantine(t);
       fill_lambda(t);
       step_phase();
@@ -242,13 +243,15 @@ class BatchedVectorSbgRunner {
   // (partition_). A replica whose strategy declares classes is asked once
   // per class, at the class's first recipient, and the answer fills every
   // sender row, F or the one a selection trim reads (the declaration
-  // promises a payload independent of the sender). A per-message replica
-  // is asked for every (recipient, sender) in the engine's exact call
-  // order (recipient-major, sender-minor), so its RNG stream advances
-  // identically; each recipient is then its own class.
+  // promises a payload independent of the sender). With selection it is
+  // asked through summary_payload, else through send_to and the round
+  // view. A per-message replica is asked for every (recipient, sender) in
+  // the engine's exact call order (recipient-major, sender-minor), so its
+  // RNG stream advances identically; each recipient is then its own
+  // class.
   void collect_byzantine(std::size_t t) {
     const Round round{static_cast<std::uint32_t>(t)};
-    for (std::size_t r = 0; r < B_; ++r) {
+    for (std::size_t r = 0; r < views_.size(); ++r) {
       for (std::size_t j = 0; j < H_; ++j) {
         VecPayload& p = views_[r][j].payload;
         for (std::size_t k = 0; k < d_; ++k) {
@@ -260,9 +263,9 @@ class BatchedVectorSbgRunner {
     const std::size_t C = partition_.classes;
     const AgentId first_sender{static_cast<std::uint32_t>(H_)};
     for (std::size_t r = 0; r < B_; ++r) {
-      const RoundView<VecPayload> view{round, views_[r]};
       VectorAdversary& adversary = *adversaries_[r];
       if (partition_.per_message[r]) {
+        const RoundView<VecPayload> view{round, views_[r]};
         for (std::size_t j = 0; j < H_; ++j)
           for (std::size_t b = 0; b < F_; ++b)
             store_payload(
@@ -272,11 +275,17 @@ class BatchedVectorSbgRunner {
                                   view));
         continue;
       }
+      if (select_)
+        for (std::size_t k = 0; k < d_; ++k)
+          summaries_[k] = selection_.summary(k * B_ + r);
       for (std::size_t c = 0; c < C; ++c) {
         const std::size_t src = partition_.source[r * C + c];
         if (src == c) {
-          const std::optional<VecPayload> payload = adversary.send_to(
-              first_sender, AgentId{partition_.first[c]}, view);
+          const AgentId to{partition_.first[c]};
+          const std::optional<VecPayload> payload =
+              select_ ? adversary.summary_payload(summaries_, round, to)
+                      : adversary.send_to(first_sender, to,
+                                          {round, views_[r]});
           for (std::size_t b = 0; b < payload_senders_; ++b)
             store_payload(c, b, r, payload);
           continue;
@@ -345,8 +354,10 @@ class BatchedVectorSbgRunner {
                              bpg_.data() + o, defx_.data(), defg_.data(),
                              vx_.data(), vg_.data(), Lpad_);
     }
-    merge_trim_batch(hx_.data(), H_, F_, f_, vx_.data(), Lpad_, *kernels_, tx);
-    merge_trim_batch(hg_.data(), H_, F_, f_, vg_.data(), Lpad_, *kernels_, tg);
+    merge_trim_batch(selection_.states(), H_, F_, f_, vx_.data(), Lpad_,
+                     *kernels_, tx);
+    merge_trim_batch(selection_.gradients(), H_, F_, f_, vg_.data(), Lpad_,
+                     *kernels_, tg);
   }
 
   // Steps 2b-3: trim per (coordinate, replica) lane and apply the fused
@@ -356,12 +367,6 @@ class BatchedVectorSbgRunner {
   // the rest reuse it.
   void step_phase() {
     std::fill(trim_done_.begin(), trim_done_.end(), std::uint8_t{0});
-    if (select_) {
-      std::memcpy(hx_.data(), bx_.data(), H_ * Lpad_ * sizeof(double));
-      std::memcpy(hg_.data(), bg_.data(), H_ * Lpad_ * sizeof(double));
-      apply_network(hx_.data(), Lpad_, trim_net_, *kernels_);
-      apply_network(hg_.data(), Lpad_, trim_net_, *kernels_);
-    }
     for (std::size_t j = 0; j < H_; ++j) {
       const std::size_t cls = partition_.class_of[j];
       double* tx = ctx_.data() + cls * Lpad_;
@@ -419,11 +424,12 @@ class BatchedVectorSbgRunner {
   RecipientPartition partition_;  ///< built once from the declarations
   bool select_ = false;  ///< trim by selection (see the constructor)?
   std::size_t payload_senders_ = 0;  ///< payload rows per class: F, or 1
-  std::span<const ComparatorPair> trim_net_;  ///< honest rank selection
-  std::vector<double> hx_, hg_;  ///< selected broadcasts, H x Lpad
+  BroadcastSelection selection_;  ///< this round's, when select_
+  std::vector<HonestSummary> summaries_;  ///< one replica's, per coordinate
   std::vector<double> vx_, vg_;  ///< a class's blended payload, Lpad
   std::vector<std::unique_ptr<StepSchedule>> schedules_;
   std::vector<std::unique_ptr<VectorAdversary>> adversaries_;
+  /// Per-replica views, kept only without selection.
   std::vector<std::vector<Received<VecPayload>>> views_;
   std::vector<VectorRunResult> results_;
   BatchGradientPlanes grad_;

@@ -29,10 +29,13 @@
 // (net/batch.hpp) is asked once per (replica, class), with the class's
 // trim pair computed once and reused by all its recipients; per-message
 // strategies are asked in the scalar engine's call order. Unless a pack
-// holds a per-message strategy or n > 32, a class's trim pair merges its
-// F identical Byzantine rows into honest order statistics selected once
-// per round, which equal the full sort's up to the sign of zero, and the
-// Trim midpoint does not see that sign (trim/trim_batch.hpp).
+// holds a per-message strategy or n > 32, the honest broadcasts are
+// selected once per round (sim/broadcast_selection.hpp): strategies are
+// asked summary_payload with each coordinate's HonestSummary instead of
+// send_to with a view, and a class's trim pair merges its F identical
+// Byzantine rows into the selected order statistics, which equal the
+// full sort's up to the sign of zero, a sign neither the Trim midpoint
+// (trim/trim_batch.hpp) nor the summary promise lets reach the state.
 
 #include <span>
 #include <vector>

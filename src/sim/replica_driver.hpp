@@ -21,7 +21,6 @@
 // replica, and results land in caller-addressed slots.
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -154,7 +153,7 @@ void run_shape(const S& shape, std::size_t count, const ReplicaOf& replica_of,
 /// Without a cache, compute(pending) fills every item. With one, item i's
 /// key is make_cell_key(spec(i)); a payload found under it goes through
 /// decode(PayloadReader&), which returns the item's result or throws
-/// ContractViolation, and counts only if it is read to its last byte.
+/// ContractViolation, and is a hit only if it is read to its last byte.
 /// The items that do not decode go on `pending` in index order;
 /// compute(pending) fills their results, and each is then encoded with
 /// encode(PayloadWriter&, result) and inserted. An insert replaces a
@@ -168,18 +167,18 @@ void cached_pass(ResultCache* cache, std::vector<R>& results,
   for (std::size_t i = 0; i < results.size(); ++i) {
     if (cache != nullptr) {
       keys.push_back(make_cell_key(spec(i)));
-      if (const std::optional<std::string> payload = cache->lookup(keys[i])) {
+      const auto decodes = [&](const std::string& payload) {
         try {
-          PayloadReader reader(*payload);
+          PayloadReader reader(payload);
           R result = decode(reader);
-          if (reader.exhausted()) {
-            results[i] = std::move(result);
-            continue;
-          }
+          if (!reader.exhausted()) return false;
+          results[i] = std::move(result);
+          return true;
         } catch (const ContractViolation&) {
-          // Short or invalid: recomputed like a miss.
+          return false;  // short or invalid
         }
-      }
+      };
+      if (cache->lookup(keys[i], decodes)) continue;
     }
     pending.push_back(i);
   }

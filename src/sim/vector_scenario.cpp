@@ -28,39 +28,18 @@ void VectorScenario::validate() const {
 std::unique_ptr<VectorAdversary> make_vector_adversary(
     const AttackConfig& config, std::size_t dim, Rng rng) {
   FTMAO_EXPECTS(dim >= 1);
-  switch (config.kind) {
-    case AttackKind::None:
-    case AttackKind::Silent:
-      return std::make_unique<VectorSilent>();
-    case AttackKind::FixedValue:
-      return std::make_unique<VectorFixedValue>(dim, config.state_magnitude,
-                                                config.gradient_magnitude);
-    case AttackKind::SplitBrain:
-      return std::make_unique<VectorSplitBrain>(dim, config.state_magnitude,
-                                                config.gradient_magnitude);
-    case AttackKind::HullEdgeUp:
-      return std::make_unique<VectorHullEdge>(/*push_up=*/true);
-    case AttackKind::HullEdgeDown:
-      return std::make_unique<VectorHullEdge>(/*push_up=*/false);
-    case AttackKind::RandomNoise:
-      return std::make_unique<VectorRandomNoise>(rng, dim,
-                                                 config.state_magnitude,
-                                                 config.gradient_magnitude);
-    case AttackKind::SignFlip:
-      return std::make_unique<VectorSignFlip>(config.amplification);
-    case AttackKind::PullToTarget:
-      return std::make_unique<VectorPullToTarget>(config.target,
-                                                  config.gradient_magnitude);
-    case AttackKind::FlipFlop:
-      return std::make_unique<VectorFlipFlop>(config.flip_period);
-    case AttackKind::DelayedStrike:
-      return std::make_unique<VectorDelayedActivation>(
-          Round{static_cast<std::uint32_t>(config.activation_round)},
-          std::make_unique<VectorPullToTarget>(config.target,
-                                               config.gradient_magnitude));
+  if (config.kind == AttackKind::RandomNoise)
+    return std::make_unique<VectorRandomNoise>(rng, dim,
+                                               config.state_magnitude,
+                                               config.gradient_magnitude);
+  const bool fixed = config.kind == AttackKind::FixedValue ||
+                     config.kind == AttackKind::SplitBrain;
+  if (fixed) {
+    FTMAO_EXPECTS(config.state_magnitude >= 0.0);
+    FTMAO_EXPECTS(config.gradient_magnitude >= 0.0);
   }
-  FTMAO_EXPECTS(false);
-  return nullptr;
+  return std::make_unique<CoordinatewiseAdversary>(
+      make_adversary(config, rng), /*negate_odd=*/fixed);
 }
 
 VectorScenario make_standard_vector_scenario(std::size_t n, std::size_t f,

@@ -4,8 +4,8 @@
 // d-dimensional analogue of sim/scenario.hpp, reusing the scalar
 // AttackConfig / StepConfig vocabulary so vector cells ride the same
 // sweep/certify grids (the --dim axis). The attack kinds map onto the
-// coordinate-wise strategy liftings in vector/vector_attacks.hpp, which
-// are bit-identical to the scalar strategies at dim == 1.
+// scalar strategies lifted per coordinate (vector/vector_attacks.hpp),
+// which are the scalar strategies at dim == 1.
 
 #include <cstdint>
 #include <memory>
@@ -44,8 +44,9 @@ struct VectorScenario {
   void validate() const;
 };
 
-/// Coordinate-wise lifting of the scalar attack catalogue. `rng` seeds
-/// the stateful strategies (random-noise); pure strategies ignore it.
+/// The scalar attack catalogue lifted per coordinate, or vector noise.
+/// `rng` seeds the stateful strategy (random-noise); the liftings
+/// ignore it.
 std::unique_ptr<VectorAdversary> make_vector_adversary(
     const AttackConfig& config, std::size_t dim, Rng rng);
 

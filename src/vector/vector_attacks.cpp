@@ -1,103 +1,53 @@
 #include "vector/vector_attacks.hpp"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "common/contracts.hpp"
 
 namespace ftmao {
 
-namespace {
+// ------------------------------------------------------ Coordinatewise
 
-// Per-coordinate helpers mirroring the scalar strategy arithmetic
-// operation for operation (strategies.cpp), so dim == 1 payloads are
-// bit-identical to the scalar adversaries'.
-
-std::size_t view_dim(const RoundView<VecPayload>& view) {
-  return view.honest_broadcasts.front().payload.state.dim();
+CoordinatewiseAdversary::CoordinatewiseAdversary(
+    std::unique_ptr<SbgAdversary> scalar, bool negate_odd)
+    : scalar_(std::move(scalar)), negate_odd_(negate_odd) {
+  FTMAO_EXPECTS(scalar_ != nullptr);
+  FTMAO_EXPECTS(scalar_->recipient_class(AgentId{0}) != kPerMessage);
 }
 
-double median_of(std::vector<double> v) {
-  FTMAO_EXPECTS(!v.empty());
-  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
-  std::nth_element(v.begin(), mid, v.end());
-  return *mid;
-}
-
-double median_state(const RoundView<VecPayload>& view, std::size_t k) {
-  std::vector<double> v;
-  v.reserve(view.honest_broadcasts.size());
-  for (const auto& msg : view.honest_broadcasts)
-    v.push_back(msg.payload.state[k]);
-  return median_of(std::move(v));
-}
-
-double median_gradient(const RoundView<VecPayload>& view, std::size_t k) {
-  std::vector<double> v;
-  v.reserve(view.honest_broadcasts.size());
-  for (const auto& msg : view.honest_broadcasts)
-    v.push_back(msg.payload.gradient[k]);
-  return median_of(std::move(v));
-}
-
-}  // namespace
-
-// --------------------------------------------------------------- Silent
-
-std::optional<VecPayload> VectorSilent::send_to(AgentId, AgentId,
-                                                const RoundView<VecPayload>&) {
-  return std::nullopt;
-}
-
-// ----------------------------------------------------------- FixedValue
-
-VectorFixedValue::VectorFixedValue(std::size_t dim, double state_magnitude,
-                                   double gradient_magnitude) {
-  FTMAO_EXPECTS(dim >= 1);
-  FTMAO_EXPECTS(state_magnitude >= 0.0);
-  FTMAO_EXPECTS(gradient_magnitude >= 0.0);
-  payload_.state = Vec(dim);
-  payload_.gradient = Vec(dim);
-  for (std::size_t k = 0; k < dim; ++k) {
-    const double coord_sign = k % 2 == 0 ? 1.0 : -1.0;
-    payload_.state[k] = coord_sign * state_magnitude;
-    payload_.gradient[k] = coord_sign * gradient_magnitude;
+std::optional<VecPayload> CoordinatewiseAdversary::send_to(
+    AgentId, AgentId recipient, const RoundView<VecPayload>& view) {
+  const auto& msgs = view.honest_broadcasts;
+  if (summarized_ != view.round.value) {
+    summarized_ = view.round.value;
+    summaries_.clear();
+    const std::size_t d = msgs.empty() ? 0 : msgs[0].payload.state.dim();
+    std::vector<Received<SbgPayload>> coordinate(msgs.size());
+    for (std::size_t k = 0; k < d; ++k) {
+      for (std::size_t j = 0; j < msgs.size(); ++j)
+        coordinate[j] = {msgs[j].from, {msgs[j].payload.state[k],
+                                        msgs[j].payload.gradient[k]}};
+      summaries_.push_back(HonestSummary::of({view.round, coordinate}));
+    }
   }
+  return summary_payload(summaries_, view.round, recipient);
 }
 
-std::optional<VecPayload> VectorFixedValue::send_to(
-    AgentId, AgentId, const RoundView<VecPayload>&) {
-  return payload_;
-}
-
-// ------------------------------------------------------------- HullEdge
-
-VectorHullEdge::VectorHullEdge(bool push_up) : push_up_(push_up) {}
-
-std::optional<VecPayload> VectorHullEdge::send_to(
-    AgentId, AgentId, const RoundView<VecPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  if (view.honest_broadcasts.empty())
-    return cache_.store(view.round, std::nullopt);
-  const std::size_t d = view_dim(view);
+std::optional<VecPayload> CoordinatewiseAdversary::summary_payload(
+    std::span<const HonestSummary> summaries, Round round,
+    AgentId recipient) {
+  if (summaries.empty() || summaries.front().count == 0) return std::nullopt;
+  const std::size_t d = summaries.size();
   VecPayload p{Vec(d), Vec(d)};
   for (std::size_t k = 0; k < d; ++k) {
-    double state = view.honest_broadcasts.front().payload.state[k];
-    double gradient = view.honest_broadcasts.front().payload.gradient[k];
-    for (const auto& msg : view.honest_broadcasts) {
-      if (push_up_) {
-        state = std::max(state, msg.payload.state[k]);
-        gradient = std::min(gradient, msg.payload.gradient[k]);
-      } else {
-        state = std::min(state, msg.payload.state[k]);
-        gradient = std::max(gradient, msg.payload.gradient[k]);
-      }
-    }
-    p.state[k] = state;
-    p.gradient[k] = gradient;
+    const std::optional<SbgPayload> c =
+        scalar_->summary_payload(summaries[k], round, recipient);
+    if (!c) return std::nullopt;
+    const bool negate = negate_odd_ && k % 2 == 1;
+    p.state[k] = negate ? -c->state : c->state;
+    p.gradient[k] = negate ? -c->gradient : c->gradient;
   }
-  return cache_.store(view.round, std::move(p));
+  return p;
 }
 
 // ---------------------------------------------------------- RandomNoise
@@ -121,113 +71,6 @@ std::optional<VecPayload> VectorRandomNoise::send_to(
   for (std::size_t k = 0; k < dim_; ++k)
     p.gradient[k] = rng_.uniform(-gradient_range_, gradient_range_);
   return p;
-}
-
-// ------------------------------------------------------------- SignFlip
-
-VectorSignFlip::VectorSignFlip(double amplification)
-    : amplification_(amplification) {
-  FTMAO_EXPECTS(amplification > 0.0);
-}
-
-std::optional<VecPayload> VectorSignFlip::send_to(
-    AgentId, AgentId, const RoundView<VecPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  if (view.honest_broadcasts.empty())
-    return cache_.store(view.round, std::nullopt);
-  const std::size_t d = view_dim(view);
-  VecPayload p{Vec(d), Vec(d)};
-  for (std::size_t k = 0; k < d; ++k) {
-    double mean_gradient = 0.0;
-    for (const auto& msg : view.honest_broadcasts)
-      mean_gradient += msg.payload.gradient[k];
-    mean_gradient /= static_cast<double>(view.honest_broadcasts.size());
-    p.state[k] = median_state(view, k);
-    p.gradient[k] = -amplification_ * mean_gradient;
-  }
-  return cache_.store(view.round, std::move(p));
-}
-
-// --------------------------------------------------------- PullToTarget
-
-VectorPullToTarget::VectorPullToTarget(double target, double gradient_magnitude)
-    : target_(target), gradient_magnitude_(gradient_magnitude) {
-  FTMAO_EXPECTS(gradient_magnitude >= 0.0);
-}
-
-std::optional<VecPayload> VectorPullToTarget::send_to(
-    AgentId, AgentId, const RoundView<VecPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  if (view.honest_broadcasts.empty()) {
-    // No observations: announce the target with a flat gradient. The dim
-    // is unknown without broadcasts, so this arm only arises in direct
-    // unit-test calls; engines always pass a non-empty honest view.
-    return cache_.store(view.round, std::nullopt);
-  }
-  const std::size_t d = view_dim(view);
-  VecPayload p{Vec(d), Vec(d)};
-  for (std::size_t k = 0; k < d; ++k) {
-    const double median = median_state(view, k);
-    const double direction = median > target_ ? 1.0 : -1.0;
-    p.state[k] = target_;
-    p.gradient[k] = direction * gradient_magnitude_;
-  }
-  return cache_.store(view.round, std::move(p));
-}
-
-// ---------------------------------------------------- DelayedActivation
-
-VectorDelayedActivation::VectorDelayedActivation(
-    Round activation_round, std::unique_ptr<VectorAdversary> late_strategy)
-    : activation_(activation_round), late_(std::move(late_strategy)) {
-  FTMAO_EXPECTS(late_ != nullptr);
-}
-
-std::optional<VecPayload> VectorDelayedActivation::send_to(
-    AgentId self, AgentId recipient, const RoundView<VecPayload>& view) {
-  if (view.round >= activation_) return late_->send_to(self, recipient, view);
-  if (!dormant_cache_.fresh(view.round)) return dormant_cache_.get();
-  if (view.honest_broadcasts.empty())
-    return dormant_cache_.store(view.round, std::nullopt);
-  const std::size_t d = view_dim(view);
-  VecPayload p{Vec(d), Vec(d)};
-  for (std::size_t k = 0; k < d; ++k) {
-    p.state[k] = median_state(view, k);
-    p.gradient[k] = median_gradient(view, k);
-  }
-  return dormant_cache_.store(view.round, std::move(p));
-}
-
-// ------------------------------------------------------------- FlipFlop
-
-VectorFlipFlop::VectorFlipFlop(std::size_t period) : period_(period) {
-  FTMAO_EXPECTS(period >= 1);
-}
-
-std::optional<VecPayload> VectorFlipFlop::send_to(
-    AgentId, AgentId, const RoundView<VecPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  if (view.honest_broadcasts.empty())
-    return cache_.store(view.round, std::nullopt);
-  const bool high = (view.round.value / period_) % 2 == 0;
-  const std::size_t d = view_dim(view);
-  VecPayload p{Vec(d), Vec(d)};
-  for (std::size_t k = 0; k < d; ++k) {
-    double state = view.honest_broadcasts.front().payload.state[k];
-    double gradient = view.honest_broadcasts.front().payload.gradient[k];
-    for (const auto& msg : view.honest_broadcasts) {
-      if (high) {
-        state = std::max(state, msg.payload.state[k]);
-        gradient = std::min(gradient, msg.payload.gradient[k]);
-      } else {
-        state = std::min(state, msg.payload.state[k]);
-        gradient = std::max(gradient, msg.payload.gradient[k]);
-      }
-    }
-    p.state[k] = state;
-    p.gradient[k] = gradient;
-  }
-  return cache_.store(view.round, std::move(p));
 }
 
 }  // namespace ftmao

@@ -1,23 +1,23 @@
 #pragma once
 
-// Coordinate-wise liftings of the scalar Byzantine strategies
-// (adversary/strategies.hpp) to the vector algorithm: each strategy
-// applies the scalar payload derivation to every coordinate of the
-// honest broadcasts independently, so at dim == 1 every lifting is
-// bit-identical to its scalar counterpart (the d=1 collapse the batched
-// vector engine's tests pin).
+// The vector algorithm's Byzantine catalogue: the scalar strategies
+// (adversary/strategies.hpp) lifted per coordinate. Coordinate k of a
+// lifted payload is the scalar strategy's summary_payload for the
+// HonestSummary of coordinate k of the honest broadcasts, so at
+// dim == 1 a lifting is its scalar strategy by construction, recipient
+// classes included. The one rule the lifting adds: fixed-value and
+// split-brain negate odd coordinates, so their payload is not a scaled
+// all-ones vector.
 //
-// View-derived strategies (hull-edge, sign-flip, pull-to-target,
-// flip-flop, the dormant phase of delayed activation) are recipient-
-// independent and memoize the whole d-dimensional payload per round via
-// BasicRoundPayloadCache<VecPayload> — one derivation per round, replayed
-// for the other n-1 recipients, exactly like the scalar
-// RoundPayloadCache. Recipient-dependent (split-brain) and stateful
-// (random-noise) strategies are never cached. Each lifting declares the
-// recipient classes of its scalar counterpart.
+// Random noise stays its own class: it is asked per message and draws
+// all state coordinates before all gradient coordinates, an order no
+// per-coordinate call of the scalar noise reproduces.
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "adversary/strategies.hpp"
 #include "common/rng.hpp"
@@ -25,43 +25,28 @@
 
 namespace ftmao {
 
-using VecPayloadCache = BasicRoundPayloadCache<VecPayload>;
-
-/// Omission in every coordinate: recipients substitute the default tuple.
-class VectorSilent final : public VectorAdversary {
+/// A class-declaring scalar strategy applied to every coordinate; it is
+/// asked only through summary_payload. send_to summarizes each
+/// coordinate of the view once per round. An empty view gives no
+/// payload.
+class CoordinatewiseAdversary final : public VectorAdversary {
  public:
-  std::optional<VecPayload> send_to(AgentId, AgentId,
-                                    const RoundView<VecPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
-};
-
-/// The same fixed tuple to everyone, every round; the per-coordinate sign
-/// alternates like VectorSplitBrain's so the payload is not a scaled
-/// all-ones vector (dim == 1 matches the scalar FixedValueAdversary).
-class VectorFixedValue final : public VectorAdversary {
- public:
-  VectorFixedValue(std::size_t dim, double state_magnitude,
-                   double gradient_magnitude);
-  std::optional<VecPayload> send_to(AgentId, AgentId,
-                                    const RoundView<VecPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
+  CoordinatewiseAdversary(std::unique_ptr<SbgAdversary> scalar,
+                          bool negate_odd);
+  std::optional<VecPayload> send_to(AgentId self, AgentId recipient,
+                                    const RoundView<VecPayload>& view) override;
+  RecipientClass recipient_class(AgentId recipient) const override {
+    return scalar_->recipient_class(recipient);
+  }
+  std::optional<VecPayload> summary_payload(
+      std::span<const HonestSummary> summaries, Round round,
+      AgentId recipient) override;
 
  private:
-  VecPayload payload_;
-};
-
-/// Per-coordinate hull edge: the extreme honest state paired with the
-/// opposite-extreme honest gradient, coordinate by coordinate. Cached.
-class VectorHullEdge final : public VectorAdversary {
- public:
-  explicit VectorHullEdge(bool push_up);
-  std::optional<VecPayload> send_to(AgentId, AgentId,
-                                    const RoundView<VecPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
-
- private:
-  bool push_up_;
-  VecPayloadCache cache_;
+  std::unique_ptr<SbgAdversary> scalar_;
+  bool negate_odd_;
+  std::optional<std::uint32_t> summarized_;  ///< round of summaries_
+  std::vector<HonestSummary> summaries_;     ///< one per coordinate
 };
 
 /// Independent uniform noise per (recipient, round, coordinate);
@@ -79,70 +64,6 @@ class VectorRandomNoise final : public VectorAdversary {
   std::size_t dim_;
   double state_range_;
   double gradient_range_;
-};
-
-/// Median honest state, negated+amplified mean honest gradient, per
-/// coordinate. Cached.
-class VectorSignFlip final : public VectorAdversary {
- public:
-  explicit VectorSignFlip(double amplification);
-  std::optional<VecPayload> send_to(AgentId, AgentId,
-                                    const RoundView<VecPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
-
- private:
-  double amplification_;
-  VecPayloadCache cache_;
-};
-
-/// Drags every coordinate toward the scalar `target` value: states at the
-/// target, gradients pointing from the per-coordinate honest median
-/// toward it. Cached.
-class VectorPullToTarget final : public VectorAdversary {
- public:
-  VectorPullToTarget(double target, double gradient_magnitude);
-  std::optional<VecPayload> send_to(AgentId, AgentId,
-                                    const RoundView<VecPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
-
- private:
-  double target_;
-  double gradient_magnitude_;
-  VecPayloadCache cache_;
-};
-
-/// Sleeper: per-coordinate honest medians (a perfectly plausible agent)
-/// until `activation_round`, then the owned late strategy.
-class VectorDelayedActivation final : public VectorAdversary {
- public:
-  VectorDelayedActivation(Round activation_round,
-                          std::unique_ptr<VectorAdversary> late_strategy);
-  std::optional<VecPayload> send_to(AgentId self, AgentId recipient,
-                                    const RoundView<VecPayload>& view) override;
-  /// The late strategy's classes (the dormant payload is recipient-
-  /// independent).
-  RecipientClass recipient_class(AgentId recipient) const override {
-    return late_->recipient_class(recipient);
-  }
-
- private:
-  Round activation_;
-  std::unique_ptr<VectorAdversary> late_;
-  VecPayloadCache dormant_cache_;  ///< active phase delegates uncached
-};
-
-/// Oscillator: alternates the per-coordinate extreme-high and extreme-low
-/// honest tuple each `period` rounds. Cached.
-class VectorFlipFlop final : public VectorAdversary {
- public:
-  explicit VectorFlipFlop(std::size_t period = 1);
-  std::optional<VecPayload> send_to(AgentId, AgentId,
-                                    const RoundView<VecPayload>&) override;
-  RecipientClass recipient_class(AgentId) const override { return 0; }
-
- private:
-  std::size_t period_;
-  VecPayloadCache cache_;
 };
 
 }  // namespace ftmao

@@ -40,7 +40,8 @@ VecPayload VectorSbgAgent::broadcast(Round t) {
   return VecPayload{state_, cost_->gradient(state_)};
 }
 
-void VectorSbgAgent::step(Round t, std::span<const Received<VecPayload>> inbox) {
+void VectorSbgAgent::step(Round t,
+                          std::span<const Received<VecPayload>> inbox) {
   FTMAO_EXPECTS(t.value >= 1);
   FTMAO_EXPECTS(inbox.size() <= config_.n - 1);
 
@@ -75,48 +76,25 @@ void VectorSbgAgent::step(Round t, std::span<const Received<VecPayload>> inbox) 
   state_ = next;
 }
 
-VectorByzantineNode::VectorByzantineNode(VectorAdversary& adversary)
-    : adversary_(&adversary) {}
-
-std::optional<VecPayload> VectorByzantineNode::send_to(
-    AgentId self, AgentId recipient, const RoundView<VecPayload>& view) {
-  return adversary_->send_to(self, recipient, view);
+std::optional<VecPayload> VectorAdversary::summary_payload(
+    std::span<const HonestSummary>, Round, AgentId) {
+  // Only class-declaring strategies are asked, and they override this.
+  FTMAO_EXPECTS(false);
+  return std::nullopt;
 }
 
-VectorSplitBrain::VectorSplitBrain(std::size_t dim, double state_magnitude,
-                                   double gradient_magnitude)
-    : dim_(dim),
-      state_magnitude_(state_magnitude),
-      gradient_magnitude_(gradient_magnitude) {
-  FTMAO_EXPECTS(dim >= 1);
-}
-
-std::optional<VecPayload> VectorSplitBrain::send_to(
-    AgentId, AgentId recipient, const RoundView<VecPayload>&) {
-  const double parity = recipient.value % 2 == 0 ? 1.0 : -1.0;
-  VecPayload p{Vec(dim_), Vec(dim_)};
-  for (std::size_t k = 0; k < dim_; ++k) {
-    const double coord_sign = k % 2 == 0 ? 1.0 : -1.0;
-    p.state[k] = parity * coord_sign * state_magnitude_;
-    p.gradient[k] = parity * coord_sign * gradient_magnitude_;
-  }
-  return p;
-}
-
-VectorRunResult run_vector_sbg(const VectorSbgConfig& config,
-                               const std::vector<VectorFunctionPtr>& honest_costs,
-                               const std::vector<Vec>& honest_initial,
-                               std::size_t byzantine_count,
-                               VectorAdversary* adversary,
-                               const StepSchedule& schedule,
-                               std::size_t rounds) {
+VectorRunResult run_vector_sbg(
+    const VectorSbgConfig& config,
+    const std::vector<VectorFunctionPtr>& honest_costs,
+    const std::vector<Vec>& honest_initial, std::size_t byzantine_count,
+    VectorAdversary* adversary, const StepSchedule& schedule,
+    std::size_t rounds) {
   config.validate();
   FTMAO_EXPECTS(honest_costs.size() + byzantine_count == config.n);
   FTMAO_EXPECTS(honest_initial.size() == honest_costs.size());
   FTMAO_EXPECTS(byzantine_count <= config.f);
 
   std::vector<std::unique_ptr<VectorSbgAgent>> agents;
-  std::vector<std::unique_ptr<VectorByzantineNode>> byz_nodes;
   SyncEngine<VecPayload> engine;
   for (std::size_t i = 0; i < honest_costs.size(); ++i) {
     agents.push_back(std::make_unique<VectorSbgAgent>(
@@ -127,10 +105,9 @@ VectorRunResult run_vector_sbg(const VectorSbgConfig& config,
   }
   for (std::size_t b = 0; b < byzantine_count; ++b) {
     FTMAO_EXPECTS(adversary != nullptr);
-    byz_nodes.push_back(std::make_unique<VectorByzantineNode>(*adversary));
     engine.add_byzantine(
         AgentId{static_cast<std::uint32_t>(honest_costs.size() + b)},
-        byz_nodes.back().get());
+        adversary);
   }
 
   VectorRunResult result;
@@ -139,7 +116,8 @@ VectorRunResult run_vector_sbg(const VectorSbgConfig& config,
     std::vector<VectorWeightedSum::Term> terms;
     const double w = 1.0 / static_cast<double>(honest_costs.size());
     for (const auto& fn : honest_costs) terms.push_back({w, fn});
-    result.failure_free_optimum = VectorWeightedSum(std::move(terms)).a_minimizer();
+    result.failure_free_optimum =
+        VectorWeightedSum(std::move(terms)).a_minimizer();
   }
 
   auto record = [&] {

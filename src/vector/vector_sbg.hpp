@@ -12,9 +12,11 @@
 // vector_valid.hpp and bench E13).
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "adversary/strategies.hpp"
 #include "common/interval.hpp"
 #include "common/series.hpp"
 #include "common/types.hpp"
@@ -64,49 +66,22 @@ class VectorSbgAgent final : public SyncNode<VecPayload> {
   VectorSbgConfig config_;
 };
 
-/// Byzantine behaviour for the vector algorithm, mirroring the scalar
-/// strategy interface.
-class VectorAdversary {
+/// Byzantine behaviour for the vector algorithm, the counterpart of
+/// SbgAdversary (vector/vector_attacks.hpp holds the catalogue).
+class VectorAdversary : public ByzantineNode<VecPayload> {
  public:
-  virtual ~VectorAdversary() = default;
-  virtual std::optional<VecPayload> send_to(AgentId self, AgentId recipient,
-                                            const RoundView<VecPayload>& view) = 0;
-
-  /// Which recipients share a payload, independent of the round; see
-  /// RecipientClass for the promise a class id makes. The default,
-  /// kPerMessage, promises nothing. Only the batch engine asks.
+  /// As SbgAdversary::recipient_class; only the batch engine asks.
   virtual RecipientClass recipient_class(AgentId /*recipient*/) const {
     return kPerMessage;
   }
-};
 
-/// Adapter so VectorAdversary implementations plug into the engine.
-class VectorByzantineNode final : public ByzantineNode<VecPayload> {
- public:
-  explicit VectorByzantineNode(VectorAdversary& adversary);
-  std::optional<VecPayload> send_to(AgentId self, AgentId recipient,
-                                    const RoundView<VecPayload>& view) override;
-
- private:
-  VectorAdversary* adversary_;
-};
-
-/// Split-brain in every coordinate: +/-magnitude depending on recipient
-/// parity, alternating sign per coordinate.
-class VectorSplitBrain final : public VectorAdversary {
- public:
-  VectorSplitBrain(std::size_t dim, double state_magnitude,
-                   double gradient_magnitude);
-  std::optional<VecPayload> send_to(AgentId, AgentId recipient,
-                                    const RoundView<VecPayload>&) override;
-  RecipientClass recipient_class(AgentId recipient) const override {
-    return recipient.value % 2;
-  }
-
- private:
-  std::size_t dim_;
-  double state_magnitude_;
-  double gradient_magnitude_;
+  /// The payload send_to gives `recipient` in round `round` when
+  /// coordinate k of the round's view has HonestSummary `summaries[k]`,
+  /// under SbgAdversary::summary_payload's promise. The batch engine asks
+  /// only class-declaring strategies, once per (replica, class).
+  virtual std::optional<VecPayload> summary_payload(
+      std::span<const HonestSummary> summaries, Round round,
+      AgentId recipient);
 };
 
 struct VectorRunResult {
@@ -116,14 +91,13 @@ struct VectorRunResult {
   Series dist_to_average_optimum;  ///< max_j ||x_j - that optimum||
 };
 
-/// Runs coordinate-wise SBG with `byzantine_count` faulty agents driven by
-/// `adversary` (may be null -> silent).
-VectorRunResult run_vector_sbg(const VectorSbgConfig& config,
-                               const std::vector<VectorFunctionPtr>& honest_costs,
-                               const std::vector<Vec>& honest_initial,
-                               std::size_t byzantine_count,
-                               VectorAdversary* adversary,
-                               const StepSchedule& schedule,
-                               std::size_t rounds);
+/// Runs coordinate-wise SBG with `byzantine_count` faulty agents, all
+/// driven by the one `adversary` (non-null when byzantine_count > 0).
+VectorRunResult run_vector_sbg(
+    const VectorSbgConfig& config,
+    const std::vector<VectorFunctionPtr>& honest_costs,
+    const std::vector<Vec>& honest_initial, std::size_t byzantine_count,
+    VectorAdversary* adversary, const StepSchedule& schedule,
+    std::size_t rounds);
 
 }  // namespace ftmao

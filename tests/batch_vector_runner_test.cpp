@@ -242,13 +242,16 @@ TEST(BatchVectorRunner, DimOneCollapsesOntoScalarBatchEngine) {
   // The same population expressed as dim-1 vector scenarios (scalar costs
   // wrapped in ScalarAsVector) and as scalar Scenarios must land on
   // bitwise-identical final states through their respective batched
-  // engines. Restricted to attacks whose payloads do not depend on the
-  // adversary RNG stream or per-sender instancing (the two engines seed
-  // their adversaries differently).
+  // engines. Every attack but noise, whose payloads depend on the
+  // adversary RNG stream and per-sender instancing (the two engines seed
+  // their adversaries differently); delayed-strike wakes mid-run.
   constexpr std::size_t kN = 7, kF = 2, kRounds = 50;
   for (AttackKind kind :
-       {AttackKind::Silent, AttackKind::FixedValue, AttackKind::SplitBrain,
-        AttackKind::SignFlip, AttackKind::PullToTarget}) {
+       {AttackKind::None, AttackKind::Silent, AttackKind::FixedValue,
+        AttackKind::SplitBrain, AttackKind::HullEdgeUp,
+        AttackKind::HullEdgeDown, AttackKind::SignFlip,
+        AttackKind::PullToTarget, AttackKind::FlipFlop,
+        AttackKind::DelayedStrike}) {
     SCOPED_TRACE(static_cast<int>(kind));
     std::vector<Scenario> scalar_replicas;
     std::vector<VectorScenario> vector_replicas;
@@ -274,9 +277,10 @@ TEST(BatchVectorRunner, DimOneCollapsesOntoScalarBatchEngine) {
         }
       }
       s.attack.kind = kind;
+      s.attack.activation_round = kRounds / 2;
       s.rounds = kRounds;
       s.seed = seed;
-      v.attack.kind = kind;
+      v.attack = s.attack;
       v.rounds = kRounds;
       v.seed = seed;
       scalar_replicas.push_back(std::move(s));

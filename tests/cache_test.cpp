@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -697,7 +698,8 @@ TEST(CachedAttackSearch, AsyncColdAndWarmMatchUncached) {
 // is recomputed, and must not stay: run(cache) renders a driver's output
 // against a disk cache whose record under `key` is spoil(good), where
 // good is what a cold run stores there. The output equals the uncached
-// one, and afterwards `key` holds good, in memory and on disk.
+// one, the run counts the spoiled record as a miss, not a hit, and
+// afterwards `key` holds good, in memory and on disk.
 void expect_undecodable_payload_replaced(
     const std::string& name, const CellKey& key,
     const std::function<std::string(const std::string&)>& spoil,
@@ -706,6 +708,7 @@ void expect_undecodable_payload_replaced(
   const std::string uncached = run(nullptr);
   ResultCache cold{CacheConfig{fresh_dir(name + "_cold").string()}};
   ASSERT_EQ(run(&cold), uncached);
+  const std::uint64_t cold_misses = cold.stats().misses;
   const std::optional<std::string> good = cold.lookup(key);
   ASSERT_TRUE(good.has_value()) << "no record under " << key.spec;
 
@@ -713,6 +716,8 @@ void expect_undecodable_payload_replaced(
   ResultCache{CacheConfig{dir.string()}}.insert(key, spoil(*good));
   ResultCache cache{CacheConfig{dir.string()}};
   EXPECT_EQ(run(&cache), uncached);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, cold_misses);
   EXPECT_EQ(cache.lookup(key), good) << "in memory";
   EXPECT_EQ(ResultCache{CacheConfig{dir.string()}}.lookup(key), good)
       << "on disk";

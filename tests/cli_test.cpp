@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <sstream>
 
 #include "cache/result_cache.hpp"
@@ -355,6 +356,29 @@ TEST(CountFlags, NegativeIsRefusedNamingTheFlagAndZeroIsAccepted) {
   std::string err;
   EXPECT_EQ(run({"--algorithm", "async", "--n", "-1"}, nullptr, &err), 1);
   EXPECT_NE(err.find("--n "), std::string::npos) << err;
+}
+
+TEST(CountFlags, CacheMemoryPastSizeTIsRefusedNamingTheFlag) {
+  // --cache-mem-mb 2^44 is 2^64 bytes: refused with the flag named, not
+  // wrapped to a 0-byte budget. 2^44 - 1 is the largest budget accepted.
+  ArgParser past(cache_flag_specs());
+  ASSERT_FALSE(past.parse({"--cache-dir", "unused", "--cache-mem-mb",
+                           "17592186044416"}).has_value());
+  try {
+    cache_from(past);
+    ADD_FAILURE() << "--cache-mem-mb 2^44: accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("--cache-mem-mb "),
+              std::string::npos)
+        << e.what();
+  }
+  ArgParser last(cache_flag_specs());
+  ASSERT_FALSE(last.parse({"--cache-dir", "unused", "--cache-mem-mb",
+                           "17592186044415"}).has_value());
+  const std::unique_ptr<ResultCache> cache = cache_from(last);
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->config().max_memory_bytes,
+            std::size_t{17592186044415} << 20);
 }
 
 }  // namespace

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "consensus/iterative.hpp"
 #include "core/valid_set.hpp"
 #include "sim/runner.hpp"
+#include "sim/vector_scenario.hpp"
 #include "trim/trim.hpp"
 
 namespace ftmao {
@@ -56,9 +60,11 @@ TEST(Golden, IterativeConsensusHullEdge) {
   const IterativeConsensusConfig config{7, 2, 0.0};
   const auto r = run_iterative_consensus(
       config, {0, 1, 2, 3, 4}, 2,
-      [](AgentId, AgentId, const RoundView<double>& view) -> std::optional<double> {
+      [](AgentId, AgentId,
+         const RoundView<double>& view) -> std::optional<double> {
         double hi = view.honest_broadcasts.front().payload;
-        for (const auto& m : view.honest_broadcasts) hi = std::max(hi, m.payload);
+        for (const auto& m : view.honest_broadcasts)
+          hi = std::max(hi, m.payload);
         return hi;
       },
       5);
@@ -68,11 +74,64 @@ TEST(Golden, IterativeConsensusHullEdge) {
 TEST(Golden, NoiseAttackSeededTrajectory) {
   // Pins the RNG plumbing end to end: any change to seeding, substream
   // derivation, or draw order shows up here.
-  Scenario s = make_standard_scenario(7, 2, 8.0, AttackKind::RandomNoise, 100, 7);
+  Scenario s =
+      make_standard_scenario(7, 2, 8.0, AttackKind::RandomNoise, 100, 7);
   const RunMetrics m = run_sbg(s);
   EXPECT_NEAR(m.final_states.front(), -1.491553, 1e-4);
   const RunMetrics again = run_sbg(s);
   EXPECT_DOUBLE_EQ(m.final_states.front(), again.final_states.front());
+}
+
+// FNV-1a over the bit patterns of a run's final states and both series.
+std::uint64_t vector_run_hash(const VectorRunResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](double x) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const Vec& x : r.final_states)
+    for (std::size_t k = 0; k < x.dim(); ++k) mix(x[k]);
+  for (std::size_t t = 0; t < r.disagreement.size(); ++t)
+    mix(r.disagreement[t]);
+  for (std::size_t t = 0; t < r.dist_to_average_optimum.size(); ++t)
+    mix(r.dist_to_average_optimum[t]);
+  return h;
+}
+
+TEST(Golden, VectorAttacksAtDimThree) {
+  // Every attack of the vector catalogue on the standard 7/2 cell at
+  // d = 3, 60 rounds, seed 3: pins the payload bits of each lifting (and
+  // of the noise draw order) through the reference vector engine. The
+  // cell is symmetric about 0, so sign-flip pins the same run as
+  // silence; delayed-strike wakes in round 1 and pins pull's run.
+  const struct {
+    AttackKind kind;
+    std::uint64_t hash;
+  } pins[] = {
+      {AttackKind::None, 0x795dbcbf6280f45aull},
+      {AttackKind::Silent, 0x795dbcbf6280f45aull},
+      {AttackKind::FixedValue, 0xbbb93b1a3e785620ull},
+      {AttackKind::SplitBrain, 0x60c6b8625ba5ba72ull},
+      {AttackKind::HullEdgeUp, 0x866608a4ea0a8168ull},
+      {AttackKind::HullEdgeDown, 0x7f34bfcef4b445b5ull},
+      {AttackKind::RandomNoise, 0x74228fb38586285dull},
+      {AttackKind::SignFlip, 0x795dbcbf6280f45aull},
+      {AttackKind::PullToTarget, 0x21e7f063392e1df2ull},
+      {AttackKind::FlipFlop, 0xb5b4f8e9ca9525f6ull},
+      {AttackKind::DelayedStrike, 0x21e7f063392e1df2ull},
+  };
+  for (const auto& pin : pins) {
+    const VectorRunResult r = run_vector_scenario(
+        make_standard_vector_scenario(7, 2, 8.0, pin.kind, 60, 3, 3));
+    ASSERT_EQ(r.final_states.size(), 5u);
+    ASSERT_EQ(r.disagreement.size(), 61u);
+    EXPECT_EQ(vector_run_hash(r), pin.hash)
+        << "attack " << static_cast<int>(pin.kind) << ": 0x" << std::hex
+        << vector_run_hash(r);
+  }
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -119,7 +122,8 @@ std::vector<Vec> spread_initial(std::size_t count) {
 
 TEST(VectorSbg, ConsensusPerCoordinateUnderSplitBrain) {
   const HarmonicStep schedule;
-  VectorSplitBrain attack(2, 50.0, 5.0);
+  CoordinatewiseAdversary attack(
+      std::make_unique<SplitBrainAdversary>(50.0, 5.0), /*negate_odd=*/true);
   const auto r = run_vector_sbg(cfg(7, 2, 2), separable_costs(),
                                 spread_initial(5), 2, &attack, schedule, 6000);
   EXPECT_LT(r.disagreement.back(), 0.05);
@@ -130,7 +134,8 @@ TEST(VectorSbg, SeparableCostsLandNearAverageOptimumRegion) {
   // scalar Theorem 2, so the final point sits inside the per-coordinate
   // valid boxes — within a modest distance of the average optimum.
   const HarmonicStep schedule;
-  VectorSplitBrain attack(2, 50.0, 5.0);
+  CoordinatewiseAdversary attack(
+      std::make_unique<SplitBrainAdversary>(50.0, 5.0), /*negate_odd=*/true);
   const auto r = run_vector_sbg(cfg(7, 2, 2), separable_costs(),
                                 spread_initial(5), 2, &attack, schedule, 6000);
   EXPECT_LT(r.dist_to_average_optimum.back(), 4.0);
@@ -248,6 +253,70 @@ TEST(VectorRecipientClass, DeclaredClassesKeepTheirPromise) {
   }
 }
 
+TEST(VectorSummaryPayload, MatchesSendToOverRandomViews) {
+  // The vector twin of the scalar summary test (adversary_test.cpp) at
+  // d = 1 and d = 3: `a` is asked through send_to for every recipient in
+  // engine order. A twin from the same config answers summary_payload
+  // with each coordinate's HonestSummary::of once per class at the
+  // class's first recipient, as the batch engine asks. The payloads must
+  // agree bit for bit. Views draw ties and signed zeros, one round is
+  // empty, and the rounds straddle delayed-strike's activation.
+  constexpr std::uint32_t kRecipients = 9;
+  const Rng rng(13);
+  const double pool[] = {0.0, -0.0, 1.0, -1.0};
+  for (std::size_t dim : {1u, 3u}) {
+    for (AttackKind kind : kEveryAttack) {
+      if (kind == AttackKind::RandomNoise) continue;
+      SCOPED_TRACE("dim " + std::to_string(dim) + " kind " +
+                   std::to_string(static_cast<int>(kind)));
+      const AttackConfig config = vector_attack_config(kind);
+      const auto a = make_vector_adversary(
+          config, dim, rng.substream("vector-adversary", 7));
+      const auto twin = make_vector_adversary(
+          config, dim, rng.substream("vector-adversary", 8));
+      Rng draws(17);
+      auto draw = [&](double range) {
+        return draws.uniform(0.0, 1.0) < 0.5
+                   ? pool[draws.uniform_int(0, 3)]
+                   : draws.uniform(-range, range);
+      };
+      for (std::uint32_t t = 1; t <= 6; ++t) {
+        std::vector<Received<VecPayload>> msgs;
+        for (std::uint32_t j = 0; t != 2 && j < kRecipients; ++j) {
+          VecPayload p{Vec(dim), Vec(dim)};
+          for (std::size_t k = 0; k < dim; ++k) {
+            p.state[k] = draw(5.0);
+            p.gradient[k] = draw(2.0);
+          }
+          msgs.push_back({AgentId{j}, std::move(p)});
+        }
+        const RoundView<VecPayload> view{Round{t}, msgs};
+        std::vector<HonestSummary> summaries;
+        for (std::size_t k = 0; k < dim; ++k) {
+          std::vector<Received<SbgPayload>> coordinate;
+          for (const auto& msg : msgs)
+            coordinate.push_back(
+                {msg.from,
+                 SbgPayload{msg.payload.state[k], msg.payload.gradient[k]}});
+          summaries.push_back(HonestSummary::of({Round{t}, coordinate}));
+        }
+        std::vector<std::optional<VecPayload>> answer(kRecipients);
+        for (std::uint32_t j = 0; j < kRecipients; ++j) {
+          const std::optional<VecPayload> seen =
+              a->send_to(AgentId{20}, AgentId{j}, view);
+          const RecipientClass cls = a->recipient_class(AgentId{j});
+          std::uint32_t first = 0;
+          while (a->recipient_class(AgentId{first}) != cls) ++first;
+          if (first == j)
+            answer[j] = twin->summary_payload(summaries, Round{t}, AgentId{j});
+          EXPECT_TRUE(same_bits(seen, answer[first]))
+              << "round " << t << " recipient " << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(VectorRecipientClass, ScalarEngineNeverAsks) {
   // run_vector_sbg is the reference the batch engine is checked against,
   // so it must stay class-blind: it asks for payloads per message only.
@@ -282,7 +351,8 @@ TEST(VectorSbg, BoxConstraintKeepsStatesInside) {
   const HarmonicStep schedule;
   VectorSbgConfig c = cfg(7, 2, 2);
   c.constraint = {Interval(-1.0, 0.5), Interval(0.0, 2.0)};
-  VectorSplitBrain attack(2, 50.0, 5.0);
+  CoordinatewiseAdversary attack(
+      std::make_unique<SplitBrainAdversary>(50.0, 5.0), /*negate_odd=*/true);
   const auto r = run_vector_sbg(c, separable_costs(), spread_initial(5), 2,
                                 &attack, schedule, 3000);
   for (const Vec& x : r.final_states) {
@@ -308,7 +378,10 @@ TEST(VectorSbg, InactiveBoxMatchesUnconstrained) {
   VectorSbgConfig unconstrained = cfg(7, 2, 2);
   VectorSbgConfig boxed = cfg(7, 2, 2);
   boxed.constraint = {Interval(-100.0, 100.0), Interval(-100.0, 100.0)};
-  VectorSplitBrain attack_a(2, 50.0, 5.0), attack_b(2, 50.0, 5.0);
+  CoordinatewiseAdversary attack_a(
+      std::make_unique<SplitBrainAdversary>(50.0, 5.0), /*negate_odd=*/true);
+  CoordinatewiseAdversary attack_b(
+      std::make_unique<SplitBrainAdversary>(50.0, 5.0), /*negate_odd=*/true);
   const auto a = run_vector_sbg(unconstrained, separable_costs(),
                                 spread_initial(5), 2, &attack_a, schedule, 500);
   const auto b = run_vector_sbg(boxed, separable_costs(), spread_initial(5), 2,

@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "core/step_size.hpp"
+#include "vector/vector_attacks.hpp"
 #include "vector/vector_sbg.hpp"
 #include "vector/vector_valid.hpp"
 
@@ -76,9 +77,11 @@ TEST(VectorValid, HeuristicKeepsConsensusButNotOptimalityForCoupledCosts) {
   config.n = 7;
   config.f = 2;
   config.dim = 2;
-  VectorSplitBrain attack(2, 50.0, 5.0);
+  CoordinatewiseAdversary attack(
+      std::make_unique<SplitBrainAdversary>(50.0, 5.0), /*negate_odd=*/true);
   std::vector<Vec> init;
-  for (int i = 0; i < 5; ++i) init.push_back(Vec{-4.0 + 2.0 * i, 4.0 - 2.0 * i});
+  for (int i = 0; i < 5; ++i)
+    init.push_back(Vec{-4.0 + 2.0 * i, 4.0 - 2.0 * i});
   const HarmonicStep schedule;
   const auto r =
       run_vector_sbg(config, radial_family(), init, 2, &attack, schedule, 3000);
