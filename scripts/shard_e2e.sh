@@ -123,8 +123,12 @@ same_csv "$WORK/single_vec.csv" "$WORK/merged_vec.csv" "vector-dim"
 echo "shard_e2e: scalar reference engine (--scalar) through local mode ..."
 # --scalar runs the batched engines' plan in one-replica tasks on the
 # reference engines. Forwarded to both workers, it must merge
-# byte-identical to the single-process batched run of the same grid.
-SGRID="--sizes 7:2,10:3 --dim 1,3 --seeds 3 --rounds 300"
+# byte-identical to the single-process batched run of the same grid,
+# whose n = 10, d = 3 cells have an optimum off the centroid and whose
+# delayed strikes sleep through the first half: their rows must not
+# repeat pull's.
+SGRID="--sizes 7:2,10:3 --dim 1,3 --attacks split-brain,pull,delayed-strike \
+--seeds 3 --rounds 300"
 # shellcheck disable=SC2086  # word-splitting of $SGRID is intended
 "$SWEEP" $SGRID --csv > "$WORK/single_mixed.csv"
 # shellcheck disable=SC2086
@@ -132,6 +136,16 @@ SGRID="--sizes 7:2,10:3 --dim 1,3 --seeds 3 --rounds 300"
   $SGRID --shards 2 --scalar --out "$WORK/merged_scalar.csv" \
   2> "$WORK/local_scalar.log"
 same_csv "$WORK/single_mixed.csv" "$WORK/merged_scalar.csv" "--scalar"
+# rows_of <csv> <attack>: the rows of <attack>, its name dropped.
+rows_of() {
+  grep ",$2," "$1" | sed "s/,$2,/,/"
+}
+if [ "$(rows_of "$WORK/merged_scalar.csv" pull)" = \
+     "$(rows_of "$WORK/merged_scalar.csv" delayed-strike)" ]; then
+  echo "shard_e2e: FAIL — the delayed-strike rows repeat the pull rows" >&2
+  cat "$WORK/merged_scalar.csv" >&2
+  exit 1
+fi
 
 echo "shard_e2e: cache warm-start (shared --cache-dir across two runs) ..."
 # Local mode forwards --cache-dir to every worker, so a second run over

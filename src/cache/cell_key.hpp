@@ -30,7 +30,10 @@ namespace ftmao {
 /// Rev 2: LogCosh/SmoothAbs/SoftplusBasin derivatives moved from libm to
 /// the deterministic polynomial kernels (simd/det_math_impl.hpp) — same
 /// functions, different (now platform-pinned) bits.
-inline constexpr std::uint64_t kEngineSchemaRev = 2;
+/// Rev 3: the vector cells' failure-free optimum is minimized exactly
+/// (fixed 1/L steps to a gradient tolerance), and a grid's delayed-strike
+/// cells wake at round rounds / 2 + 1 instead of round 1.
+inline constexpr std::uint64_t kEngineSchemaRev = 3;
 
 /// FNV-1a over `bytes` starting from `basis`, splitmix64-finalized so
 /// short inputs still avalanche. Stable across platforms by construction.

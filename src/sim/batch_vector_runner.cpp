@@ -29,8 +29,9 @@ const double kAllBits = std::bit_cast<double>(~std::uint64_t{0});
 
 class BatchedVectorSbgRunner {
  public:
-  explicit BatchedVectorSbgRunner(std::span<const VectorScenario> replicas)
-      : replicas_(replicas) {
+  BatchedVectorSbgRunner(std::span<const VectorScenario> replicas,
+                         bool record_series)
+      : replicas_(replicas), record_series_(record_series) {
     FTMAO_EXPECTS(!replicas.empty());
     const VectorScenario& first = replicas.front();
     for (const VectorScenario& s : replicas) {
@@ -191,16 +192,17 @@ class BatchedVectorSbgRunner {
 
   std::vector<VectorRunResult> run() {
     engine_stats_record(B_, L_, Lpad_);
-    for (std::size_t r = 0; r < B_; ++r) record(r);
     for (std::size_t t = 1; t <= rounds_; ++t) {
+      if (record_series_)
+        for (std::size_t r = 0; r < B_; ++r) record(r);
       broadcast_phase();
       if (select_) selection_.select(bx_.data(), bg_.data(), *kernels_);
       if (F_ > 0) collect_byzantine(t);
       fill_lambda(t);
       step_phase();
-      for (std::size_t r = 0; r < B_; ++r) record(r);
     }
     for (std::size_t r = 0; r < B_; ++r) {
+      record(r);
       for (std::size_t j = 0; j < H_; ++j) {
         Vec state(d_);
         for (std::size_t k = 0; k < d_; ++k)
@@ -388,7 +390,9 @@ class BatchedVectorSbgRunner {
   }
 
   // The reference recorder's exact fold order: per agent, the distance
-  // to the failure-free optimum, then the pairwise L-inf diameters.
+  // to the failure-free optimum, then the pairwise L-inf diameters. It
+  // costs O(H^2 d) per replica, so without record_series_ it runs once,
+  // after the last round.
   void record(std::size_t r) {
     double diam = 0.0;
     double dist = 0.0;
@@ -412,6 +416,7 @@ class BatchedVectorSbgRunner {
   }
 
   std::span<const VectorScenario> replicas_;
+  bool record_series_ = true;  ///< RunOptions::record_series
   const SimdKernels* kernels_ = nullptr;
   std::size_t n_ = 0, f_ = 0, d_ = 0, H_ = 0, F_ = 0;
   std::size_t rounds_ = 0, B_ = 0, L_ = 0, Lpad_ = 0;
@@ -439,9 +444,9 @@ class BatchedVectorSbgRunner {
 }  // namespace
 
 std::vector<VectorRunResult> run_vector_sbg_batch(
-    std::span<const VectorScenario> replicas) {
+    std::span<const VectorScenario> replicas, const RunOptions& options) {
   if (replicas.empty()) return {};
-  BatchedVectorSbgRunner runner(replicas);
+  BatchedVectorSbgRunner runner(replicas, options.record_series);
   return runner.run();
 }
 

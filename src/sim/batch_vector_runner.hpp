@@ -48,8 +48,10 @@ namespace ftmao {
 /// (n, f, dim, rounds, byzantine_count); costs, initial states, attack,
 /// step schedule, seed, constraint, and default payload may vary per
 /// replica. Returns one VectorRunResult per replica, bit-identical
-/// per-field to run_vector_scenario(replicas[i]).
+/// per-field to run_vector_scenario(replicas[i], options); of `options`,
+/// only record_series is read.
 std::vector<VectorRunResult> run_vector_sbg_batch(
-    std::span<const VectorScenario> replicas);
+    std::span<const VectorScenario> replicas,
+    const RunOptions& options = {});
 
 }  // namespace ftmao

@@ -101,7 +101,7 @@ template <class S>
 std::vector<Finals> run_finals_section(const CertifyOptions& o,
                                        const char* section, const S& shape) {
   return run_section<Finals>(
-      o, section, shape, {},
+      o, section, shape, kFinalsOnly,
       [](AttackKind, const auto& run) { return finals_of(run); },
       [](PayloadReader& reader) {
         Finals finals;

@@ -71,15 +71,20 @@ MegabatchKey shape_key(const S& shape) {
     return {MegabatchEngine::kSync, shape.n, shape.f, 1};
 }
 
+/// What a driver that reads only each run's finals asks of the engines:
+/// series that keep the final round's entry alone. The async engine
+/// records every round regardless.
+inline constexpr RunOptions kFinalsOnly{.record_series = false};
+
 /// The reference engine of each scenario kind: run_sbg, run_async_sbg,
-/// run_vector_scenario. `options` reaches the sync engine only.
+/// run_vector_scenario. The async engine takes no `options`.
 template <class S>
 auto run_reference(const S& s,
                    [[maybe_unused]] const RunOptions& options = {}) {
   if constexpr (std::is_same_v<S, AsyncScenario>)
     return run_async_sbg(s);
   else if constexpr (std::is_same_v<S, VectorScenario>)
-    return run_vector_scenario(s);
+    return run_vector_scenario(s, options);
   else
     return run_sbg(s, options);
 }
@@ -123,7 +128,7 @@ void run_task(const S& shape, const MegabatchTask& task,
     if constexpr (std::is_same_v<S, AsyncScenario>)
       return run_async_sbg_batch(batch);
     else if constexpr (std::is_same_v<S, VectorScenario>)
-      return run_vector_sbg_batch(batch);
+      return run_vector_sbg_batch(batch, options);
     else
       return run_sbg_batch(batch, options);
   }();

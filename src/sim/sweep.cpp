@@ -38,11 +38,6 @@ std::string sweep_cell_cache_spec(const GridSpec& grid,
 
 namespace {
 
-// A sweep cell reads only each run's final disagreement and distance, so
-// the sync runs skip the per-round series: a 4000-round, 32-replica task
-// otherwise holds ~3 MiB of metric values nobody reads.
-const RunOptions kFinalsOnly{.record_series = false};
-
 // One cell's final disagreement and distance per seed, in seed order.
 // Its cache payload is the seed count, then each vector in turn.
 struct CellRuns {
@@ -81,14 +76,17 @@ void run_pending(const SweepConfig& config, const std::vector<CellSpec>& specs,
   parallel_for_each(
       config.num_threads, plan.tasks.size(), [&](std::size_t ti) {
         const MegabatchTask& task = plan.tasks[ti];
-        const auto run = [&](const auto& shape, const RunOptions& options) {
+        // A cell reads only its runs' finals.
+        const auto run = [&](const auto& shape) {
           run_task(
               shape, task,
               [&](std::size_t i) {
-                return Replica{{.kind = specs[plan.items[i].cell].attack},
+                // A delayed strike sleeps through the first half.
+                return Replica{{.kind = specs[plan.items[i].cell].attack,
+                                .activation_round = config.rounds / 2 + 1},
                                config.seeds[plan.items[i].seed]};
               },
-              config.scalar_engine, options,
+              config.scalar_engine, kFinalsOnly,
               [&](std::size_t i, const auto& result) {
                 const Finals finals = finals_of(result);
                 const MegabatchItem& item = plan.items[i];
@@ -105,20 +103,20 @@ void run_pending(const SweepConfig& config, const std::vector<CellSpec>& specs,
             shape.delay_kind = config.delay_kind;
             shape.delay_lo = config.delay_lo;
             shape.delay_hi = config.delay_hi;
-            return run(shape, RunOptions{});
+            return run(shape);
           }
           case MegabatchEngine::kVector: {
             VectorScenario shape = make_standard_vector_scenario(
                 key.n, key.f, config.spread, AttackKind::None, config.rounds,
                 1, key.dim);
             shape.step = config.step;
-            return run(shape, RunOptions{});
+            return run(shape);
           }
           case MegabatchEngine::kSync: {
             Scenario shape = make_standard_scenario(
                 key.n, key.f, config.spread, AttackKind::None, config.rounds);
             shape.step = config.step;
-            return run(shape, kFinalsOnly);
+            return run(shape);
           }
         }
       });

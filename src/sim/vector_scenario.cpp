@@ -82,7 +82,8 @@ VectorScenario make_standard_vector_scenario(std::size_t n, std::size_t f,
   return s;
 }
 
-VectorRunResult run_vector_scenario(const VectorScenario& scenario) {
+VectorRunResult run_vector_scenario(const VectorScenario& scenario,
+                                    const RunOptions& options) {
   scenario.validate();
   const auto schedule = make_schedule(scenario.step);
   std::unique_ptr<VectorAdversary> adversary;
@@ -99,7 +100,7 @@ VectorRunResult run_vector_scenario(const VectorScenario& scenario) {
   config.constraint = scenario.constraint;
   return run_vector_sbg(config, scenario.honest_costs, scenario.honest_initial,
                         scenario.byzantine_count, adversary.get(), *schedule,
-                        scenario.rounds);
+                        scenario.rounds, options.record_series);
 }
 
 }  // namespace ftmao

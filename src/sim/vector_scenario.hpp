@@ -13,6 +13,7 @@
 
 #include "common/interval.hpp"
 #include "common/rng.hpp"
+#include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "vector/vector_attacks.hpp"
 #include "vector/vector_sbg.hpp"
@@ -63,7 +64,9 @@ VectorScenario make_standard_vector_scenario(std::size_t n, std::size_t f,
 
 /// Scalar reference execution: one run_vector_sbg over the scenario's
 /// agents/adversary. The batched engine (sim/batch_vector_runner.hpp) is
-/// bit-identical to this per-field.
-VectorRunResult run_vector_scenario(const VectorScenario& scenario);
+/// bit-identical to this per-field. Of `options`, only record_series is
+/// read.
+VectorRunResult run_vector_scenario(const VectorScenario& scenario,
+                                    const RunOptions& options = {});
 
 }  // namespace ftmao

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -19,6 +21,10 @@ double huber_value(double r, double delta) {
 double huber_slope(double r, double delta) {
   return std::clamp(r, -delta, delta);
 }
+
+// The relative resolution to which a_minimizer compares two values of a
+// sum, far above the ~1e-14 rounding of a few dozen weighted terms.
+constexpr double kValueResolution = 1e-12;
 
 }  // namespace
 
@@ -212,9 +218,19 @@ double VectorWeightedSum::gradient_bound() const {
   return b;
 }
 
+double VectorWeightedSum::lipschitz_bound() const {
+  double b = 0.0;
+  for (const auto& t : terms_) b += t.weight * t.function->lipschitz_bound();
+  return b;
+}
+
+double VectorWeightedSum::gradient_tolerance() const {
+  return kRelativeTolerance * gradient_bound();
+}
+
 Vec VectorWeightedSum::a_minimizer() const {
-  // Diminishing-step gradient descent from the weighted centroid of the
-  // terms' minimizers; smooth convex objectives make this reliable.
+  // Start from the weighted centroid of the terms' minimizers, the
+  // optimum itself when the terms sit symmetrically about it.
   Vec x(dim(), 0.0);
   double total = 0.0;
   for (const auto& t : terms_) {
@@ -226,17 +242,41 @@ Vec VectorWeightedSum::a_minimizer() const {
   }
   x *= 1.0 / total;
 
-  // Polyak-free fallback: scale steps to the inverse gradient bound.
-  const double step0 = 1.0 / std::max(gradient_bound(), 1e-9);
+  const double tolerance = gradient_tolerance();
   Vec g(dim());
   Vec gi(dim());
-  for (int t = 1; t <= 20000; ++t) {
+  accumulate_gradient(x, g, gi);
+  double gnorm = g.norm2();
+  if (gnorm < tolerance) return x;
+
+  const double lipschitz = lipschitz_bound();
+  FTMAO_EXPECTS(lipschitz > 0.0);
+  double step = 1.0 / lipschitz;
+  double fx = value(x);
+  Vec trial(dim());
+  for (int it = 0; it < kMaxIterations; ++it) {
+    for (std::size_t k = 0; k < dim(); ++k) trial[k] = x[k] - step * g[k];
+    const double ft = value(trial);
+    // Armijo with c = 1/2, which a step of 1/L always passes. The values
+    // are compared only to their resolution: near the optimum the
+    // required decrease falls below the rounding of value(), which must
+    // not shrink the step. An overlong step still fails there once its
+    // overshoot has raised the value past that resolution.
+    const double slack = kValueResolution * std::abs(fx);
+    if (!(ft <= fx - 0.5 * step * gnorm * gnorm + slack)) {
+      step *= 0.5;
+      continue;
+    }
+    std::swap(x, trial);
+    fx = ft;
     accumulate_gradient(x, g, gi);
-    if (g.norm2() < 1e-10) break;
-    g *= step0 * 10.0 / static_cast<double>(t);
-    x -= g;
+    gnorm = g.norm2();
+    if (gnorm < tolerance) return x;
   }
-  return x;
+  std::ostringstream os;
+  os << "VectorWeightedSum::a_minimizer: gradient norm " << gnorm
+     << " above " << tolerance << " after " << kMaxIterations << " steps";
+  throw ContractViolation(os.str());
 }
 
 }  // namespace ftmao

@@ -25,10 +25,16 @@ class VectorFunction {
   /// calls this once per agent per round in its hot loop. The default
   /// delegates to gradient(); allocation-free overrides must perform the
   /// exact same arithmetic per coordinate.
-  virtual void gradient_into(const Vec& x, Vec& out) const { out = gradient(x); }
+  virtual void gradient_into(const Vec& x, Vec& out) const {
+    out = gradient(x);
+  }
 
   /// L with ||grad||_2 <= L everywhere.
   virtual double gradient_bound() const = 0;
+
+  /// L with ||grad(x) - grad(y)||_2 <= L ||x - y||_2 everywhere (the
+  /// smoothness bound; VectorWeightedSum::a_minimizer steps by 1/L).
+  virtual double lipschitz_bound() const = 0;
 
   /// Some point in argmin (the argmin need not be a box in general).
   virtual Vec a_minimizer() const = 0;
@@ -61,6 +67,7 @@ class SeparableHuber final : public VectorFunction {
   Vec gradient(const Vec& x) const override;
   void gradient_into(const Vec& x, Vec& out) const override;
   double gradient_bound() const override;
+  double lipschitz_bound() const override { return scale_; }
   Vec a_minimizer() const override { return center_; }
   /// dim() clamp descriptors — gradient_into's per-coordinate
   /// scale * clamp(x[k] - c[k], -delta, delta) in closed form.
@@ -87,6 +94,7 @@ class RadialHuber final : public VectorFunction {
   /// scales it in place (gradient() calls this).
   void gradient_into(const Vec& x, Vec& out) const override;
   double gradient_bound() const override { return scale_ * delta_; }
+  double lipschitz_bound() const override { return scale_; }
   Vec a_minimizer() const override { return center_; }
 
  private:
@@ -107,6 +115,7 @@ class DirectionalHuber final : public VectorFunction {
   double value(const Vec& x) const override;
   Vec gradient(const Vec& x) const override;
   double gradient_bound() const override { return scale_ * delta_; }
+  double lipschitz_bound() const override { return scale_; }
   /// A point on the minimizing hyperplane.
   Vec a_minimizer() const override;
 
@@ -129,7 +138,12 @@ class ScalarAsVector final : public VectorFunction {
   double value(const Vec& x) const override;
   Vec gradient(const Vec& x) const override;
   void gradient_into(const Vec& x, Vec& out) const override;
-  double gradient_bound() const override { return scalar_->gradient_bound(); }
+  double gradient_bound() const override {
+    return scalar_->gradient_bound();
+  }
+  double lipschitz_bound() const override {
+    return scalar_->lipschitz_bound();
+  }
   /// Midpoint of the scalar argmin interval.
   Vec a_minimizer() const override;
   /// The wrapped scalar's descriptor (one coordinate), if it has one —
@@ -157,13 +171,27 @@ class VectorWeightedSum final : public VectorFunction {
   double value(const Vec& x) const override;
   Vec gradient(const Vec& x) const override;
   double gradient_bound() const override;
+  /// sum_i w_i L_i.
+  double lipschitz_bound() const override;
 
-  /// Numeric: gradient descent with diminishing steps from the centroid of
-  /// the terms' minimizers (adequate for the smooth convex sums used in
-  /// tests/benches). Allocates only before its first iteration.
+  /// Gradient descent from the weighted centroid of the terms' minimizers
+  /// by fixed steps of 1/lipschitz_bound(), the standard method for
+  /// L-smooth convex costs. A step that fails the sufficient-decrease
+  /// (Armijo) test is halved, so an understated bound cannot diverge.
+  /// Returns the first iterate whose gradient norm is below
+  /// gradient_tolerance() (the centroid itself when it already is);
+  /// throws ContractViolation after kMaxIterations trial steps instead of
+  /// returning an inexact point.
   Vec a_minimizer() const override;
 
+  /// kRelativeTolerance * gradient_bound(): the gradient's rounding grows
+  /// with the costs' scale, so no absolute tolerance suits every spread.
+  double gradient_tolerance() const;
+
  private:
+  static constexpr double kRelativeTolerance = 1e-12;
+  static constexpr int kMaxIterations = 100000;
+
   /// gradient(x) into `g`, with `gi` as the per-term scratch: the terms'
   /// weighted gradients summed in term order onto zeros.
   void accumulate_gradient(const Vec& x, Vec& g, Vec& gi) const;

@@ -88,7 +88,7 @@ VectorRunResult run_vector_sbg(
     const std::vector<VectorFunctionPtr>& honest_costs,
     const std::vector<Vec>& honest_initial, std::size_t byzantine_count,
     VectorAdversary* adversary, const StepSchedule& schedule,
-    std::size_t rounds) {
+    std::size_t rounds, bool record_series) {
   config.validate();
   FTMAO_EXPECTS(honest_costs.size() + byzantine_count == config.n);
   FTMAO_EXPECTS(honest_initial.size() == honest_costs.size());
@@ -135,11 +135,11 @@ VectorRunResult run_vector_sbg(
     result.disagreement.push(diam);
     result.dist_to_average_optimum.push(dist);
   };
-  record();
   for (std::size_t t = 1; t <= rounds; ++t) {
+    if (record_series) record();  // the state round t starts from
     engine.run_round(Round{static_cast<std::uint32_t>(t)});
-    record();
   }
+  record();
   for (const auto& a : agents) result.final_states.push_back(a->state());
   return result;
 }

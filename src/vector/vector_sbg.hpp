@@ -93,11 +93,13 @@ struct VectorRunResult {
 
 /// Runs coordinate-wise SBG with `byzantine_count` faulty agents, all
 /// driven by the one `adversary` (non-null when byzantine_count > 0).
+/// With `record_series` false each series keeps only its final entry,
+/// the same bits as the full run's last (RunOptions::record_series).
 VectorRunResult run_vector_sbg(
     const VectorSbgConfig& config,
     const std::vector<VectorFunctionPtr>& honest_costs,
     const std::vector<Vec>& honest_initial, std::size_t byzantine_count,
     VectorAdversary* adversary, const StepSchedule& schedule,
-    std::size_t rounds);
+    std::size_t rounds, bool record_series = true);
 
 }  // namespace ftmao

@@ -303,6 +303,64 @@ TEST(BatchVectorRunner, DimOneCollapsesOntoScalarBatchEngine) {
   }
 }
 
+// A finals-only result keeps one entry per series, the full run's last,
+// and the full run's optimum and final states, bit for bit.
+void expect_finals_of(const VectorRunResult& full,
+                      const VectorRunResult& lean) {
+  ASSERT_EQ(lean.disagreement.size(), 1u);
+  ASSERT_EQ(lean.dist_to_average_optimum.size(), 1u);
+  EXPECT_EQ(bits(lean.disagreement.back()), bits(full.disagreement.back()));
+  EXPECT_EQ(bits(lean.dist_to_average_optimum.back()),
+            bits(full.dist_to_average_optimum.back()));
+  expect_vec_bits(full.failure_free_optimum, lean.failure_free_optimum,
+                  "failure_free_optimum");
+  ASSERT_EQ(lean.final_states.size(), full.final_states.size());
+  for (std::size_t j = 0; j < full.final_states.size(); ++j)
+    expect_vec_bits(full.final_states[j], lean.final_states[j],
+                    "final_states");
+}
+
+TEST(BatchVectorRunner, FinalsOnlyKeepTheFullRunsLastEntries) {
+  // record_series = false, what the sweep and certify ask for, in both
+  // engines. Every attack rides one mixed pack, which noise makes
+  // per-message; the ten class-declaring attacks also ride one that
+  // trims by selection. n = 10 keeps the optimum off the centroid.
+  RunOptions finals_only;
+  finals_only.record_series = false;
+  for (std::size_t dim : {1u, 2u, 3u}) {
+    for (bool with_noise : {true, false}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " noise=" + std::to_string(with_noise));
+      std::vector<VectorScenario> pack;
+      for (AttackKind kind :
+           {AttackKind::None, AttackKind::Silent, AttackKind::FixedValue,
+            AttackKind::SplitBrain, AttackKind::HullEdgeUp,
+            AttackKind::HullEdgeDown, AttackKind::RandomNoise,
+            AttackKind::SignFlip, AttackKind::PullToTarget,
+            AttackKind::FlipFlop, AttackKind::DelayedStrike}) {
+        if (kind == AttackKind::RandomNoise && !with_noise) continue;
+        VectorScenario s = make_standard_vector_scenario(
+            10, 3, 8.0, kind, 40, pack.size() + 1, dim);
+        s.attack.activation_round = 21;
+        pack.push_back(std::move(s));
+      }
+      const std::vector<VectorRunResult> full = run_vector_sbg_batch(pack);
+      const std::vector<VectorRunResult> lean =
+          run_vector_sbg_batch(pack, finals_only);
+      ASSERT_EQ(lean.size(), pack.size());
+      for (std::size_t i = 0; i < pack.size(); ++i) {
+        SCOPED_TRACE("replica " + std::to_string(i));
+        ASSERT_EQ(full[i].disagreement.size(), 41u);
+        expect_finals_of(full[i], lean[i]);
+        const VectorRunResult reference =
+            run_vector_scenario(pack[i], finals_only);
+        expect_finals_of(run_vector_scenario(pack[i]), reference);
+        expect_result_identical(reference, lean[i]);
+      }
+    }
+  }
+}
+
 TEST(BatchVectorRunner, MismatchedShapeThrows) {
   std::vector<VectorScenario> replicas =
       seed_axis(7, 2, 2, AttackKind::None, 10, 1);

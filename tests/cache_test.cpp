@@ -142,14 +142,14 @@ std::set<std::string> record_names(const std::filesystem::path& dir) {
 // across a numeric change.
 
 TEST(CellKey, GoldenHashesArePinned) {
-  // Default-rev pin (currently rev 2: deterministic transcendental
-  // derivatives) plus an explicit future-rev pin so the grammar itself
-  // stays covered independently of the default.
-  static_assert(kEngineSchemaRev == 2);
+  // Default-rev pin (currently rev 3: the exact vector optimum and the
+  // grids' sleeping delayed strike) plus an explicit future-rev pin so
+  // the grammar itself stays covered independently of the default.
+  static_assert(kEngineSchemaRev == 3);
   EXPECT_EQ(make_cell_key("golden-spec-a").hex(),
-            "d0b2426f24d8ace9c66a898094951d99");
-  EXPECT_EQ(make_cell_key("golden-spec-a", 3).hex(),
             "98d6c23e5acf9884c0db568c834d1e7e");
+  EXPECT_EQ(make_cell_key("golden-spec-a", 4).hex(),
+            "2793b2cb7af26da76ff71af16f24c389");
 }
 
 TEST(CellKey, HexIs32LowercaseChars) {
@@ -181,7 +181,7 @@ TEST(CellKey, SweepSpecGrammarIsPinned) {
             "sweep;family=std-mixed;n=7;f=2;dim=1;attack=split-brain;"
             "spread=8;rounds=4000;step=harmonic:1:0.75;seeds=1,2,3;"
             "constraint=none;engine=sync");
-  EXPECT_EQ(make_cell_key(spec).hex(), "ba6fde6b609b0e291b3ec2e794e12ab5");
+  EXPECT_EQ(make_cell_key(spec).hex(), "54dde516299cab86386fac55a5f1c065");
 
   SweepConfig async_config = config;
   async_config.sizes = {{11, 2}};
@@ -194,7 +194,7 @@ TEST(CellKey, SweepSpecGrammarIsPinned) {
             "spread=8;rounds=4000;step=harmonic:1:0.75;seeds=1,2,3;"
             "constraint=none;engine=async;delay=uniform:0.5:1.5");
   EXPECT_EQ(make_cell_key(async_spec).hex(),
-            "1b45fc458d3f63e01adc22e7ef2252b1");
+            "194fa64065b406796779478049d81c88");
 }
 
 TEST(CellKey, CertifyAndAttackSearchSpecsArePinned) {

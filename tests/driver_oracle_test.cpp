@@ -37,8 +37,10 @@ namespace {
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 // One standard run per (cell, seed) in grid order — sizes, then dims,
-// then attacks, seeds innermost — folded per cell by summarize.
+// then attacks, seeds innermost — folded per cell by summarize. A grid's
+// delayed strike wakes at round rounds / 2 + 1.
 std::vector<SweepCell> serial_sweep(const SweepConfig& config) {
+  const std::size_t wake = config.rounds / 2 + 1;
   std::vector<SweepCell> cells;
   for (const auto& [n, f] : config.sizes) {
     for (std::size_t dim : config.dims) {
@@ -49,6 +51,7 @@ std::vector<SweepCell> serial_sweep(const SweepConfig& config) {
           if (config.async_engine) {
             AsyncScenario s = make_standard_async_scenario(
                 n, f, config.spread, attack, config.rounds, seed);
+            s.attack.activation_round = wake;
             s.step = config.step;
             s.delay_kind = config.delay_kind;
             s.delay_lo = config.delay_lo;
@@ -59,6 +62,7 @@ std::vector<SweepCell> serial_sweep(const SweepConfig& config) {
           } else if (dim == 1) {
             Scenario s = make_standard_scenario(n, f, config.spread, attack,
                                                 config.rounds, seed);
+            s.attack.activation_round = wake;
             s.step = config.step;
             const RunMetrics m = run_sbg(s);
             disagreements.push_back(m.final_disagreement());
@@ -66,6 +70,7 @@ std::vector<SweepCell> serial_sweep(const SweepConfig& config) {
           } else {
             VectorScenario s = make_standard_vector_scenario(
                 n, f, config.spread, attack, config.rounds, seed, dim);
+            s.attack.activation_round = wake;
             s.step = config.step;
             const VectorRunResult m = run_vector_scenario(s);
             disagreements.push_back(m.disagreement.back());
@@ -153,6 +158,39 @@ TEST(SweepOracle, AsyncGridMatchesSerialLoop) {
   config.delay_lo = 0.4;
   config.delay_hi = 1.7;
   expect_sweep_matches_serial_loop(config);
+}
+
+TEST(SweepOracle, DelayedStrikeSleepsThroughTheFirstHalf) {
+  // The loop wakes each delayed strike at round rounds / 2 + 1, and the
+  // strike's row must differ from pull's, which acts from round 1. The
+  // sync d = 1 rows cannot show it: on the standard cell every honest
+  // agent trims one multiset and stays in Y, so pull and the strike both
+  // read 0 there; the vector and async rows do.
+  SweepConfig sync;
+  sync.sizes = {{7, 2}, {10, 3}};
+  sync.dims = {1, 2};
+  sync.attacks = {AttackKind::PullToTarget, AttackKind::DelayedStrike};
+  sync.seeds = {1, 2, 3};
+  sync.rounds = 40;
+  SweepConfig async = sync;
+  async.async_engine = true;
+  async.sizes = {{6, 1}, {11, 2}};
+  async.dims = {1};
+  for (const SweepConfig& config : {sync, async}) {
+    SCOPED_TRACE("async=" + std::to_string(config.async_engine));
+    expect_sweep_matches_serial_loop(config);
+    const std::vector<SweepCell> cells = run_sweep(config);
+    for (std::size_t c = 0; c + 1 < cells.size(); c += 2) {
+      const SweepCell& pull = cells[c];
+      const SweepCell& strike = cells[c + 1];
+      ASSERT_EQ(strike.attack, AttackKind::DelayedStrike);
+      SCOPED_TRACE("n=" + std::to_string(strike.n) +
+                   " dim=" + std::to_string(strike.dim));
+      if (!config.async_engine && strike.dim == 1) continue;
+      EXPECT_TRUE(pull.disagreement.mean != strike.disagreement.mean ||
+                  pull.dist_to_y.mean != strike.dist_to_y.mean);
+    }
+  }
 }
 
 // The expected search result: the attack-free reference run of `base`

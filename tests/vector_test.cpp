@@ -90,6 +90,119 @@ TEST(VectorWeightedSum, MinimizerOfSymmetricPair) {
   EXPECT_NEAR(m[1], 0.0, 1e-5);
 }
 
+// The honest uniform average of a standard vector cell: the sum whose
+// minimizer the vector engines measure distances against.
+VectorWeightedSum standard_cell_average(std::size_t n, std::size_t f,
+                                        double spread, std::size_t dim) {
+  const VectorScenario s = make_standard_vector_scenario(
+      n, f, spread, AttackKind::None, 1, 1, dim);
+  std::vector<VectorWeightedSum::Term> terms;
+  const double w = 1.0 / static_cast<double>(s.honest_costs.size());
+  for (const auto& fn : s.honest_costs) terms.push_back({w, fn});
+  return VectorWeightedSum(std::move(terms));
+}
+
+// Plain gradient descent by 1/lipschitz_bound() from the origin for
+// `steps` steps: the long-run reference a_minimizer must agree with.
+Vec long_run_minimizer(const VectorWeightedSum& sum, int steps) {
+  Vec x(sum.dim(), 0.0);
+  const double step = 1.0 / sum.lipschitz_bound();
+  for (int t = 0; t < steps; ++t) {
+    const Vec g = sum.gradient(x);
+    for (std::size_t k = 0; k < x.dim(); ++k) x[k] -= step * g[k];
+  }
+  return x;
+}
+
+TEST(VectorMinimizer, StandardCellsMeetTheToleranceAndTheLongRun) {
+  for (std::size_t n : {4u, 7u, 10u, 13u, 22u, 31u}) {
+    for (std::size_t dim : {2u, 3u, 8u, 9u}) {
+      for (double spread : {8.0, 11.75}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " d=" +
+                     std::to_string(dim) + " spread=" +
+                     std::to_string(spread));
+        const VectorWeightedSum sum =
+            standard_cell_average(n, (n - 1) / 3, spread, dim);
+        EXPECT_NEAR(sum.lipschitz_bound(), 1.0, 1e-12);
+        const Vec x = sum.a_minimizer();
+        EXPECT_LT(sum.gradient(x).norm2(), sum.gradient_tolerance());
+        EXPECT_LT(x.distance_to(long_run_minimizer(sum, 5000)), 1e-9);
+      }
+    }
+  }
+}
+
+TEST(VectorMinimizer, WideSpreadsConvergeToTheirOwnScale) {
+  // At spread 1e6 the gradient's rounding alone exceeds 1e-12, so the
+  // tolerance scales with the gradient bound.
+  for (double spread : {1e6, 1e9}) {
+    for (std::size_t n : {4u, 31u}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " spread=" + std::to_string(spread));
+      const VectorWeightedSum sum =
+          standard_cell_average(n, (n - 1) / 3, spread, 9);
+      const Vec x = sum.a_minimizer();
+      EXPECT_LT(sum.gradient(x).norm2(), sum.gradient_tolerance());
+      EXPECT_LT(x.distance_to(long_run_minimizer(sum, 5000)),
+                1e-9 * spread);
+    }
+  }
+}
+
+// A linear cost: its gradient is constant, so it has no minimizer, and
+// any bound is a valid smoothness bound.
+class Ramp final : public VectorFunction {
+ public:
+  std::size_t dim() const override { return 2; }
+  double value(const Vec& x) const override { return x[0] - 2.0 * x[1]; }
+  Vec gradient(const Vec&) const override { return Vec{1.0, -2.0}; }
+  double gradient_bound() const override { return std::sqrt(5.0); }
+  double lipschitz_bound() const override { return 1.0; }
+  Vec a_minimizer() const override { return Vec(2, 0.0); }  // none exists
+};
+
+TEST(VectorMinimizer, CostWithoutMinimizerThrowsAtTheCap) {
+  const VectorWeightedSum sum({{1.0, std::make_shared<Ramp>()}});
+  EXPECT_THROW(sum.a_minimizer(), ContractViolation);
+}
+
+// Reports a quarter of the wrapped cost's smoothness bound, so a step of
+// 1/lipschitz_bound() is four times too long.
+class UnderstatedBound final : public VectorFunction {
+ public:
+  explicit UnderstatedBound(VectorFunctionPtr inner)
+      : inner_(std::move(inner)) {}
+  std::size_t dim() const override { return inner_->dim(); }
+  double value(const Vec& x) const override { return inner_->value(x); }
+  Vec gradient(const Vec& x) const override { return inner_->gradient(x); }
+  double gradient_bound() const override { return inner_->gradient_bound(); }
+  double lipschitz_bound() const override {
+    return inner_->lipschitz_bound() / 4.0;
+  }
+  Vec a_minimizer() const override { return inner_->a_minimizer(); }
+
+ private:
+  VectorFunctionPtr inner_;
+};
+
+TEST(VectorMinimizer, UnderstatedBoundConvergesThroughTheArmijoGuard) {
+  // Wide Hubers keep both terms quadratic, so the sum is the isotropic
+  // quadratic 1.75/2 ||x - x*||^2: a four-times step would overshoot
+  // x* threefold every step, and the centroid of the centers is not x*.
+  const Vec a{1.0, -2.0, 3.0};
+  const Vec b{-3.0, 1.0, 0.5};
+  const VectorWeightedSum sum(
+      {{0.25, std::make_shared<UnderstatedBound>(
+                  std::make_shared<SeparableHuber>(a, 100.0, 4.0))},
+       {0.75, std::make_shared<UnderstatedBound>(
+                  std::make_shared<RadialHuber>(b, 100.0, 1.0))}});
+  EXPECT_EQ(sum.lipschitz_bound(), 1.75 / 4.0);
+  const Vec x = sum.a_minimizer();
+  EXPECT_LT(sum.gradient(x).norm2(), sum.gradient_tolerance());
+  for (std::size_t k = 0; k < 3; ++k)
+    EXPECT_NEAR(x[k], (a[k] + 0.75 * b[k]) / 1.75, 1e-12) << k;
+}
+
 // ----------------------------------------------------- coordinate-wise SBG
 
 VectorSbgConfig cfg(std::size_t n, std::size_t f, std::size_t dim) {
