@@ -124,11 +124,12 @@ echo "shard_e2e: scalar reference engine (--scalar) through local mode ..."
 # --scalar runs the batched engines' plan in one-replica tasks on the
 # reference engines. Forwarded to both workers, it must merge
 # byte-identical to the single-process batched run of the same grid,
-# whose n = 10, d = 3 cells have an optimum off the centroid and whose
-# delayed strikes sleep through the first half: their rows must not
-# repeat pull's.
-SGRID="--sizes 7:2,10:3 --dim 1,3 --attacks split-brain,pull,delayed-strike \
---seeds 3 --rounds 300"
+# whose n = 10, d = 3 cells have an optimum off the centroid, whose
+# delayed strikes sleep through the first half (their rows must not
+# repeat pull's), and whose noise packs merge F per-message rows per
+# recipient at d = 1 and d = 3.
+SGRID="--sizes 7:2,10:3 --dim 1,3 \
+--attacks split-brain,pull,delayed-strike,noise --seeds 3 --rounds 300"
 # shellcheck disable=SC2086  # word-splitting of $SGRID is intended
 "$SWEEP" $SGRID --csv > "$WORK/single_mixed.csv"
 # shellcheck disable=SC2086

@@ -48,7 +48,7 @@ HonestSummary HonestSummary::of(const RoundView<SbgPayload>& view) {
 
 std::optional<SbgPayload> SbgAdversary::summary_payload(const HonestSummary&,
                                                         Round, AgentId) {
-  // Only class-declaring strategies are asked, and they override this.
+  // Every strategy the batch engines build overrides this.
   FTMAO_EXPECTS(false);
   return std::nullopt;
 }
@@ -131,7 +131,12 @@ RandomNoiseAdversary::RandomNoiseAdversary(Rng rng, double state_range,
 }
 
 std::optional<SbgPayload> RandomNoiseAdversary::send_to(
-    AgentId, AgentId, const RoundView<SbgPayload>&) {
+    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
+  return summary_payload(HonestSummary{}, view.round, recipient);
+}
+
+std::optional<SbgPayload> RandomNoiseAdversary::summary_payload(
+    const HonestSummary&, Round, AgentId) {
   return SbgPayload{rng_.uniform(-state_range_, state_range_),
                     rng_.uniform(-gradient_range_, gradient_range_)};
 }

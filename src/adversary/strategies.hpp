@@ -21,11 +21,11 @@
 // against SBG and async-SBG. Each also declares its recipient classes
 // (net/batch.hpp): class 0 for the strategies that send everyone one
 // payload, recipient parity for SplitBrain, kPerMessage for RandomNoise.
-// The class-declaring ones read the round view only through its
-// HonestSummary, so they also answer summary_payload, which the batch
-// engines fill from their own selected rows instead of a view, and
-// which the vector catalogue (vector/vector_attacks.hpp) asks once per
-// coordinate.
+// And each answers summary_payload, the one way the batch engines ask:
+// the class-declaring strategies read the round view only through its
+// HonestSummary, which the batch engines fill from their own selected
+// rows, and RandomNoise never reads it. The vector catalogue
+// (vector/vector_attacks.hpp) asks summary_payload once per coordinate.
 
 #include <cstdint>
 #include <memory>
@@ -72,21 +72,22 @@ class SbgAdversary : public ByzantineNode<SbgPayload>,
 
   /// Which recipients share a payload, independent of the round; see
   /// RecipientClass for the promise a class id makes. The default,
-  /// kPerMessage, promises nothing. Only the batch engines ask. A
-  /// strategy that declares classes reads the round view only through
-  /// its HonestSummary and overrides summary_payload.
+  /// kPerMessage, promises nothing. Only the batch engines ask.
   virtual RecipientClass recipient_class(AgentId /*recipient*/) const {
     return kPerMessage;
   }
 
   /// The payload send_to gives `recipient` in round `round` when the
-  /// round's view has HonestSummary::of(view) == `summary`. The batch
-  /// engines ask this instead of send_to, once per (replica, class), and
-  /// their summaries' order statistics may hold the other zero than
-  /// of()'s. So the sign of a zero in `summary` may reach the answer
-  /// only as a payload value passed on unchanged: a payload reaches the
-  /// state only through a Trim midpoint, which has the same bits for
-  /// either zero. Only class-declaring strategies are asked.
+  /// round's view has HonestSummary::of(view) == `summary`, drawing what
+  /// send_to draws. The batch engines ask this instead of send_to: once
+  /// per (replica, class), or once per message in the scalar engine's
+  /// order for a kPerMessage strategy. Their summaries' order statistics
+  /// may hold the other zero than of()'s. So the sign of a zero in
+  /// `summary` may reach the answer only as a payload value passed on
+  /// unchanged: a payload reaches the state only through a Trim
+  /// midpoint, which has the same bits for either zero. Every strategy
+  /// the batch engines build overrides this; the default throws
+  /// ContractViolation.
   virtual std::optional<SbgPayload> summary_payload(
       const HonestSummary& summary, Round round, AgentId recipient);
 };
@@ -192,12 +193,15 @@ class HullEdgeAdversary final : public UniformSummaryAdversary {
 };
 
 /// Independent uniform noise per (recipient, round); deterministic per
-/// seed.
+/// seed. Never reads the view: send_to is summary_payload, one state draw
+/// then one gradient draw per call.
 class RandomNoiseAdversary final : public SbgAdversary {
  public:
   RandomNoiseAdversary(Rng rng, double state_range, double gradient_range);
-  std::optional<SbgPayload> send_to(AgentId, AgentId,
-                                    const RoundView<SbgPayload>&) override;
+  std::optional<SbgPayload> send_to(AgentId, AgentId recipient,
+                                    const RoundView<SbgPayload>& view) override;
+  std::optional<SbgPayload> summary_payload(const HonestSummary&, Round,
+                                            AgentId) override;
 
  private:
   Rng rng_;

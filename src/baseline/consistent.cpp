@@ -8,12 +8,8 @@ ConsistentWrapper::ConsistentWrapper(SbgAdversary& inner) : inner_(&inner) {}
 
 std::optional<SbgPayload> ConsistentWrapper::send_to(
     AgentId self, AgentId recipient, const RoundView<SbgPayload>& view) {
-  if (!round_valid_ || round_ != view.round) {
-    round_payload_ = inner_->send_to(self, recipient, view);
-    round_ = view.round;
-    round_valid_ = true;
-  }
-  return round_payload_;
+  if (!round_.fresh(view.round)) return round_.get();
+  return round_.store(view.round, inner_->send_to(self, recipient, view));
 }
 
 RecipientClass ConsistentWrapper::recipient_class(AgentId recipient) const {
@@ -22,7 +18,9 @@ RecipientClass ConsistentWrapper::recipient_class(AgentId recipient) const {
 
 std::optional<SbgPayload> ConsistentWrapper::summary_payload(
     const HonestSummary& summary, Round round, AgentId recipient) {
-  return inner_->summary_payload(summary, round, recipient);
+  if (!round_.fresh(round)) return round_.get();
+  return round_.store(round,
+                      inner_->summary_payload(summary, round, recipient));
 }
 
 }  // namespace ftmao

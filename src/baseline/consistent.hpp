@@ -26,18 +26,15 @@ class ConsistentWrapper final : public SbgAdversary {
   /// inner strategy is, since the replayed answer then comes from the
   /// inner strategy's own RNG stream and so differs between senders.
   RecipientClass recipient_class(AgentId recipient) const override;
-  /// The inner strategy's summary payload: a class-0 wrapper is asked
-  /// once per round, and the inner answer for that first recipient is the
-  /// one send_to replays.
+  /// As send_to: the inner strategy's summary payload for the round's
+  /// first recipient, replayed to the round's other recipients.
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round,
                                             AgentId recipient) override;
 
  private:
   SbgAdversary* inner_;
-  bool round_valid_ = false;
-  Round round_{0};
-  std::optional<SbgPayload> round_payload_;
+  RoundPayloadCache round_;  ///< this round's answer
 };
 
 }  // namespace ftmao

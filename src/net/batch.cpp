@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/contracts.hpp"
+
 namespace ftmao {
 
 RecipientPartition partition_recipients(

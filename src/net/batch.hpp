@@ -5,27 +5,18 @@
 // The batch engines (sim/batch_runner, sim/batch_vector_runner) advance B
 // independent replicas of one scenario shape in lockstep: honest state
 // lives in structure-of-arrays form and the hot reducers run across the
-// replica dimension. Byzantine strategies see the rounds the scalar
-// SyncEngine shows them, with their per-replica RNG streams advanced by
-// exactly its call sequence, in one of two ways. A strategy that declares
-// recipient classes (below) is asked once per (replica, class), and, in
-// a pack the engine trims by selection, through summary_payload with the
-// HonestSummary of its own selected broadcasts (sim/broadcast_selection
-// .hpp) instead of a view. Every other ask goes through send_to and a
-// per-replica RoundView<P> indistinguishable (same sender order, same
-// payload values, same round) from the scalar engine's, so rushing,
-// adaptive and randomized adversaries behave identically whether the
-// replica runs alone or inside a batch; BatchedHonestBroadcasts builds
-// such views for the sync engine.
+// replica dimension. They never build a RoundView. Byzantine strategies
+// are asked summary_payload with the HonestSummary of their replica's
+// selected broadcasts (sim/broadcast_selection.hpp), which answers as
+// send_to does on the scalar SyncEngine's view, and their per-replica
+// RNG streams advance by exactly that engine's call sequence: a strategy
+// that declares recipient classes (below) is asked once per (replica,
+// class), every other one once per message in the scalar call order.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
-
-#include "common/contracts.hpp"
-#include "common/types.hpp"
-#include "net/sync.hpp"
 
 namespace ftmao {
 
@@ -34,7 +25,7 @@ namespace ftmao {
 /// class id is a promise: every recipient declared in the class gets the
 /// same payload in every round, and that payload depends only on the
 /// attack config and the round view — not on the sender, RNG draws, or
-/// how often send_to was called. The batch engines therefore ask once
+/// how often the strategy was asked. The batch engines therefore ask once
 /// per (replica, class), at the class's first recipient in engine order,
 /// and reuse the answer for every sender of the replica. The scalar
 /// engines never read declarations.
@@ -70,48 +61,5 @@ struct RecipientPartition {
 RecipientPartition partition_recipients(
     std::span<const RecipientClass> declared, std::size_t replicas,
     std::size_t recipients);
-
-/// One round's honest broadcasts for B replicas, materialized per replica
-/// in the scalar engine's array-of-structures order so unmodified
-/// ByzantineNode implementations can observe them through RoundView<P>.
-/// Buffers are reused across rounds: a T-round run allocates only while
-/// the first round warms the per-replica vectors up.
-template <typename P>
-class BatchedHonestBroadcasts {
- public:
-  /// Starts a round: `senders` is the honest population in engine add
-  /// order (shared by all replicas — the batch runs one scenario shape).
-  /// Invalidates views of previous rounds.
-  void begin_round(Round round, std::size_t replicas,
-                   std::span<const AgentId> senders) {
-    FTMAO_EXPECTS(replicas >= 1);
-    round_ = round;
-    num_senders_ = senders.size();
-    per_replica_.resize(replicas);
-    for (auto& view : per_replica_) {
-      view.resize(num_senders_);
-      for (std::size_t s = 0; s < num_senders_; ++s) view[s].from = senders[s];
-    }
-  }
-
-  /// Records sender `sender_index` (in begin_round order)'s broadcast for
-  /// replica `replica`.
-  void set(std::size_t sender_index, std::size_t replica, const P& payload) {
-    per_replica_[replica][sender_index].payload = payload;
-  }
-
-  /// The scalar-equivalent view of the current round for one replica.
-  /// Valid until the next begin_round.
-  RoundView<P> view(std::size_t replica) const {
-    return RoundView<P>{round_, per_replica_[replica]};
-  }
-
-  std::size_t num_senders() const { return num_senders_; }
-
- private:
-  Round round_{0};
-  std::size_t num_senders_ = 0;
-  std::vector<std::vector<Received<P>>> per_replica_;
-};
 
 }  // namespace ftmao

@@ -520,16 +520,9 @@ std::vector<AsyncRunMetrics> run_async_sbg_batch(
     FTMAO_EXPECTS(s.crashes == first.crashes);
     FTMAO_EXPECTS(s.rounds == first.rounds);
   }
-
-  // The sender bitmask needs one bit per agent; larger systems (none in
-  // the paper's experiments) run the scalar path per replica.
-  if (first.n > 64) {
-    std::vector<AsyncRunMetrics> out;
-    out.reserve(replicas.size());
-    for (const AsyncScenario& s : replicas) out.push_back(run_async_sbg(s));
-    return out;
-  }
-
+  // One sender-mask bit per agent, and the trims on the networks.
+  static_assert(kMaxSortingNetworkN <= 64);
+  FTMAO_EXPECTS(first.n <= kMaxSortingNetworkN);
   return BatchedAsyncRunner(replicas).run();
 }
 

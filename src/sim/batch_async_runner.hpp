@@ -40,9 +40,9 @@
 //
 // Shape fields (n, f, faulty, crashes, rounds) must match across the
 // batch; seed, functions, initial states, attack, step, and delay model
-// parameters are free per replica. Scenarios with n > 64 (no room in the
-// sender bitmask) fall back to the scalar runner per replica — identical
-// results, no speedup.
+// parameters are free per replica. n <= kMaxSortingNetworkN (64, one
+// bit per agent in the sender mask); sim/replica_driver.hpp runs larger
+// shapes on run_async_sbg.
 
 #include <span>
 #include <vector>

@@ -78,10 +78,9 @@ class BatchedSbgRunner {
     for (const auto& [who, when] : first.crashes)
       honest_ids_.push_back(AgentId{static_cast<std::uint32_t>(who)});
     H_ = honest_ids_.size();
-    for (std::size_t idx : first.faulty)
-      faulty_ids_.push_back(AgentId{static_cast<std::uint32_t>(idx)});
-    F_ = faulty_ids_.size();
+    F_ = first.faulty.size();
     FTMAO_EXPECTS(H_ + F_ == n_);
+    FTMAO_EXPECTS(n_ <= kMaxSortingNetworkN);
 
     fns_.resize(H_ * Bpad_);
     x_.resize(H_ * Bpad_);
@@ -164,18 +163,18 @@ class BatchedSbgRunner {
     }
     partition_ = partition_recipients(declared, B_, H_);
 
-    // Trim by selection unless some replica is asked per message (its F
-    // sender rows may all differ) or n is past the networks. Then every
-    // class's F Byzantine rows are one payload, merged into the honest
-    // order statistics selected once per round (once per recipient under
-    // a delivery filter), and every strategy is asked summary_payload
-    // with a HonestSummary of the selected broadcasts instead of a view.
-    select_ = n_ <= kMaxSortingNetworkN && !partition_.any_per_message;
-    if (select_) {
-      const RankSet trim_ranks = merge_trim_ranks(H_, F_, f_);
-      selection_.init(H_, Bpad_, any_filter_ ? 0 : trim_ranks, F_ > 0);
-      if (any_filter_) recipient_net_ = selection_network(H_, trim_ranks);
-    }
+    // Trim by selection: the honest order statistics the trims read are
+    // selected once per round (once per recipient under a delivery
+    // filter), and each class's Byzantine rows are merged into them. The
+    // rows are one payload where every replica declares classes; a
+    // per-message replica may send each recipient F different rows.
+    // Strategies are asked summary_payload with the HonestSummary of the
+    // selected broadcasts.
+    payload_rows_ =
+        partition_.any_per_message ? F_ : std::min<std::size_t>(F_, 1);
+    const RankSet trim_ranks = merge_trim_ranks(H_, F_, f_, payload_rows_);
+    selection_.init(H_, Bpad_, any_filter_ ? 0 : trim_ranks, F_ > 0);
+    if (any_filter_) recipient_net_ = selection_network(H_, trim_ranks);
 
     FTMAO_EXPECTS(options_.record_series || !options_.record_trace);
     metrics_.resize(B_);
@@ -207,8 +206,10 @@ class BatchedSbgRunner {
       }
     }
 
-    dx_.resize(n_ * Bpad_);
-    dg_.resize(n_ * Bpad_);
+    if (any_filter_) {
+      dx_.resize(H_ * Bpad_);
+      dg_.resize(H_ * Bpad_);
+    }
     ctx_.resize(H_ * Bpad_);
     ctg_.resize(H_ * Bpad_);
     trim_done_.assign(H_, 0);
@@ -219,10 +220,8 @@ class BatchedSbgRunner {
     // Byzantine payload matrices, lane-padded to stride Bpad so each
     // (class, sender) row is a whole vector row for the masked blend;
     // presence is a stored all-ones/all-zeros double mask. Padding lanes
-    // keep mask 0 and blend to the (benign) default row. Selection needs
-    // one row per class: its F senders send the same payload.
-    payload_senders_ = select_ ? std::min<std::size_t>(F_, 1) : F_;
-    const std::size_t payload_rows = partition_.classes * payload_senders_;
+    // keep mask 0 and blend to the (benign) default row.
+    const std::size_t payload_rows = partition_.classes * payload_rows_;
     bpx_.assign(payload_rows * Bpad_, 0.0);
     bpg_.assign(payload_rows * Bpad_, 0.0);
     bpresent_.assign(payload_rows * Bpad_, 0.0);
@@ -234,10 +233,8 @@ class BatchedSbgRunner {
       defg_[r] = defaults_[r].gradient;
     }
     dmask_.assign(Bpad_, 0.0);
-    if (select_ && F_ > 0) {
-      vx_.resize(Bpad_);
-      vg_.resize(Bpad_);
-    }
+    vx_.resize(payload_rows_ * Bpad_);
+    vg_.resize(payload_rows_ * Bpad_);
   }
 
   std::vector<RunMetrics> run() {
@@ -255,7 +252,7 @@ class BatchedSbgRunner {
                          (t - 1) % options_.audit_every == 0;
       const Round round{static_cast<std::uint32_t>(t)};
 
-      broadcast_phase(round);
+      broadcast_phase();
       if (selection_.active())
         selection_.select(bx_.data(), bg_.data(), *kernels_);
       if (F_ > 0) collect_byzantine(round);
@@ -301,11 +298,8 @@ class BatchedSbgRunner {
   // kernel — one indirect call per row instead of one virtual call per
   // lane; derivative() is pure, so the reordering is unobservable and
   // every kernel is pinned bitwise to derivative() by the
-  // BatchGradientKernel contract. The per-replica AoS views are
-  // materialized only when strategies read them through send_to.
-  void broadcast_phase(Round t) {
-    const bool need_views = F_ > 0 && !select_;
-    if (need_views) views_.begin_round(t, B_, honest_ids_);
+  // BatchGradientKernel contract.
+  void broadcast_phase() {
     for (std::size_t j = 0; j < H_; ++j) {
       const std::size_t base = lane(j, 0);
       const double* x = x_.data() + base;
@@ -318,52 +312,45 @@ class BatchedSbgRunner {
         for (std::size_t r = 0; r < B_; ++r)
           bg[r] = fns_[base + r]->derivative(x[r]);
       }
-      if (need_views)
-        for (std::size_t r = 0; r < B_; ++r)
-          views_.set(j, r, SbgPayload{bx[r], bg[r]});
     }
   }
 
   // Step 2a for the whole round: the Byzantine payload rows of every
-  // recipient class (partition_). A replica whose strategy declares
-  // classes is asked once per class, at the class's first recipient, and
-  // the answer fills all sender rows: the declaration promises a payload
-  // that depends only on the attack config and the round view, and all F
-  // senders of a replica are built from one config. With selection it is
-  // asked through summary_payload, else through send_to and the round
-  // view. A per-message replica is asked for every (recipient, sender) in
-  // the scalar engine's call order (recipient outer, sender inner), so
-  // its RNG streams advance identically; each recipient is then its own
-  // class.
+  // recipient class (partition_), each strategy asked summary_payload
+  // with the HonestSummary of its replica's selected broadcasts. A
+  // replica whose strategy declares classes is asked once per class, at
+  // the class's first recipient, and the answer fills the class's row:
+  // the declaration promises a payload that depends only on the attack
+  // config and the round's broadcasts, and all F senders of a replica
+  // are built from one config. A per-message replica is asked for every
+  // (recipient, sender) in the scalar engine's call order (recipient
+  // outer, sender inner), so its RNG streams advance identically; each
+  // recipient is then its own class with F rows.
   void collect_byzantine(Round t) {
     const std::size_t C = partition_.classes;
     for (std::size_t r = 0; r < B_; ++r) {
+      const HonestSummary summary = selection_.summary(r);
       if (partition_.per_message[r]) {
-        const RoundView<SbgPayload> view = views_.view(r);
         for (std::size_t j = 0; j < H_; ++j)
           for (std::size_t b = 0; b < F_; ++b)
             store_payload(partition_.class_of[j], b, r,
-                          byz_nodes_[r][b]->send_to(faulty_ids_[b],
-                                                    honest_ids_[j], view));
+                          byz_nodes_[r][b]->summary_payload(
+                              summary, t, honest_ids_[j]));
         continue;
       }
       SbgAdversary& node = *byz_nodes_[r][0];
-      const HonestSummary summary =
-          select_ ? selection_.summary(r) : HonestSummary{};
       for (std::size_t c = 0; c < C; ++c) {
         const std::size_t src = partition_.source[r * C + c];
         if (src == c) {
-          const AgentId to = honest_ids_[partition_.first[c]];
-          const std::optional<SbgPayload> payload =
-              select_ ? node.summary_payload(summary, t, to)
-                      : node.send_to(faulty_ids_[0], to, views_.view(r));
-          for (std::size_t b = 0; b < payload_senders_; ++b)
+          const std::optional<SbgPayload> payload = node.summary_payload(
+              summary, t, honest_ids_[partition_.first[c]]);
+          for (std::size_t b = 0; b < payload_rows_; ++b)
             store_payload(c, b, r, payload);
           continue;
         }
-        for (std::size_t b = 0; b < payload_senders_; ++b) {
-          const std::size_t from = (src * payload_senders_ + b) * Bpad_ + r;
-          const std::size_t to = (c * payload_senders_ + b) * Bpad_ + r;
+        for (std::size_t b = 0; b < payload_rows_; ++b) {
+          const std::size_t from = (src * payload_rows_ + b) * Bpad_ + r;
+          const std::size_t to = (c * payload_rows_ + b) * Bpad_ + r;
           bpx_[to] = bpx_[from];
           bpg_[to] = bpg_[from];
           bpresent_[to] = bpresent_[from];
@@ -374,7 +361,7 @@ class BatchedSbgRunner {
 
   void store_payload(std::size_t c, std::size_t b, std::size_t r,
                      const std::optional<SbgPayload>& payload) {
-    const std::size_t o = (c * payload_senders_ + b) * Bpad_ + r;
+    const std::size_t o = (c * payload_rows_ + b) * Bpad_ + r;
     bpx_[o] = payload ? payload->state : 0.0;
     bpg_[o] = payload ? payload->gradient : 0.0;
     bpresent_[o] = payload ? kAllBits : 0.0;
@@ -396,11 +383,7 @@ class BatchedSbgRunner {
     double* tg = ctg_.data() + unit * Bpad_;
     if (!trim_done_[unit]) {
       trim_done_[unit] = 1;
-      if (select_) {
-        trim_selected(j, cls, t, tx, tg);
-      } else {
-        trim_sorted(j, cls, t, tx, tg);
-      }
+      trim(j, cls, t, tx, tg);
     }
 
     // Fused projected step across the whole lane row:
@@ -419,7 +402,7 @@ class BatchedSbgRunner {
     }
   }
 
-  // Rows 0..H-1 of the multiset matrices dx_/dg_: recipient j's own
+  // The honest rows of recipient j's multisets into dx_/dg_: its own
   // tuple, then every other engine-honest sender's, undelivered ones
   // replaced by the default payload, as the scalar agent substitutes
   // them. Order is irrelevant to Trim.
@@ -456,12 +439,12 @@ class BatchedSbgRunner {
     FTMAO_ENSURES(slot == H_);
   }
 
-  // The trim pair by selection: the honest order statistics (this round's
-  // broadcast selection, or recipient j's own rows selected under a
-  // delivery filter) merged with the class's F identical Byzantine rows.
-  // An absent payload (silent adversary) blends to the default payload.
-  void trim_selected(std::size_t j, std::size_t cls, Round t, double* tx,
-                     double* tg) {
+  // The trim pair: the honest order statistics (this round's broadcast
+  // selection, or recipient j's own rows selected under a delivery
+  // filter) merged with the class's Byzantine rows, absent payloads
+  // (a silent adversary) blended to the default payload.
+  void trim(std::size_t j, std::size_t cls, Round t, double* tx,
+            double* tg) {
     const double* hx = selection_.states();
     const double* hg = selection_.gradients();
     if (any_filter_) {
@@ -471,32 +454,17 @@ class BatchedSbgRunner {
       hx = dx_.data();
       hg = dg_.data();
     }
-    if (F_ > 0) {
-      const std::size_t o = cls * Bpad_;
+    for (std::size_t b = 0; b < payload_rows_; ++b) {
+      const std::size_t o = (cls * payload_rows_ + b) * Bpad_;
       kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
                              bpg_.data() + o, defx_.data(), defg_.data(),
-                             vx_.data(), vg_.data(), Bpad_);
+                             vx_.data() + b * Bpad_, vg_.data() + b * Bpad_,
+                             Bpad_);
     }
-    merge_trim_batch(hx, H_, F_, f_, vx_.data(), Bpad_, *kernels_, tx);
-    merge_trim_batch(hg, H_, F_, f_, vg_.data(), Bpad_, *kernels_, tg);
-  }
-
-  // The trim pair by sorting the whole n-row multiset: the honest rows,
-  // then the class's F Byzantine rows (per-message replicas may send
-  // each recipient F different payloads), absent payloads blended to the
-  // default payload.
-  void trim_sorted(std::size_t j, std::size_t cls, Round t, double* tx,
-                   double* tg) {
-    assemble_honest(j, t);
-    for (std::size_t b = 0; b < F_; ++b) {
-      const std::size_t o = (cls * F_ + b) * Bpad_;
-      kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
-                             bpg_.data() + o, defx_.data(), defg_.data(),
-                             dx_.data() + (H_ + b) * Bpad_,
-                             dg_.data() + (H_ + b) * Bpad_, Bpad_);
-    }
-    trim_batch(dx_.data(), n_, Bpad_, f_, *kernels_, tx);
-    trim_batch(dg_.data(), n_, Bpad_, f_, *kernels_, tg);
+    merge_trim_batch(hx, H_, F_, f_, vx_.data(), payload_rows_, Bpad_,
+                     *kernels_, tx);
+    merge_trim_batch(hg, H_, F_, f_, vg_.data(), payload_rows_, Bpad_,
+                     *kernels_, tg);
   }
 
   // Post-round bookkeeping per replica: metric series and the
@@ -574,7 +542,6 @@ class BatchedSbgRunner {
   std::size_t H_ = 0;       ///< engine-honest agents (surviving + crashing)
   std::size_t F_ = 0;       ///< Byzantine agents
   std::vector<AgentId> honest_ids_;
-  std::vector<AgentId> faulty_ids_;
 
   // SoA state, lane(j, r) = j * Bpad + r.
   std::vector<const ScalarFunction*> fns_;
@@ -599,8 +566,7 @@ class BatchedSbgRunner {
   RecipientPartition partition_;  ///< built once from the declarations
 
   // Trim by selection (see the constructor).
-  bool select_ = false;  ///< merge into selected honest ranks?
-  std::size_t payload_senders_ = 0;  ///< payload rows per class: F, or 1
+  std::size_t payload_rows_ = 0;  ///< Byzantine rows per class: 1, or F
   /// The round's selected broadcasts; inactive when nothing reads them.
   BroadcastSelection selection_;
   std::span<const ComparatorPair> recipient_net_;  ///< per recipient
@@ -614,22 +580,21 @@ class BatchedSbgRunner {
   std::vector<std::uint64_t> drop_seed_;
   std::vector<std::uint8_t> filter_on_;
 
-  BatchedHonestBroadcasts<SbgPayload> views_;
   std::vector<RunMetrics> metrics_;
 
   // Round-scoped scratch, sized once in the constructor.
-  std::vector<double> dx_, dg_;        ///< n x Bpad multiset matrices
+  std::vector<double> dx_, dg_;  ///< a recipient's honest rows, H x Bpad
   std::vector<double> ctx_, ctg_;      ///< per-unit trim outputs, H x Bpad
   std::vector<std::uint8_t> trim_done_;  ///< unit trims computed this round?
   std::vector<double> lambda_;         ///< per-replica step size this round
   std::vector<double> pe_;             ///< projection errors, H x Bpad
   std::vector<double> trimmed_state_;  ///< audit diagnostics, S x Bpad
   std::vector<double> trimmed_gradient_;
-  std::vector<double> bpx_, bpg_;    ///< Byzantine payloads, C x F x Bpad
+  std::vector<double> bpx_, bpg_;    ///< Byzantine payloads, C x rows x Bpad
   std::vector<double> bpresent_;     ///< all-ones/all-zeros lane masks
   std::vector<double> defx_, defg_;  ///< default payload rows, length Bpad
   std::vector<double> dmask_;        ///< per-row delivery mask scratch
-  std::vector<double> vx_, vg_;      ///< a class's blended payload, Bpad
+  std::vector<double> vx_, vg_;      ///< a class's blended rows
 };
 
 }  // namespace

@@ -11,24 +11,26 @@
 // broadcast[sender][replica], inbox matrices [slot][replica]) so the
 // dominant inner kernel — Trim over each recipient's fan-in — runs as a
 // branchless batched comparator network across the replica lanes
-// (trim/trim_batch.hpp). Unless a pack holds a per-message strategy or
-// n > 32, the honest broadcasts' order statistics are selected once per
-// round (once per recipient under a delivery filter) and each recipient
-// class's F identical Byzantine rows are merged into them.
+// (trim/trim_batch.hpp). The honest broadcasts' order statistics are
+// selected once per round (once per recipient under a delivery filter)
+// and each recipient class's Byzantine rows are merged into them: one
+// row where every sender sends the class one payload, else the F rows a
+// per-message strategy sent the recipient, sorted on their own.
 //
 // Determinism contract: the output is bit-identical to running run_sbg on
-// each scenario separately. Replicas never interact; per-message
-// strategies observe per-replica RoundViews in the scalar engine's exact
-// call order (so RNG streams advance identically); class-declaring
-// strategies are asked once per (replica, recipient class), which their
-// declaration makes unobservable (net/batch.hpp), through summary_payload
-// where they answer it (adversary/strategies.hpp). The batched trims
-// select the same order statistics as the scalar nth_element path up to
-// the sign of zero, and a selected value reaches the output only through
-// a Trim midpoint y_s + (y_l - y_s)/2 or a comparison (pull's median
-// against its target), neither of which sees that sign; every
-// floating-point reduction (metrics folds, the summary's mean gradient)
-// runs in the scalar path's operation order.
+// each scenario separately. Replicas never interact. Every strategy is
+// asked summary_payload with the HonestSummary of its replica's selected
+// broadcasts (adversary/strategies.hpp): per-message strategies once per
+// (recipient, sender) in the scalar engine's exact call order (so RNG
+// streams advance identically), class-declaring strategies once per
+// (replica, recipient class), which their declaration makes unobservable
+// (net/batch.hpp). The batched trims select the same order statistics as
+// the scalar nth_element path up to the sign of zero, and a selected
+// value reaches the output only through a Trim midpoint
+// y_s + (y_l - y_s)/2 or a comparison (pull's median against its
+// target), neither of which sees that sign; every floating-point
+// reduction (metrics folds, the summary's mean gradient) runs in the
+// scalar path's operation order.
 // tests/batch_runner_test.cpp pins this contract across attacks,
 // crashes, link drops, constraints, signed zeros, and audit options.
 
@@ -46,9 +48,10 @@ namespace ftmao {
 /// run_sbg(replicas[i], options) for each i.
 ///
 /// All scenarios must share the same shape: n, f, faulty set, crash
-/// schedule, and rounds. Everything else (seed, functions, initial states,
-/// attack, step, constraint, default payload, drop probability) may differ
-/// per replica.
+/// schedule, and rounds, with n <= kMaxSortingNetworkN (the grid drivers
+/// run larger shapes on run_sbg; sim/replica_driver.hpp). Everything else
+/// (seed, functions, initial states, attack, step, constraint, default
+/// payload, drop probability) may differ per replica.
 std::vector<RunMetrics> run_sbg_batch(std::span<const Scenario> replicas,
                                       const RunOptions& options = {});
 

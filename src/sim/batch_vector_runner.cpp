@@ -48,6 +48,7 @@ class BatchedVectorSbgRunner {
     F_ = first.byzantine_count;
     H_ = n_ - F_;
     rounds_ = first.rounds;
+    FTMAO_EXPECTS(n_ <= kMaxSortingNetworkN);
     B_ = replicas.size();
     L_ = d_ * B_;
     kernels_ = &simd_kernels_for_lanes(L_);
@@ -57,8 +58,6 @@ class BatchedVectorSbgRunner {
     x_.assign(H_ * Lpad_, 0.0);
     bx_.assign(H_ * Lpad_, 0.0);
     bg_.assign(H_ * Lpad_, 0.0);
-    dx_.assign(n_ * Lpad_, 0.0);
-    dg_.assign(n_ * Lpad_, 0.0);
     lam_.assign(Lpad_, 0.0);
     pe_.assign(Lpad_, 0.0);
     pemask_.assign(Lpad_, 0.0);
@@ -144,32 +143,22 @@ class BatchedVectorSbgRunner {
     ctg_.assign(partition_.classes * Lpad_, 0.0);
     trim_done_.assign(partition_.classes, 0);
 
-    // Trim by selection unless some replica is asked per message (its F
-    // sender rows may all differ) or n is past the networks. Then every
-    // class's F identical Byzantine rows are merged into the broadcasts'
-    // order statistics, and the strategies read their summaries.
-    select_ = n_ <= kMaxSortingNetworkN && !partition_.any_per_message;
-    payload_senders_ = select_ ? std::min<std::size_t>(F_, 1) : F_;
-    if (select_) {
-      selection_.init(H_, Lpad_, merge_trim_ranks(H_, F_, f_), F_ > 0);
-      vx_.assign(Lpad_, 0.0);
-      vg_.assign(Lpad_, 0.0);
-      summaries_.resize(d_);
-    }
-
-    if (F_ > 0) {
-      if (!select_) {
-        std::vector<Received<VecPayload>> view;
-        for (std::size_t j = 0; j < H_; ++j)
-          view.push_back({AgentId{static_cast<std::uint32_t>(j)},
-                          VecPayload{Vec(d_), Vec(d_)}});
-        views_.assign(B_, view);
-      }
-      const std::size_t payload_rows = partition_.classes * payload_senders_;
-      bpx_.assign(payload_rows * Lpad_, 0.0);
-      bpg_.assign(payload_rows * Lpad_, 0.0);
-      bpresent_.assign(payload_rows * Lpad_, 0.0);
-    }
+    // Trim by selection: the broadcasts' order statistics the trims read
+    // are selected once per round and each class's Byzantine rows are
+    // merged into them, one payload where every replica declares classes,
+    // else the F rows a per-message replica sent the recipient. The
+    // strategies read the selection's summaries.
+    payload_rows_ =
+        partition_.any_per_message ? F_ : std::min<std::size_t>(F_, 1);
+    selection_.init(H_, Lpad_, merge_trim_ranks(H_, F_, f_, payload_rows_),
+                    F_ > 0);
+    summaries_.resize(d_);
+    const std::size_t payload_rows = partition_.classes * payload_rows_;
+    bpx_.assign(payload_rows * Lpad_, 0.0);
+    bpg_.assign(payload_rows * Lpad_, 0.0);
+    bpresent_.assign(payload_rows * Lpad_, 0.0);
+    vx_.assign(payload_rows_ * Lpad_, 0.0);
+    vg_.assign(payload_rows_ * Lpad_, 0.0);
 
     // Failure-free optima: identical cost sets (by object identity; the
     // grid drivers' replicas of one shape share their shape's costs)
@@ -196,7 +185,7 @@ class BatchedVectorSbgRunner {
       if (record_series_)
         for (std::size_t r = 0; r < B_; ++r) record(r);
       broadcast_phase();
-      if (select_) selection_.select(bx_.data(), bg_.data(), *kernels_);
+      selection_.select(bx_.data(), bg_.data(), *kernels_);
       if (F_ > 0) collect_byzantine(t);
       fill_lambda(t);
       step_phase();
@@ -242,59 +231,43 @@ class BatchedVectorSbgRunner {
   }
 
   // Step 2a: the Byzantine payload rows of every recipient class
-  // (partition_). A replica whose strategy declares classes is asked once
-  // per class, at the class's first recipient, and the answer fills every
-  // sender row, F or the one a selection trim reads (the declaration
-  // promises a payload independent of the sender). With selection it is
-  // asked through summary_payload, else through send_to and the round
-  // view. A per-message replica is asked for every (recipient, sender) in
-  // the engine's exact call order (recipient-major, sender-minor), so its
-  // RNG stream advances identically; each recipient is then its own
-  // class.
+  // (partition_), each strategy asked summary_payload with the summaries
+  // of its replica's selected broadcasts, one per coordinate. A replica
+  // whose strategy declares classes is asked once per class, at the
+  // class's first recipient, and the answer fills the class's row (the
+  // declaration promises a payload independent of the sender). A
+  // per-message replica is asked for every (recipient, sender) in the
+  // engine's exact call order (recipient-major, sender-minor), so its RNG
+  // stream advances identically; each recipient is then its own class
+  // with F rows.
   void collect_byzantine(std::size_t t) {
     const Round round{static_cast<std::uint32_t>(t)};
-    for (std::size_t r = 0; r < views_.size(); ++r) {
-      for (std::size_t j = 0; j < H_; ++j) {
-        VecPayload& p = views_[r][j].payload;
-        for (std::size_t k = 0; k < d_; ++k) {
-          p.state[k] = bx_[j * Lpad_ + k * B_ + r];
-          p.gradient[k] = bg_[j * Lpad_ + k * B_ + r];
-        }
-      }
-    }
     const std::size_t C = partition_.classes;
-    const AgentId first_sender{static_cast<std::uint32_t>(H_)};
     for (std::size_t r = 0; r < B_; ++r) {
       VectorAdversary& adversary = *adversaries_[r];
+      for (std::size_t k = 0; k < d_; ++k)
+        summaries_[k] = selection_.summary(k * B_ + r);
       if (partition_.per_message[r]) {
-        const RoundView<VecPayload> view{round, views_[r]};
         for (std::size_t j = 0; j < H_; ++j)
           for (std::size_t b = 0; b < F_; ++b)
-            store_payload(
-                partition_.class_of[j], b, r,
-                adversary.send_to(AgentId{static_cast<std::uint32_t>(H_ + b)},
-                                  AgentId{static_cast<std::uint32_t>(j)},
-                                  view));
+            store_payload(partition_.class_of[j], b, r,
+                          adversary.summary_payload(
+                              summaries_, round,
+                              AgentId{static_cast<std::uint32_t>(j)}));
         continue;
       }
-      if (select_)
-        for (std::size_t k = 0; k < d_; ++k)
-          summaries_[k] = selection_.summary(k * B_ + r);
       for (std::size_t c = 0; c < C; ++c) {
         const std::size_t src = partition_.source[r * C + c];
         if (src == c) {
-          const AgentId to{partition_.first[c]};
-          const std::optional<VecPayload> payload =
-              select_ ? adversary.summary_payload(summaries_, round, to)
-                      : adversary.send_to(first_sender, to,
-                                          {round, views_[r]});
-          for (std::size_t b = 0; b < payload_senders_; ++b)
+          const std::optional<VecPayload> payload = adversary.summary_payload(
+              summaries_, round, AgentId{partition_.first[c]});
+          for (std::size_t b = 0; b < payload_rows_; ++b)
             store_payload(c, b, r, payload);
           continue;
         }
-        for (std::size_t b = 0; b < payload_senders_; ++b) {
-          const std::size_t from = (src * payload_senders_ + b) * Lpad_;
-          const std::size_t to = (c * payload_senders_ + b) * Lpad_;
+        for (std::size_t b = 0; b < payload_rows_; ++b) {
+          const std::size_t from = (src * payload_rows_ + b) * Lpad_;
+          const std::size_t to = (c * payload_rows_ + b) * Lpad_;
           for (std::size_t k = 0; k < d_; ++k) {
             const std::size_t l = k * B_ + r;
             bpx_[to + l] = bpx_[from + l];
@@ -312,7 +285,7 @@ class BatchedVectorSbgRunner {
       FTMAO_EXPECTS(payload->state.dim() == d_);
       FTMAO_EXPECTS(payload->gradient.dim() == d_);
     }
-    const std::size_t o = (c * payload_senders_ + b) * Lpad_;
+    const std::size_t o = (c * payload_rows_ + b) * Lpad_;
     for (std::size_t k = 0; k < d_; ++k) {
       const std::size_t l = o + k * B_ + r;
       bpx_[l] = payload ? payload->state[k] : 0.0;
@@ -328,38 +301,22 @@ class BatchedVectorSbgRunner {
     }
   }
 
-  // Builds the n x Lpad multiset matrices of recipient class `cls`. The
-  // honest part is the broadcast snapshot verbatim (every recipient's
-  // multiset contains all honest broadcasts — own value plus the other
-  // n-1 senders — and Trim is order-insensitive); only the Byzantine rows
-  // vary per class, absent payloads blending to the per-replica default.
-  void assemble(std::size_t cls) {
-    std::memcpy(dx_.data(), bx_.data(), H_ * Lpad_ * sizeof(double));
-    std::memcpy(dg_.data(), bg_.data(), H_ * Lpad_ * sizeof(double));
-    for (std::size_t b = 0; b < F_; ++b) {
-      const std::size_t o = (cls * F_ + b) * Lpad_;
+  // The trim pair of class `cls`: the honest order statistics selected
+  // this round (every recipient's honest rows are the broadcast
+  // snapshot) merged with the class's Byzantine rows, absent payloads
+  // blended to the per-replica default.
+  void trim(std::size_t cls, double* tx, double* tg) {
+    for (std::size_t b = 0; b < payload_rows_; ++b) {
+      const std::size_t o = (cls * payload_rows_ + b) * Lpad_;
       kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
                              bpg_.data() + o, defx_.data(), defg_.data(),
-                             dx_.data() + (H_ + b) * Lpad_,
-                             dg_.data() + (H_ + b) * Lpad_, Lpad_);
+                             vx_.data() + b * Lpad_, vg_.data() + b * Lpad_,
+                             Lpad_);
     }
-  }
-
-  // The trim pair of class `cls` by selection: the honest order
-  // statistics selected this round (every recipient's honest rows are the
-  // broadcast snapshot) merged with the class's F identical Byzantine
-  // rows, absent payloads blended to the per-replica default.
-  void trim_selected(std::size_t cls, double* tx, double* tg) {
-    if (F_ > 0) {
-      const std::size_t o = cls * Lpad_;
-      kernels_->masked_blend(bpresent_.data() + o, bpx_.data() + o,
-                             bpg_.data() + o, defx_.data(), defg_.data(),
-                             vx_.data(), vg_.data(), Lpad_);
-    }
-    merge_trim_batch(selection_.states(), H_, F_, f_, vx_.data(), Lpad_,
-                     *kernels_, tx);
-    merge_trim_batch(selection_.gradients(), H_, F_, f_, vg_.data(), Lpad_,
-                     *kernels_, tg);
+    merge_trim_batch(selection_.states(), H_, F_, f_, vx_.data(),
+                     payload_rows_, Lpad_, *kernels_, tx);
+    merge_trim_batch(selection_.gradients(), H_, F_, f_, vg_.data(),
+                     payload_rows_, Lpad_, *kernels_, tg);
   }
 
   // Steps 2b-3: trim per (coordinate, replica) lane and apply the fused
@@ -375,13 +332,7 @@ class BatchedVectorSbgRunner {
       double* tg = ctg_.data() + cls * Lpad_;
       if (!trim_done_[cls]) {
         trim_done_[cls] = 1;
-        if (select_) {
-          trim_selected(cls, tx, tg);
-        } else {
-          assemble(cls);
-          trim_batch(dx_.data(), n_, Lpad_, f_, *kernels_, tx);
-          trim_batch(dg_.data(), n_, Lpad_, f_, *kernels_, tg);
-        }
+        trim(cls, tx, tg);
       }
       kernels_->fused_step(tx, tg, lam_.data(), clo_.data(),
                            chi_.data(), pemask_.data(), x_.data() + j * Lpad_,
@@ -421,21 +372,18 @@ class BatchedVectorSbgRunner {
   std::size_t n_ = 0, f_ = 0, d_ = 0, H_ = 0, F_ = 0;
   std::size_t rounds_ = 0, B_ = 0, L_ = 0, Lpad_ = 0;
 
-  std::vector<double> x_, bx_, bg_, dx_, dg_;
+  std::vector<double> x_, bx_, bg_;
   std::vector<double> ctx_, ctg_;  ///< per-class trim outputs, C x Lpad
   std::vector<std::uint8_t> trim_done_;  ///< class trims computed this round?
   std::vector<double> lam_, pe_, pemask_, clo_, chi_, defx_, defg_;
-  std::vector<double> bpx_, bpg_, bpresent_;  ///< C x F x Lpad payload rows
+  std::vector<double> bpx_, bpg_, bpresent_;  ///< C x rows x Lpad payloads
   RecipientPartition partition_;  ///< built once from the declarations
-  bool select_ = false;  ///< trim by selection (see the constructor)?
-  std::size_t payload_senders_ = 0;  ///< payload rows per class: F, or 1
-  BroadcastSelection selection_;  ///< this round's, when select_
+  std::size_t payload_rows_ = 0;  ///< Byzantine rows per class: 1, or F
+  BroadcastSelection selection_;  ///< this round's
   std::vector<HonestSummary> summaries_;  ///< one replica's, per coordinate
-  std::vector<double> vx_, vg_;  ///< a class's blended payload, Lpad
+  std::vector<double> vx_, vg_;  ///< a class's blended rows
   std::vector<std::unique_ptr<StepSchedule>> schedules_;
   std::vector<std::unique_ptr<VectorAdversary>> adversaries_;
-  /// Per-replica views, kept only without selection.
-  std::vector<std::vector<Received<VecPayload>>> views_;
   std::vector<VectorRunResult> results_;
   BatchGradientPlanes grad_;
   Vec xv_, gv_;

@@ -28,14 +28,14 @@
 // them is unobservable), and a strategy that declares recipient classes
 // (net/batch.hpp) is asked once per (replica, class), with the class's
 // trim pair computed once and reused by all its recipients; per-message
-// strategies are asked in the scalar engine's call order. Unless a pack
-// holds a per-message strategy or n > 32, the honest broadcasts are
-// selected once per round (sim/broadcast_selection.hpp): strategies are
-// asked summary_payload with each coordinate's HonestSummary instead of
-// send_to with a view, and a class's trim pair merges its F identical
-// Byzantine rows into the selected order statistics, which equal the
-// full sort's up to the sign of zero, a sign neither the Trim midpoint
-// (trim/trim_batch.hpp) nor the summary promise lets reach the state.
+// strategies are asked in the scalar engine's call order. The honest
+// broadcasts are selected once per round (sim/broadcast_selection.hpp):
+// every strategy is asked summary_payload with each coordinate's
+// HonestSummary, and a class's trim pair merges its Byzantine rows (one
+// payload, or the F rows a per-message strategy sent) into the selected
+// order statistics, which equal the full sort's up to the sign of zero,
+// a sign neither the Trim midpoint (trim/trim_batch.hpp) nor the summary
+// promise lets reach the state.
 
 #include <span>
 #include <vector>
@@ -45,11 +45,12 @@
 namespace ftmao {
 
 /// Runs every replica in lockstep. All replicas must share one shape
-/// (n, f, dim, rounds, byzantine_count); costs, initial states, attack,
-/// step schedule, seed, constraint, and default payload may vary per
-/// replica. Returns one VectorRunResult per replica, bit-identical
-/// per-field to run_vector_scenario(replicas[i], options); of `options`,
-/// only record_series is read.
+/// (n, f, dim, rounds, byzantine_count), with n <= kMaxSortingNetworkN
+/// (sim/replica_driver.hpp runs larger ones on run_vector_scenario);
+/// costs, initial states, attack, step schedule, seed, constraint, and
+/// default payload may vary per replica. Returns one VectorRunResult per
+/// replica, bit-identical per-field to run_vector_scenario(replicas[i],
+/// options); of `options`, only record_series is read.
 std::vector<VectorRunResult> run_vector_sbg_batch(
     std::span<const VectorScenario> replicas,
     const RunOptions& options = {});

@@ -10,7 +10,8 @@
 //     that do not decode are computed, then encoded and inserted.
 //   - run_task: the one task runner. A planned task's replicas run
 //     through the shape's batched engine, or one at a time through its
-//     reference engine under scalar_engine — the only place that picks.
+//     reference engine under scalar_engine or past the batched engines'
+//     n <= kMaxSortingNetworkN — the only place that picks.
 //   - make_replica: the one replica rule. A replica is a copy of its
 //     shape's scenario with its own attack and seed. The make_standard_*
 //     factories set nothing else per attack or seed, so a driver builds a
@@ -34,6 +35,7 @@
 #include "sim/batch_runner.hpp"
 #include "sim/batch_vector_runner.hpp"
 #include "sim/megabatch.hpp"
+#include "trim/trim_batch.hpp"
 
 namespace ftmao {
 
@@ -108,8 +110,9 @@ Finals finals_of(const Result& m) {
 /// Runs one planned task: item i of [task.first, task.first + task.count)
 /// is the replica make_replica(shape, replica_of(i)). The replicas run
 /// through the shape's batched engine, or one at a time through its
-/// reference engine when `scalar_engine`, and item i's result goes to
-/// deliver(i, result); it is bit-identical either way.
+/// reference engine when `scalar_engine` or when the shape's n is past
+/// kMaxSortingNetworkN, which the batched engines require. Item i's
+/// result goes to deliver(i, result); it is bit-identical either way.
 template <class S, class ReplicaOf, class Deliver>
 void run_task(const S& shape, const MegabatchTask& task,
               const ReplicaOf& replica_of, bool scalar_engine,
@@ -118,7 +121,7 @@ void run_task(const S& shape, const MegabatchTask& task,
   replicas.reserve(task.count);
   for (std::size_t k = 0; k < task.count; ++k)
     replicas.push_back(make_replica(shape, replica_of(task.first + k)));
-  if (scalar_engine) {
+  if (scalar_engine || shape.n > kMaxSortingNetworkN) {
     for (std::size_t k = 0; k < task.count; ++k)
       deliver(task.first + k, run_reference(replicas[k], options));
     return;

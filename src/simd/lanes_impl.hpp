@@ -164,6 +164,39 @@ void merge_midpoint_impl(const double* v, const double* ys_lo,
   }
 }
 
+// Rank F of the F+1 ascending rows h merged with the F ascending rows b,
+// at lane k: min over j = 0..F of max(h[F-j], b[j-1]), b[-1] = -inf.
+template <class L>
+inline typename L::Vec merged_rank(const double* h, const double* b,
+                                   std::size_t rows, std::size_t stride,
+                                   std::size_t k) {
+  typename L::Vec m = L::load(h + rows * stride + k);
+  for (std::size_t j = 1; j <= rows; ++j)
+    m = lane_min<L>(m, lane_max<L>(L::load(h + (rows - j) * stride + k),
+                                   L::load(b + (j - 1) * stride + k)));
+  return m;
+}
+
+template <class L>
+void merge_rows_midpoint_impl(const double* b, const double* ys_h,
+                              const double* yl_h, std::size_t rows,
+                              std::size_t stride, double* out,
+                              std::size_t count) {
+  const typename L::Vec two = L::broadcast(2.0);
+  std::size_t k = 0;
+  for (; k + L::kWidth <= count; k += L::kWidth) {
+    const typename L::Vec s = merged_rank<L>(ys_h, b, rows, stride, k);
+    const typename L::Vec l = merged_rank<L>(yl_h, b, rows, stride, k);
+    L::store(out + k, L::add(s, L::div(L::sub(l, s), two)));
+  }
+  for (; k < count; ++k) {
+    using S = ScalarLanes;
+    const double s = merged_rank<S>(ys_h, b, rows, stride, k);
+    const double l = merged_rank<S>(yl_h, b, rows, stride, k);
+    out[k] = s + (l - s) / 2.0;
+  }
+}
+
 template <class L>
 void accumulate_rows_impl(double* acc, const double* row, std::size_t count) {
   std::size_t k = 0;
@@ -255,6 +288,7 @@ SimdKernels make_kernels(SimdIsa isa, const char* name) {
   k.sort_network = &sort_network_impl<L>;
   k.trim_midpoint = &trim_midpoint_impl<L>;
   k.merge_midpoint = &merge_midpoint_impl<L>;
+  k.merge_rows_midpoint = &merge_rows_midpoint_impl<L>;
   k.accumulate_rows = &accumulate_rows_impl<L>;
   k.divide_rows = &divide_rows_impl<L>;
   k.gradient_clamp = &gradient_clamp_impl<L>;

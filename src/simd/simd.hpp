@@ -102,6 +102,20 @@ struct SimdKernels {
                          const double* ys_hi, const double* yl_lo,
                          const double* yl_hi, double* out, std::size_t count);
 
+  /// The Trim midpoint of a merged multiset whose F >= 2 Byzantine values
+  /// differ (merge_trim_batch with F sorted rows). Rank i of ascending
+  /// honest values h merged with ascending values b is
+  ///   m(h, i)[k] = min over j = 0..F of max(h[i-j][k], b[j-1][k]),
+  /// b[-1] = -inf. With the F+1 honest rows from rank f-F at `ys_h`, the
+  /// F+1 from rank H-1-f at `yl_h` and the F rows of b at `b`, all
+  /// `stride` doubles apart (so ys = m(ys_h, F), yl = m(yl_h, F)):
+  ///   out[k] = ys[k] + (yl[k] - ys[k]) / 2
+  /// with min and max following std::min/std::max tie semantics (rule 3).
+  void (*merge_rows_midpoint)(const double* b, const double* ys_h,
+                              const double* yl_h, std::size_t rows,
+                              std::size_t stride, double* out,
+                              std::size_t count);
+
   /// acc[k] += row[k]  — one ascending-order accumulation step of the
   /// batched trimmed mean.
   void (*accumulate_rows)(double* acc, const double* row, std::size_t count);

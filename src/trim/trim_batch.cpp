@@ -53,18 +53,6 @@ std::vector<ComparatorPair> prune_to_ranks(
   return kept;
 }
 
-const std::array<std::vector<ComparatorPair>, kMaxSortingNetworkN + 1>&
-network_table() {
-  // Magic static: built once, thread-safe, ~2 KiB total.
-  static const auto table = [] {
-    std::array<std::vector<ComparatorPair>, kMaxSortingNetworkN + 1> t;
-    for (std::size_t n = 2; n <= kMaxSortingNetworkN; ++n)
-      t[n] = make_batcher_network(n);
-    return t;
-  }();
-  return table;
-}
-
 // The network runs on the runtime-dispatched SIMD lane backend: one
 // indirect call applies the whole comparator sequence, each comparator a
 // branchless lanewise conditional swap of two contiguous slot rows. (The
@@ -88,13 +76,19 @@ void sort_columns_fallback(double* data, std::size_t n, std::size_t batch) {
 
 std::span<const ComparatorPair> sorting_network(std::size_t n) {
   FTMAO_EXPECTS(n >= 2 && n <= kMaxSortingNetworkN);
-  return network_table()[n];
+  // Each n is built on its first use: a run reads a few fan-ins, and
+  // building all 63 networks up front costs more than a short run trims.
+  static std::array<std::once_flag, kMaxSortingNetworkN + 1> built;
+  static std::array<std::vector<ComparatorPair>, kMaxSortingNetworkN + 1>
+      table;
+  std::call_once(built[n], [n] { table[n] = make_batcher_network(n); });
+  return table[n];
 }
 
 std::span<const ComparatorPair> selection_network(std::size_t n,
                                                   RankSet ranks) {
   FTMAO_EXPECTS(n >= 1 && n <= kMaxSortingNetworkN);
-  FTMAO_EXPECTS(ranks != 0 && (n == 32 || ranks >> n == 0));
+  FTMAO_EXPECTS(ranks != 0 && (n == kMaxSortingNetworkN || ranks >> n == 0));
   if (n == 1) return {};
   // Node-based map: a returned span stays valid as entries are added.
   using Key = std::pair<std::size_t, RankSet>;
@@ -113,27 +107,40 @@ void apply_network(double* data, std::size_t batch,
 }
 
 RankSet merge_trim_ranks(std::size_t honest, std::size_t copies,
-                         std::size_t f) {
+                         std::size_t f, std::size_t rows) {
   FTMAO_EXPECTS(copies <= f && honest + copies >= 2 * f + 1);
-  const auto bit = [](std::size_t k) { return RankSet{1} << k; };
-  return bit(f - copies) | bit(f) | bit(honest - 1 - f) |
-         bit(honest - 1 - f + copies);
+  FTMAO_EXPECTS(copies == 0 || rows == 1 || rows == copies);
+  // Ranks lo..lo+F, or only the ends for one row.
+  const auto run = [&](std::size_t lo) {
+    if (rows <= 1) return (RankSet{1} << lo) | (RankSet{1} << (lo + copies));
+    return ((RankSet{2} << copies) - 1) << lo;
+  };
+  return run(f - copies) | run(honest - 1 - f);
 }
 
 void merge_trim_batch(const double* selected, std::size_t honest,
-                      std::size_t copies, std::size_t f, const double* v,
-                      std::size_t batch, const SimdKernels& kernels,
-                      double* out) {
+                      std::size_t copies, std::size_t f, double* v,
+                      std::size_t rows, std::size_t batch,
+                      const SimdKernels& kernels, double* out) {
   FTMAO_EXPECTS(copies <= f && honest + copies >= 2 * f + 1);
+  FTMAO_EXPECTS(copies == 0 || rows == 1 || rows == copies);
   const auto row = [&](std::size_t k) { return selected + k * batch; };
   if (copies == 0) {
     kernels.trim_midpoint(row(f), row(honest - 1 - f), out, batch);
     return;
   }
-  // Ranks f and n-1-f of the merge: v clamped between the honest values
-  // F ranks below and at that rank (simd/simd.hpp, merge_midpoint).
-  kernels.merge_midpoint(v, row(f - copies), row(f), row(honest - 1 - f),
-                         row(honest - 1 - f + copies), out, batch);
+  if (rows == 1) {
+    // Ranks f and n-1-f of the merge: v clamped between the honest values
+    // F ranks below and at that rank (simd/simd.hpp, merge_midpoint).
+    kernels.merge_midpoint(v, row(f - copies), row(f), row(honest - 1 - f),
+                           row(honest - 1 - f + copies), out, batch);
+    return;
+  }
+  // F different values: sorted, they merge with the honest runs that
+  // hold ranks f and n-1-f (simd/simd.hpp, merge_rows_midpoint).
+  apply_network(v, batch, sorting_network(rows), kernels);
+  kernels.merge_rows_midpoint(v, row(f - copies), row(honest - 1 - f), rows,
+                              batch, out, batch);
 }
 
 void sort_columns(double* data, std::size_t n, std::size_t batch) {

@@ -26,9 +26,12 @@
 //     is dropped. Selecting ranks {0, 10, 20} of 21 rows takes 96
 //     comparators, where sorting 21 rows takes 112 and 31 rows 186.
 //   - merge_trim_batch finishes the Trim of H honest values plus F
-//     identical values v (one recipient class's Byzantine rows, all sent
-//     by strategies built from one config) from four selected honest
-//     ranks, without assembling or sorting the n = H + F rows.
+//     Byzantine values from a few selected honest ranks, without
+//     assembling or sorting the n = H + F rows. The F values are one row
+//     when every sender sends one payload (one recipient class, all its
+//     senders built from one config), else F rows, sorted on their own
+//     and merged: rank i of the merge is min over j = 0..F of
+//     max(h[i-j], b[j-1]), with b[-1] = -inf.
 //
 // Bit-identity with the scalar reducers holds for every n, batch, and
 // backend. The conditional-swap comparator is multiset-preserving even
@@ -48,15 +51,18 @@
 
 namespace ftmao {
 
-/// Largest fan-in handled by the fixed comparator networks. The paper's
-/// complete graphs stay far below this (n <= ~32 in every experiment);
-/// beyond it the batched kernels fall back to the scalar path per replica.
-inline constexpr std::size_t kMaxSortingNetworkN = 32;
+/// Largest fan-in handled by the fixed comparator networks, and so the
+/// largest n the batch engines run (the async one keeps a 64-bit sender
+/// mask too). The paper's complete graphs stay far below it (n <= ~32 in
+/// every experiment); sim/replica_driver.hpp runs larger shapes on the
+/// reference engines, and the batched kernels here fall back to the
+/// scalar path per replica.
+inline constexpr std::size_t kMaxSortingNetworkN = 64;
 
 /// The Batcher odd-even mergesort comparator sequence for n elements
-/// (2 <= n <= kMaxSortingNetworkN). Built once per process, cached;
-/// thread-safe. Applying the comparators in order sorts any n-element
-/// array ascending.
+/// (2 <= n <= kMaxSortingNetworkN). Built on the first request for n and
+/// cached for the process; thread-safe. Applying the comparators in order
+/// sorts any n-element array ascending.
 std::span<const ComparatorPair> sorting_network(std::size_t n);
 
 /// Sorts every replica column of the n x batch SoA matrix ascending (row k
@@ -103,8 +109,8 @@ void trimmed_mean_batch(double* data, std::size_t n, std::size_t batch,
                         std::size_t f, const SimdKernels& kernels,
                         double* out_mean);
 
-/// Bit k of a rank set names row k of an n-row matrix (n <= 32).
-using RankSet = std::uint32_t;
+/// Bit k of a rank set names row k of an n-row matrix (n <= 64).
+using RankSet = std::uint64_t;
 
 /// The comparators of sorting_network(n) that the rows in `ranks` depend
 /// on, in network order: the network pruned backward, keeping a
@@ -123,23 +129,27 @@ void apply_network(double* data, std::size_t batch,
                    std::span<const ComparatorPair> network,
                    const SimdKernels& kernels);
 
-/// The honest ranks merge_trim_batch reads: f-F, f, H-1-f and H-1-f+F
-/// for H honest values and F <= f copies, H + F >= 2f + 1.
+/// The honest ranks merge_trim_batch reads for H honest values and F <= f
+/// Byzantine values in `rows` rows, H + F >= 2f + 1: f-F..f and
+/// H-1-f..H-1-f+F, or for one row of F copies only the ends f-F, f,
+/// H-1-f and H-1-f+F.
 RankSet merge_trim_ranks(std::size_t honest, std::size_t copies,
-                         std::size_t f);
+                         std::size_t f, std::size_t rows = 1);
 
-/// Batched Trim of the multiset of H honest values plus F copies of v[r],
-/// per replica r: `selected` is an H x batch matrix whose rows at
-/// merge_trim_ranks(H, F, f) hold the honest order statistics (after
-/// apply_network with a selection_network covering them), `v` one row.
-/// Writes the midpoint of ranks f and H+F-1-f of the merged multiset to
-/// out[r]. Requires F <= f and H + F >= 2f + 1; `v` is not read when
+/// Batched Trim of the multiset of H honest values plus F Byzantine
+/// values, per replica r: `selected` is an H x batch matrix whose rows at
+/// merge_trim_ranks(H, F, f, rows) hold the honest order statistics
+/// (after apply_network with a selection_network covering them). `v`
+/// holds the Byzantine values in `rows` rows: one row, whose value every
+/// sender sent, or F rows, which this sorts in place. Writes the midpoint
+/// of ranks f and H+F-1-f of the merged multiset to out[r]. Requires
+/// F <= f, H + F >= 2f + 1, and rows 1 or F; `v` is not read when
 /// F == 0. Bit-identical to trim_batch on the assembled H + F rows: the
 /// selected values agree up to the sign of zero, which the midpoint
 /// ignores.
 void merge_trim_batch(const double* selected, std::size_t honest,
-                      std::size_t copies, std::size_t f, const double* v,
-                      std::size_t batch, const SimdKernels& kernels,
-                      double* out);
+                      std::size_t copies, std::size_t f, double* v,
+                      std::size_t rows, std::size_t batch,
+                      const SimdKernels& kernels, double* out);
 
 }  // namespace ftmao

@@ -64,7 +64,12 @@ VectorRandomNoise::VectorRandomNoise(Rng rng, std::size_t dim,
 }
 
 std::optional<VecPayload> VectorRandomNoise::send_to(
-    AgentId, AgentId, const RoundView<VecPayload>&) {
+    AgentId, AgentId recipient, const RoundView<VecPayload>& view) {
+  return summary_payload({}, view.round, recipient);
+}
+
+std::optional<VecPayload> VectorRandomNoise::summary_payload(
+    std::span<const HonestSummary>, Round, AgentId) {
   VecPayload p{Vec(dim_), Vec(dim_)};
   for (std::size_t k = 0; k < dim_; ++k)
     p.state[k] = rng_.uniform(-state_range_, state_range_);

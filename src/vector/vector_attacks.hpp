@@ -52,12 +52,15 @@ class CoordinatewiseAdversary final : public VectorAdversary {
 /// Independent uniform noise per (recipient, round, coordinate);
 /// deterministic per seed. Draws all state coordinates, then all
 /// gradient coordinates (dim == 1 reproduces the scalar draw order).
+/// Never reads the view: send_to is summary_payload.
 class VectorRandomNoise final : public VectorAdversary {
  public:
   VectorRandomNoise(Rng rng, std::size_t dim, double state_range,
                     double gradient_range);
-  std::optional<VecPayload> send_to(AgentId, AgentId,
-                                    const RoundView<VecPayload>&) override;
+  std::optional<VecPayload> send_to(AgentId, AgentId recipient,
+                                    const RoundView<VecPayload>& view) override;
+  std::optional<VecPayload> summary_payload(std::span<const HonestSummary>,
+                                            Round, AgentId) override;
 
  private:
   Rng rng_;

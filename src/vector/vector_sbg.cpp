@@ -78,7 +78,7 @@ void VectorSbgAgent::step(Round t,
 
 std::optional<VecPayload> VectorAdversary::summary_payload(
     std::span<const HonestSummary>, Round, AgentId) {
-  // Only class-declaring strategies are asked, and they override this.
+  // Every strategy the batch engine builds overrides this.
   FTMAO_EXPECTS(false);
   return std::nullopt;
 }

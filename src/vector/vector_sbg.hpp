@@ -77,8 +77,8 @@ class VectorAdversary : public ByzantineNode<VecPayload> {
 
   /// The payload send_to gives `recipient` in round `round` when
   /// coordinate k of the round's view has HonestSummary `summaries[k]`,
-  /// under SbgAdversary::summary_payload's promise. The batch engine asks
-  /// only class-declaring strategies, once per (replica, class).
+  /// under SbgAdversary::summary_payload's promise; the batch engine asks
+  /// it as the sync one asks that. The default throws ContractViolation.
   virtual std::optional<VecPayload> summary_payload(
       std::span<const HonestSummary> summaries, Round round,
       AgentId recipient);

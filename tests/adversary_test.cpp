@@ -14,6 +14,7 @@
 #include "baseline/consistent.hpp"
 #include "common/rng.hpp"
 #include "sim/scenario.hpp"
+#include "vector/vector_attacks.hpp"
 
 namespace ftmao {
 namespace {
@@ -117,7 +118,8 @@ TEST(SignFlip, InvertsAndAmplifiesMeanGradient) {
 
 TEST(PullToTarget, PointsGradientTowardTarget) {
   PullToTargetAdversary adv(-10.0, 5.0);
-  const auto msgs = honest_msgs({{0, {0.0, 0.0}}, {1, {2.0, 0.0}}, {2, {4.0, 0.0}}});
+  const auto msgs =
+      honest_msgs({{0, {0.0, 0.0}}, {1, {2.0, 0.0}}, {2, {4.0, 0.0}}});
   const RoundView<SbgPayload> view{Round{1}, msgs};
   const auto p = adv.send_to(AgentId{9}, AgentId{0}, view);
   ASSERT_TRUE(p);
@@ -190,8 +192,8 @@ TEST(ConsistentWrapper, RefreshesAcrossRounds) {
   // a round but must be re-queried on the next round.
   class RoundEcho final : public SbgAdversary {
    public:
-    std::optional<SbgPayload> send_to(AgentId, AgentId,
-                                      const RoundView<SbgPayload>& view) override {
+    std::optional<SbgPayload> send_to(
+        AgentId, AgentId, const RoundView<SbgPayload>& view) override {
       return SbgPayload{static_cast<double>(view.round.value), 0.0};
     }
   };
@@ -339,10 +341,48 @@ TEST(RecipientClass, DeclaredClassesKeepTheirPromise) {
 
 // ------------------------------------------------------- summary payloads
 
-TEST(SummaryPayload, PerMessageStrategiesAreNeverAsked) {
-  RandomNoiseAdversary noise(Rng(3), 5.0, 1.0);
-  EXPECT_THROW(noise.summary_payload(HonestSummary{}, Round{1}, AgentId{0}),
-               ContractViolation);
+TEST(SummaryPayload, PerMessageStrategiesAnswerAsSendToDoes) {
+  // The batch engines ask noise summary_payload once per message, so it
+  // must draw exactly send_to's stream: two twins, one asked each way
+  // in turn, stay bit-identical. Scalar noise, then vector noise at d = 3.
+  const RoundView<SbgPayload> view{Round{1}, honest_msgs({{0, {1.0, 2.0}}})};
+  RandomNoiseAdversary a(Rng(3), 5.0, 1.0);
+  RandomNoiseAdversary b(Rng(3), 5.0, 1.0);
+  for (std::uint32_t j = 0; j < 20; ++j) {
+    EXPECT_TRUE(same_bits(a.send_to(AgentId{9}, AgentId{j}, view),
+                          b.summary_payload(HonestSummary{}, Round{1},
+                                            AgentId{j})));
+  }
+  const RoundView<VecPayload> vector_view{Round{1}, {}};
+  const std::vector<HonestSummary> summaries(3);
+  VectorRandomNoise va(Rng(4), 3, 5.0, 1.0);
+  VectorRandomNoise vb(Rng(4), 3, 5.0, 1.0);
+  for (std::uint32_t j = 0; j < 20; ++j) {
+    const auto pa = va.send_to(AgentId{9}, AgentId{j}, vector_view);
+    const auto pb = vb.summary_payload(summaries, Round{1}, AgentId{j});
+    ASSERT_TRUE(pa && pb);
+    for (std::size_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pa->state[k]),
+                std::bit_cast<std::uint64_t>(pb->state[k]));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(pa->gradient[k]),
+                std::bit_cast<std::uint64_t>(pb->gradient[k]));
+    }
+  }
+
+  // A wrapped noise replays its round's first summary answer to every
+  // recipient, as its send_to does, and draws afresh in the next round.
+  RandomNoiseAdversary inner(Rng(5), 5.0, 1.0);
+  RandomNoiseAdversary reference(Rng(5), 5.0, 1.0);
+  ConsistentWrapper wrapped(inner);
+  for (std::uint32_t t = 1; t <= 3; ++t) {
+    const std::optional<SbgPayload> first =
+        reference.summary_payload(HonestSummary{}, Round{t}, AgentId{0});
+    for (std::uint32_t j = 0; j < 4; ++j)
+      EXPECT_TRUE(same_bits(
+          wrapped.summary_payload(HonestSummary{}, Round{t}, AgentId{j}),
+          first))
+          << "round " << t << " recipient " << j;
+  }
 }
 
 TEST(SummaryPayload, HonestSummaryFoldsLikeTheScalarStrategies) {

@@ -182,9 +182,9 @@ TEST(BatchRunner, MixedSplitBrainSignFlipClassesMatchScalar) {
 }
 
 // The declared-class payload plane: a class-declaring replica is asked
-// once per (replica, class) and its answer fills every sender row, while a
-// per-message replica keeps the scalar call order. The packs below mix
-// the two kinds of replica in one engine call.
+// once per (replica, class) and its answer fills the class's payload
+// rows, while a per-message replica keeps the scalar call order. The
+// packs below mix the two kinds of replica in one engine call.
 
 TEST(BatchRunner, PerMessageBesideDeclaredClassesMatchesScalar) {
   // Noise is asked per message, so every recipient becomes its own class;
@@ -273,11 +273,12 @@ TEST(BatchRunner, FinalValuesOnlyMatchScalarAndTheFullRun) {
   EXPECT_THROW(run_sbg(replicas[0], finals_only), ContractViolation);
 }
 
-// Trim by selection: packs without a per-message replica select the
-// honest order statistics and merge each class's F identical Byzantine
-// rows into them; summary readers are asked through summary_payload. The
-// packs below cover the paths that keep the full n-row sort or mix the
-// two, and the signed zeros the selections may return.
+// Trim by selection: every pack selects the honest order statistics and
+// merges each class's Byzantine rows into them, one row of F copies or,
+// beside a per-message replica, F sorted rows; every strategy is asked
+// through summary_payload. The packs below cover per-message packs,
+// delivery filters, partial Byzantine sets, the network limit and the
+// signed zeros the selections may return.
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -309,8 +310,10 @@ void expect_batch_matches_scalar_bitwise(
 }
 
 TEST(BatchRunner, NoisePackKeepsTheFullSortBesideSummaryReaders) {
-  // One per-message replica sends the whole pack down the full n-row
-  // sort, with every strategy asked through send_to and a view.
+  // One per-message replica makes every recipient its own class with F
+  // Byzantine rows, sorted and merged into the selected honest runs
+  // around the trimmed ranks: the full sort's bits without the full
+  // sort. The summary readers beside it answer summary_payload too.
   std::vector<Scenario> replicas =
       seed_axis(13, 4, AttackKind::RandomNoise, 50, 5);
   replicas[1].attack.kind = AttackKind::SignFlip;
@@ -347,41 +350,54 @@ TEST(BatchRunner, DropsAndCrashSelectPerRecipientBesideSummaryReaders) {
 }
 
 TEST(BatchRunner, PartialByzantineMergesFewerCopiesThanF) {
-  // F < f: the merge reads honest ranks f-F and H-1-f+F. F = 0 trims the
-  // honest rows alone. With drops, each recipient's rows are selected.
+  // F < f: the merge reads honest ranks f-F and H-1-f+F, or the runs
+  // between them when a noise replica in the pack sends F different
+  // rows. F = 0 trims the honest rows alone. With drops, each
+  // recipient's rows are selected.
   for (std::size_t byzantine : {0u, 1u, 2u, 3u}) {
     for (double drop : {0.0, 0.15}) {
-      SCOPED_TRACE(std::to_string(byzantine) + " Byzantine, drop " +
-                   std::to_string(drop));
-      std::vector<Scenario> replicas =
-          seed_axis(13, 4, AttackKind::SplitBrain, 40, 4);
-      replicas[1].attack.kind = AttackKind::SignFlip;
-      replicas[2].attack.kind = AttackKind::PullToTarget;
-      replicas[2].attack.target = 9.0;
-      replicas[3].attack.kind = AttackKind::HullEdgeDown;
-      for (Scenario& s : replicas) {
-        s.faulty.clear();
-        for (std::size_t b = 0; b < byzantine; ++b) s.faulty.push_back(12 - b);
-        s.drop_probability = drop;
+      for (bool noise : {false, true}) {
+        SCOPED_TRACE(std::to_string(byzantine) + " Byzantine, drop " +
+                     std::to_string(drop) + (noise ? ", noise" : ""));
+        std::vector<Scenario> replicas =
+            seed_axis(13, 4, AttackKind::SplitBrain, 40, 4);
+        replicas[1].attack.kind = AttackKind::SignFlip;
+        replicas[2].attack.kind = AttackKind::PullToTarget;
+        replicas[2].attack.target = 9.0;
+        replicas[3].attack.kind =
+            noise ? AttackKind::RandomNoise : AttackKind::HullEdgeDown;
+        for (Scenario& s : replicas) {
+          s.faulty.clear();
+          for (std::size_t b = 0; b < byzantine; ++b)
+            s.faulty.push_back(12 - b);
+          s.drop_probability = drop;
+        }
+        expect_batch_matches_scalar(replicas);
       }
-      expect_batch_matches_scalar(replicas);
     }
   }
 }
 
 TEST(BatchRunner, NetworkLimitBoundaryMatchesScalar) {
-  // n = 32 selects from H = 22 honest rows; n = 33 is past the networks
-  // and keeps the full sort (the nth_element fallback).
-  for (std::size_t n : {kMaxSortingNetworkN, kMaxSortingNetworkN + 1}) {
+  // n = 32 and 33, either side of a power of two (the networks are
+  // generated for the next one and pruned), and n = 64, the last n they
+  // cover, with a noise replica beside the class-declaring ones; n = 65
+  // is refused (the grid drivers run it on run_sbg).
+  for (std::size_t n :
+       {std::size_t{32}, std::size_t{33}, kMaxSortingNetworkN}) {
     SCOPED_TRACE(n);
     std::vector<Scenario> replicas =
-        seed_axis(n, 10, AttackKind::SignFlip, 25, 4);
+        seed_axis(n, (n - 1) / 3, AttackKind::SignFlip, 25, 5);
     replicas[1].attack.kind = AttackKind::SplitBrain;
     replicas[2].attack.kind = AttackKind::PullToTarget;
     replicas[3].attack.kind = AttackKind::HullEdgeUp;
     replicas[3].attack.consistent = true;
+    replicas[4].attack.kind = AttackKind::RandomNoise;
     expect_batch_matches_scalar(replicas);
   }
+  EXPECT_THROW(run_sbg_batch(seed_axis(kMaxSortingNetworkN + 1, 21,
+                                       AttackKind::SignFlip, 5, 2)),
+               ContractViolation);
 }
 
 TEST(BatchRunner, SignedZeroStatesAndBoundsMatchScalarBitwise) {
@@ -417,7 +433,8 @@ TEST(BatchRunner, SignedZeroStatesAndBoundsMatchScalarBitwise) {
 
 TEST(BatchRunner, MismatchedShapeThrows) {
   std::vector<Scenario> replicas = seed_axis(7, 2, AttackKind::None, 20, 1);
-  replicas.push_back(make_standard_scenario(10, 3, 8.0, AttackKind::None, 20, 2));
+  replicas.push_back(
+      make_standard_scenario(10, 3, 8.0, AttackKind::None, 20, 2));
   EXPECT_THROW(run_sbg_batch(replicas), ContractViolation);
 }
 

@@ -195,16 +195,25 @@ TEST(BatchVectorRunner, NoByzantineAgentsTrimTheHonestRowsAlone) {
 }
 
 TEST(BatchVectorRunner, NetworkLimitBoundaryMatchesScalar) {
-  // n = 32 merges the class payloads into ranks selected from H = 22
-  // honest rows; n = 33 is past the networks and keeps the full sort.
-  // The d = 2 lanes mix two declared classes (split-brain) with one.
-  for (std::size_t n : {kMaxSortingNetworkN, kMaxSortingNetworkN + 1}) {
+  // n = 32 and 33, either side of a power of two (the networks are
+  // generated for the next one and pruned), and n = 64, the last n they
+  // cover: the d = 2 lanes mix two declared classes (split-brain) with
+  // one and with a per-message noise replica, whose F rows per recipient
+  // are sorted and merged. n = 65 is refused (the grid drivers run it on
+  // run_vector_scenario).
+  for (std::size_t n :
+       {std::size_t{32}, std::size_t{33}, kMaxSortingNetworkN}) {
     SCOPED_TRACE("n=" + std::to_string(n));
-    auto replicas = seed_axis(n, 10, 2, AttackKind::SplitBrain, 20, 3);
+    auto replicas =
+        seed_axis(n, (n - 1) / 3, 2, AttackKind::SplitBrain, 20, 4);
     replicas[1].attack.kind = AttackKind::SignFlip;
     replicas[2].attack.kind = AttackKind::HullEdgeDown;
+    replicas[3].attack.kind = AttackKind::RandomNoise;
     expect_batch_matches_scalar(replicas);
   }
+  EXPECT_THROW(run_vector_sbg_batch(seed_axis(kMaxSortingNetworkN + 1, 21, 2,
+                                              AttackKind::SignFlip, 5, 2)),
+               ContractViolation);
 }
 
 TEST(BatchVectorRunner, SpecialValuesMatchScalar) {

@@ -160,6 +160,24 @@ TEST(SweepOracle, AsyncGridMatchesSerialLoop) {
   expect_sweep_matches_serial_loop(config);
 }
 
+TEST(SweepOracle, ShapesPastTheNetworksMatchSerialLoop) {
+  // n = 65 is past the batched engines' n <= 64, so every mode runs it
+  // one replica at a time on the reference engines: sync, vector and
+  // async grids, per-message noise included.
+  SweepConfig config;
+  config.sizes = {{65, 21}};
+  config.dims = {1, 2};
+  config.attacks = {AttackKind::SplitBrain, AttackKind::PullToTarget,
+                    AttackKind::RandomNoise};
+  config.seeds = {1, 2};
+  config.rounds = 12;
+  expect_sweep_matches_serial_loop(config);
+  config.async_engine = true;
+  config.sizes = {{65, 12}};
+  config.dims = {1};
+  expect_sweep_matches_serial_loop(config);
+}
+
 TEST(SweepOracle, DelayedStrikeSleepsThroughTheFirstHalf) {
   // The loop wakes each delayed strike at round rounds / 2 + 1, and the
   // strike's row must differ from pull's, which acts from round 1. The

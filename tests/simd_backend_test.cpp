@@ -1,8 +1,8 @@
 // Equivalence tests for the SIMD lane backends (src/simd). The dispatch
 // contract is that every compiled-and-supported backend — scalar, SSE2,
-// AVX2, AVX-512 — produces bit-identical output to the scalar backend for every
-// kernel, including on signed zeros, infinities, and denormals; and that
-// the batched engine under any forced backend reproduces the scalar
+// AVX2, AVX-512 — produces bit-identical output to the scalar backend for
+// every kernel, including on signed zeros, infinities, and denormals; and
+// that the batched engine under any forced backend reproduces the scalar
 // reference engine exactly. Comparisons are on bit patterns
 // (std::bit_cast), not double equality, so +0.0 vs -0.0 divergence is
 // caught.
@@ -265,6 +265,49 @@ TEST(SimdKernels, MergeMidpointBitIdenticalAcrossBackends) {
       for (std::size_t i = 0; i < count; ++i)
         ASSERT_EQ(bits(expected[i]), bits(out[i])) << k.name;
     });
+  }
+}
+
+TEST(SimdKernels, MergeRowsMidpointBitIdenticalAcrossBackends) {
+  // The merge of F different rows: per lane, ascending honest runs of
+  // F + 1 values at ys_h and yl_h and ascending Byzantine values b;
+  // rank F of each run merged with b is min over j of
+  // max(h[F - j], b[j - 1]). Special values; every backend and the
+  // vector-tail path must give the scalar backend's bits.
+  const SimdKernels& scalar = simd_kernels_for(SimdIsa::kScalar);
+  Rng rng(109);
+  for (std::size_t rows : {2u, 3u, 7u}) {
+    for (std::size_t count : {1u, 3u, 4u, 9u, 33u}) {
+      auto ys_h = mixed_matrix(rows + 1, count, rng);
+      auto yl_h = mixed_matrix(rows + 1, count, rng);
+      auto b = mixed_matrix(rows, count, rng);
+      sort_columns(ys_h.data(), rows + 1, count);
+      sort_columns(yl_h.data(), rows + 1, count);
+      sort_columns(b.data(), rows, count);
+      std::vector<double> expected(count);
+      scalar.merge_rows_midpoint(b.data(), ys_h.data(), yl_h.data(), rows,
+                                 count, expected.data(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        // std::min / std::max in the kernel's operation order.
+        const auto rank = [&](const std::vector<double>& h) {
+          double m = h[rows * count + i];
+          for (std::size_t j = 1; j <= rows; ++j)
+            m = std::min(m, std::max(h[(rows - j) * count + i],
+                                     b[(j - 1) * count + i]));
+          return m;
+        };
+        const double s = rank(ys_h);
+        const double l = rank(yl_h);
+        ASSERT_EQ(bits(s + (l - s) / 2.0), bits(expected[i]));
+      }
+      for_each_backend([&](const SimdKernels& k) {
+        std::vector<double> out(count);
+        k.merge_rows_midpoint(b.data(), ys_h.data(), yl_h.data(), rows, count,
+                              out.data(), count);
+        for (std::size_t i = 0; i < count; ++i)
+          ASSERT_EQ(bits(expected[i]), bits(out[i])) << k.name;
+      });
+    }
   }
 }
 

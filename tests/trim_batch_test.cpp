@@ -85,7 +85,7 @@ TEST(SortingNetwork, ComparatorsAreInBoundsAndOrdered) {
 
 TEST(SortColumns, MatchesStdSortPerColumn) {
   Rng rng(11);
-  for (std::size_t n : {2u, 3u, 5u, 8u, 13u, 27u, 32u, 33u, 40u}) {
+  for (std::size_t n : {2u, 3u, 5u, 8u, 13u, 27u, 32u, 33u, 40u, 64u, 65u}) {
     for (std::size_t batch : {1u, 3u, 4u, 7u}) {
       auto matrix = random_matrix(n, batch, rng, n % 2 == 0);
       const auto original = matrix;
@@ -102,11 +102,11 @@ TEST(SortColumns, MatchesStdSortPerColumn) {
 }
 
 TEST(TrimBatch, BitIdenticalToScalarTrim) {
-  // Randomized cross-check over every fan-in the engine can see (network
-  // path up to 32, scalar fallback at 33) and every valid f, with and
+  // Randomized cross-check over every fan-in the engines can see (network
+  // path up to 64, scalar fallback at 65) and every valid f, with and
   // without ties.
   Rng rng(7);
-  for (std::size_t n = 2; n <= 33; ++n) {
+  for (std::size_t n = 2; n <= kMaxSortingNetworkN + 1; ++n) {
     for (std::size_t f = 0; 2 * f + 1 <= n; ++f) {
       for (std::size_t batch : {1u, 3u, 8u}) {
         for (bool ties : {false, true}) {
@@ -116,7 +116,8 @@ TEST(TrimBatch, BitIdenticalToScalarTrim) {
           trim_batch(matrix.data(), n, batch, f, value.data(), y_s.data(),
                      y_l.data());
           for (std::size_t r = 0; r < batch; ++r) {
-            const TrimResult expected = trim(column_of(original, n, batch, r), f);
+            const TrimResult expected =
+                trim(column_of(original, n, batch, r), f);
             // Bitwise: the whole point of the batched kernel.
             EXPECT_EQ(expected.value, value[r])
                 << "n=" << n << " f=" << f << " batch=" << batch << " r=" << r;
@@ -253,7 +254,7 @@ TEST(TrimBatch, SpecialValuesBitIdenticalToScalarTrimOnEveryBackend) {
 }
 
 TEST(TrimBatch, NetworkFallbackBoundaryParityOnEveryBackend) {
-  // n = 32 runs the sorting network, n = 33 the nth_element fallback; the
+  // n = 64 runs the sorting network, n = 65 the nth_element fallback; the
   // two paths must agree bitwise with the scalar reference on either side
   // of the boundary, on every backend, including with special values.
   Rng rng(29);
