@@ -1,8 +1,9 @@
 #include "cli/cli_app.hpp"
 
-#include <ostream>
-
+#include <algorithm>
 #include <fstream>
+#include <initializer_list>
+#include <ostream>
 #include <sstream>
 
 #include "cli/args.hpp"
@@ -22,7 +23,7 @@ namespace ftmao::cli {
 
 namespace {
 
-ArgParser make_parser() {
+std::vector<FlagSpec> flag_specs() {
   std::vector<FlagSpec> specs = {
       {"algorithm", "sbg | dgd | local | async | graph | crash", "sbg", false},
       {"n", "total number of agents", "7", false},
@@ -53,7 +54,7 @@ ArgParser make_parser() {
        "graph algorithm: complete | ring:<k> | barbell:<bridges> | random:<d>",
        "ring:2", false},
       {"crash-at", "crash algorithm: comma list of agent@round", "", false},
-      {"scenario", "load a scenario file (overrides the scenario flags)", "",
+      {"scenario", "load a scenario file in place of the scenario flags", "",
        false},
       {"save-scenario", "write the effective scenario to a file and exit", "",
        false},
@@ -62,7 +63,62 @@ ArgParser make_parser() {
       {"help", "show usage", "false", true},
   };
   specs.push_back(isa_flag_spec("output"));
-  return ArgParser(std::move(specs));
+  return specs;
+}
+
+bool among(const std::string& flag, std::initializer_list<const char*> names) {
+  return std::any_of(names.begin(), names.end(),
+                     [&flag](const char* name) { return flag == name; });
+}
+
+// The flags scenario_from reads, in three groups: the agents' layout and
+// schedule, the adversary and the run's seed, and what only the
+// synchronous round engines model. A --scenario file replaces them all.
+bool layout_flag(const std::string& flag) {
+  return among(flag, {"n", "f", "spread", "rounds", "step", "step-scale",
+                      "step-exp"});
+}
+bool adversary_flag(const std::string& flag) {
+  return among(flag, {"attack", "seed", "target", "magnitude",
+                      "gradient-magnitude", "flip-period",
+                      "activation-round"});
+}
+bool sync_flag(const std::string& flag) {
+  return among(flag, {"consistent", "drop", "constraint-lo", "constraint-hi"});
+}
+
+/// Whether --algorithm `algorithm` reads `flag`; run_cli refuses any
+/// other flag given.
+bool algorithm_reads(const std::string& algorithm, const std::string& flag) {
+  if (among(flag, {"algorithm", "help", "isa", "scenario"}) ||
+      layout_flag(flag))
+    return true;
+  const bool output = among(flag, {"save-scenario", "csv"});
+  if (algorithm == "sbg")
+    return adversary_flag(flag) || sync_flag(flag) || output ||
+           flag == "audit";
+  if (algorithm == "dgd")
+    return adversary_flag(flag) || among(flag, {"consistent", "drop"}) ||
+           output;
+  if (algorithm == "local") return output;
+  if (algorithm == "async") return adversary_flag(flag) || flag == "csv";
+  if (algorithm == "graph") return adversary_flag(flag) || flag == "topology";
+  return flag == "crash-at";
+}
+
+/// Why the given flags cannot run `algorithm`, or "" if they can.
+std::string usage_error(const ArgParser& parser, const std::string& algorithm) {
+  for (const FlagSpec& flag : flag_specs()) {
+    if (!parser.has(flag.name)) continue;
+    if (!algorithm_reads(algorithm, flag.name))
+      return "--" + flag.name + " is not an --algorithm " + algorithm +
+             " flag";
+    if (parser.has("scenario") &&
+        (layout_flag(flag.name) || adversary_flag(flag.name) ||
+         sync_flag(flag.name)))
+      return "--" + flag.name + " is replaced by the --scenario file";
+  }
+  return "";
 }
 
 Scenario scenario_from(const ArgParser& parser) {
@@ -150,10 +206,8 @@ int run_sync_algorithm(const ArgParser& parser, std::ostream& out) {
     metrics = run_sbg(s, options);
   } else if (algorithm == "dgd") {
     metrics = run_dgd(s);
-  } else if (algorithm == "local") {
-    metrics = run_local_gd(s);
   } else {
-    throw ContractViolation("unknown algorithm '" + algorithm + "'");
+    metrics = run_local_gd(s);
   }
   if (parser.get_bool("csv")) {
     print_csv(metrics, out);
@@ -239,11 +293,11 @@ int run_crash_algorithm(const ArgParser& parser, std::ostream& out) {
 }
 
 int run_async_algorithm(const ArgParser& parser, std::ostream& out) {
-  AsyncScenario s;
-  s.n = parser.get_count("n");
-  s.f = parser.get_count("f");
-  for (std::size_t i = s.n - s.f; i < s.n; ++i) s.faulty.push_back(i);
   const Scenario base = scenario_from(parser);
+  AsyncScenario s;
+  s.n = base.n;
+  s.f = base.f;
+  s.faulty = base.faulty;
   s.functions = base.functions;
   s.initial_states = base.initial_states;
   s.attack = base.attack;
@@ -271,7 +325,7 @@ int run_async_algorithm(const ArgParser& parser, std::ostream& out) {
 
 int run_cli(const std::vector<std::string>& args, std::ostream& out,
             std::ostream& err) {
-  ArgParser parser = make_parser();
+  ArgParser parser(flag_specs());
   if (const auto error = parser.parse(args)) {
     err << "error: " << *error << "\n\nusage:\n" << parser.help_text();
     return 2;
@@ -282,8 +336,15 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     return 0;
   }
   try {
-    if (!apply_isa_flag(parser, err)) return 2;
     const std::string algorithm = parser.get("algorithm");
+    if (!among(algorithm, {"sbg", "dgd", "local", "async", "graph", "crash"}))
+      throw ContractViolation("unknown algorithm '" + algorithm + "'");
+    if (const std::string error = usage_error(parser, algorithm);
+        !error.empty()) {
+      err << "error: " << error << "\n\nusage:\n" << parser.help_text();
+      return 2;
+    }
+    if (!apply_isa_flag(parser, err)) return 2;
     if (algorithm == "async") return run_async_algorithm(parser, out);
     if (algorithm == "graph") return run_graph_algorithm(parser, out);
     if (algorithm == "crash") return run_crash_algorithm(parser, out);

@@ -59,6 +59,9 @@ void GraphScenario::validate() const {
   FTMAO_EXPECTS(rounds >= 1);
   FTMAO_EXPECTS(topology.supports_trim(f));
   for (std::size_t i : faulty) FTMAO_EXPECTS(i < n);
+  // The consistency-restriction wrapper (baseline/consistent.hpp) has no
+  // graph counterpart: this engine builds bare adversaries.
+  FTMAO_EXPECTS(!attack.consistent);
 }
 
 GraphRunMetrics run_graph_sbg(const GraphScenario& scenario) {

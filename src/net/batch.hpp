@@ -7,11 +7,13 @@
 // lives in structure-of-arrays form and the hot reducers run across the
 // replica dimension. They never build a RoundView. Byzantine strategies
 // are asked summary_payload with the HonestSummary of their replica's
-// selected broadcasts (sim/broadcast_selection.hpp), which answers as
-// send_to does on the scalar SyncEngine's view, and their per-replica
-// RNG streams advance by exactly that engine's call sequence: a strategy
+// selected broadcasts (sim/batch_round.hpp), which answers as send_to
+// does on the scalar SyncEngine's view, and their per-replica RNG
+// streams advance by exactly that engine's call sequence: a strategy
 // that declares recipient classes (below) is asked once per (replica,
 // class), every other one once per message in the scalar call order.
+// The async batch engine (sim/batch_async_runner) asks summary_payload
+// too, once per message, with its trigger view's summary.
 
 #include <cstddef>
 #include <cstdint>

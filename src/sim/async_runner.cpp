@@ -24,6 +24,9 @@ void AsyncScenario::validate() const {
   FTMAO_EXPECTS(initial_states.size() == n);
   FTMAO_EXPECTS(rounds >= 1);
   for (std::size_t i : faulty) FTMAO_EXPECTS(i < n);
+  // The consistency-restriction wrapper (baseline/consistent.hpp) wraps
+  // synchronous rounds only; the async engines build bare adversaries.
+  FTMAO_EXPECTS(!attack.consistent);
 }
 
 namespace {
@@ -110,8 +113,8 @@ AsyncRunMetrics run_async_sbg(const AsyncScenario& scenario) {
 
   AsyncRunMetrics metrics;
   metrics.optima = family.optima_set();
-  metrics.virtual_time =
-      engine.run_until_round(Round{static_cast<std::uint32_t>(scenario.rounds)});
+  metrics.virtual_time = engine.run_until_round(
+      Round{static_cast<std::uint32_t>(scenario.rounds)});
 
   // Rebuild per-round series from agent histories; every honest agent has
   // completed at least `rounds` rounds when run_until_round returns with a

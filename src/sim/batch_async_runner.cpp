@@ -19,7 +19,6 @@
 #include "core/step_size.hpp"
 #include "core/valid_set.hpp"
 #include "net/delay.hpp"
-#include "net/sync.hpp"
 #include "sim/batch_grad.hpp"
 #include "sim/megabatch.hpp"
 #include "simd/simd.hpp"
@@ -49,6 +48,18 @@ bool contains(const std::vector<std::size_t>& v, std::size_t x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
+// HonestSummary::of a trigger view, which holds one broadcast: every
+// order statistic is that broadcast, and the mean folds it as of() does,
+// from 0.0, so the sign of a zero is kept.
+HonestSummary trigger_summary(double state, double gradient) {
+  HonestSummary s;
+  s.count = 1;
+  s.state = {state, state, state};
+  s.gradient = {gradient, gradient, gradient};
+  s.gradient_mean = (0.0 + gradient) / 1.0;
+  return s;
+}
+
 // Flat replay of AsyncEngine<SbgPayload> driving AsyncSbgAgents
 // (net/async.hpp, core/async_sbg.cpp) with the values stripped and the
 // value-independent slow parts replaced:
@@ -71,10 +82,11 @@ bool contains(const std::vector<std::size_t>& v, std::size_t x) {
 // Everything order-sensitive is preserved call-for-call: agents are walked
 // in the same add (= agent index) order, the delay model is consulted in
 // the same (from, to, now) sequence, events tie-break on the same monotone
-// seq, and the adversaries' send_to calls happen in the same nesting — so
-// the delay RNG stream, the adversary RNG streams, and the event order are
-// identical to run_async_sbg's engine (asserted per field at the bit level
-// by tests/batch_async_runner_test.cpp).
+// seq, and the adversaries are asked in send_to's nesting (sender outer,
+// recipient inner), through summary_payload with the trigger view's
+// summary — so the delay RNG stream, the adversary RNG streams, and the
+// event order are identical to run_async_sbg's engine (asserted per field
+// at the bit level by tests/batch_async_runner_test.cpp).
 LaneSchedule replay_schedule(const AsyncScenario& s) {
   AsyncSbgConfig config;
   config.n = s.n;
@@ -124,7 +136,9 @@ LaneSchedule replay_schedule(const AsyncScenario& s) {
   out.first_publisher.reserve(s.rounds + 2);
   std::vector<std::uint32_t> round(H, 1);
   for (auto& m : out.masks) m.reserve(s.rounds + 8);
-  std::vector<Received<SbgPayload>> view_payload(1);
+  // Presence does not depend on the trigger's values: Pass 2 asks again
+  // with the true ones.
+  const HonestSummary trigger = trigger_summary(0.0, 0.0);
 
   auto mask_slot = [&](std::size_t u, std::uint32_t r) -> std::uint64_t& {
     auto& v = out.masks[u];
@@ -145,14 +159,11 @@ LaneSchedule replay_schedule(const AsyncScenario& s) {
     if (!adversaries.empty() && r > out.first_publisher.size()) {
       FTMAO_EXPECTS(r == out.first_publisher.size() + 1);
       out.first_publisher.push_back(from);
-      view_payload[0] = Received<SbgPayload>{AgentId{from},
-                                             SbgPayload{0.0, 0.0}};
-      const RoundView<SbgPayload> view{Round{r}, view_payload};
       for (std::size_t b = 0; b < adversaries.size(); ++b) {
+        const AgentId byz{byz_ids[b]};
         for (const std::uint32_t rid : honest) {
-          if (adversaries[b]->send_to(AgentId{byz_ids[b]}, AgentId{rid}, view))
-            queue.push({now + delays->delay(AgentId{byz_ids[b]}, AgentId{rid},
-                                            now),
+          if (adversaries[b]->summary_payload(trigger, Round{r}, AgentId{rid}))
+            queue.push({now + delays->delay(byz, AgentId{rid}, now),
                         next_seq++, rid, byz_ids[b], r});
         }
       }
@@ -277,7 +288,6 @@ class BatchedAsyncRunner {
     bpg_.assign(H_ * F_ * Bpad_, 0.0);
     bucket_lanes_.resize(f_ + 1);
     bucket_masks_.resize(f_ + 1);
-    view_payload_.resize(1);
   }
 
   std::vector<AsyncRunMetrics> run() {
@@ -326,11 +336,11 @@ class BatchedAsyncRunner {
   }
 
   // Replays every lane's round-t Byzantine trigger: the recorded first
-  // publisher's true round-t tuple is the view, and each (recipient,
-  // sender) payload lands in its lane-padded row. Presence needs no
-  // tracking here: a Byzantine bit in an advance mask implies that round's
-  // message was sent (and so freshly written this round); absent payloads
-  // leave stale lanes no mask ever selects.
+  // publisher's true round-t tuple is the trigger view, and each
+  // (recipient, sender) payload lands in its lane-padded row. Presence
+  // needs no tracking here: a Byzantine bit in an advance mask implies
+  // that round's message was sent (and so freshly written this round);
+  // absent payloads leave stale lanes no mask ever selects.
   void fill_byzantine(std::size_t t, std::size_t gprev) {
     const Round round{static_cast<std::uint32_t>(t)};
     for (std::size_t r = 0; r < B_; ++r) {
@@ -338,14 +348,12 @@ class BatchedAsyncRunner {
       if (t > lane.first_publisher.size()) continue;
       const std::uint32_t pub = lane.first_publisher[t - 1];
       const std::size_t up = honest_pos_[pub];
-      view_payload_[0] = Received<SbgPayload>{
-          AgentId{pub},
-          SbgPayload{hist(t - 1, up)[r], g_[gprev][up * Bpad_ + r]}};
-      const RoundView<SbgPayload> view{round, view_payload_};
+      const HonestSummary trigger = trigger_summary(
+          hist(t - 1, up)[r], g_[gprev][up * Bpad_ + r]);
       for (std::size_t b = 0; b < F_; ++b) {
         for (std::size_t u = 0; u < H_; ++u) {
-          if (auto p = adversaries_[r][b]->send_to(faulty_ids_[b],
-                                                   honest_ids_[u], view)) {
+          if (auto p = adversaries_[r][b]->summary_payload(trigger, round,
+                                                           honest_ids_[u])) {
             const std::size_t o = (u * F_ + b) * Bpad_ + r;
             bpx_[o] = p->state;
             bpg_[o] = p->gradient;
@@ -503,7 +511,6 @@ class BatchedAsyncRunner {
   std::vector<double> txc_, tgc_, lamc_, nxc_, pec_;
   std::vector<std::vector<std::uint32_t>> bucket_lanes_;
   std::vector<std::vector<std::uint64_t>> bucket_masks_;
-  std::vector<Received<SbgPayload>> view_payload_;
 };
 
 }  // namespace

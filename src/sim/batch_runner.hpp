@@ -7,32 +7,17 @@
 // size, fault set, crash schedule, and horizon, differing only in seed,
 // cost functions, initial states, attack configuration, step schedule, or
 // constraint. BatchedSbgRunner advances B such replicas per round in
-// lockstep over structure-of-arrays state (x[agent][replica],
-// broadcast[sender][replica], inbox matrices [slot][replica]) so the
-// dominant inner kernel — Trim over each recipient's fan-in — runs as a
-// branchless batched comparator network across the replica lanes
-// (trim/trim_batch.hpp). The honest broadcasts' order statistics are
-// selected once per round (once per recipient under a delivery filter)
-// and each recipient class's Byzantine rows are merged into them: one
-// row where every sender sends the class one payload, else the F rows a
-// per-message strategy sent the recipient, sorted on their own.
-//
-// Determinism contract: the output is bit-identical to running run_sbg on
-// each scenario separately. Replicas never interact. Every strategy is
-// asked summary_payload with the HonestSummary of its replica's selected
-// broadcasts (adversary/strategies.hpp): per-message strategies once per
-// (recipient, sender) in the scalar engine's exact call order (so RNG
-// streams advance identically), class-declaring strategies once per
-// (replica, recipient class), which their declaration makes unobservable
-// (net/batch.hpp). The batched trims select the same order statistics as
-// the scalar nth_element path up to the sign of zero, and a selected
-// value reaches the output only through a Trim midpoint
-// y_s + (y_l - y_s)/2 or a comparison (pull's median against its
-// target), neither of which sees that sign; every floating-point
-// reduction (metrics folds, the summary's mean gradient) runs in the
-// scalar path's operation order.
-// tests/batch_runner_test.cpp pins this contract across attacks,
-// crashes, link drops, constraints, signed zeros, and audit options.
+// lockstep through one BatchRound (sim/batch_round.hpp, d = 1: lane r of
+// every agent row is replica r), which owns the lane rows, the Byzantine
+// payload plane, the trims and the projected step, and holds the
+// determinism contract. This engine keeps what the sync scenario owns:
+// the population order (survivors, then crashing agents), the delivery
+// filter (crash rounds, seeded link drops), which makes every recipient
+// trim its own honest rows, the per-lane gradients, one strategy per
+// sender (ConsistentWrapper included), witness audits, metrics and
+// traces. tests/batch_runner_test.cpp pins bit-identity to run_sbg across
+// attacks, crashes, link drops, constraints, signed zeros, audit options
+// and random packs.
 
 #include <span>
 #include <vector>

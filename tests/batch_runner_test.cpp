@@ -10,16 +10,21 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "func/functions.hpp"
 #include "sim/attack_search.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/certify.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
+#include "sim/scenario_io.hpp"
 #include "sim/sweep.hpp"
 #include "trim/trim_batch.hpp"
 
@@ -243,6 +248,73 @@ TEST(BatchRunner, DropsAndCrashWithDeclaredClassesMatchScalar) {
     replicas[i].drop_probability = 0.1 * static_cast<double>(i);
   }
   expect_batch_matches_scalar(replicas, options);
+}
+
+// Random packs through the shared round (sim/batch_round.hpp): each
+// fixed seed draws one shape (n, f, Byzantine senders, crashes, rounds)
+// and 1-17 replicas, each with its own attack (any of the 11, wrapped in
+// the reliable-broadcast restriction or not), delayed-strike activation,
+// constraint, default payload and drop probability. A mismatch names
+// the pack.
+TEST(BatchRunner, RandomPacksMatchScalar) {
+  constexpr AttackKind kKinds[] = {
+      AttackKind::None,         AttackKind::Silent,
+      AttackKind::FixedValue,   AttackKind::SplitBrain,
+      AttackKind::HullEdgeUp,   AttackKind::HullEdgeDown,
+      AttackKind::RandomNoise,  AttackKind::SignFlip,
+      AttackKind::PullToTarget, AttackKind::FlipFlop,
+      AttackKind::DelayedStrike};
+  constexpr std::size_t kSizes[] = {4, 5, 7, 13, 31, 32, 33, 64};
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const auto pick = [&rng](std::size_t count) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+    };
+    const std::size_t n = kSizes[pick(std::size(kSizes))];
+    const std::size_t f = 1 + pick((n - 1) / 3);
+    const std::size_t byzantine = pick(f + 1);
+    const std::size_t crashing = pick(f - byzantine + 1);
+    const std::size_t rounds = 20 + pick(41);
+    // Distinct agents: the Byzantine senders, then the crashing ones.
+    std::vector<std::size_t> agents(n);
+    for (std::size_t i = 0; i < n; ++i) agents[i] = i;
+    for (std::size_t i = 0; i < byzantine + crashing; ++i)
+      std::swap(agents[i], agents[i + pick(n - i)]);
+    std::vector<std::size_t> faulty(agents.begin(),
+                                    agents.begin() + byzantine);
+    std::vector<std::pair<std::size_t, std::size_t>> crashes;
+    for (std::size_t i = byzantine; i < byzantine + crashing; ++i)
+      crashes.push_back({agents[i], 1 + pick(rounds)});
+
+    std::string pack = "seed=" + std::to_string(seed) +
+                       " n=" + std::to_string(n) + " f=" + std::to_string(f) +
+                       " byzantine=" + std::to_string(byzantine) +
+                       " crashes=" + std::to_string(crashing) + " attacks:";
+    std::vector<Scenario> replicas;
+    for (std::size_t r = 1 + pick(17); r > 0; --r) {
+      const AttackKind kind = kKinds[pick(std::size(kKinds))];
+      Scenario s = make_standard_scenario(n, f, rng.uniform(2.0, 12.0), kind,
+                                          rounds, 1 + pick(1000));
+      s.faulty = faulty;
+      s.crashes = crashes;
+      s.attack.consistent = rng.bernoulli(0.3);
+      s.attack.activation_round = 1 + pick(rounds);
+      s.attack.target = rng.uniform(-20.0, 20.0);
+      if (rng.bernoulli(0.3)) {
+        const double lo = rng.uniform(-6.0, 0.0);
+        s.constraint = Interval{lo, lo + rng.uniform(0.5, 8.0)};
+      }
+      if (rng.bernoulli(0.5))
+        s.default_payload =
+            SbgPayload{rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)};
+      if (rng.bernoulli(0.3)) s.drop_probability = rng.uniform(0.0, 0.5);
+      pack += " " + attack_kind_name(kind) + (s.attack.consistent ? "*" : "");
+      replicas.push_back(std::move(s));
+    }
+    SCOPED_TRACE(pack + " (* consistent)");
+    expect_batch_matches_scalar(replicas);
+  }
 }
 
 TEST(BatchRunner, FinalValuesOnlyMatchScalarAndTheFullRun) {

@@ -9,15 +9,20 @@
 
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/rng.hpp"
 #include "func/functions.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/batch_vector_runner.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
+#include "sim/scenario_io.hpp"
 #include "sim/sweep.hpp"
 #include "sim/vector_scenario.hpp"
 #include "trim/trim_batch.hpp"
@@ -167,6 +172,73 @@ TEST(BatchVectorRunner, PerMessageBesideDeclaredClassesMatchesScalar) {
     replicas[1].attack.kind = AttackKind::PullToTarget;
     replicas[1].attack.target = 20.0;
     replicas[2].attack.kind = AttackKind::SplitBrain;
+    expect_batch_matches_scalar(replicas);
+  }
+}
+
+// Random packs through the shared round (sim/batch_round.hpp): each
+// fixed seed draws one shape (n, f, Byzantine senders, d, rounds) and
+// 1-17 replicas, each with its own attack (any of the 11), delayed-strike
+// activation, per-coordinate constraint and default payload. A mismatch
+// names the pack.
+TEST(BatchVectorRunner, RandomPacksMatchScalar) {
+  constexpr AttackKind kKinds[] = {
+      AttackKind::None,         AttackKind::Silent,
+      AttackKind::FixedValue,   AttackKind::SplitBrain,
+      AttackKind::HullEdgeUp,   AttackKind::HullEdgeDown,
+      AttackKind::RandomNoise,  AttackKind::SignFlip,
+      AttackKind::PullToTarget, AttackKind::FlipFlop,
+      AttackKind::DelayedStrike};
+  constexpr std::size_t kSizes[] = {4, 5, 7, 13, 31, 32, 33, 64};
+  constexpr std::size_t kDims[] = {1, 2, 3, 8};
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    const auto pick = [&rng](std::size_t count) {
+      return static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(count) - 1));
+    };
+    const auto random_vec = [&rng](std::size_t dim, double range) {
+      Vec v(dim);
+      for (std::size_t k = 0; k < dim; ++k) v[k] = rng.uniform(-range, range);
+      return v;
+    };
+    const std::size_t n = kSizes[pick(std::size(kSizes))];
+    const std::size_t f = 1 + pick((n - 1) / 3);
+    const std::size_t byzantine = pick(f + 1);
+    const std::size_t dim = kDims[pick(std::size(kDims))];
+    const std::size_t rounds = 20 + pick(41);
+
+    std::string pack = "seed=" + std::to_string(seed) +
+                       " n=" + std::to_string(n) + " f=" + std::to_string(f) +
+                       " byzantine=" + std::to_string(byzantine) +
+                       " d=" + std::to_string(dim) + " attacks:";
+    std::vector<VectorScenario> replicas;
+    for (std::size_t r = 1 + pick(17); r > 0; --r) {
+      const AttackKind kind = kKinds[pick(std::size(kKinds))];
+      VectorScenario s = make_standard_vector_scenario(
+          n, f, rng.uniform(2.0, 12.0), kind, rounds, 1 + pick(1000), dim);
+      // The f - byzantine unused Byzantine slots become honest agents.
+      s.byzantine_count = byzantine;
+      for (std::size_t i = byzantine; i < f; ++i) {
+        s.honest_costs.push_back(std::make_shared<SeparableHuber>(
+            random_vec(dim, 4.0), rng.uniform(0.5, 2.0), 1.0));
+        s.honest_initial.push_back(random_vec(dim, 4.0));
+      }
+      s.attack.activation_round = 1 + pick(rounds);
+      s.attack.target = rng.uniform(-20.0, 20.0);
+      if (rng.bernoulli(0.3)) {
+        for (std::size_t k = 0; k < dim; ++k) {
+          const double lo = rng.uniform(-6.0, 0.0);
+          s.constraint.push_back(Interval{lo, lo + rng.uniform(0.5, 8.0)});
+        }
+      }
+      if (rng.bernoulli(0.5))
+        s.default_payload =
+            VecPayload{random_vec(dim, 3.0), random_vec(dim, 3.0)};
+      pack += " " + attack_kind_name(kind);
+      replicas.push_back(std::move(s));
+    }
+    SCOPED_TRACE(pack);
     expect_batch_matches_scalar(replicas);
   }
 }

@@ -219,12 +219,73 @@ TEST(Cli, GraphBadTopologyFails) {
 
 TEST(Cli, CrashAlgorithmRuns) {
   std::string out;
-  EXPECT_EQ(run({"--algorithm", "crash", "--n", "5", "--f", "1", "--attack",
-                 "none", "--crash-at", "4@100", "--rounds", "1000"},
+  EXPECT_EQ(run({"--algorithm", "crash", "--n", "5", "--f", "1",
+                 "--crash-at", "4@100", "--rounds", "1000"},
                 &out),
             0);
   EXPECT_NE(out.find("survivors"), std::string::npos);
   EXPECT_NE(out.find("(17)-optimum interval"), std::string::npos);
+}
+
+TEST(Cli, EachAlgorithmRefusesFlagsItDoesNotRead) {
+  // Every accepted flag is honoured or refused: a flag the algorithm never
+  // reads exits 2 and names the flag instead of running as if absent.
+  const std::vector<std::vector<std::string>> refused = {
+      {"sbg", "--topology", "complete"},
+      {"sbg", "--crash-at", "4@100"},
+      {"dgd", "--constraint-lo", "-0.5", "--constraint-hi", "0.5"},
+      {"dgd", "--audit"},
+      {"local", "--attack", "pull"},
+      {"local", "--seed", "9"},
+      {"async", "--consistent"},
+      {"async", "--drop", "0.3"},
+      {"graph", "--consistent"},
+      {"graph", "--drop", "0.3"},
+      {"graph", "--csv"},
+      {"crash", "--attack", "pull"},
+      {"crash", "--seed", "9"},
+      {"crash", "--drop", "0.4"},
+  };
+  for (const std::vector<std::string>& flags : refused) {
+    std::vector<std::string> args = {"--algorithm"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    std::string out, err;
+    EXPECT_EQ(run(args, &out, &err), 2) << flags[0] << " " << flags[1];
+    EXPECT_NE(err.find(flags[1] + " is not an --algorithm " + flags[0]),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(out.empty()) << out;
+  }
+}
+
+TEST(Cli, AsyncRefusesSaveScenarioAndWritesNoFile) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "ftmao_cli_async_save.txt";
+  std::filesystem::remove(path);
+  std::string err;
+  EXPECT_EQ(run({"--algorithm", "async", "--n", "6", "--f", "1",
+                 "--save-scenario", path.string()},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("--save-scenario is not"), std::string::npos) << err;
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(Cli, ScenarioFileRefusesTheFlagsItReplaces) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "ftmao_cli_replaced.txt";
+  ASSERT_EQ(run({"--rounds", "50", "--save-scenario", path.string()}), 0);
+  std::string err;
+  EXPECT_EQ(run({"--scenario", path.string(), "--rounds", "60"}, nullptr,
+                &err),
+            2);
+  EXPECT_NE(err.find("--rounds is replaced by the --scenario file"),
+            std::string::npos)
+      << err;
+  std::string csv;
+  EXPECT_EQ(run({"--scenario", path.string(), "--csv"}, &csv), 0);
+  EXPECT_NE(csv.find("disagreement"), std::string::npos);
+  std::filesystem::remove(path);
 }
 
 TEST(Cli, CrashBadSpecFails) {

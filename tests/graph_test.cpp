@@ -200,6 +200,15 @@ TEST(GraphSbg, InsufficientInDegreeRejected) {
   EXPECT_THROW(run_graph_sbg(gs), ContractViolation);
 }
 
+TEST(GraphSbg, ConsistentAttackRejected) {
+  // The graph engine builds bare adversaries: a consistent attack would
+  // run as the unrestricted one.
+  GraphScenario gs = scenario_on(make_complete(7), 2, {5, 6}, 10);
+  gs.attack.consistent = true;
+  EXPECT_THROW(gs.validate(), ContractViolation);
+  EXPECT_THROW(run_graph_sbg(gs), ContractViolation);
+}
+
 TEST(GraphSbg, ByzantineCannotUseMissingLinks) {
   // The faulty agent has out-edges only within its clique; the other
   // clique must still converge (the attack cannot reach it directly).

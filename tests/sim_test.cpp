@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "common/contracts.hpp"
 #include "func/library.hpp"
 #include "sim/async_runner.hpp"
+#include "sim/batch_async_runner.hpp"
 #include "sim/crash_runner.hpp"
 #include "sim/runner.hpp"
 
@@ -17,7 +19,8 @@ namespace {
 // --------------------------------------------------------------- scenario
 
 TEST(Scenario, StandardFactoryShape) {
-  const Scenario s = make_standard_scenario(7, 2, 10.0, AttackKind::SplitBrain, 100);
+  const Scenario s =
+      make_standard_scenario(7, 2, 10.0, AttackKind::SplitBrain, 100);
   EXPECT_EQ(s.n, 7u);
   EXPECT_EQ(s.f, 2u);
   EXPECT_EQ(s.faulty.size(), 2u);
@@ -63,8 +66,9 @@ TEST(MakeAdversary, BuildsEachKind) {
   Rng rng(1);
   for (AttackKind kind :
        {AttackKind::None, AttackKind::Silent, AttackKind::FixedValue,
-        AttackKind::SplitBrain, AttackKind::HullEdgeUp, AttackKind::HullEdgeDown,
-        AttackKind::RandomNoise, AttackKind::SignFlip, AttackKind::PullToTarget}) {
+        AttackKind::SplitBrain, AttackKind::HullEdgeUp,
+        AttackKind::HullEdgeDown, AttackKind::RandomNoise,
+        AttackKind::SignFlip, AttackKind::PullToTarget}) {
     AttackConfig cfg;
     cfg.kind = kind;
     EXPECT_NE(make_adversary(cfg, rng.substream("a")), nullptr);
@@ -74,7 +78,8 @@ TEST(MakeAdversary, BuildsEachKind) {
 // ----------------------------------------------------------------- runner
 
 TEST(Runner, SeriesLengthsMatchRounds) {
-  const Scenario s = make_standard_scenario(7, 1, 6.0, AttackKind::SplitBrain, 50);
+  const Scenario s =
+      make_standard_scenario(7, 1, 6.0, AttackKind::SplitBrain, 50);
   const RunMetrics m = run_sbg(s);
   EXPECT_EQ(m.disagreement.size(), 51u);  // index 0 + 50 iterations
   EXPECT_EQ(m.max_dist_to_y.size(), 51u);
@@ -93,7 +98,8 @@ TEST(Runner, DeterministicAcrossCalls) {
 }
 
 TEST(Runner, SeedChangesRandomAttackTrajectory) {
-  Scenario s1 = make_standard_scenario(7, 2, 6.0, AttackKind::RandomNoise, 200, 1);
+  Scenario s1 =
+      make_standard_scenario(7, 2, 6.0, AttackKind::RandomNoise, 200, 1);
   Scenario s2 = s1;
   s2.seed = 2;
   const RunMetrics a = run_sbg(s1);
@@ -408,6 +414,17 @@ TEST(AsyncRunner, CrashBudgetEnforced) {
   s.faulty.clear();
   s.crashes = {{5, 1.0}};  // 5 is fine now (not faulty), within budget
   EXPECT_NO_THROW(run_async_sbg(s));
+}
+
+TEST(AsyncRunner, ValidationRefusesConsistentAttack) {
+  // Neither async engine wraps its adversaries in the reliable-broadcast
+  // restriction, so a consistent attack would run as a bare one.
+  AsyncScenario s = small_async_scenario(10);
+  s.attack.consistent = true;
+  EXPECT_THROW(s.validate(), ContractViolation);
+  EXPECT_THROW(run_async_sbg(s), ContractViolation);
+  EXPECT_THROW(run_async_sbg_batch(std::span<const AsyncScenario>(&s, 1)),
+               ContractViolation);
 }
 
 TEST(AsyncRunner, ValidationRequiresNGreaterThan5F) {
