@@ -90,6 +90,8 @@ bool sync_flag(const std::string& flag) {
 /// Whether --algorithm `algorithm` reads `flag`; run_cli refuses any
 /// other flag given.
 bool algorithm_reads(const std::string& algorithm, const std::string& flag) {
+  // A crash run has no fault bound: CrashScenario has no f.
+  if (algorithm == "crash" && flag == "f") return false;
   if (among(flag, {"algorithm", "help", "isa", "scenario"}) ||
       layout_flag(flag))
     return true;
@@ -131,7 +133,9 @@ Scenario scenario_from(const ArgParser& parser) {
     return load_scenario(file);
   }
   const auto n = parser.get_count("n");
-  const auto f = parser.get_count("f");
+  // --algorithm crash refuses --f, and its layout has no faulty agents.
+  const auto f =
+      parser.get("algorithm") == "crash" ? 0 : parser.get_count("f");
   Scenario s = make_standard_scenario(
       n, f, parser.get_double("spread"),
       parse_attack_kind(parser.get("attack")), parser.get_count("rounds"),

@@ -105,6 +105,10 @@ std::unique_ptr<SbgAdversary> make_adversary(const AttackConfig& config,
   return nullptr;
 }
 
+bool attack_reads_seed(AttackKind kind) {
+  return kind == AttackKind::RandomNoise;
+}
+
 Scenario make_standard_scenario(std::size_t n, std::size_t f, double spread,
                                 AttackKind attack, std::size_t rounds,
                                 std::uint64_t seed) {

@@ -37,7 +37,8 @@ enum class AttackKind {
 struct AttackConfig {
   AttackKind kind = AttackKind::None;
   double state_magnitude = 100.0;     ///< FixedValue/SplitBrain/RandomNoise
-  double gradient_magnitude = 10.0;   ///< FixedValue/SplitBrain/PullToTarget/RandomNoise
+  /// FixedValue/SplitBrain/PullToTarget/RandomNoise
+  double gradient_magnitude = 10.0;
   double target = 0.0;                ///< PullToTarget
   double amplification = 3.0;         ///< SignFlip
   std::size_t flip_period = 1;        ///< FlipFlop
@@ -58,7 +59,7 @@ struct StepConfig {
 struct Scenario {
   std::size_t n = 0;  ///< total agents
   std::size_t f = 0;  ///< fault bound given to the algorithm
-  std::vector<std::size_t> faulty;  ///< actual faulty agent indices (<= f of them)
+  std::vector<std::size_t> faulty;  ///< faulty agent indices (<= f of them)
   std::vector<ScalarFunctionPtr> functions;  ///< size n; faulty entries unused
   std::vector<double> initial_states;        ///< size n
   AttackConfig attack;
@@ -101,6 +102,14 @@ std::unique_ptr<StepSchedule> make_schedule(const StepConfig& config);
 /// randomized attacks (a distinct substream per faulty agent).
 std::unique_ptr<SbgAdversary> make_adversary(const AttackConfig& config,
                                              Rng rng);
+
+/// Whether the adversaries of `kind` read their seed: true exactly for
+/// the kinds make_adversary hands its `rng` (random noise only), so it
+/// must change whenever make_adversary's switch does. The vector factory
+/// (make_vector_adversary) and ConsistentWrapper read no seed beyond
+/// this. A synchronous run without link drops or crashes whose attack
+/// reads no seed is the same run for every seed.
+bool attack_reads_seed(AttackKind kind);
 
 /// Convenience scenario: n agents with evenly spread mixed cost functions
 /// over [-spread/2, spread/2], the last `f` agents faulty, initial states

@@ -1,5 +1,6 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -55,10 +56,21 @@ struct CellRuns {
 // batch engines are bit-identical to the reference engines per replica
 // regardless of batch composition, so the aggregate is the same whatever
 // the thread count, batch size, engine, or cache hit pattern.
+//
+// A seed-free cell runs one replica, on its first seed, and its finals
+// fill every seed slot: a sync grid has no link drops or crashes, so a
+// sync cell whose attack reads no seed (attack_reads_seed) is the same
+// run for every seed. Async cells draw their delays from the seed.
+// scalar_engine still runs every (cell, seed), so the reference path
+// stays an independent check of that rule.
 void run_pending(const SweepConfig& config, const std::vector<CellSpec>& specs,
                  const std::vector<std::size_t>& pending,
                  std::vector<CellRuns>& runs) {
   const std::size_t num_seeds = config.seeds.size();
+  const auto runs_once = [&](const CellSpec& spec) {
+    return !config.scalar_engine && !config.async_engine &&
+           !attack_reads_seed(spec.attack);
+  };
   std::vector<MegabatchItem> items;
   items.reserve(pending.size() * num_seeds);
   for (std::size_t c : pending) {
@@ -67,7 +79,8 @@ void run_pending(const SweepConfig& config, const std::vector<CellSpec>& specs,
                                        ? MegabatchEngine::kAsync
                                    : spec.dim >= 2 ? MegabatchEngine::kVector
                                                    : MegabatchEngine::kSync;
-    for (std::size_t i = 0; i < num_seeds; ++i)
+    const std::size_t seeds_run = runs_once(spec) ? 1 : num_seeds;
+    for (std::size_t i = 0; i < seeds_run; ++i)
       items.push_back({{engine, spec.n, spec.f, spec.dim}, c, i});
   }
   const MegabatchPlan plan = plan_megabatches(
@@ -120,6 +133,12 @@ void run_pending(const SweepConfig& config, const std::vector<CellSpec>& specs,
           }
         }
       });
+  for (std::size_t c : pending) {
+    if (!runs_once(specs[c])) continue;
+    for (std::vector<double>* values : {&runs[c].disagreement,
+                                        &runs[c].dist})
+      std::fill(values->begin() + 1, values->end(), values->front());
+  }
 }
 
 }  // namespace

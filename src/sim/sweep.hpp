@@ -37,7 +37,9 @@ struct SweepConfig : GridSpec {
 
   /// Force the scalar reference engines: the same plan with one replica
   /// per task, each run by run_sbg (run_vector_scenario, run_async_sbg).
-  /// For checking and benchmarking the batched engines against their
+  /// It also runs every (cell, seed), where the default runs a seed-free
+  /// cell once (run_sweep_cells), so it checks that rule too. For
+  /// checking and benchmarking the batched engines against their
   /// reference.
   bool scalar_engine = false;
 
@@ -88,6 +90,9 @@ std::string sweep_cell_cache_spec(const GridSpec& grid,
 /// order. Every (cell, seed) run derives its randomness solely from its
 /// own seed, so a cell's aggregate does not depend on which other cells
 /// run alongside it — the contract that makes sharded sweeps mergeable.
+/// A seed-free cell — a sync cell whose attack reads no seed
+/// (attack_reads_seed) — runs once, on its first seed, and that run's
+/// finals stand for every seed; scalar_engine runs every seed.
 std::vector<SweepCell> run_sweep_cells(const SweepConfig& config,
                                        const std::vector<CellSpec>& specs);
 

@@ -47,7 +47,7 @@ struct VectorScenario {
 
 /// The scalar attack catalogue lifted per coordinate, or vector noise.
 /// `rng` seeds the stateful strategy (random-noise); the liftings
-/// ignore it.
+/// ignore it, so the seed is read exactly when attack_reads_seed says.
 std::unique_ptr<VectorAdversary> make_vector_adversary(
     const AttackConfig& config, std::size_t dim, Rng rng);
 

@@ -558,6 +558,33 @@ TEST(CachedSweep, WarmHitsAreIdenticalAcrossThreadAndBatchKnobs) {
   EXPECT_EQ(sweep_csv(scalar), cold);
 }
 
+TEST(CachedSweep, DeduplicatedAndScalarRecordsServeEachOther) {
+  // The default run computes a seed-free cell once and fans its finals
+  // out; --scalar computes every seed. Each must serve the other.
+  SweepConfig config = small_grid();
+  config.attacks = {AttackKind::SplitBrain, AttackKind::RandomNoise};
+  const std::string reference = sweep_csv(config);
+  SweepConfig scalar = config;
+  scalar.scalar_engine = true;
+  for (bool scalar_writes : {false, true}) {
+    SCOPED_TRACE("scalar_writes=" + std::to_string(scalar_writes));
+    const auto dir =
+        fresh_dir(scalar_writes ? "scalar_writes" : "default_writes");
+    SweepConfig writer = scalar_writes ? scalar : config;
+    SweepConfig reader = scalar_writes ? config : scalar;
+    ResultCache write_cache{CacheConfig{dir.string(), 256 << 20}};
+    writer.cache = &write_cache;
+    EXPECT_EQ(sweep_csv(writer), reference);
+    ResultCache read_cache{CacheConfig{dir.string(), 256 << 20}};
+    reader.cache = &read_cache;
+    EXPECT_EQ(sweep_csv(reader), reference);
+    const CacheStats stats = read_cache.stats();
+    EXPECT_EQ(stats.misses, 0u);
+    EXPECT_EQ(stats.hits, write_cache.stats().inserts);
+    EXPECT_EQ(stats.inserts, 0u);
+  }
+}
+
 TEST(CachedSweep, AsyncEngineColdWarmAreByteIdentical) {
   SweepConfig config = small_async_grid();
   const std::string reference = sweep_csv(config);

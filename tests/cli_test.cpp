@@ -219,12 +219,30 @@ TEST(Cli, GraphBadTopologyFails) {
 
 TEST(Cli, CrashAlgorithmRuns) {
   std::string out;
-  EXPECT_EQ(run({"--algorithm", "crash", "--n", "5", "--f", "1",
-                 "--crash-at", "4@100", "--rounds", "1000"},
+  EXPECT_EQ(run({"--algorithm", "crash", "--n", "5", "--crash-at", "4@100",
+                 "--rounds", "1000"},
                 &out),
             0);
   EXPECT_NE(out.find("survivors"), std::string::npos);
   EXPECT_NE(out.find("(17)-optimum interval"), std::string::npos);
+}
+
+TEST(Cli, CrashAlgorithmNeedsNoFaultBound) {
+  // A crash run has no f, so --n 5 runs without one. The standard layout
+  // does not depend on f: these are the bytes of the same run built with
+  // f = 1.
+  std::string out;
+  EXPECT_EQ(
+      run({"--algorithm", "crash", "--n", "5", "--crash-at", "4@100"}, &out),
+      0);
+  EXPECT_EQ(out,
+            "metric                  value                  \n"
+            "-----------------------------------------------\n"
+            "survivors               4                      \n"
+            "final consensus         -0.777118              \n"
+            "(17)-optimum interval   [-1.27404, 0.0173891]  \n"
+            "final disagreement      0                      \n"
+            "final dist to (17) set  0                      \n");
 }
 
 TEST(Cli, EachAlgorithmRefusesFlagsItDoesNotRead) {
@@ -245,6 +263,7 @@ TEST(Cli, EachAlgorithmRefusesFlagsItDoesNotRead) {
       {"crash", "--attack", "pull"},
       {"crash", "--seed", "9"},
       {"crash", "--drop", "0.4"},
+      {"crash", "--f", "1"},
   };
   for (const std::vector<std::string>& flags : refused) {
     std::vector<std::string> args = {"--algorithm"};

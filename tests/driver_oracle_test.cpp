@@ -147,6 +147,24 @@ TEST(SweepOracle, SyncAndVectorGridMatchesSerialLoop) {
   expect_sweep_matches_serial_loop(config);
 }
 
+TEST(SweepOracle, EveryAttackMatchesSerialLoop) {
+  // Every attack on sync and vector cells. A seed-free cell runs once,
+  // on its first seed, outside --scalar; the explicit seeds make that
+  // seed 2, not 1, while the loop runs every seed.
+  SweepConfig config;
+  config.sizes = {{4, 1}, {10, 3}};
+  config.dims = {1, 2};
+  config.attacks = {AttackKind::None,         AttackKind::Silent,
+                    AttackKind::FixedValue,   AttackKind::SplitBrain,
+                    AttackKind::HullEdgeUp,   AttackKind::HullEdgeDown,
+                    AttackKind::RandomNoise,  AttackKind::SignFlip,
+                    AttackKind::PullToTarget, AttackKind::FlipFlop,
+                    AttackKind::DelayedStrike};
+  config.seeds = {2, 5, 11};
+  config.rounds = 60;
+  expect_sweep_matches_serial_loop(config);
+}
+
 TEST(SweepOracle, AsyncGridMatchesSerialLoop) {
   SweepConfig config;
   config.async_engine = true;
