@@ -1,6 +1,7 @@
 #include "adversary/strategies.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -46,26 +47,16 @@ HonestSummary HonestSummary::of(const RoundView<SbgPayload>& view) {
   return s;
 }
 
-std::optional<SbgPayload> SbgAdversary::summary_payload(const HonestSummary&,
-                                                        Round, AgentId) {
-  // Every strategy the batch engines build overrides this.
-  FTMAO_EXPECTS(false);
-  return std::nullopt;
-}
-
-std::optional<SbgPayload> UniformSummaryAdversary::send_to(
+std::optional<SbgPayload> SbgAdversary::send_to(
     AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
-  if (!cache_.fresh(view.round)) return cache_.get();
-  return cache_.store(view.round, summary_payload(HonestSummary::of(view),
-                                                  view.round, recipient));
+  if (summarized_ != view.round) {
+    summary_ = HonestSummary::of(view);
+    summarized_ = view.round;
+  }
+  return summary_payload(summary_, view.round, recipient);
 }
 
 // --------------------------------------------------------------- Silent
-
-std::optional<SbgPayload> SilentAdversary::send_to(
-    AgentId, AgentId, const RoundView<SbgPayload>&) {
-  return std::nullopt;
-}
 
 std::optional<SbgPayload> SilentAdversary::summary_payload(const HonestSummary&,
                                                            Round, AgentId) {
@@ -76,11 +67,6 @@ std::optional<SbgPayload> SilentAdversary::summary_payload(const HonestSummary&,
 
 FixedValueAdversary::FixedValueAdversary(SbgPayload payload)
     : payload_(payload) {}
-
-std::optional<SbgPayload> FixedValueAdversary::send_to(
-    AgentId, AgentId, const RoundView<SbgPayload>&) {
-  return payload_;
-}
 
 std::optional<SbgPayload> FixedValueAdversary::summary_payload(
     const HonestSummary&, Round, AgentId) {
@@ -95,12 +81,6 @@ SplitBrainAdversary::SplitBrainAdversary(double state_magnitude,
       gradient_magnitude_(gradient_magnitude) {
   FTMAO_EXPECTS(state_magnitude >= 0.0);
   FTMAO_EXPECTS(gradient_magnitude >= 0.0);
-}
-
-// The view is never read, so send_to skips the summary.
-std::optional<SbgPayload> SplitBrainAdversary::send_to(
-    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
-  return summary_payload(HonestSummary{}, view.round, recipient);
 }
 
 std::optional<SbgPayload> SplitBrainAdversary::summary_payload(
@@ -128,11 +108,6 @@ RandomNoiseAdversary::RandomNoiseAdversary(Rng rng, double state_range,
     : rng_(rng), state_range_(state_range), gradient_range_(gradient_range) {
   FTMAO_EXPECTS(state_range >= 0.0);
   FTMAO_EXPECTS(gradient_range >= 0.0);
-}
-
-std::optional<SbgPayload> RandomNoiseAdversary::send_to(
-    AgentId, AgentId recipient, const RoundView<SbgPayload>& view) {
-  return summary_payload(HonestSummary{}, view.round, recipient);
 }
 
 std::optional<SbgPayload> RandomNoiseAdversary::summary_payload(
@@ -175,24 +150,9 @@ std::optional<SbgPayload> PullToTargetAdversary::summary_payload(
 // ---------------------------------------------------- DelayedActivation
 
 DelayedActivationAdversary::DelayedActivationAdversary(
-    Round activation_round, SbgAdversary& late_strategy)
-    : activation_(activation_round), late_(&late_strategy) {}
-
-DelayedActivationAdversary::DelayedActivationAdversary(
     Round activation_round, std::unique_ptr<SbgAdversary> late_strategy)
-    : activation_(activation_round),
-      late_(late_strategy.get()),
-      owned_(std::move(late_strategy)) {
+    : activation_(activation_round), late_(std::move(late_strategy)) {
   FTMAO_EXPECTS(late_ != nullptr);
-}
-
-std::optional<SbgPayload> DelayedActivationAdversary::send_to(
-    AgentId self, AgentId recipient, const RoundView<SbgPayload>& view) {
-  if (view.round >= activation_) return late_->send_to(self, recipient, view);
-  if (!dormant_cache_.fresh(view.round)) return dormant_cache_.get();
-  return dormant_cache_.store(
-      view.round,
-      summary_payload(HonestSummary::of(view), view.round, recipient));
 }
 
 std::optional<SbgPayload> DelayedActivationAdversary::summary_payload(

@@ -16,25 +16,23 @@
 //   PullToTarget      adaptive: fabricates tuples that drag the system
 //                     toward an attacker-chosen point
 //
-// Every strategy implements both the synchronous and asynchronous
-// Byzantine interfaces (identical signatures), so the same attack runs
-// against SBG and async-SBG. Each also declares its recipient classes
-// (net/batch.hpp): class 0 for the strategies that send everyone one
-// payload, recipient parity for SplitBrain, kPerMessage for RandomNoise.
-// And each answers summary_payload, the one way the batch engines ask:
-// the class-declaring strategies read the round view only through its
-// HonestSummary, which the batch engines fill from their own selected
-// rows, and RandomNoise never reads it. The vector catalogue
-// (vector/vector_attacks.hpp) asks summary_payload once per coordinate.
+// A strategy answers one question, summary_payload: its payload for one
+// recipient given the HonestSummary of the round's honest broadcasts.
+// Every strategy reads the round view only through that summary, and
+// RandomNoise never reads it. The engines' question, send_to, is written
+// once in SbgAdversary on top of it, and the batch engines ask
+// summary_payload directly with summaries of their own selected rows.
+// Each strategy also declares its recipient classes (net/batch.hpp):
+// class 0 for the strategies that send everyone one payload, recipient
+// parity for SplitBrain, kPerMessage for RandomNoise. The vector
+// catalogue (vector/vector_attacks.hpp) asks summary_payload once per
+// coordinate.
 
-#include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 
 #include "common/rng.hpp"
 #include "core/payload.hpp"
-#include "net/async.hpp"
 #include "net/batch.hpp"
 #include "net/sync.hpp"
 
@@ -42,8 +40,8 @@ namespace ftmao {
 
 /// The order statistics and mean of one round's honest broadcasts that
 /// the catalogue's view-reading strategies use. of() computes them with
-/// the scalar operations those strategies always used, so their send_to
-/// keeps its bits: min/max as std::min/std::max folds from the first
+/// the scalar operations those strategies always used, so send_to keeps
+/// its bits: min/max as std::min/std::max folds from the first
 /// broadcast, the median as nth_element at rank count/2, the mean as a
 /// sum in sender order divided by the count. The batch engines fill the
 /// same fields from selected order statistics, which can differ from
@@ -62,13 +60,16 @@ struct HonestSummary {
   static HonestSummary of(const RoundView<SbgPayload>& view);
 };
 
-/// Common base: one send_to override serves both engine interfaces.
-class SbgAdversary : public ByzantineNode<SbgPayload>,
-                     public AsyncByzantineNode<SbgPayload> {
+/// Common base of the catalogue: a strategy implements summary_payload,
+/// and the engines ask send_to.
+class SbgAdversary : public ByzantineNode<SbgPayload> {
  public:
-  std::optional<SbgPayload> send_to(
-      AgentId self, AgentId recipient,
-      const RoundView<SbgPayload>& view) override = 0;
+  /// summary_payload(HonestSummary::of(view), view.round, recipient).
+  /// The summary is computed at the first call of a round and reused for
+  /// the round's other recipients: the scalar and async engines hold the
+  /// view fixed while they ask a round's messages.
+  std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
+                                    const RoundView<SbgPayload>& view) final;
 
   /// Which recipients share a payload, independent of the round; see
   /// RecipientClass for the promise a class id makes. The default,
@@ -77,67 +78,26 @@ class SbgAdversary : public ByzantineNode<SbgPayload>,
     return kPerMessage;
   }
 
-  /// The payload send_to gives `recipient` in round `round` when the
-  /// round's view has HonestSummary::of(view) == `summary`, drawing what
-  /// send_to draws. The batch engines ask this instead of send_to: once
-  /// per (replica, class), or once per message in the scalar engine's
-  /// order for a kPerMessage strategy. Their summaries' order statistics
-  /// may hold the other zero than of()'s. So the sign of a zero in
-  /// `summary` may reach the answer only as a payload value passed on
-  /// unchanged: a payload reaches the state only through a Trim
-  /// midpoint, which has the same bits for either zero. Every strategy
-  /// the batch engines build overrides this; the default throws
-  /// ContractViolation.
+  /// The payload `recipient` gets in round `round` when the round's view
+  /// has HonestSummary::of(view) == `summary`. send_to asks it once per
+  /// message; the batch engines ask it once per (replica, class), or once
+  /// per message in the scalar engine's order for a kPerMessage strategy.
+  /// Their summaries' order statistics may hold the other zero than
+  /// of()'s. So the sign of a zero in `summary` may reach the answer only
+  /// as a payload value passed on unchanged: a payload reaches the state
+  /// only through a Trim midpoint, which has the same bits for either
+  /// zero.
   virtual std::optional<SbgPayload> summary_payload(
-      const HonestSummary& summary, Round round, AgentId recipient);
-};
-
-/// Per-round payload memo for strategies whose payload is a pure function
-/// of the round view (recipient- and RNG-independent). The scalar and
-/// async engines fix the view for the duration of a round and call
-/// send_to once per message, so the derivation runs once per round and is
-/// replayed for the remaining recipients — same payload bits, O(view)
-/// work per round instead of per message. (The batch engines ask
-/// summary_payload instead, once per declared class.)
-class RoundPayloadCache {
- public:
-  bool fresh(Round round) const {
-    return !valid_ || round.value != round_;
-  }
-  const std::optional<SbgPayload>& store(Round round,
-                                         std::optional<SbgPayload> payload) {
-    round_ = round.value;
-    valid_ = true;
-    payload_ = std::move(payload);
-    return payload_;
-  }
-  const std::optional<SbgPayload>& get() const { return payload_; }
+      const HonestSummary& summary, Round round, AgentId recipient) = 0;
 
  private:
-  std::uint32_t round_ = 0;
-  bool valid_ = false;
-  std::optional<SbgPayload> payload_;
-};
-
-/// Base of the strategies that send every recipient one payload read
-/// from the round's HonestSummary: send_to is summary_payload of
-/// HonestSummary::of(view), derived once per round and replayed for the
-/// round's other recipients.
-class UniformSummaryAdversary : public SbgAdversary {
- public:
-  std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
-                                    const RoundView<SbgPayload>& view) final;
-  RecipientClass recipient_class(AgentId) const final { return 0; }
-
- private:
-  RoundPayloadCache cache_;
+  std::optional<Round> summarized_;  ///< round of summary_
+  HonestSummary summary_;
 };
 
 /// Sends nothing; honest agents fall back to the default tuple (Step 2).
 class SilentAdversary final : public SbgAdversary {
  public:
-  std::optional<SbgPayload> send_to(AgentId, AgentId,
-                                    const RoundView<SbgPayload>&) override;
   RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary&, Round,
                                             AgentId) override;
@@ -147,8 +107,6 @@ class SilentAdversary final : public SbgAdversary {
 class FixedValueAdversary final : public SbgAdversary {
  public:
   explicit FixedValueAdversary(SbgPayload payload);
-  std::optional<SbgPayload> send_to(AgentId, AgentId,
-                                    const RoundView<SbgPayload>&) override;
   RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary&, Round,
                                             AgentId) override;
@@ -163,8 +121,6 @@ class FixedValueAdversary final : public SbgAdversary {
 class SplitBrainAdversary final : public SbgAdversary {
  public:
   SplitBrainAdversary(double state_magnitude, double gradient_magnitude);
-  std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
-                                    const RoundView<SbgPayload>&) override;
   RecipientClass recipient_class(AgentId recipient) const override {
     return recipient.value % 2;
   }
@@ -182,9 +138,10 @@ class SplitBrainAdversary final : public SbgAdversary {
 /// upward), push_down the reverse. Because the values stay inside the
 /// honest range, trimming can never identify them as outliers; this is
 /// the optimal-bias strategy against trim-midpoint.
-class HullEdgeAdversary final : public UniformSummaryAdversary {
+class HullEdgeAdversary final : public SbgAdversary {
  public:
   explicit HullEdgeAdversary(bool push_up);
+  RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round, AgentId) override;
 
@@ -193,13 +150,11 @@ class HullEdgeAdversary final : public UniformSummaryAdversary {
 };
 
 /// Independent uniform noise per (recipient, round); deterministic per
-/// seed. Never reads the view: send_to is summary_payload, one state draw
-/// then one gradient draw per call.
+/// seed. Never reads the summary: one state draw then one gradient draw
+/// per call.
 class RandomNoiseAdversary final : public SbgAdversary {
  public:
   RandomNoiseAdversary(Rng rng, double state_range, double gradient_range);
-  std::optional<SbgPayload> send_to(AgentId, AgentId recipient,
-                                    const RoundView<SbgPayload>& view) override;
   std::optional<SbgPayload> summary_payload(const HonestSummary&, Round,
                                             AgentId) override;
 
@@ -211,9 +166,10 @@ class RandomNoiseAdversary final : public SbgAdversary {
 
 /// Echoes the median honest state (looks perfectly plausible) but sends
 /// the negated mean honest gradient scaled by `amplification`.
-class SignFlipAdversary final : public UniformSummaryAdversary {
+class SignFlipAdversary final : public SbgAdversary {
  public:
   explicit SignFlipAdversary(double amplification);
+  RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round, AgentId) override;
 
@@ -224,9 +180,10 @@ class SignFlipAdversary final : public UniformSummaryAdversary {
 /// Drags the system toward `target`: states at the target, gradients of
 /// magnitude `gradient_magnitude` pointing from the honest median toward
 /// the target.
-class PullToTargetAdversary final : public UniformSummaryAdversary {
+class PullToTargetAdversary final : public SbgAdversary {
  public:
   PullToTargetAdversary(double target, double gradient_magnitude);
+  RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round, AgentId) override;
 
@@ -241,14 +198,8 @@ class PullToTargetAdversary final : public UniformSummaryAdversary {
 /// adversary anything — it must not, since SBG is memoryless.
 class DelayedActivationAdversary final : public SbgAdversary {
  public:
-  /// Does not own `late_strategy`; caller keeps it alive.
-  DelayedActivationAdversary(Round activation_round,
-                             SbgAdversary& late_strategy);
-  /// Owning variant (used by the scenario factory).
   DelayedActivationAdversary(Round activation_round,
                              std::unique_ptr<SbgAdversary> late_strategy);
-  std::optional<SbgPayload> send_to(AgentId self, AgentId recipient,
-                                    const RoundView<SbgPayload>& view) override;
   /// The late strategy's classes: the dormant payload is the same for
   /// every recipient, so any partition holds before activation.
   RecipientClass recipient_class(AgentId recipient) const override {
@@ -260,17 +211,16 @@ class DelayedActivationAdversary final : public SbgAdversary {
 
  private:
   Round activation_;
-  SbgAdversary* late_;
-  std::unique_ptr<SbgAdversary> owned_;
-  RoundPayloadCache dormant_cache_;  ///< active phase delegates uncached
+  std::unique_ptr<SbgAdversary> late_;
 };
 
 /// Oscillator: alternates between pushing the extreme high and extreme low
 /// honest tuple each round (a resonance attempt against the diminishing
 /// step sizes).
-class FlipFlopAdversary final : public UniformSummaryAdversary {
+class FlipFlopAdversary final : public SbgAdversary {
  public:
   FlipFlopAdversary(std::size_t period = 1);
+  RecipientClass recipient_class(AgentId) const override { return 0; }
   std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
                                             Round round, AgentId) override;
 

@@ -1,15 +1,14 @@
 #include "baseline/consistent.hpp"
 
+#include <utility>
+
 #include "common/contracts.hpp"
 
 namespace ftmao {
 
-ConsistentWrapper::ConsistentWrapper(SbgAdversary& inner) : inner_(&inner) {}
-
-std::optional<SbgPayload> ConsistentWrapper::send_to(
-    AgentId self, AgentId recipient, const RoundView<SbgPayload>& view) {
-  if (!round_.fresh(view.round)) return round_.get();
-  return round_.store(view.round, inner_->send_to(self, recipient, view));
+ConsistentWrapper::ConsistentWrapper(std::unique_ptr<SbgAdversary> inner)
+    : inner_(std::move(inner)) {
+  FTMAO_EXPECTS(inner_ != nullptr);
 }
 
 RecipientClass ConsistentWrapper::recipient_class(AgentId recipient) const {
@@ -18,9 +17,11 @@ RecipientClass ConsistentWrapper::recipient_class(AgentId recipient) const {
 
 std::optional<SbgPayload> ConsistentWrapper::summary_payload(
     const HonestSummary& summary, Round round, AgentId recipient) {
-  if (!round_.fresh(round)) return round_.get();
-  return round_.store(round,
-                      inner_->summary_payload(summary, round, recipient));
+  if (answered_ != round) {
+    answer_ = inner_->summary_payload(summary, round, recipient);
+    answered_ = round;
+  }
+  return answer_;
 }
 
 }  // namespace ftmao

@@ -59,8 +59,9 @@ void GraphScenario::validate() const {
   FTMAO_EXPECTS(rounds >= 1);
   FTMAO_EXPECTS(topology.supports_trim(f));
   for (std::size_t i : faulty) FTMAO_EXPECTS(i < n);
-  // The consistency-restriction wrapper (baseline/consistent.hpp) has no
-  // graph counterpart: this engine builds bare adversaries.
+  // The consistency restriction (baseline/consistent.hpp) is modelled
+  // for synchronous rounds on the complete network only, so a consistent
+  // attack is refused here although make_adversary would wrap it.
   FTMAO_EXPECTS(!attack.consistent);
 }
 

@@ -10,8 +10,10 @@
 // Byzantine agents are triggered per round: as soon as the first honest
 // broadcast of round t exists, each Byzantine agent chooses a per-recipient
 // (possibly inconsistent, possibly absent) round-t payload, observing the
-// honest round-t payloads that exist so far. The engine is deterministic
-// given the delay model's seed.
+// honest round-t payloads that exist so far. They are the synchronous
+// engine's ByzantineNode (net/sync.hpp), asked through the same send_to,
+// so one strategy serves both engines. The engine is deterministic given
+// the delay model's seed.
 
 #include <cstdint>
 #include <optional>
@@ -53,18 +55,6 @@ class AsyncNode {
   virtual Round current_round() const = 0;
 };
 
-/// Byzantine behaviour in the async model: per-recipient round payloads.
-template <typename P>
-class AsyncByzantineNode {
- public:
-  virtual ~AsyncByzantineNode() = default;
-
-  /// Chooses the payload recipient sees for `round`; view holds the honest
-  /// round-`round` broadcasts existing at trigger time. nullopt = omit.
-  virtual std::optional<P> send_to(AgentId self, AgentId recipient,
-                                   const RoundView<P>& view) = 0;
-};
-
 template <typename P>
 class AsyncEngine {
  public:
@@ -75,7 +65,7 @@ class AsyncEngine {
     honest_.push_back({id, node});
   }
 
-  void add_byzantine(AgentId id, AsyncByzantineNode<P>* node) {
+  void add_byzantine(AgentId id, ByzantineNode<P>* node) {
     FTMAO_EXPECTS(node != nullptr);
     byzantine_.push_back({id, node});
   }
@@ -191,7 +181,7 @@ class AsyncEngine {
 
   DelayModel* delays_;
   std::vector<std::pair<AgentId, AsyncNode<P>*>> honest_;
-  std::vector<std::pair<AgentId, AsyncByzantineNode<P>*>> byzantine_;
+  std::vector<std::pair<AgentId, ByzantineNode<P>*>> byzantine_;
   std::vector<TaggedMessage<P>> honest_round_msgs_;
   std::vector<Round> byz_rounds_sent_;
   std::vector<std::pair<AgentId, double>> crashes_;

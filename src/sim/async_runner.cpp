@@ -24,8 +24,9 @@ void AsyncScenario::validate() const {
   FTMAO_EXPECTS(initial_states.size() == n);
   FTMAO_EXPECTS(rounds >= 1);
   for (std::size_t i : faulty) FTMAO_EXPECTS(i < n);
-  // The consistency-restriction wrapper (baseline/consistent.hpp) wraps
-  // synchronous rounds only; the async engines build bare adversaries.
+  // The consistency restriction (baseline/consistent.hpp) is modelled
+  // for synchronous rounds on the complete network only, so a consistent
+  // attack is refused here although make_adversary would wrap it.
   FTMAO_EXPECTS(!attack.consistent);
 }
 

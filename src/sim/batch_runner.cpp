@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "adversary/strategies.hpp"
-#include "baseline/consistent.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "core/admissibility.hpp"
@@ -75,8 +74,6 @@ class BatchedSbgRunner {
     drop_seed_.reserve(B_);
     filter_on_.reserve(B_);
     adversaries_.resize(B_);
-    wrappers_.resize(B_);
-    byz_nodes_.resize(B_);
     const bool has_crashes = !first.crashes.empty();
     constexpr std::uint32_t kNeverCrashes =
         std::numeric_limits<std::uint32_t>::max();
@@ -97,24 +94,16 @@ class BatchedSbgRunner {
       // Per-replica adversary objects, seeded exactly as the scalar runner
       // seeds them, so randomized strategies consume identical streams.
       Rng rng(s.seed);
-      for (std::size_t idx : s.faulty) {
+      for (std::size_t idx : s.faulty)
         adversaries_[r].push_back(
             make_adversary(s.attack, rng.substream("adversary", idx)));
-        SbgAdversary* node = adversaries_[r].back().get();
-        if (s.attack.consistent) {
-          wrappers_[r].push_back(
-              std::make_unique<ConsistentWrapper>(*adversaries_[r].back()));
-          node = wrappers_[r].back().get();
-        }
-        byz_nodes_[r].push_back(node);
-      }
     }
 
     // Every sender of a replica is built from one config, so the first
     // one declares for all.
     round_.init(H_, F_, f_, 1, B_, any_filter,
                 [&](std::size_t r, std::size_t j) {
-                  return byz_nodes_[r][0]->recipient_class(honest_ids_[j]);
+                  return adversaries_[r][0]->recipient_class(honest_ids_[j]);
                 });
     const std::size_t stride = round_.stride();
 
@@ -178,8 +167,8 @@ class BatchedSbgRunner {
       round_.select();
       round_.collect([&](std::size_t r, std::size_t b, std::size_t j,
                          std::span<const HonestSummary> summaries) {
-        return byz_nodes_[r][b]->summary_payload(summaries[0], round,
-                                                 honest_ids_[j]);
+        return adversaries_[r][b]->summary_payload(summaries[0], round,
+                                                   honest_ids_[j]);
       });
       for (std::size_t r = 0; r < B_; ++r)
         round_.step_size(r, schedules_[r]->at(t - 1));
@@ -341,8 +330,6 @@ class BatchedSbgRunner {
   std::vector<std::unique_ptr<StepSchedule>> schedules_;
   std::vector<ValidFamily> families_;
   std::vector<std::vector<std::unique_ptr<SbgAdversary>>> adversaries_;
-  std::vector<std::vector<std::unique_ptr<ConsistentWrapper>>> wrappers_;
-  std::vector<std::vector<SbgAdversary*>> byz_nodes_;
 
   // Delivery-filter tables (crash schedule shared; drops seeded per
   // replica).

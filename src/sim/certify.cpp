@@ -1,8 +1,10 @@
 #include "sim/certify.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
+#include "common/contracts.hpp"
 #include "common/table.hpp"
 #include "core/theory.hpp"
 #include "func/library.hpp"
@@ -144,6 +146,10 @@ void add_worst(std::vector<CertifyCheck>& checks, const std::string& name,
 
 CertificationReport certify_sbg(const CertifyOptions& options) {
   FTMAO_EXPECTS(options.n > 3 * options.f);
+  // Refused up front: the vector section's layout needs a positive
+  // width, and it runs only after the others.
+  if (!std::isfinite(options.spread) || options.spread <= 0)
+    throw ContractViolation("spread: must be finite and > 0");
   const std::vector<AttackKind>& grid = attack_grid();
   CertificationReport report;
 

@@ -73,7 +73,8 @@ void GridSpec::validate() const {
     fail("attacks", "empty or repeated");
   if (seeds.empty() || has_repeats(seeds)) fail("seeds", "empty or repeated");
   if (rounds < 1) fail("rounds", "must be >= 1");
-  if (!std::isfinite(spread)) fail("spread", "must be finite");
+  if (!std::isfinite(spread) || spread <= 0)
+    fail("spread", "must be finite and > 0");
   if (!std::isfinite(step.scale) || step.scale <= 0 ||
       !std::isfinite(step.exponent) ||
       (step.kind == StepKind::Power && step.exponent <= 0))

@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 
-#include "baseline/consistent.hpp"
 #include "baseline/dgd.hpp"
 #include "baseline/local_gd.hpp"
 #include "common/contracts.hpp"
@@ -68,7 +67,8 @@ RunMetrics run_with_agents(
     // faulty/crash vectors into the lambda and scanning them per message:
     // faulty_bitmap[i] marks Byzantine senders (exempt from drops),
     // crash_round[i] is the round from which sender i falls silent.
-    constexpr std::uint32_t kNeverCrashes = std::numeric_limits<std::uint32_t>::max();
+    constexpr std::uint32_t kNeverCrashes =
+        std::numeric_limits<std::uint32_t>::max();
     std::vector<std::uint8_t> faulty_bitmap(scenario.n, 0);
     for (std::size_t idx : scenario.faulty) faulty_bitmap[idx] = 1;
     std::vector<std::uint32_t> crash_round(scenario.n, kNeverCrashes);
@@ -89,17 +89,11 @@ RunMetrics run_with_agents(
   }
 
   std::vector<std::unique_ptr<SbgAdversary>> adversaries;
-  std::vector<std::unique_ptr<ConsistentWrapper>> wrappers;
   for (std::size_t idx : scenario.faulty) {
     adversaries.push_back(
         make_adversary(scenario.attack, rng.substream("adversary", idx)));
-    ByzantineNode<SbgPayload>* node = adversaries.back().get();
-    if (scenario.attack.consistent) {
-      wrappers.push_back(
-          std::make_unique<ConsistentWrapper>(*adversaries.back()));
-      node = wrappers.back().get();
-    }
-    engine.add_byzantine(AgentId{static_cast<std::uint32_t>(idx)}, node);
+    engine.add_byzantine(AgentId{static_cast<std::uint32_t>(idx)},
+                         adversaries.back().get());
   }
 
   FTMAO_EXPECTS(options.record_series || !options.record_trace);
@@ -187,7 +181,8 @@ RunMetrics run_with_agents(
   }
 
   metrics.final_states.reserve(agents.size());
-  for (const auto& agent : agents) metrics.final_states.push_back(agent->state());
+  for (const auto& agent : agents)
+    metrics.final_states.push_back(agent->state());
   return metrics;
 }
 

@@ -1,6 +1,7 @@
 #include "sim/scenario.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "baseline/consistent.hpp"
 #include "common/contracts.hpp"
@@ -69,8 +70,10 @@ std::unique_ptr<StepSchedule> make_schedule(const StepConfig& config) {
   return nullptr;
 }
 
-std::unique_ptr<SbgAdversary> make_adversary(const AttackConfig& config,
-                                             Rng rng) {
+namespace {
+
+std::unique_ptr<SbgAdversary> make_strategy(const AttackConfig& config,
+                                            Rng rng) {
   switch (config.kind) {
     case AttackKind::None:
     case AttackKind::Silent:
@@ -103,6 +106,15 @@ std::unique_ptr<SbgAdversary> make_adversary(const AttackConfig& config,
   }
   FTMAO_EXPECTS(false);
   return nullptr;
+}
+
+}  // namespace
+
+std::unique_ptr<SbgAdversary> make_adversary(const AttackConfig& config,
+                                             Rng rng) {
+  std::unique_ptr<SbgAdversary> strategy = make_strategy(config, rng);
+  if (!config.consistent) return strategy;
+  return std::make_unique<ConsistentWrapper>(std::move(strategy));
 }
 
 bool attack_reads_seed(AttackKind kind) {

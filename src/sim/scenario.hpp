@@ -98,8 +98,10 @@ struct Scenario {
 /// Builds the step schedule described by the config.
 std::unique_ptr<StepSchedule> make_schedule(const StepConfig& config);
 
-/// Builds one adversary instance for a faulty agent. `rng` seeds the
-/// randomized attacks (a distinct substream per faulty agent).
+/// Builds one adversary instance for a faulty agent, inside a
+/// ConsistentWrapper (baseline/consistent.hpp) when `config.consistent`
+/// is set. `rng` seeds the randomized attacks (a distinct substream per
+/// faulty agent).
 std::unique_ptr<SbgAdversary> make_adversary(const AttackConfig& config,
                                              Rng rng);
 

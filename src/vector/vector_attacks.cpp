@@ -15,24 +15,6 @@ CoordinatewiseAdversary::CoordinatewiseAdversary(
   FTMAO_EXPECTS(scalar_->recipient_class(AgentId{0}) != kPerMessage);
 }
 
-std::optional<VecPayload> CoordinatewiseAdversary::send_to(
-    AgentId, AgentId recipient, const RoundView<VecPayload>& view) {
-  const auto& msgs = view.honest_broadcasts;
-  if (summarized_ != view.round.value) {
-    summarized_ = view.round.value;
-    summaries_.clear();
-    const std::size_t d = msgs.empty() ? 0 : msgs[0].payload.state.dim();
-    std::vector<Received<SbgPayload>> coordinate(msgs.size());
-    for (std::size_t k = 0; k < d; ++k) {
-      for (std::size_t j = 0; j < msgs.size(); ++j)
-        coordinate[j] = {msgs[j].from, {msgs[j].payload.state[k],
-                                        msgs[j].payload.gradient[k]}};
-      summaries_.push_back(HonestSummary::of({view.round, coordinate}));
-    }
-  }
-  return summary_payload(summaries_, view.round, recipient);
-}
-
 std::optional<VecPayload> CoordinatewiseAdversary::summary_payload(
     std::span<const HonestSummary> summaries, Round round,
     AgentId recipient) {
@@ -61,11 +43,6 @@ VectorRandomNoise::VectorRandomNoise(Rng rng, std::size_t dim,
   FTMAO_EXPECTS(dim >= 1);
   FTMAO_EXPECTS(state_range >= 0.0);
   FTMAO_EXPECTS(gradient_range >= 0.0);
-}
-
-std::optional<VecPayload> VectorRandomNoise::send_to(
-    AgentId, AgentId recipient, const RoundView<VecPayload>& view) {
-  return summary_payload({}, view.round, recipient);
 }
 
 std::optional<VecPayload> VectorRandomNoise::summary_payload(

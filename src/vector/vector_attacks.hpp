@@ -12,12 +12,15 @@
 // Random noise stays its own class: it is asked per message and draws
 // all state coordinates before all gradient coordinates, an order no
 // per-coordinate call of the scalar noise reproduces.
+//
+// Both classes implement only summary_payload. VectorAdversary::send_to
+// (vector/vector_sbg.hpp) summarizes each coordinate of the round view
+// once per round and asks it, as the batch engine asks it with the
+// summaries of its own selected rows.
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "adversary/strategies.hpp"
 #include "common/rng.hpp"
@@ -25,16 +28,13 @@
 
 namespace ftmao {
 
-/// A class-declaring scalar strategy applied to every coordinate; it is
-/// asked only through summary_payload. send_to summarizes each
-/// coordinate of the view once per round. An empty view gives no
-/// payload.
+/// A class-declaring scalar strategy applied to every coordinate: it is
+/// asked summary_payload with that coordinate's summary. An empty view
+/// gives no payload.
 class CoordinatewiseAdversary final : public VectorAdversary {
  public:
   CoordinatewiseAdversary(std::unique_ptr<SbgAdversary> scalar,
                           bool negate_odd);
-  std::optional<VecPayload> send_to(AgentId self, AgentId recipient,
-                                    const RoundView<VecPayload>& view) override;
   RecipientClass recipient_class(AgentId recipient) const override {
     return scalar_->recipient_class(recipient);
   }
@@ -45,20 +45,16 @@ class CoordinatewiseAdversary final : public VectorAdversary {
  private:
   std::unique_ptr<SbgAdversary> scalar_;
   bool negate_odd_;
-  std::optional<std::uint32_t> summarized_;  ///< round of summaries_
-  std::vector<HonestSummary> summaries_;     ///< one per coordinate
 };
 
 /// Independent uniform noise per (recipient, round, coordinate);
 /// deterministic per seed. Draws all state coordinates, then all
 /// gradient coordinates (dim == 1 reproduces the scalar draw order).
-/// Never reads the view: send_to is summary_payload.
+/// Never reads the summaries.
 class VectorRandomNoise final : public VectorAdversary {
  public:
   VectorRandomNoise(Rng rng, std::size_t dim, double state_range,
                     double gradient_range);
-  std::optional<VecPayload> send_to(AgentId, AgentId recipient,
-                                    const RoundView<VecPayload>& view) override;
   std::optional<VecPayload> summary_payload(std::span<const HonestSummary>,
                                             Round, AgentId) override;
 

@@ -76,11 +76,22 @@ void VectorSbgAgent::step(Round t,
   state_ = next;
 }
 
-std::optional<VecPayload> VectorAdversary::summary_payload(
-    std::span<const HonestSummary>, Round, AgentId) {
-  // Every strategy the batch engine builds overrides this.
-  FTMAO_EXPECTS(false);
-  return std::nullopt;
+std::optional<VecPayload> VectorAdversary::send_to(
+    AgentId, AgentId recipient, const RoundView<VecPayload>& view) {
+  if (summarized_ != view.round) {
+    const auto& msgs = view.honest_broadcasts;
+    summaries_.clear();
+    const std::size_t d = msgs.empty() ? 0 : msgs[0].payload.state.dim();
+    std::vector<Received<SbgPayload>> coordinate(msgs.size());
+    for (std::size_t k = 0; k < d; ++k) {
+      for (std::size_t j = 0; j < msgs.size(); ++j)
+        coordinate[j] = {msgs[j].from, {msgs[j].payload.state[k],
+                                        msgs[j].payload.gradient[k]}};
+      summaries_.push_back(HonestSummary::of({view.round, coordinate}));
+    }
+    summarized_ = view.round;
+  }
+  return summary_payload(summaries_, view.round, recipient);
 }
 
 VectorRunResult run_vector_sbg(

@@ -67,21 +67,33 @@ class VectorSbgAgent final : public SyncNode<VecPayload> {
 };
 
 /// Byzantine behaviour for the vector algorithm, the counterpart of
-/// SbgAdversary (vector/vector_attacks.hpp holds the catalogue).
+/// SbgAdversary (vector/vector_attacks.hpp holds the catalogue): a
+/// strategy implements summary_payload, and the engine asks send_to.
 class VectorAdversary : public ByzantineNode<VecPayload> {
  public:
+  /// summary_payload of the HonestSummary of each coordinate of the
+  /// view, one per coordinate; an empty view gives no summaries. As in
+  /// SbgAdversary::send_to, the summaries are computed at the first call
+  /// of a round and reused for the round's other recipients.
+  std::optional<VecPayload> send_to(AgentId self, AgentId recipient,
+                                    const RoundView<VecPayload>& view) final;
+
   /// As SbgAdversary::recipient_class; only the batch engine asks.
   virtual RecipientClass recipient_class(AgentId /*recipient*/) const {
     return kPerMessage;
   }
 
-  /// The payload send_to gives `recipient` in round `round` when
-  /// coordinate k of the round's view has HonestSummary `summaries[k]`,
-  /// under SbgAdversary::summary_payload's promise; the batch engine asks
-  /// it as the sync one asks that. The default throws ContractViolation.
+  /// The payload `recipient` gets in round `round` when coordinate k of
+  /// the round's view has HonestSummary `summaries[k]`, under
+  /// SbgAdversary::summary_payload's promise; the batch engine asks it as
+  /// the sync one asks that.
   virtual std::optional<VecPayload> summary_payload(
       std::span<const HonestSummary> summaries, Round round,
-      AgentId recipient);
+      AgentId recipient) = 0;
+
+ private:
+  std::optional<Round> summarized_;       ///< round of summaries_
+  std::vector<HonestSummary> summaries_;  ///< one per coordinate
 };
 
 struct VectorRunResult {

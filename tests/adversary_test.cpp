@@ -7,7 +7,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "adversary/strategies.hpp"
@@ -137,8 +139,8 @@ TEST(PullToTarget, FlipsWhenMedianBelowTarget) {
 }
 
 TEST(DelayedActivation, MimicsHonestThenStrikes) {
-  PullToTargetAdversary late(-100.0, 5.0);
-  DelayedActivationAdversary adv(Round{10}, late);
+  DelayedActivationAdversary adv(
+      Round{10}, std::make_unique<PullToTargetAdversary>(-100.0, 5.0));
   const auto msgs = honest_msgs({{0, {1.0, 0.5}}, {1, {3.0, 1.5}}});
   const RoundView<SbgPayload> dormant{Round{5}, msgs};
   const auto p1 = adv.send_to(AgentId{9}, AgentId{0}, dormant);
@@ -177,8 +179,7 @@ TEST(FlipFlopAttack, AlternatesDirectionByPeriod) {
 // ----------------------------------------------------- ConsistentWrapper
 
 TEST(ConsistentWrapper, ForcesIdenticalPayloadsWithinRound) {
-  SplitBrainAdversary inner(10.0, 2.0);
-  ConsistentWrapper wrapped(inner);
+  ConsistentWrapper wrapped(std::make_unique<SplitBrainAdversary>(10.0, 2.0));
   const RoundView<SbgPayload> view{Round{1}, {}};
   const auto p0 = wrapped.send_to(AgentId{9}, AgentId{0}, view);
   const auto p1 = wrapped.send_to(AgentId{9}, AgentId{1}, view);
@@ -192,13 +193,12 @@ TEST(ConsistentWrapper, RefreshesAcrossRounds) {
   // a round but must be re-queried on the next round.
   class RoundEcho final : public SbgAdversary {
    public:
-    std::optional<SbgPayload> send_to(
-        AgentId, AgentId, const RoundView<SbgPayload>& view) override {
-      return SbgPayload{static_cast<double>(view.round.value), 0.0};
+    std::optional<SbgPayload> summary_payload(const HonestSummary&,
+                                              Round round, AgentId) override {
+      return SbgPayload{static_cast<double>(round.value), 0.0};
     }
   };
-  RoundEcho inner;
-  ConsistentWrapper wrapped(inner);
+  ConsistentWrapper wrapped(std::make_unique<RoundEcho>());
   const RoundView<SbgPayload> v1{Round{1}, {}};
   const RoundView<SbgPayload> v2{Round{2}, {}};
   EXPECT_DOUBLE_EQ(wrapped.send_to(AgentId{9}, AgentId{0}, v1)->state, 1.0);
@@ -207,8 +207,7 @@ TEST(ConsistentWrapper, RefreshesAcrossRounds) {
 }
 
 TEST(ConsistentWrapper, PreservesOmissions) {
-  SilentAdversary inner;
-  ConsistentWrapper wrapped(inner);
+  ConsistentWrapper wrapped(std::make_unique<SilentAdversary>());
   const RoundView<SbgPayload> view{Round{1}, {}};
   EXPECT_FALSE(wrapped.send_to(AgentId{9}, AgentId{0}, view).has_value());
 }
@@ -222,20 +221,6 @@ constexpr AttackKind kEveryAttack[] = {
     AttackKind::RandomNoise,  AttackKind::SignFlip,
     AttackKind::PullToTarget, AttackKind::FlipFlop,
     AttackKind::DelayedStrike};
-
-// One faulty agent's strategy as the engines build it: from the factory,
-// optionally inside a ConsistentWrapper.
-struct BuiltAdversary {
-  BuiltAdversary(const AttackConfig& config, Rng rng)
-      : inner(make_adversary(config, rng)) {
-    if (config.consistent)
-      wrapper = std::make_unique<ConsistentWrapper>(*inner);
-  }
-  SbgAdversary& get() { return wrapper ? *wrapper : *inner; }
-
-  std::unique_ptr<SbgAdversary> inner;
-  std::unique_ptr<ConsistentWrapper> wrapper;
-};
 
 AttackConfig attack_config(AttackKind kind, bool consistent) {
   AttackConfig config;
@@ -259,9 +244,10 @@ TEST(RecipientClass, EachStrategyDeclaresItsClasses) {
   const Rng rng(5);
   for (AttackKind kind : kEveryAttack) {
     SCOPED_TRACE(static_cast<int>(kind));
-    BuiltAdversary adv(attack_config(kind, false), rng.substream("a", 0));
+    const auto adv =
+        make_adversary(attack_config(kind, false), rng.substream("a", 0));
     for (std::uint32_t r = 0; r < 8; ++r) {
-      const RecipientClass declared = adv.get().recipient_class(AgentId{r});
+      const RecipientClass declared = adv->recipient_class(AgentId{r});
       if (kind == AttackKind::SplitBrain) {
         EXPECT_EQ(declared, r % 2);
       } else if (kind == AttackKind::RandomNoise) {
@@ -274,10 +260,10 @@ TEST(RecipientClass, EachStrategyDeclaresItsClasses) {
 }
 
 TEST(RecipientClass, DelayedActivationForwardsItsLateStrategy) {
-  SplitBrainAdversary split(10.0, 2.0);
-  RandomNoiseAdversary noise(Rng(3), 5.0, 1.0);
-  DelayedActivationAdversary split_later(Round{10}, split);
-  DelayedActivationAdversary noise_later(Round{10}, noise);
+  DelayedActivationAdversary split_later(
+      Round{10}, std::make_unique<SplitBrainAdversary>(10.0, 2.0));
+  DelayedActivationAdversary noise_later(
+      Round{10}, std::make_unique<RandomNoiseAdversary>(Rng(3), 5.0, 1.0));
   for (std::uint32_t r = 0; r < 6; ++r) {
     EXPECT_EQ(split_later.recipient_class(AgentId{r}), r % 2);
     EXPECT_EQ(noise_later.recipient_class(AgentId{r}), kPerMessage);
@@ -288,11 +274,12 @@ TEST(RecipientClass, ConsistentWrapperDeclaresOneClassExceptForNoise) {
   const Rng rng(5);
   for (AttackKind kind : kEveryAttack) {
     SCOPED_TRACE(static_cast<int>(kind));
-    BuiltAdversary adv(attack_config(kind, true), rng.substream("a", 0));
+    const auto adv =
+        make_adversary(attack_config(kind, true), rng.substream("a", 0));
     const RecipientClass expected =
         kind == AttackKind::RandomNoise ? kPerMessage : 0;
     for (std::uint32_t r = 0; r < 8; ++r)
-      EXPECT_EQ(adv.get().recipient_class(AgentId{r}), expected);
+      EXPECT_EQ(adv->recipient_class(AgentId{r}), expected);
   }
 }
 
@@ -311,8 +298,8 @@ TEST(RecipientClass, DeclaredClassesKeepTheirPromise) {
       SCOPED_TRACE(std::string(consistent ? "consistent " : "") +
                    std::to_string(static_cast<int>(kind)));
       const AttackConfig config = attack_config(kind, consistent);
-      BuiltAdversary a(config, rng.substream("adversary", 7));
-      BuiltAdversary twin(config, rng.substream("adversary", 8));
+      const auto a = make_adversary(config, rng.substream("adversary", 7));
+      const auto twin = make_adversary(config, rng.substream("adversary", 8));
       Rng draws(3);
       for (std::uint32_t t = 1; t <= 6; ++t) {
         std::vector<Received<SbgPayload>> msgs;
@@ -322,15 +309,15 @@ TEST(RecipientClass, DeclaredClassesKeepTheirPromise) {
         const RoundView<SbgPayload> view{Round{t}, msgs};
         std::vector<std::optional<SbgPayload>> seen;
         for (std::uint32_t j = 0; j < kRecipients; ++j)
-          seen.push_back(a.get().send_to(AgentId{20}, AgentId{j}, view));
+          seen.push_back(a->send_to(AgentId{20}, AgentId{j}, view));
         std::vector<std::optional<SbgPayload>> answer(kRecipients);
         for (std::uint32_t j = 0; j < kRecipients; ++j) {
-          const RecipientClass cls = a.get().recipient_class(AgentId{j});
+          const RecipientClass cls = a->recipient_class(AgentId{j});
           if (cls == kPerMessage) continue;
           std::uint32_t first = 0;
-          while (a.get().recipient_class(AgentId{first}) != cls) ++first;
+          while (a->recipient_class(AgentId{first}) != cls) ++first;
           if (first == j)
-            answer[j] = twin.get().send_to(AgentId{21}, AgentId{j}, view);
+            answer[j] = twin->send_to(AgentId{21}, AgentId{j}, view);
           EXPECT_TRUE(same_bits(seen[j], answer[first]))
               << "round " << t << " recipient " << j;
         }
@@ -345,7 +332,8 @@ TEST(SummaryPayload, PerMessageStrategiesAnswerAsSendToDoes) {
   // The batch engines ask noise summary_payload once per message, so it
   // must draw exactly send_to's stream: two twins, one asked each way
   // in turn, stay bit-identical. Scalar noise, then vector noise at d = 3.
-  const RoundView<SbgPayload> view{Round{1}, honest_msgs({{0, {1.0, 2.0}}})};
+  const auto msgs = honest_msgs({{0, {1.0, 2.0}}});
+  const RoundView<SbgPayload> view{Round{1}, msgs};
   RandomNoiseAdversary a(Rng(3), 5.0, 1.0);
   RandomNoiseAdversary b(Rng(3), 5.0, 1.0);
   for (std::uint32_t j = 0; j < 20; ++j) {
@@ -371,9 +359,9 @@ TEST(SummaryPayload, PerMessageStrategiesAnswerAsSendToDoes) {
 
   // A wrapped noise replays its round's first summary answer to every
   // recipient, as its send_to does, and draws afresh in the next round.
-  RandomNoiseAdversary inner(Rng(5), 5.0, 1.0);
   RandomNoiseAdversary reference(Rng(5), 5.0, 1.0);
-  ConsistentWrapper wrapped(inner);
+  ConsistentWrapper wrapped(
+      std::make_unique<RandomNoiseAdversary>(Rng(5), 5.0, 1.0));
   for (std::uint32_t t = 1; t <= 3; ++t) {
     const std::optional<SbgPayload> first =
         reference.summary_payload(HonestSummary{}, Round{t}, AgentId{0});
@@ -419,8 +407,8 @@ TEST(SummaryPayload, MatchesSendToOverRandomViews) {
       SCOPED_TRACE(std::string(consistent ? "consistent " : "") +
                    std::to_string(static_cast<int>(kind)));
       const AttackConfig config = attack_config(kind, consistent);
-      BuiltAdversary a(config, rng.substream("adversary", 7));
-      BuiltAdversary twin(config, rng.substream("adversary", 8));
+      const auto a = make_adversary(config, rng.substream("adversary", 7));
+      const auto twin = make_adversary(config, rng.substream("adversary", 8));
       Rng draws(17);
       auto draw = [&](double range) {
         return draws.uniform(0.0, 1.0) < 0.5
@@ -437,17 +425,135 @@ TEST(SummaryPayload, MatchesSendToOverRandomViews) {
         std::vector<std::optional<SbgPayload>> answer(kRecipients);
         for (std::uint32_t j = 0; j < kRecipients; ++j) {
           const std::optional<SbgPayload> seen =
-              a.get().send_to(AgentId{20}, AgentId{j}, view);
-          const RecipientClass cls = a.get().recipient_class(AgentId{j});
+              a->send_to(AgentId{20}, AgentId{j}, view);
+          const RecipientClass cls = a->recipient_class(AgentId{j});
           std::uint32_t first = 0;
-          while (a.get().recipient_class(AgentId{first}) != cls) ++first;
+          while (a->recipient_class(AgentId{first}) != cls) ++first;
           if (first == j)
-            answer[j] = twin.get().summary_payload(summary, Round{t},
-                                                   AgentId{j});
+            answer[j] = twin->summary_payload(summary, Round{t}, AgentId{j});
           EXPECT_TRUE(same_bits(seen, answer[first]))
               << "round " << t << " recipient " << j;
         }
       }
+    }
+  }
+}
+
+// --------------------------------------------------------- shared send_to
+
+// A strategy that forgets summary_payload does not compile: both bases
+// leave it pure, and send_to is theirs alone.
+static_assert(std::is_abstract_v<SbgAdversary>);
+static_assert(std::is_abstract_v<VectorAdversary>);
+
+bool same_summary(const HonestSummary& a, const HonestSummary& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto same_stats = [&](const HonestSummary::Stats& x,
+                              const HonestSummary::Stats& y) {
+    return bits(x.min) == bits(y.min) && bits(x.median) == bits(y.median) &&
+           bits(x.max) == bits(y.max);
+  };
+  return a.count == b.count && same_stats(a.state, b.state) &&
+         same_stats(a.gradient, b.gradient) &&
+         bits(a.gradient_mean) == bits(b.gradient_mean);
+}
+
+TEST(SharedSendTo, SummarizesTheFirstViewOfEachRound) {
+  // A strategy that implements only summary_payload, asked through
+  // send_to. The engines hold a round's view fixed, so the round's first
+  // view is summarized once and answers the round's other recipients,
+  // even one shown another view; the next round summarizes afresh.
+  class SummarySpy final : public SbgAdversary {
+   public:
+    std::optional<SbgPayload> summary_payload(const HonestSummary& summary,
+                                              Round, AgentId) override {
+      seen.push_back(summary);
+      return SbgPayload{summary.state.max, summary.gradient.min};
+    }
+    std::vector<HonestSummary> seen;
+  };
+  const auto first = honest_msgs({{0, {1.0, -3.0}}, {1, {5.0, 2.0}}});
+  const auto other = honest_msgs({{0, {-7.0, 4.0}}});
+  SummarySpy spy;
+  const auto p0 = spy.send_to(AgentId{9}, AgentId{0}, {Round{1}, first});
+  const auto p1 = spy.send_to(AgentId{9}, AgentId{1}, {Round{1}, other});
+  const auto p2 = spy.send_to(AgentId{9}, AgentId{0}, {Round{2}, other});
+  ASSERT_EQ(spy.seen.size(), 3u);
+  const HonestSummary of_first = HonestSummary::of({Round{1}, first});
+  EXPECT_TRUE(same_summary(spy.seen[0], of_first));
+  EXPECT_TRUE(same_summary(spy.seen[1], of_first));
+  EXPECT_TRUE(
+      same_summary(spy.seen[2], HonestSummary::of({Round{2}, other})));
+  EXPECT_TRUE(same_bits(p0, SbgPayload{5.0, -3.0}));
+  EXPECT_TRUE(same_bits(p1, p0));
+  EXPECT_TRUE(same_bits(p2, SbgPayload{-7.0, 4.0}));
+}
+
+TEST(SharedSendTo, VectorBaseSummarizesEachCoordinate) {
+  // The vector base hands summary_payload one HonestSummary::of per
+  // coordinate of the view, once per round, and an empty span for an
+  // empty view.
+  class SummarySpy final : public VectorAdversary {
+   public:
+    std::optional<VecPayload> summary_payload(
+        std::span<const HonestSummary> summaries, Round, AgentId) override {
+      seen.emplace_back(summaries.begin(), summaries.end());
+      return std::nullopt;
+    }
+    std::vector<std::vector<HonestSummary>> seen;
+  };
+  const std::vector<Received<VecPayload>> msgs = {
+      {AgentId{0}, {Vec{1.0, -0.0, 4.0}, Vec{0.5, 2.0, -1.0}}},
+      {AgentId{1}, {Vec{-2.0, 0.0, 4.0}, Vec{1.5, -2.0, 3.0}}},
+      {AgentId{2}, {Vec{3.0, 7.0, -4.0}, Vec{0.25, 0.0, 2.0}}}};
+  SummarySpy spy;
+  spy.send_to(AgentId{9}, AgentId{0}, {Round{1}, msgs});
+  spy.send_to(AgentId{9}, AgentId{1}, {Round{1}, msgs});
+  spy.send_to(AgentId{9}, AgentId{0}, {Round{2}, {}});
+  ASSERT_EQ(spy.seen.size(), 3u);
+  for (std::size_t call = 0; call < 2; ++call) {
+    ASSERT_EQ(spy.seen[call].size(), 3u);
+    for (std::size_t k = 0; k < 3; ++k) {
+      std::vector<Received<SbgPayload>> coordinate;
+      for (const auto& msg : msgs)
+        coordinate.push_back(
+            {msg.from, {msg.payload.state[k], msg.payload.gradient[k]}});
+      EXPECT_TRUE(same_summary(spy.seen[call][k],
+                               HonestSummary::of({Round{1}, coordinate})))
+          << "call " << call << " coordinate " << k;
+    }
+  }
+  EXPECT_TRUE(spy.seen[2].empty());
+}
+
+TEST(SharedSendTo, ConsistentFactoryStrategiesAnswerEveryRecipientAlike) {
+  // make_adversary wraps every kind in a ConsistentWrapper when the
+  // config asks, noise included. Asked through send_to, every recipient
+  // of a round gets the round's first answer, bit for bit. The rounds
+  // straddle delayed-strike's activation.
+  constexpr std::uint32_t kRecipients = 9;
+  const Rng rng(19);
+  for (AttackKind kind : kEveryAttack) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    EXPECT_EQ(dynamic_cast<ConsistentWrapper*>(
+                  make_adversary(attack_config(kind, false), rng).get()),
+              nullptr);
+    const auto adv = make_adversary(attack_config(kind, true),
+                                    rng.substream("adversary", 7));
+    EXPECT_NE(dynamic_cast<ConsistentWrapper*>(adv.get()), nullptr);
+    Rng draws(23);
+    for (std::uint32_t t = 1; t <= 6; ++t) {
+      std::vector<Received<SbgPayload>> msgs;
+      for (std::uint32_t j = 0; j < kRecipients; ++j)
+        msgs.push_back({AgentId{j}, SbgPayload{draws.uniform(-5.0, 5.0),
+                                               draws.uniform(-2.0, 2.0)}});
+      const RoundView<SbgPayload> view{Round{t}, msgs};
+      const std::optional<SbgPayload> first =
+          adv->send_to(AgentId{20}, AgentId{0}, view);
+      for (std::uint32_t j = 1; j < kRecipients; ++j)
+        EXPECT_TRUE(
+            same_bits(adv->send_to(AgentId{20}, AgentId{j}, view), first))
+            << "round " << t << " recipient " << j;
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "cache/result_cache.hpp"
 #include "common/contracts.hpp"
 #include "sim/certify.hpp"
 
@@ -63,6 +66,25 @@ TEST(Certify, RejectsBadResilience) {
   options.n = 6;
   options.f = 2;
   EXPECT_THROW(certify_sbg(options), ContractViolation);
+}
+
+TEST(Certify, RefusesNonPositiveSpreadBeforeAnySection) {
+  // The message names the field, and no section has asked the cache
+  // for a run when it comes.
+  for (double spread : {0.0, -1.0}) {
+    ResultCache cache(CacheConfig{});
+    CertifyOptions options;
+    options.spread = spread;
+    options.cache = &cache;
+    try {
+      certify_sbg(options);
+      ADD_FAILURE() << "spread " << spread << ": accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("spread"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+  }
 }
 
 TEST(Certify, Deterministic) {

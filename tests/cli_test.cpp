@@ -376,6 +376,8 @@ TEST(GridFlags, MalformedGridsFailNamingTheFlag) {
           {{"--engine", "warp"}, "engine"},
           {{"--engine", "async"}, "sizes"},  // 7:2 violates n > 5f
           {{"--spread", "inf"}, "spread"},
+          {{"--spread", "0"}, "spread"},
+          {{"--spread", "-1"}, "spread"},
           {{"--step-scale", "0"}, "step"},
           {{"--step", "geometric"}, "step"},
           {{"--delay-lo", "nan"}, "delay"},

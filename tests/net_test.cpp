@@ -128,7 +128,7 @@ TEST(SyncEngine, ByzantineObservesCurrentRoundHonestBroadcasts) {
   engine.add_honest(AgentId{1}, &b);
   engine.add_byzantine(AgentId{2}, &byz);
   engine.run_round(Round{3});
-  // honest broadcasts in round 3: 0*1000+3 and 1*1000+3 -> sum = 1006 + ... = 3 + 1003
+  // honest broadcasts in round 3: 0*1000+3 and 1*1000+3, summed
   const int expected = (0 * 1000 + 3) + (1 * 1000 + 3);
   bool found = false;
   for (const auto& msg : a.inboxes()[0]) {
@@ -285,7 +285,7 @@ TEST(AsyncEngine, DeterministicAcrossRuns) {
 }
 
 // Async Byzantine that sends different values to different recipients.
-class AsyncSplitByz final : public AsyncByzantineNode<int> {
+class AsyncSplitByz final : public ByzantineNode<int> {
  public:
   std::optional<int> send_to(AgentId, AgentId recipient,
                              const RoundView<int>&) override {

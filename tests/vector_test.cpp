@@ -435,8 +435,8 @@ TEST(VectorRecipientClass, ScalarEngineNeverAsks) {
   // so it must stay class-blind: it asks for payloads per message only.
   class ClassSpy final : public VectorAdversary {
    public:
-    std::optional<VecPayload> send_to(AgentId, AgentId,
-                                      const RoundView<VecPayload>&) override {
+    std::optional<VecPayload> summary_payload(std::span<const HonestSummary>,
+                                              Round, AgentId) override {
       return std::nullopt;
     }
     RecipientClass recipient_class(AgentId) const override {
