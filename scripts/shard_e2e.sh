@@ -12,8 +12,9 @@
 # multi-worker fabric: a SIGKILLed worker's lease is stolen, workers get
 # --spec and no grid flags, flags a mode does not read and malformed
 # grids are refused, unusable worker flags and negative counts are
-# refused, and a hung shard process is killed at --timeout-sec and
-# retried.
+# refused, a hung shard process is killed at --timeout-sec and retried,
+# and a local run started by bare name through PATH finds the
+# ftmao_sweep beside its executable.
 #
 # Registered as the ctest `shard_e2e` (label `shard`); also runnable
 # directly:
@@ -527,10 +528,38 @@ if ! cmp -s "$WORK/single_fabric.csv" "$WORK/merged_fabric_timeout.csv"; then
   exit 1
 fi
 
+echo "shard_e2e: local mode started through PATH finds its worker ..."
+# Without --worker, ftmao_fabric runs the ftmao_sweep next to its own
+# executable. Started by bare name through PATH, from a directory that
+# holds neither binary, argv[0] has no directory part: the worker must
+# still be found, and the merge match the single-process run.
+APPS=$(cd "$(dirname "$FABRIC")" && pwd)
+if [ "$(cd "$(dirname "$SWEEP")" && pwd)/$(basename "$SWEEP")" != \
+     "$APPS/ftmao_sweep" ]; then
+  echo "shard_e2e: skipped — $SWEEP is not ftmao_sweep beside $FABRIC"
+else
+  PGRID="--sizes 4:1 --attacks split-brain --seeds 1 --rounds 5"
+  # shellcheck disable=SC2086  # word-splitting of $PGRID is intended
+  "$SWEEP" $PGRID --csv > "$WORK/single_path.csv"
+  # Absolute, since the fabric runs from another directory.
+  HERE=$(cd "$WORK" && pwd)
+  mkdir -p "$HERE/elsewhere"
+  # shellcheck disable=SC2086
+  (cd "$HERE/elsewhere" &&
+   PATH="$APPS:$PATH" "$(basename "$FABRIC")" --mode local \
+     --fabric-dir "$HERE/local_path" $PGRID --shards 2 --retries 0 \
+     --out "$HERE/merged_path.csv" 2> "$HERE/local_path.log") || {
+    echo "shard_e2e: FAIL — local mode started through PATH failed" >&2
+    cat "$HERE/local_path.log" >&2
+    exit 1
+  }
+  same_csv "$WORK/single_path.csv" "$HERE/merged_path.csv" "PATH-started"
+fi
+
 echo "shard_e2e: OK — retry exercised, re-run resumed, merged CSVs \
 byte-identical, engine flags forwarded, dim axis round-trips, sharded \
 --scalar identical, warm-start served from cache, async and --spec \
 seed-list grids sharded, malformed grids and cross-mode flags refused, \
 fabric steal recovered, workers given --spec and --scalar, unusable \
 worker flags refused, bad counts refused, hung shard timed out and \
-retried"
+retried, worker found through PATH"

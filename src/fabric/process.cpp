@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <limits>
 
 #include "common/contracts.hpp"
@@ -49,18 +51,9 @@ bool reap(pid_t pid, int& status) {
   return true;
 }
 
-void write_stderr(const char* text) {
-  std::size_t left = std::strlen(text);
-  while (left > 0) {
-    const ssize_t n = ::write(STDERR_FILENO, text, left);
-    if (n <= 0) return;
-    text += n;
-    left -= static_cast<std::size_t>(n);
-  }
-}
-
-/// fork + execv(args[0], args). If exec fails the child writes the reason
-/// to stderr and exits 127. Returns the child's pid, or -1 when fork fails.
+/// posix_spawn(args[0], args) with this process's environment. Returns
+/// the child's pid, or -1 after writing `exec '<path>' failed: <reason>`
+/// to stderr when the program cannot be started.
 pid_t spawn_process(const std::vector<std::string>& args) {
   FTMAO_EXPECTS(!args.empty());
   std::vector<char*> argv;
@@ -68,34 +61,34 @@ pid_t spawn_process(const std::vector<std::string>& args) {
   for (const std::string& a : args)
     argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
-  // Formatted before fork: the fabric worker forks while its heartbeat
-  // thread runs, so the child may only make async-signal-safe calls.
-  const std::string failed = "exec '" + args[0] + "' failed: ";
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execv(argv[0], argv.data());
-    const char* reason = ::strerrordesc_np(errno);
-    write_stderr(failed.c_str());
-    write_stderr(reason != nullptr ? reason : "unknown error");
-    write_stderr("\n");
-    ::_exit(127);
-  }
-  return pid;
+  // glibc reports a failed exec as the return value and reaps the child.
+  pid_t pid = 0;
+  const int error =
+      ::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(), environ);
+  if (error == 0) return pid;
+  const char* reason = ::strerrordesc_np(error);
+  std::cerr << ("exec '" + args[0] + "' failed: " +
+                (reason != nullptr ? reason : "unknown error") + "\n");
+  return -1;
 }
 
 }  // namespace
 
 std::string default_worker_path(const char* argv0) {
-  const std::filesystem::path self(argv0);
-  if (self.has_parent_path())
-    return (self.parent_path() / "ftmao_sweep").string();
+  std::error_code error;
+  const std::filesystem::path self =
+      std::filesystem::read_symlink("/proc/self/exe", error);
+  if (!error) return (self.parent_path() / "ftmao_sweep").string();
+  const std::filesystem::path called(argv0);
+  if (called.has_parent_path())
+    return (called.parent_path() / "ftmao_sweep").string();
   return "ftmao_sweep";
 }
 
 int run_process(const std::vector<std::string>& args, double timeout_sec) {
   FTMAO_EXPECTS(timeout_sec > 0);
   const pid_t pid = spawn_process(args);
-  if (pid < 0) return -1;
+  if (pid < 0) return 127;
   // The raw syscall: glibc 2.36 declares pidfd_open in <sys/pidfd.h>
   // without C linkage, so a C++ call to it does not link.
   const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));

@@ -673,7 +673,22 @@ TEST(FabricProcess, TimeoutKillsAndReapsTheChild) {
 }
 
 TEST(FabricProcess, MissingBinaryExits127) {
-  EXPECT_EQ(run_process({"/nonexistent/ftmao_no_such_worker"}, 10), 127);
+  testing::internal::CaptureStderr();
+  const int status = run_process({"/nonexistent/ftmao_no_such_worker"}, 10);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(status, 127);
+  EXPECT_EQ(err,
+            "exec '/nonexistent/ftmao_no_such_worker' failed: "
+            "No such file or directory\n");
+}
+
+TEST(FabricProcess, DefaultWorkerIsTheExecutablesSibling) {
+  // A bare argv[0], as a binary started through PATH gets, still names
+  // the executable's directory, not the working directory.
+  const std::filesystem::path self =
+      std::filesystem::read_symlink("/proc/self/exe");
+  EXPECT_EQ(default_worker_path("ftmao_fabric"),
+            (self.parent_path() / "ftmao_sweep").string());
 }
 
 }  // namespace
