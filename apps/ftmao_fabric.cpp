@@ -102,7 +102,6 @@ std::string usage_error(const cli::ArgParser& parser, const std::string& mode,
   // Forwarded to every shard as given: a count a shard would refuse
   // throws here, naming the flag, instead of failing each shard attempt.
   for (const char* flag : {"threads", "batch"}) parser.get_count(flag);
-  cli::cache_memory_bytes(parser);
   const double timeout_sec = parser.get_double("timeout-sec");
   if (!std::isfinite(timeout_sec) || timeout_sec <= 0)
     return "--timeout-sec must be a finite number > 0";
@@ -131,8 +130,7 @@ fabric::ShardRunner make_subprocess_runner(const cli::ArgParser& parser,
   const double timeout_sec = parser.get_double("timeout-sec");
   const long inject_fail_shard = parser.get_int("inject-fail-shard");
   std::vector<std::string> engine_args;
-  for (const char* flag :
-       {"threads", "batch", "isa", "cache-dir", "cache-mem-mb"}) {
+  for (const char* flag : {"threads", "batch", "isa", "cache-dir"}) {
     if (!parser.has(flag)) continue;
     engine_args.push_back(std::string("--") + flag);
     engine_args.push_back(parser.get(flag));

@@ -43,23 +43,20 @@
 //
 // A `cache` block times the content-addressed result cache
 // (cache/result_cache.hpp) on the sync grid: one cold pass that fills a
-// fresh in-memory cache, then the best of --repeats warm passes served
-// entirely from it, with their runs/sec ratio (the tracked warm-path
-// speedup) and the warm-pass hit ratio (must be 1).
+// fresh temporary record directory, then the best of --repeats warm
+// passes served entirely from its records (the path --cache-dir serves),
+// with their runs/sec ratio (the tracked warm-path speedup) and the
+// warm-pass hit ratio (must be 1). The directory is removed afterwards.
 //
 // A `transcendental` block covers the cost families whose gradients are
 // transcendental (LogCosh / SmoothAbs / SoftplusBasin). It times an
 // all-transcendental family directly through run_sbg / run_sbg_batch
 // (the sweep spec grammar pins the std-mixed family, so this cannot
-// ride run_sweep) at three rungs: the scalar per-run engine (the fully
-// virtual path such families used to be confined to), the batched
-// engine with the deterministic kernels disabled (virtual derivative()
-// per lane — func/functions.hpp:
-// set_transcendental_batch_kernels_enabled), and the batched engine
-// with the SIMD polynomial kernels on. All three produce bit-identical
+// ride run_sweep) at two rungs: the scalar per-run engine (the fully
+// virtual path such families used to be confined to) and the batched
+// engine with its SIMD polynomial kernels. Both produce bit-identical
 // trajectories. `speedup` is kernel vs the scalar virtual path (the
-// tracked number); `devirtualization_speedup` isolates the
-// gradient-dispatch win within the batched engine.
+// tracked number).
 // --transcendental-rounds 0 skips it ("transcendental": null).
 //
 //   bench_sweep_json [--rounds R] [--seeds K] [--engine batched|scalar]
@@ -68,8 +65,11 @@
 //                    [--vector-dim D] [--transcendental-rounds R]
 //                    [--out FILE]
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -81,7 +81,6 @@
 #include "cli/args.hpp"
 #include "cli/engine_flags.hpp"
 #include "common/thread_pool.hpp"
-#include "func/functions.hpp"
 #include "func/library.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/megabatch.hpp"
@@ -155,23 +154,14 @@ Throughput measure(const SweepConfig& config, std::size_t threads,
 }
 
 // Best-of-repeats runs/sec over the transcendental replicas. One "run"
-// is one replica trajectory, matching the sweep blocks' unit. `engine`
-// selects the rung: the scalar per-run path (run_sbg per replica), or
-// run_sbg_batch with the devirtualized kernels forced off or on.
-enum class TranscendentalRung {
-  kScalarVirtual,
-  kBatchedVirtual,
-  kBatchedKernel
-};
-
+// is one replica trajectory, matching the sweep blocks' unit. `batched`
+// selects the rung: run_sbg per replica, or one run_sbg_batch call.
 double measure_transcendental(const std::vector<Scenario>& replicas,
-                              std::size_t repeats, TranscendentalRung rung) {
-  set_transcendental_batch_kernels_enabled(rung ==
-                                           TranscendentalRung::kBatchedKernel);
+                              std::size_t repeats, bool batched) {
   double best_seconds = 0.0;
   for (std::size_t rep = 0; rep < repeats; ++rep) {
     const auto start = std::chrono::steady_clock::now();
-    if (rung == TranscendentalRung::kScalarVirtual) {
+    if (!batched) {
       for (const Scenario& s : replicas) run_sbg(s);
     } else {
       if (run_sbg_batch(replicas).size() != replicas.size()) return 0.0;
@@ -181,7 +171,6 @@ double measure_transcendental(const std::vector<Scenario>& replicas,
         std::chrono::duration<double>(stop - start).count();
     if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
   }
-  set_transcendental_batch_kernels_enabled(true);
   return best_seconds > 0.0
              ? static_cast<double>(replicas.size()) / best_seconds
              : 0.0;
@@ -322,12 +311,12 @@ int main(int argc, char** argv) {
             : 1.0;
 
     // Transcendental block: n=7, f=2, split-brain, 16 seed replicas over
-    // the all-transcendental family, timed straight through
-    // run_sbg_batch with the devirtualized kernels off (virtual
-    // derivative() per lane) vs on (SIMD polynomial kernels per row).
+    // the all-transcendental family, timed through run_sbg (virtual
+    // derivative() per agent) vs run_sbg_batch (SIMD polynomial kernels
+    // per row).
     const auto transcendental_rounds =
         parser.get_count("transcendental-rounds");
-    double trans_virtual = 0.0, trans_bvirtual = 0.0, trans_kernel = 0.0;
+    double trans_virtual = 0.0, trans_kernel = 0.0;
     if (transcendental_rounds > 0) {
       const auto family = make_transcendental_family(7, 8.0);
       std::vector<Scenario> replicas;
@@ -337,31 +326,30 @@ int main(int argc, char** argv) {
         scenario.functions = family;
         replicas.push_back(std::move(scenario));
       }
-      trans_virtual = measure_transcendental(
-          replicas, repeats, TranscendentalRung::kScalarVirtual);
-      trans_bvirtual = measure_transcendental(
-          replicas, repeats, TranscendentalRung::kBatchedVirtual);
-      trans_kernel = measure_transcendental(
-          replicas, repeats, TranscendentalRung::kBatchedKernel);
+      trans_virtual = measure_transcendental(replicas, repeats, false);
+      trans_kernel = measure_transcendental(replicas, repeats, true);
     }
     const double trans_speedup =
         trans_virtual > 0.0 ? trans_kernel / trans_virtual : 1.0;
-    const double trans_devirt_speedup =
-        trans_bvirtual > 0.0 ? trans_kernel / trans_bvirtual : 1.0;
 
-    // Cache block: the sync grid served through a fresh in-memory
-    // ResultCache. The cold pass (one pass, lookups all miss, results
-    // inserted) is timed on its own — measure()'s min-of-repeats would
-    // blend cold and warm passes — then the warm path is the best of
-    // `repeats` all-hit passes. Their runs/sec ratio is the tracked
+    // Cache block: the sync grid served through a ResultCache on a fresh
+    // temporary directory. The cold pass (one pass, lookups all miss,
+    // records written) is timed on its own — measure()'s min-of-repeats
+    // would blend cold and warm passes — then the warm path is the best
+    // of `repeats` all-hit passes. Their runs/sec ratio is the tracked
     // warm-path speedup; the hit ratio over the warm passes must be 1.
-    ResultCache cache{CacheConfig{}};
+    const std::filesystem::path cache_dir =
+        std::filesystem::temp_directory_path() /
+        ("bench_sweep_json_cache." + std::to_string(::getpid()));
+    std::filesystem::remove_all(cache_dir);
+    ResultCache cache{CacheConfig{cache_dir.string()}};
     SweepConfig cached_config = config;
     cached_config.cache = &cache;
     const Throughput cache_cold = measure(cached_config, 1, 1);
     const CacheStats after_cold = cache.stats();
     const Throughput cache_warm = measure(cached_config, 1, repeats);
     const CacheStats after_warm = cache.stats();
+    std::filesystem::remove_all(cache_dir);
     const double cache_speedup =
         cache_cold.runs_per_sec > 0.0
             ? cache_warm.runs_per_sec / cache_cold.runs_per_sec
@@ -418,20 +406,15 @@ int main(int argc, char** argv) {
        << "    \"cold_runs_per_sec\": " << cache_cold.runs_per_sec << ",\n"
        << "    \"warm_runs_per_sec\": " << cache_warm.runs_per_sec << ",\n"
        << "    \"speedup\": " << cache_speedup << ",\n"
-       << "    \"warm_hit_ratio\": " << warm_hit_ratio << ",\n"
-       << "    \"entries\": " << after_warm.entries << "\n  },\n";
+       << "    \"warm_hit_ratio\": " << warm_hit_ratio << "\n  },\n";
     if (transcendental_rounds > 0) {
       os << "  \"transcendental\": {\n"
          << "    \"grid\": {\"n\": 7, \"f\": 2, \"attack\": \"split-brain\", "
          << "\"family\": \"transcendental\", \"seeds\": 16, \"rounds\": "
          << transcendental_rounds << "},\n"
          << "    \"virtual_runs_per_sec\": " << trans_virtual << ",\n"
-         << "    \"batched_virtual_runs_per_sec\": " << trans_bvirtual
-         << ",\n"
          << "    \"kernel_runs_per_sec\": " << trans_kernel << ",\n"
-         << "    \"speedup\": " << trans_speedup << ",\n"
-         << "    \"devirtualization_speedup\": " << trans_devirt_speedup
-         << "\n  },\n";
+         << "    \"speedup\": " << trans_speedup << "\n  },\n";
     } else {
       os << "  \"transcendental\": null,\n";
     }

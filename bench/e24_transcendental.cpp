@@ -5,13 +5,9 @@
 // simd/det_math_impl.hpp) against the per-value virtual derivative()
 // path they replace, and of the whole batched round loop over an
 // all-transcendental cost family (LogCosh / SmoothAbs / SoftplusBasin,
-// func/library.hpp: make_transcendental_family) with the devirtualized
-// kernels enabled vs disabled. Both round-loop variants compute
-// bit-identical trajectories — the toggle
-// (set_transcendental_batch_kernels_enabled) only switches the gradient
-// dispatch — so the ratio is a pure devirtualization + SIMD win. Every
-// batched benchmark is registered once per compiled-and-supported
-// backend, like e21. No paper counterpart; harness hot path.
+// func/library.hpp: make_transcendental_family). Every batched benchmark
+// is registered once per compiled-and-supported backend, like e21. No
+// paper counterpart; harness hot path.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +15,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "func/functions.hpp"
 #include "func/library.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/runner.hpp"
@@ -119,26 +114,20 @@ std::vector<Scenario> transcendental_replicas(std::size_t n, std::size_t f,
   return replicas;
 }
 
-// Whole batched round loop over the all-transcendental family, with the
-// devirtualized kernels on (state.range(3) = 1) or off (0). Off means
-// every gradient goes through the virtual scalar derivative() — the
-// pre-devirtualization behaviour — on the same engine, same trim
-// kernels, same everything else.
+// Whole batched round loop over the all-transcendental family: every
+// gradient row goes through its SIMD polynomial kernel.
 void BM_RoundLoop_Transcendental(benchmark::State& state, SimdIsa isa) {
   simd_select(isa);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
   const auto kind = static_cast<AttackKind>(state.range(2));
-  const bool kernels_on = state.range(3) != 0;
   const std::size_t rounds = 200;
   const auto replicas =
       transcendental_replicas(n, (n - 1) / 3, kind, rounds, batch);
-  set_transcendental_batch_kernels_enabled(kernels_on);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         run_sbg_batch(replicas).front().final_disagreement());
   }
-  set_transcendental_batch_kernels_enabled(true);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch * rounds));
 }
@@ -160,10 +149,8 @@ void register_per_backend() {
         ->Arg(16)->Arg(256);
     benchmark::RegisterBenchmark(("BM_RoundLoop_Transcendental" + tag).c_str(),
                                  BM_RoundLoop_Transcendental, isa)
-        ->Args({7, 16, kSplitBrain, 0})
-        ->Args({7, 16, kSplitBrain, 1})
-        ->Args({13, 16, kSplitBrain, 0})
-        ->Args({13, 16, kSplitBrain, 1});
+        ->Args({7, 16, kSplitBrain})
+        ->Args({13, 16, kSplitBrain});
   }
 }
 

@@ -440,25 +440,28 @@ for BAD in "--timeout-sec 0" "--timeout-sec -1" "--timeout-sec inf" \
   fi
 done
 
-echo "shard_e2e: bad counts refused before any output or lease ..."
+echo "shard_e2e: bad counts and --cache-mem-mb refused before any" \
+     "output or lease ..."
 # A count flag at -1 must not wrap to 2^64 - 1 (--threads -1 would start
-# one OS thread per task), nor --cache-mem-mb 2^44 to a 0-byte budget
-# (2^64 bytes): ftmao_sweep exits non-zero naming the flag and writes no
-# CSV. ftmao_fabric forwards --threads, --batch and --cache-mem-mb to
-# every shard, so local mode exits 2 before it creates the fabric
-# directory, and work mode exits 2 before it claims a shard.
+# one OS thread per task): ftmao_sweep exits 1 naming the flag and writes
+# no CSV. ftmao_fabric forwards --threads and --batch to every shard, so
+# local mode exits 2 before it creates the fabric directory, and work
+# mode exits 2 before it claims a shard. The result cache is its
+# directory alone, with no memory budget: all three refuse
+# --cache-mem-mb as an unknown flag (exit 2), so a stale script fails.
 NEG="$WORK/negative"
 mkdir -p "$NEG"
 "$FABRIC" --mode init --fabric-dir "$NEG/fab" --sizes 7:2 --seeds 1 \
   --rounds 20 --shards 1 2> "$NEG/init.log"
-for CASE in threads:-1 batch:-1 cache-mem-mb:-1 \
-            cache-mem-mb:17592186044416; do
+for CASE in threads:-1:1 batch:-1:1 cache-mem-mb:256:2; do
   FLAG="--${CASE%%:*}"
   VALUE="${CASE#*:}"
+  SWEEP_WANT="${VALUE#*:}"
+  VALUE="${VALUE%%:*}"
   NEG_STATUS=0
   "$SWEEP" --sizes 7:2 --seeds 1 --rounds 20 "$FLAG" "$VALUE" \
     --out "$NEG/sweep.csv" 2> "$NEG/bad.log" || NEG_STATUS=$?
-  if [ "$NEG_STATUS" -eq 0 ] || [ -e "$NEG/sweep.csv" ] ||
+  if [ "$NEG_STATUS" -ne "$SWEEP_WANT" ] || [ -e "$NEG/sweep.csv" ] ||
      ! grep -q -- "$FLAG" "$NEG/bad.log"; then
     echo "shard_e2e: FAIL — ftmao_sweep accepted $FLAG $VALUE" \
          "(exit $NEG_STATUS)" >&2
@@ -561,5 +564,5 @@ byte-identical, engine flags forwarded, dim axis round-trips, sharded \
 --scalar identical, warm-start served from cache, async and --spec \
 seed-list grids sharded, malformed grids and cross-mode flags refused, \
 fabric steal recovered, workers given --spec and --scalar, unusable \
-worker flags refused, bad counts refused, hung shard timed out and \
-retried, worker found through PATH"
+worker flags refused, bad counts and --cache-mem-mb refused, hung \
+shard timed out and retried, worker found through PATH"

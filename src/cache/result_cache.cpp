@@ -36,82 +36,24 @@ std::uint64_t read_u64(const std::string& bytes, std::size_t pos) {
 
 }  // namespace
 
-ResultCache::ResultCache(CacheConfig config) : config_(std::move(config)) {}
-
-ResultCache::Shard& ResultCache::shard_for(const CellKey& key) {
-  return shards_[key.lo % kShards];
+ResultCache::ResultCache(CacheConfig config) : dir_(std::move(config.dir)) {
+  FTMAO_EXPECTS(!dir_.empty());
 }
 
 std::string ResultCache::record_path(const CellKey& key) const {
-  return config_.dir + "/" + key.hex() + ".ftc";
-}
-
-bool ResultCache::memory_insert(const CellKey& key,
-                                const std::string& payload) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto found = shard.map.find(std::string_view(key.spec));
-  if (found != shard.map.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
-    std::string& stored = found->second->payload;
-    if (stored == payload) return false;
-    shard.bytes = shard.bytes - stored.size() + payload.size();
-    stored = payload;
-  } else {
-    shard.lru.push_front(Entry{key.spec, payload});
-    const auto it = shard.lru.begin();
-    shard.map.emplace(std::string_view(it->spec), it);
-    shard.bytes += it->spec.size() + it->payload.size();
-  }
-
-  // Size-capped LRU: evict from the cold end until this shard is back
-  // under its slice of the budget. The entry just inserted is never
-  // evicted, even if it alone exceeds the slice.
-  const std::size_t budget = config_.max_memory_bytes / kShards;
-  while (shard.bytes > budget && shard.lru.size() > 1) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.spec.size() + victim.payload.size();
-    shard.map.erase(std::string_view(victim.spec));
-    shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return true;
+  return dir_ + "/" + key.hex() + ".ftc";
 }
 
 std::optional<std::string> ResultCache::lookup(
     const CellKey& key,
     const std::function<bool(const std::string&)>& usable) {
-  std::optional<std::string> payload;
-  {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto found = shard.map.find(std::string_view(key.spec));
-    if (found != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, found->second);
-      payload = found->second->payload;
-    }
-  }
-  bool from_disk = false;
-  if (!payload && !config_.dir.empty()) {
-    payload = read_record(key);
-    from_disk = payload.has_value();
-  }
+  std::optional<std::string> payload = read_record(key);
   if (!payload || (usable && !usable(*payload))) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (from_disk) {
-    memory_insert(key, *payload);
-    disk_hits_.fetch_add(1, std::memory_order_relaxed);
-  }
   hits_.fetch_add(1, std::memory_order_relaxed);
   return payload;
-}
-
-void ResultCache::insert(const CellKey& key, const std::string& payload) {
-  if (!memory_insert(key, payload)) return;
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  if (!config_.dir.empty()) write_record(key, payload);
 }
 
 std::optional<std::string> ResultCache::read_record(const CellKey& key) {
@@ -158,12 +100,12 @@ std::optional<std::string> ResultCache::read_record(const CellKey& key) {
   return payload;
 }
 
-void ResultCache::write_record(const CellKey& key,
-                               const std::string& payload) {
+void ResultCache::insert(const CellKey& key, const std::string& payload) {
+  inserts_.fetch_add(1, std::memory_order_relaxed);
   // Failures here (unwritable dir, full disk) must never fail the run:
   // the cache silently degrades to compute-only and counts the defect.
   try {
-    std::filesystem::create_directories(config_.dir);
+    std::filesystem::create_directories(dir_);
     std::string record;
     record.reserve(sizeof(kMagic) + 40 + key.spec.size() + payload.size());
     record.append(kMagic, sizeof(kMagic));
@@ -195,30 +137,16 @@ void ResultCache::write_record(const CellKey& key,
 }
 
 CacheStats ResultCache::stats() const {
-  CacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.inserts = inserts_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.disk_hits = disk_hits_.load(std::memory_order_relaxed);
-  s.disk_errors = disk_errors_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    // const_cast-free snapshot: the mutex is mutable state of a const
-    // object in spirit; lock through a non-const view of the array.
-    Shard& mutable_shard = const_cast<Shard&>(shard);
-    std::lock_guard<std::mutex> lock(mutable_shard.mutex);
-    s.memory_bytes += shard.bytes;
-    s.entries += shard.lru.size();
-  }
-  return s;
+  return {.hits = hits_.load(std::memory_order_relaxed),
+          .misses = misses_.load(std::memory_order_relaxed),
+          .inserts = inserts_.load(std::memory_order_relaxed),
+          .disk_errors = disk_errors_.load(std::memory_order_relaxed)};
 }
 
 std::string cache_stats_line(const CacheStats& s) {
   std::ostringstream os;
   os << "cache: hits=" << s.hits << " misses=" << s.misses
-     << " inserts=" << s.inserts << " evictions=" << s.evictions
-     << " mem_bytes=" << s.memory_bytes << " entries=" << s.entries
-     << " disk_hits=" << s.disk_hits << " disk_errors=" << s.disk_errors;
+     << " inserts=" << s.inserts << " disk_errors=" << s.disk_errors;
   return os.str();
 }
 

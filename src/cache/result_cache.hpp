@@ -1,59 +1,50 @@
 #pragma once
 
-// Content-addressed result cache: a sharded in-memory LRU store with an
-// optional persistent on-disk tier, keyed by cache/cell_key.hpp keys.
+// Content-addressed result cache: a directory of records, one per key
+// (cache/cell_key.hpp), shared by every process that names it.
 //
 // Soundness rests on two pillars. First, every engine in this tree is
 // bit-identical across thread counts, batch sizes, scalar/batched paths,
 // and SIMD backends, so a cell's result is a pure function of its
 // canonical spec — one cached value serves every execution strategy.
-// Second, the key's spec string is stored with every entry (in memory as
-// the map key, on disk as a full echo inside the record), so a lookup
-// only ever returns a payload whose complete identity matches — a hash
-// collision degrades to a miss, never to a wrong answer.
+// Second, the key's spec string is echoed in full inside every record,
+// so a lookup only ever returns a payload whose complete identity
+// matches — a hash collision degrades to a miss, never to a wrong answer.
 //
-// Disk records are defensive by construction: magic, key echo, spec echo,
+// Records are defensive by construction: magic, key echo, spec echo,
 // sizes, and an FNV checksum over the payload are all verified on read,
 // and any corrupt, truncated, or mismatched record is treated as a miss
 // (counted in `disk_errors`), never as an error. Writes go through a
 // temp-file + atomic rename, so concurrent writers (sweep shards sharing
 // one --cache-dir) can only ever publish whole records.
+//
+// There is no in-memory tier: a driver asks for each key once per
+// process (replica_driver.hpp: cached_pass), so a record read once is
+// never read again by the same process.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "cache/cell_key.hpp"
 
 namespace ftmao {
 
 struct CacheConfig {
-  /// Directory for the persistent tier; empty = in-memory only. Created
-  /// on first insert if missing.
-  std::string dir;
-
-  /// In-memory LRU capacity in bytes (spec + payload are both counted).
-  /// The disk tier is not size-capped: records are small, immutable, and
+  /// The record directory; required. Created on first insert if
+  /// missing. It is not size-capped: records are small, immutable, and
   /// shared across processes, so eviction policy belongs to the operator.
-  std::size_t max_memory_bytes = 256ull << 20;
+  std::string dir;
 };
 
 /// Monotonic counters, snapshot via ResultCache::stats().
 struct CacheStats {
-  std::uint64_t hits = 0;        ///< lookups served (memory or disk)
+  std::uint64_t hits = 0;        ///< lookups served
   std::uint64_t misses = 0;      ///< lookups that found nothing usable
-  std::uint64_t inserts = 0;     ///< payloads stored (new or replaced)
-  std::uint64_t evictions = 0;   ///< LRU entries dropped from memory
-  std::uint64_t disk_hits = 0;   ///< hits that were faulted in from disk
-  std::uint64_t disk_errors = 0; ///< corrupt/truncated/mismatched records
-  std::uint64_t memory_bytes = 0;  ///< resident spec+payload bytes
-  std::uint64_t entries = 0;       ///< resident entry count
+  std::uint64_t inserts = 0;     ///< records written
+  std::uint64_t disk_errors = 0; ///< corrupt records and failed writes
 };
 
 class ResultCache {
@@ -63,60 +54,35 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The payload stored under `key`, or nullopt. A payload `usable`
-  /// (when given) rejects counts as a miss and is not faulted in from
-  /// disk. Thread-safe; a hit refreshes the entry's LRU position.
+  /// The payload of the verified record under `key`, or nullopt. A
+  /// payload `usable` (when given) rejects counts as a miss.
+  /// Thread-safe.
   std::optional<std::string> lookup(
       const CellKey& key,
       const std::function<bool(const std::string&)>& usable = {});
 
-  /// Stores `payload` under `key` (memory, and disk when configured).
-  /// Idempotent: re-inserting a key with the payload it holds refreshes
-  /// LRU and rewrites nothing. A different payload replaces the stored
-  /// one in memory and on disk and counts as an insert: a driver stores a
-  /// recomputed result over a payload it could not decode. Thread-safe.
+  /// Writes `payload` as the record under `key`, replacing any record
+  /// there: a driver stores a recomputed result over a payload it could
+  /// not decode. Counts one insert. Thread-safe.
   void insert(const CellKey& key, const std::string& payload);
 
   CacheStats stats() const;
 
-  const CacheConfig& config() const { return config_; }
-
  private:
-  struct Entry {
-    std::string spec;  // also the map key; owned by the list node
-    std::string payload;
-  };
-  struct Shard {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recent
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> map;
-    std::size_t bytes = 0;
-  };
-
-  Shard& shard_for(const CellKey& key);
   std::string record_path(const CellKey& key) const;
-  /// Verified read of a disk record; nullopt (+ disk_errors) on any defect.
+  /// Verified read of a record; nullopt (+ disk_errors) on any defect.
   std::optional<std::string> read_record(const CellKey& key);
-  void write_record(const CellKey& key, const std::string& payload);
-  /// Stores into the shard map under its lock; returns false if the key
-  /// already holds this payload.
-  bool memory_insert(const CellKey& key, const std::string& payload);
 
-  CacheConfig config_;
-  static constexpr std::size_t kShards = 16;
-  std::array<Shard, kShards> shards_;
+  const std::string dir_;
 
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  mutable std::atomic<std::uint64_t> inserts_{0};
-  mutable std::atomic<std::uint64_t> evictions_{0};
-  mutable std::atomic<std::uint64_t> disk_hits_{0};
-  mutable std::atomic<std::uint64_t> disk_errors_{0};
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+  std::atomic<std::uint64_t> inserts_{0};
+  std::atomic<std::uint64_t> disk_errors_{0};
 };
 
-/// "cache: hits=... misses=... inserts=... evictions=... mem_bytes=...
-/// disk_hits=... disk_errors=..." — the one-line counter summary the
-/// sweep/certify tools print.
+/// "cache: hits=... misses=... inserts=... disk_errors=..." — the
+/// one-line counter summary the sweep/certify tools print.
 std::string cache_stats_line(const CacheStats& stats);
 
 // --- payload codec ----------------------------------------------------

@@ -4,9 +4,8 @@
 // (ftmao_sweep, ftmao_certify, ftmao_fabric, ftmao, the benches) accepts
 // the same --threads / --batch / --scalar / --isa quartet with the same
 // semantics and the same identity promise; the sweep-family tools add
-// --cache-dir / --cache-mem-mb and the grid flags. Declaring them here
-// keeps the help texts, defaults, and wiring from drifting apart per
-// binary.
+// --cache-dir and the grid flags. Declaring them here keeps the help
+// texts, defaults, and wiring from drifting apart per binary.
 
 #include <iosfwd>
 #include <memory>
@@ -37,8 +36,8 @@ FlagSpec isa_flag_spec(const std::string& subject);
 std::vector<FlagSpec> engine_flag_specs(const std::string& subject,
                                         const std::string& unit);
 
-/// The result-cache pair: --cache-dir (persistent tier root; empty =
-/// caching off) and --cache-mem-mb (in-memory LRU budget).
+/// The result-cache flag: --cache-dir (the record directory; empty =
+/// caching off).
 std::vector<FlagSpec> cache_flag_specs();
 
 /// The grid flags: --spec FILE (a document with a "grid" object, such as
@@ -57,13 +56,8 @@ GridSpec grid_from_flags(const ArgParser& parser);
 /// unsupported on this machine/build.
 bool apply_isa_flag(const ArgParser& parser, std::ostream& err);
 
-/// --cache-mem-mb in bytes. Throws ContractViolation naming the flag
-/// for a negative count or one whose bytes do not fit std::size_t.
-std::size_t cache_memory_bytes(const ArgParser& parser);
-
-/// The ResultCache configured by the cache flags, or nullptr when
-/// --cache-dir is empty (a one-shot process gains nothing from a private
-/// in-memory cache, so no directory means no caching).
+/// The ResultCache on --cache-dir, or nullptr when it is empty: a cache
+/// is a directory.
 std::unique_ptr<ResultCache> cache_from(const ArgParser& parser);
 
 }  // namespace ftmao::cli

@@ -1,29 +1,11 @@
 #include "func/functions.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/contracts.hpp"
 #include "simd/det_math.hpp"
 
 namespace ftmao {
-
-namespace {
-
-// Default on: the descriptors and the virtual path compute identical
-// bits, so there is no correctness reason to ever disable this — only
-// the benches flip it to time the virtual path.
-std::atomic<bool> g_transcendental_kernels{true};
-
-}  // namespace
-
-void set_transcendental_batch_kernels_enabled(bool enabled) {
-  g_transcendental_kernels.store(enabled, std::memory_order_relaxed);
-}
-
-bool transcendental_batch_kernels_enabled() {
-  return g_transcendental_kernels.load(std::memory_order_relaxed);
-}
 
 // ---------------------------------------------- BatchGradientKernel
 
@@ -83,7 +65,6 @@ double LogCosh::derivative(double x) const {
 }
 
 BatchGradientKernel LogCosh::batch_gradient_kernel() const {
-  if (!transcendental_batch_kernels_enabled()) return {};
   return BatchGradientKernel::tanh_grad(center_, width_, scale_);
 }
 
@@ -104,7 +85,6 @@ double SmoothAbs::derivative(double x) const {
 }
 
 BatchGradientKernel SmoothAbs::batch_gradient_kernel() const {
-  if (!transcendental_batch_kernels_enabled()) return {};
   return BatchGradientKernel::smooth_abs(center_, eps_, scale_);
 }
 
@@ -182,7 +162,6 @@ double SoftplusBasin::lipschitz_bound() const {
 }
 
 BatchGradientKernel SoftplusBasin::batch_gradient_kernel() const {
-  if (!transcendental_batch_kernels_enabled()) return {};
   return BatchGradientKernel::softplus_diff(a_, b_, width_, scale_);
 }
 

@@ -19,17 +19,6 @@
 
 namespace ftmao {
 
-/// Process-wide switch for the transcendental families' devirtualized
-/// batch descriptors (default on). When off, LogCosh / SmoothAbs /
-/// SoftplusBasin return kNone descriptors and the batch engines take the
-/// virtual derivative() path for those rows — numerically identical
-/// either way (both paths run the same det-math code), which is exactly
-/// what makes it a fair benchmark toggle (bench/e24_transcendental,
-/// bench_sweep_json's `transcendental` block). Not thread-safe against
-/// concurrent engine construction: flip before building engines.
-void set_transcendental_batch_kernels_enabled(bool enabled);
-bool transcendental_batch_kernels_enabled();
-
 /// Huber loss around `center`:
 ///   h(x) = scale * phi(x - center),
 ///   phi(r) = r^2/2 for |r| <= delta, delta*(|r| - delta/2) otherwise.

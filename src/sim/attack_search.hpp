@@ -15,8 +15,6 @@
 
 namespace ftmao {
 
-class ResultCache;  // cache/result_cache.hpp
-
 struct AttackCandidate {
   std::string name;
   AttackConfig config;
@@ -52,15 +50,10 @@ std::vector<AttackCandidate> standard_attack_grid();
 /// `scalar_engine` runs the same plan with one candidate per task through
 /// run_sbg instead. Each run writes to its own slot, so the ranking is
 /// bit-identical for every thread count, batch size, and engine.
-///
-/// When `cache` is set, the reference run and every candidate run are
-/// looked up by their canonical key (full serialized base scenario +
-/// rendered candidate attack config) before simulating and inserted
-/// after; the result is bit-identical cold vs warm vs mixed.
 AttackSearchResult find_strongest_attack(
     const Scenario& base, const std::vector<AttackCandidate>& candidates,
     std::size_t num_threads = 1, std::size_t batch_size = 0,
-    bool scalar_engine = false, ResultCache* cache = nullptr);
+    bool scalar_engine = false);
 
 /// The asynchronous-engine counterpart: same contract, candidates
 /// evaluated through run_async_sbg_batch (run_async_sbg when
@@ -68,6 +61,6 @@ AttackSearchResult find_strongest_attack(
 AttackSearchResult find_strongest_attack_async(
     const AsyncScenario& base, const std::vector<AttackCandidate>& candidates,
     std::size_t num_threads = 1, std::size_t batch_size = 0,
-    bool scalar_engine = false, ResultCache* cache = nullptr);
+    bool scalar_engine = false);
 
 }  // namespace ftmao

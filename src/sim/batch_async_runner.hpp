@@ -11,10 +11,12 @@
 // evaluation, the lambda step) is the same shape every round in every
 // replica. The batched runner therefore splits the execution:
 //
-//   Pass 1 (scheduling replay, per replica, value-free): run the real
-//   AsyncEngine over lightweight recorder nodes that reproduce
-//   AsyncSbgAgent's exact quorum/advance decisions while carrying
-//   placeholder payload values, and record per (agent, completed round)
+//   Pass 1 (scheduling replay, per replica, value-free): replay_schedule
+//   re-enacts the AsyncEngine's event loop over AsyncSbgAgents without
+//   the engine itself — its own event heap of (time, seq, to, from,
+//   round) entries, no payloads, one bitmask of distinct senders per
+//   buffered round — and makes AsyncSbgAgent's exact quorum/advance
+//   decisions on those masks. It records per (agent, completed round)
 //   the bitmask of senders whose tuples were in the buffer at advance
 //   time, plus each round's first honest publisher (the Byzantine
 //   trigger view) and the engine counters. This is sound because every
@@ -22,7 +24,8 @@
 //   Byzantine *presence* and RNG consumption — is independent of the
 //   payload values in flight (every strategy in the menu sends/omits and
 //   consumes randomness based only on round, recipient, and view
-//   emptiness; async trigger views are never empty).
+//   emptiness; async trigger views are never empty). The .cpp lists what
+//   the replay replaces and what it keeps call-for-call.
 //
 //   Pass 2 (numeric replay, lockstep across replicas): walk rounds
 //   t = 1..T over SoA lane rows, rebuild each agent's trim multisets by

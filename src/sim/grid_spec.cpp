@@ -81,6 +81,11 @@ void GridSpec::validate() const {
     fail("step", "needs a finite scale > 0 and exponent (> 0 for power)");
   if (!std::isfinite(delay_lo) || !std::isfinite(delay_hi))
     fail("delay", "bounds must be finite");
+  const GridSpec defaults;
+  if (!async_engine && (delay_kind != defaults.delay_kind ||
+                        delay_lo != defaults.delay_lo ||
+                        delay_hi != defaults.delay_hi))
+    fail("delay", "the sync engine has no delays; give them an async grid");
   if (async_engine &&
       (delay_lo <= 0 ||
        (delay_kind == DelayKind::Uniform && delay_hi < delay_lo) ||

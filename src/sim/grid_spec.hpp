@@ -35,7 +35,7 @@ struct GridSpec {
   /// vector-SBG heuristic cell. Async grids take only 1.
   std::vector<std::size_t> dims = {1};
   /// The Section 7 asynchronous engine (n > 5f) under the delay model
-  /// below; sync grids carry the delay fields unused.
+  /// below; a sync grid keeps the delay fields at these defaults.
   bool async_engine = false;
   DelayKind delay_kind = DelayKind::Uniform;
   double delay_lo = 0.5;
@@ -43,8 +43,9 @@ struct GridSpec {
 
   /// Throws ContractViolation naming the first field that makes the grid
   /// unrunnable: an empty or repeated axis, n <= 3f (5f async), zero
-  /// rounds, a non-finite number, or step or delay values the engines
-  /// refuse.
+  /// rounds, a non-finite number, step or delay values the engines
+  /// refuse, or a sync grid with delays other than the defaults (the
+  /// sync engine would never read them).
   void validate() const;
 
   friend bool operator==(const GridSpec&, const GridSpec&) = default;

@@ -5,9 +5,10 @@
 // keep each replica's result in its own slot; what they repeat is written
 // once here:
 //
-//   - cached_pass: the one result-cache pass. Each item's canonical key
-//     is looked up and its payload decoded to the last byte; the items
-//     that do not decode are computed, then encoded and inserted.
+//   - cached_pass: the one result-cache pass (the sweep's and certify's).
+//     Each item's canonical key is looked up and its payload decoded to
+//     the last byte; the items that do not decode are computed, then
+//     encoded and inserted.
 //   - run_task: the one task runner. A planned task's replicas run
 //     through the shape's batched engine, or one at a time through its
 //     reference engine under scalar_engine or past the batched engines'
@@ -165,7 +166,7 @@ void run_shape(const S& shape, std::size_t count, const ReplicaOf& replica_of,
 /// The items that do not decode go on `pending` in index order;
 /// compute(pending) fills their results, and each is then encoded with
 /// encode(PayloadWriter&, result) and inserted. An insert replaces a
-/// stored payload that failed to decode, in memory and on disk.
+/// stored payload that failed to decode.
 template <class R, class Spec, class Decode, class Encode, class Compute>
 void cached_pass(ResultCache* cache, std::vector<R>& results,
                  const Spec& spec, const Decode& decode, const Encode& encode,

@@ -46,7 +46,7 @@ struct SweepConfig : GridSpec {
   /// Content-addressed result cache (cache/result_cache.hpp). When set,
   /// each cell's per-seed results are looked up by their canonical key
   /// before simulating and inserted after, so repeated grids are served
-  /// from memory/disk. Output is byte-identical cold vs warm vs mixed:
+  /// from its records. Output is byte-identical cold vs warm vs mixed:
   /// payloads carry the raw per-seed doubles bit-exactly.
   ResultCache* cache = nullptr;
 };

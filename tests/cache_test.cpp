@@ -1,11 +1,12 @@
 // Content-addressed result cache: golden key stability, payload codec,
-// LRU eviction, the persistent disk tier (including corrupt / truncated /
-// mismatched records degrading to misses), and the end-to-end guarantee
-// that cached sweep / certify / attack-search results are byte-identical
-// cold vs warm vs mixed.
+// the record directory (including corrupt / truncated / mismatched
+// records degrading to misses, and concurrent writers), and the
+// end-to-end guarantee that cached sweep / certify results are
+// byte-identical cold vs warm vs mixed.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -13,14 +14,13 @@
 #include <functional>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/cell_key.hpp"
 #include "cache/result_cache.hpp"
 #include "common/contracts.hpp"
-#include "sim/attack_search.hpp"
 #include "sim/certify.hpp"
 #include "sim/sweep.hpp"
 
@@ -95,37 +95,6 @@ std::string report_text(const CertificationReport& report) {
   return text;
 }
 
-// The base of the small attack searches: its own attack is ignored.
-Scenario small_search_base() {
-  return make_standard_scenario(4, 1, 8.0, AttackKind::SplitBrain, 50, 1);
-}
-
-// small_search_base's scenario file with the attack reset, as the
-// search's cache keys embed it.
-const char* const kSmallSearchBaseFile =
-    "# ftmao scenario\nn = 4\nf = 1\nfaulty = 3\nrounds = 50\nseed = 1\n"
-    "attack = none\nattack.state_magnitude = 100\n"
-    "attack.gradient_magnitude = 10\nattack.target = 0\n"
-    "attack.amplification = 3\nattack.flip_period = 1\n"
-    "attack.activation_round = 1\nattack.consistent = false\n"
-    "step = harmonic\nstep.scale = 1\nstep.exponent = 0.75\n"
-    "default.state = 0\ndefault.gradient = 0\ndrop_probability = 0\n"
-    "function = huber(-4, 2, 1)\n"
-    "function = logcosh(-1.3333333333333335, 1, 1.5)\n"
-    "function = smoothabs(1.333333333333333, 0.5, 1)\n"
-    "function = flathuber(3.5, 4.5, 2, 1)\n"
-    "initial = -4, -1.3333333333333335, 1.333333333333333, 4\n";
-
-std::string search_text(const AttackSearchResult& result) {
-  std::ostringstream os;
-  os << std::hexfloat << result.reference_state << ' ' << result.optima.lo()
-     << ' ' << result.optima.hi() << '\n';
-  for (const AttackOutcome& o : result.outcomes)
-    os << o.name << ' ' << o.final_state << ' ' << o.bias << ' '
-       << o.dist_to_y << ' ' << o.disagreement << '\n';
-  return os.str();
-}
-
 // The record file names of a disk cache directory.
 std::set<std::string> record_names(const std::filesystem::path& dir) {
   std::set<std::string> names;
@@ -198,9 +167,9 @@ TEST(CellKey, SweepSpecGrammarIsPinned) {
 }
 
 TEST(CellKey, CertifyAndAttackSearchSpecsArePinned) {
-  // Cold runs against a disk cache write exactly the records these spec
-  // strings name: a drift in either driver's key rendering would orphan
-  // every cache written before it.
+  // A cold certify against a disk cache writes exactly the records these
+  // spec strings name: a drift in its key rendering would orphan every
+  // cache written before it.
   const std::vector<std::string> attacks = {
       "none",         "silent",         "fixed", "split-brain",
       "hull-edge-up", "hull-edge-down", "noise", "sign-flip",
@@ -226,24 +195,6 @@ TEST(CellKey, CertifyAndAttackSearchSpecsArePinned) {
       "certify-dgd;family=std-mixed;n=4;f=1;dim=1;attack=pull;spread=8;"
       "rounds=30;seed=1;constraint=none");
   EXPECT_EQ(record_names(certify_dir), want);
-
-  const auto search_dir = fresh_dir("pinned_search");
-  ResultCache search_cache{CacheConfig{search_dir.string()}};
-  const std::vector<AttackCandidate> candidates = standard_attack_grid();
-  find_strongest_attack(small_search_base(), candidates, 1, 0, false,
-                        &search_cache);
-  const std::set<std::string> records = record_names(search_dir);
-  EXPECT_EQ(records.size(), candidates.size() + 1);
-  const std::string base =
-      std::string(";engine=sync;base=") + kSmallSearchBaseFile;
-  EXPECT_TRUE(records.count(
-      make_cell_key("attack-search-ref" + base).hex() + ".ftc"));
-  EXPECT_TRUE(records.count(
-      make_cell_key("attack-search" + base +
-                    ";cand=kind=pull,smag=100,gmag=10,target=-10,amp=3,"
-                    "flip=1,act=1,consistent=0")
-          .hex() +
-      ".ftc"));
 }
 
 TEST(CellKey, CanonDoubleRoundTripsShortest) {
@@ -305,10 +256,10 @@ TEST(PayloadCodec, ExhaustedDetectsTrailingGarbage) {
   EXPECT_TRUE(reader.exhausted());
 }
 
-// --- in-memory tier ---------------------------------------------------
+// --- the record directory ---------------------------------------------
 
 TEST(ResultCache, MemoryHitAndMissCounters) {
-  ResultCache cache{CacheConfig{}};
+  ResultCache cache{CacheConfig{fresh_dir("counters").string()}};
   const CellKey key = make_cell_key("mem-spec");
   EXPECT_FALSE(cache.lookup(key).has_value());
   cache.insert(key, "payload");
@@ -320,76 +271,64 @@ TEST(ResultCache, MemoryHitAndMissCounters) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.inserts, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.disk_hits, 0u);
   EXPECT_EQ(stats.disk_errors, 0u);
-  EXPECT_GT(stats.memory_bytes, 0u);
 }
 
 TEST(ResultCache, InsertIsIdempotent) {
-  ResultCache cache{CacheConfig{}};
+  // Each insert writes the record; a repeated one leaves the same single
+  // record with the same bytes.
+  const auto dir = fresh_dir("idempotent");
+  ResultCache cache{CacheConfig{dir.string()}};
   const CellKey key = make_cell_key("idempotent");
   cache.insert(key, "v");
+  const std::string once = read_file(dir / (key.hex() + ".ftc"));
   cache.insert(key, "v");
+  EXPECT_EQ(record_names(dir), std::set<std::string>{key.hex() + ".ftc"});
+  EXPECT_EQ(read_file(dir / (key.hex() + ".ftc")), once);
+  EXPECT_EQ(cache.lookup(key), "v");
   const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.inserts, 1u);
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.inserts, 2u);
+  EXPECT_EQ(stats.disk_errors, 0u);
 }
-
-TEST(ResultCache, LruEvictionRespectsByteBudget) {
-  CacheConfig config;
-  config.max_memory_bytes = 4096;  // 256 bytes per shard
-  ResultCache cache{std::move(config)};
-  const std::string payload(100, 'x');
-  for (int i = 0; i < 500; ++i) {
-    cache.insert(make_cell_key("evict-spec-" + std::to_string(i)), payload);
-  }
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.inserts, 500u);
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LT(stats.entries, 500u);
-  EXPECT_EQ(stats.entries + stats.evictions, stats.inserts);
-  // Each entry exceeds half a shard budget, yet the budget holds: the
-  // just-inserted entry is never evicted, but everything older goes.
-  EXPECT_LE(stats.memory_bytes, 16u * 256u);
-}
-
-// --- disk tier --------------------------------------------------------
 
 TEST(ResultCache, DiskRoundTripAcrossInstances) {
   const auto dir = fresh_dir("roundtrip");
   const CellKey key = make_cell_key("disk-spec");
 
   {
-    ResultCache writer{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache writer{CacheConfig{dir.string()}};
     writer.insert(key, "disk-payload");
   }
 
-  ResultCache reader{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache reader{CacheConfig{dir.string()}};
   const auto hit = reader.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, "disk-payload");
   const CacheStats stats = reader.stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.disk_hits, 1u);
+  EXPECT_EQ(stats.inserts, 0u);
   EXPECT_EQ(stats.disk_errors, 0u);
 
-  // Faulted in: a second lookup is served from memory.
-  ASSERT_TRUE(reader.lookup(key).has_value());
-  EXPECT_EQ(reader.stats().disk_hits, 1u);
+  // Every lookup reads the record: a second one is served the same.
+  EXPECT_EQ(reader.lookup(key), "disk-payload");
+  EXPECT_EQ(reader.stats().hits, 2u);
+}
+
+TEST(ResultCache, ConfigWithoutDirectoryIsRefused) {
+  EXPECT_THROW(ResultCache{CacheConfig{}}, ContractViolation);
 }
 
 TEST(ResultCache, RecordFileIsNamedByKeyHex) {
   const auto dir = fresh_dir("naming");
   const CellKey key = make_cell_key("named-spec");
-  ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cache{CacheConfig{dir.string()}};
   cache.insert(key, "p");
   EXPECT_TRUE(std::filesystem::exists(dir / (key.hex() + ".ftc")));
 }
 
 TEST(ResultCache, AbsentRecordIsAPlainMiss) {
   const auto dir = fresh_dir("absent");
-  ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cache{CacheConfig{dir.string()}};
   EXPECT_FALSE(cache.lookup(make_cell_key("never-stored")).has_value());
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -399,28 +338,28 @@ TEST(ResultCache, AbsentRecordIsAPlainMiss) {
 TEST(ResultCache, CrossRevisionRecordIsAMiss) {
   const auto dir = fresh_dir("crossrev");
   {
-    ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache cache{CacheConfig{dir.string()}};
     cache.insert(make_cell_key("rev-spec", 1), "old-revision");
   }
   // A schema bump changes the spec ("rev=2;...") and therefore the key;
   // the old record is simply never addressed.
-  ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cache{CacheConfig{dir.string()}};
   EXPECT_FALSE(cache.lookup(make_cell_key("rev-spec", 2)).has_value());
   EXPECT_EQ(cache.stats().disk_errors, 0u);
 }
 
 TEST(ResultCache, PreBumpDiskRecordIsAMissUnderCurrentDefault) {
   // The rev-1 → rev-2 bump (deterministic transcendental derivatives)
-  // specifically: a disk tier populated before the bump serves nothing
-  // to a post-bump binary, without a single disk error — stale results
-  // age out silently rather than poisoning the new numerics.
+  // specifically: a cache directory populated before the bump serves
+  // nothing to a post-bump binary, without a single disk error — stale
+  // results age out silently rather than poisoning the new numerics.
   const auto dir = fresh_dir("prebump");
   const CellKey old_key = make_cell_key("prebump-spec", kEngineSchemaRev - 1);
   {
-    ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache cache{CacheConfig{dir.string()}};
     cache.insert(old_key, "pre-bump-bits");
   }
-  ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cache{CacheConfig{dir.string()}};
   EXPECT_FALSE(cache.lookup(make_cell_key("prebump-spec")).has_value());
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -433,13 +372,13 @@ TEST(ResultCache, TruncatedRecordIsAMissNotAnError) {
   const auto dir = fresh_dir("truncated");
   const CellKey key = make_cell_key("trunc-spec");
   {
-    ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache cache{CacheConfig{dir.string()}};
     cache.insert(key, "truncate-me");
   }
   const auto path = dir / (key.hex() + ".ftc");
   write_file(path, read_file(path).substr(0, 10));
 
-  ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cache{CacheConfig{dir.string()}};
   EXPECT_FALSE(cache.lookup(key).has_value());
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
@@ -450,7 +389,7 @@ TEST(ResultCache, CorruptPayloadFailsChecksumAndMisses) {
   const auto dir = fresh_dir("corrupt");
   const CellKey key = make_cell_key("corrupt-spec");
   {
-    ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache cache{CacheConfig{dir.string()}};
     cache.insert(key, "corrupt-me-corrupt-me");
   }
   const auto path = dir / (key.hex() + ".ftc");
@@ -458,7 +397,7 @@ TEST(ResultCache, CorruptPayloadFailsChecksumAndMisses) {
   bytes[bytes.size() - 12] ^= 0x5a;  // flip a payload byte
   write_file(path, bytes);
 
-  ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cache{CacheConfig{dir.string()}};
   EXPECT_FALSE(cache.lookup(key).has_value());
   EXPECT_EQ(cache.stats().disk_errors, 1u);
 }
@@ -467,7 +406,7 @@ TEST(ResultCache, WrongMagicIsAMiss) {
   const auto dir = fresh_dir("magic");
   const CellKey key = make_cell_key("magic-spec");
   {
-    ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache cache{CacheConfig{dir.string()}};
     cache.insert(key, "payload");
   }
   const auto path = dir / (key.hex() + ".ftc");
@@ -475,7 +414,7 @@ TEST(ResultCache, WrongMagicIsAMiss) {
   bytes[0] = 'X';
   write_file(path, bytes);
 
-  ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cache{CacheConfig{dir.string()}};
   EXPECT_FALSE(cache.lookup(key).has_value());
   EXPECT_EQ(cache.stats().disk_errors, 1u);
 }
@@ -488,24 +427,75 @@ TEST(ResultCache, MismatchedKeyEchoIsAMiss) {
   const CellKey key_a = make_cell_key("mismatch-spec-a");
   const CellKey key_b = make_cell_key("mismatch-spec-b");
   {
-    ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache cache{CacheConfig{dir.string()}};
     cache.insert(key_a, "payload-a");
   }
   std::filesystem::copy_file(dir / (key_a.hex() + ".ftc"),
                              dir / (key_b.hex() + ".ftc"));
 
-  ResultCache cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cache{CacheConfig{dir.string()}};
   EXPECT_FALSE(cache.lookup(key_b).has_value());
   EXPECT_EQ(cache.stats().disk_errors, 1u);
 }
 
 TEST(ResultCache, StatsLineMentionsEveryCounter) {
-  const std::string line = cache_stats_line(CacheStats{});
-  for (const char* field : {"hits=", "misses=", "inserts=", "evictions=",
-                            "mem_bytes=", "entries=", "disk_hits=",
-                            "disk_errors="}) {
-    EXPECT_NE(line.find(field), std::string::npos) << field;
+  // Scripts and the benchmark harness parse these names.
+  EXPECT_EQ(cache_stats_line(CacheStats{.hits = 1,
+                                        .misses = 2,
+                                        .inserts = 3,
+                                        .disk_errors = 4}),
+            "cache: hits=1 misses=2 inserts=3 disk_errors=4");
+}
+
+// Writers with their own ResultCache on one directory store the same
+// keys and payloads while readers look them up. The temp-file + rename
+// publish means a reader sees a whole record or none, and the directory
+// ends with one record per key and no temp file.
+TEST(CachedDisk, ConcurrentWritersPublishWholeRecords) {
+  const auto dir = fresh_dir("concurrent");
+  constexpr std::size_t kKeys = 16, kWriters = 4, kReaders = 2, kPasses = 8;
+  std::vector<CellKey> keys;
+  std::vector<std::string> payloads;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    keys.push_back(make_cell_key("concurrent-" + std::to_string(i)));
+    payloads.emplace_back(1000 + 97 * i, static_cast<char>('a' + i));
   }
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<CacheStats> stats(kWriters + kReaders);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    threads.emplace_back([&, w] {
+      ResultCache cache{CacheConfig{dir.string()}};
+      for (std::size_t pass = 0; pass < kPasses; ++pass)
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          const std::size_t k = (i + w) % kKeys;
+          cache.insert(keys[k], payloads[k]);
+        }
+      stats[w] = cache.stats();
+    });
+  for (std::size_t r = 0; r < kReaders; ++r)
+    threads.emplace_back([&, r] {
+      ResultCache cache{CacheConfig{dir.string()}};
+      for (std::size_t pass = 0; pass < 4 * kPasses; ++pass)
+        for (std::size_t i = 0; i < kKeys; ++i)
+          if (const auto got = cache.lookup(keys[i]);
+              got && *got != payloads[i])
+            wrong.fetch_add(1);
+      stats[kWriters + r] = cache.stats();
+    });
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(wrong.load(), 0u);
+  for (std::size_t t = 0; t < stats.size(); ++t)
+    EXPECT_EQ(stats[t].disk_errors, 0u) << "thread " << t;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    EXPECT_EQ(stats[w].inserts, kPasses * kKeys);
+  std::set<std::string> want;
+  for (const CellKey& key : keys) want.insert(key.hex() + ".ftc");
+  EXPECT_EQ(record_names(dir), want);  // no ".tmp." file is left
+  ResultCache after{CacheConfig{dir.string()}};
+  for (std::size_t i = 0; i < kKeys; ++i)
+    EXPECT_EQ(after.lookup(keys[i]), payloads[i]);
 }
 
 // --- cached sweep: byte-identical cold vs warm vs mixed ---------------
@@ -514,7 +504,7 @@ TEST(CachedSweep, ColdWarmMixedAreByteIdentical) {
   SweepConfig config = small_grid();
   const std::string reference = sweep_csv(config);  // no cache
 
-  ResultCache cache{CacheConfig{}};
+  ResultCache cache{CacheConfig{fresh_dir("sweep_cold").string()}};
   config.cache = &cache;
   const std::string cold = sweep_csv(config);
   const CacheStats after_cold = cache.stats();
@@ -527,7 +517,7 @@ TEST(CachedSweep, ColdWarmMixedAreByteIdentical) {
   EXPECT_EQ(after_warm.inserts, after_cold.inserts);
 
   // Mixed: a fresh cache pre-warmed with only a subset of the grid.
-  ResultCache mixed_cache{CacheConfig{}};
+  ResultCache mixed_cache{CacheConfig{fresh_dir("sweep_mixed").string()}};
   SweepConfig mixed_config = config;
   mixed_config.cache = &mixed_cache;
   const std::vector<CellSpec> all = sweep_cell_specs(mixed_config);
@@ -544,7 +534,7 @@ TEST(CachedSweep, ColdWarmMixedAreByteIdentical) {
 
 TEST(CachedSweep, WarmHitsAreIdenticalAcrossThreadAndBatchKnobs) {
   SweepConfig config = small_grid();
-  ResultCache cache{CacheConfig{}};
+  ResultCache cache{CacheConfig{fresh_dir("sweep_knobs").string()}};
   config.cache = &cache;
   const std::string cold = sweep_csv(config);
 
@@ -572,10 +562,10 @@ TEST(CachedSweep, DeduplicatedAndScalarRecordsServeEachOther) {
         fresh_dir(scalar_writes ? "scalar_writes" : "default_writes");
     SweepConfig writer = scalar_writes ? scalar : config;
     SweepConfig reader = scalar_writes ? config : scalar;
-    ResultCache write_cache{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache write_cache{CacheConfig{dir.string()}};
     writer.cache = &write_cache;
     EXPECT_EQ(sweep_csv(writer), reference);
-    ResultCache read_cache{CacheConfig{dir.string(), 256 << 20}};
+    ResultCache read_cache{CacheConfig{dir.string()}};
     reader.cache = &read_cache;
     EXPECT_EQ(sweep_csv(reader), reference);
     const CacheStats stats = read_cache.stats();
@@ -589,7 +579,7 @@ TEST(CachedSweep, AsyncEngineColdWarmAreByteIdentical) {
   SweepConfig config = small_async_grid();
   const std::string reference = sweep_csv(config);
 
-  ResultCache cache{CacheConfig{}};
+  ResultCache cache{CacheConfig{fresh_dir("sweep_async").string()}};
   config.cache = &cache;
   EXPECT_EQ(sweep_csv(config), reference);
   EXPECT_EQ(sweep_csv(config), reference);
@@ -601,7 +591,7 @@ TEST(CachedSweep, PoisonedDiskCacheStillByteIdentical) {
   SweepConfig config = small_grid();
   config.dims = {1};  // 2 sizes x 2 attacks = 4 cells; 2 get poisoned
 
-  ResultCache cold_cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache cold_cache{CacheConfig{dir.string()}};
   config.cache = &cold_cache;
   const std::string reference = sweep_csv(config);
 
@@ -617,7 +607,7 @@ TEST(CachedSweep, PoisonedDiskCacheStillByteIdentical) {
   write_file(records[1], bytes);
   write_file(dir / "not-a-record.ftc", "garbage");
 
-  ResultCache warm_cache{CacheConfig{dir.string(), 256 << 20}};
+  ResultCache warm_cache{CacheConfig{dir.string()}};
   config.cache = &warm_cache;
   EXPECT_EQ(sweep_csv(config), reference);
   const CacheStats stats = warm_cache.stats();
@@ -636,7 +626,7 @@ TEST(CachedCertify, ColdAndWarmReportsMatchUncached) {
   options.vector_dim = 2;
   const CertificationReport reference = certify_sbg(options);
 
-  ResultCache cache{CacheConfig{}};
+  ResultCache cache{CacheConfig{fresh_dir("certify").string()}};
   options.cache = &cache;
   const CertificationReport cold = certify_sbg(options);
   const CacheStats after_cold = cache.stats();
@@ -656,69 +646,6 @@ TEST(CachedCertify, ColdAndWarmReportsMatchUncached) {
   }
 }
 
-// --- cached attack search ---------------------------------------------
-
-TEST(CachedAttackSearch, ColdAndWarmMatchUncached) {
-  const Scenario base = make_standard_scenario(7, 2, 8.0, AttackKind::None,
-                                               300, 1);
-  const std::vector<AttackCandidate> candidates = standard_attack_grid();
-  const AttackSearchResult reference =
-      find_strongest_attack(base, candidates);
-
-  ResultCache cache{CacheConfig{}};
-  const AttackSearchResult cold =
-      find_strongest_attack(base, candidates, 1, 0, false, &cache);
-  const CacheStats after_cold = cache.stats();
-  EXPECT_EQ(after_cold.inserts, candidates.size() + 1);  // + reference run
-
-  const AttackSearchResult warm =
-      find_strongest_attack(base, candidates, 1, 0, false, &cache);
-  EXPECT_EQ(cache.stats().hits, candidates.size() + 1);
-
-  for (const AttackSearchResult* result : {&cold, &warm}) {
-    EXPECT_EQ(result->reference_state, reference.reference_state);
-    EXPECT_EQ(result->optima.lo(), reference.optima.lo());
-    EXPECT_EQ(result->optima.hi(), reference.optima.hi());
-    ASSERT_EQ(result->outcomes.size(), reference.outcomes.size());
-    for (std::size_t i = 0; i < reference.outcomes.size(); ++i) {
-      EXPECT_EQ(result->outcomes[i].name, reference.outcomes[i].name);
-      EXPECT_EQ(result->outcomes[i].final_state,
-                reference.outcomes[i].final_state);
-      EXPECT_EQ(result->outcomes[i].bias, reference.outcomes[i].bias);
-      EXPECT_EQ(result->outcomes[i].dist_to_y,
-                reference.outcomes[i].dist_to_y);
-      EXPECT_EQ(result->outcomes[i].disagreement,
-                reference.outcomes[i].disagreement);
-    }
-  }
-}
-
-TEST(CachedAttackSearch, AsyncColdAndWarmMatchUncached) {
-  const AsyncScenario base =
-      make_standard_async_scenario(11, 2, 8.0, AttackKind::None, 200, 1);
-  const std::vector<AttackCandidate> candidates = standard_attack_grid();
-  const AttackSearchResult reference =
-      find_strongest_attack_async(base, candidates);
-
-  ResultCache cache{CacheConfig{}};
-  const AttackSearchResult cold =
-      find_strongest_attack_async(base, candidates, 1, 0, false, &cache);
-  const AttackSearchResult warm =
-      find_strongest_attack_async(base, candidates, 1, 0, false, &cache);
-  EXPECT_GT(cache.stats().hits, 0u);
-
-  for (const AttackSearchResult* result : {&cold, &warm}) {
-    EXPECT_EQ(result->reference_state, reference.reference_state);
-    ASSERT_EQ(result->outcomes.size(), reference.outcomes.size());
-    for (std::size_t i = 0; i < reference.outcomes.size(); ++i) {
-      EXPECT_EQ(result->outcomes[i].name, reference.outcomes[i].name);
-      EXPECT_EQ(result->outcomes[i].final_state,
-                reference.outcomes[i].final_state);
-      EXPECT_EQ(result->outcomes[i].bias, reference.outcomes[i].bias);
-    }
-  }
-}
-
 // --- undecodable payloads ---------------------------------------------
 
 // A payload that passes the record checksum but not the driver's decode
@@ -726,7 +653,7 @@ TEST(CachedAttackSearch, AsyncColdAndWarmMatchUncached) {
 // against a disk cache whose record under `key` is spoil(good), where
 // good is what a cold run stores there. The output equals the uncached
 // one, the run counts the spoiled record as a miss, not a hit, and
-// afterwards `key` holds good, in memory and on disk.
+// afterwards the record under `key` holds good.
 void expect_undecodable_payload_replaced(
     const std::string& name, const CellKey& key,
     const std::function<std::string(const std::string&)>& spoil,
@@ -745,9 +672,7 @@ void expect_undecodable_payload_replaced(
   EXPECT_EQ(run(&cache), uncached);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, cold_misses);
-  EXPECT_EQ(cache.lookup(key), good) << "in memory";
-  EXPECT_EQ(ResultCache{CacheConfig{dir.string()}}.lookup(key), good)
-      << "on disk";
+  EXPECT_EQ(ResultCache{CacheConfig{dir.string()}}.lookup(key), good);
 }
 
 TEST(CachedDrivers, UndecodablePayloadIsReplaced) {
@@ -781,19 +706,6 @@ TEST(CachedDrivers, UndecodablePayloadIsReplaced) {
         CertifyOptions options = small_certify();
         options.cache = cache;
         return report_text(certify_sbg(options));
-      });
-
-  expect_undecodable_payload_replaced(
-      "search",
-      make_cell_key(std::string("attack-search-ref;engine=sync;base=") +
-                    kSmallSearchBaseFile),
-      [](const std::string& good) {
-        return good.substr(0, good.size() - 1);
-      },
-      [](ResultCache* cache) {
-        return search_text(find_strongest_attack(
-            small_search_base(), standard_attack_grid(), 1, 0, false,
-            cache));
       });
 }
 

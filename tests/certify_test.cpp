@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 
 #include "cache/result_cache.hpp"
@@ -71,8 +72,11 @@ TEST(Certify, RejectsBadResilience) {
 TEST(Certify, RefusesNonPositiveSpreadBeforeAnySection) {
   // The message names the field, and no section has asked the cache
   // for a run when it comes.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "ftmao_certify_test_spread";
+  std::filesystem::remove_all(dir);
   for (double spread : {0.0, -1.0}) {
-    ResultCache cache(CacheConfig{});
+    ResultCache cache(CacheConfig{dir.string()});
     CertifyOptions options;
     options.spread = spread;
     options.cache = &cache;
@@ -85,6 +89,7 @@ TEST(Certify, RefusesNonPositiveSpreadBeforeAnySection) {
     }
     EXPECT_EQ(cache.stats().hits + cache.stats().misses, 0u);
   }
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(Certify, Deterministic) {

@@ -4,11 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <memory>
 #include <sstream>
 
-#include "cache/result_cache.hpp"
 #include "cli/args.hpp"
+#include "cli/certify_app.hpp"
 #include "cli/cli_app.hpp"
 #include "cli/engine_flags.hpp"
 #include "common/contracts.hpp"
@@ -381,6 +380,9 @@ TEST(GridFlags, MalformedGridsFailNamingTheFlag) {
           {{"--step-scale", "0"}, "step"},
           {{"--step", "geometric"}, "step"},
           {{"--delay-lo", "nan"}, "delay"},
+          {{"--delay", "fixed"}, "delay"},  // the sync engine has no delays
+          {{"--delay-lo", "3"}, "delay"},
+          {{"--delay-hi", "2"}, "delay"},
       };
   for (const auto& [args, field] : cases) {
     try {
@@ -425,10 +427,6 @@ TEST(CountFlags, NegativeIsRefusedNamingTheFlagAndZeroIsAccepted) {
   }
 
   // The readers that use it refuse -1 before any work, naming the flag.
-  ArgParser cache_parser(specs);
-  ASSERT_FALSE(cache_parser.parse({"--cache-dir", "unused", "--cache-mem-mb",
-                                   "-1"}).has_value());
-  EXPECT_THROW(cache_from(cache_parser), ContractViolation);
   for (const char* flag : {"--n", "--f", "--rounds", "--seed",
                            "--flip-period", "--activation-round"}) {
     std::string err;
@@ -440,27 +438,49 @@ TEST(CountFlags, NegativeIsRefusedNamingTheFlagAndZeroIsAccepted) {
   EXPECT_NE(err.find("--n "), std::string::npos) << err;
 }
 
-TEST(CountFlags, CacheMemoryPastSizeTIsRefusedNamingTheFlag) {
-  // --cache-mem-mb 2^44 is 2^64 bytes: refused with the flag named, not
-  // wrapped to a 0-byte budget. 2^44 - 1 is the largest budget accepted.
-  ArgParser past(cache_flag_specs());
-  ASSERT_FALSE(past.parse({"--cache-dir", "unused", "--cache-mem-mb",
-                           "17592186044416"}).has_value());
-  try {
-    cache_from(past);
-    ADD_FAILURE() << "--cache-mem-mb 2^44: accepted";
-  } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("--cache-mem-mb "),
-              std::string::npos)
-        << e.what();
+// --------------------------------------------------------------- certify
+
+TEST(CertifyFlags, SkippedSectionRefusesItsFlags) {
+  // --async-rounds 0 and --vector-rounds 0 skip a section, which then
+  // reads none of its flags: each is refused (exit 2) with the flag
+  // named, before any section runs.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {
+          {{"--async-rounds", "0", "--async-n", "4", "--async-f", "3",
+            "--vector-rounds", "0", "--vector-dim", "0"},
+           "--async-n"},
+          {{"--async-f", "3", "--async-rounds", "0"}, "--async-f"},
+          {{"--async-rounds", "0", "--async-consensus-eps", "1"},
+           "--async-consensus-eps"},
+          {{"--async-rounds", "0", "--async-optimality-eps", "1"},
+           "--async-optimality-eps"},
+          {{"--vector-rounds", "0", "--vector-dim", "0"}, "--vector-dim"},
+          {{"--vector-rounds", "0", "--vector-consensus-eps", "1"},
+           "--vector-consensus-eps"},
+          {{"--vector-optimality-eps", "1", "--vector-rounds", "0"},
+           "--vector-optimality-eps"},
+      };
+  for (const auto& [args, flag] : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_certify(args, out, err), 2) << flag;
+    EXPECT_EQ(out.str(), "") << flag;
+    EXPECT_NE(err.str().find("error: " + flag + " "), std::string::npos)
+        << err.str();
   }
-  ArgParser last(cache_flag_specs());
-  ASSERT_FALSE(last.parse({"--cache-dir", "unused", "--cache-mem-mb",
-                           "17592186044415"}).has_value());
-  const std::unique_ptr<ResultCache> cache = cache_from(last);
-  ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(cache->config().max_memory_bytes,
-            std::size_t{17592186044415} << 20);
+
+  // Both sections skipped, and none of their flags given: the sync
+  // section alone runs and reports.
+  std::ostringstream out, err;
+  const int code = run_certify({"--n", "4", "--f", "1", "--rounds", "30",
+                                "--async-rounds", "0", "--vector-rounds",
+                                "0"},
+                               out, err);
+  EXPECT_TRUE(code == 0 || code == 1) << err.str();
+  EXPECT_EQ(out.str().find("async-"), std::string::npos) << out.str();
+  EXPECT_EQ(out.str().find("vector-"), std::string::npos) << out.str();
+  EXPECT_TRUE(out.str().ends_with("\nCERTIFIED\n") ||
+              out.str().ends_with("\nFAILED\n"))
+      << out.str();
 }
 
 }  // namespace

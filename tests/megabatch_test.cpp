@@ -283,7 +283,7 @@ TEST(MegabatchAttackSearch, RankingIdenticalAcrossModes) {
       make_standard_scenario(7, 2, 8.0, AttackKind::None, 200, 1);
   const auto candidates = standard_attack_grid();
   const AttackSearchResult scalar = find_strongest_attack(
-      base, candidates, 1, 0, /*scalar_engine=*/true, nullptr);
+      base, candidates, 1, 0, /*scalar_engine=*/true);
   for (std::size_t batch : {std::size_t{0}, std::size_t{3}}) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
     expect_outcomes_identical(

@@ -243,6 +243,10 @@ TEST(GridSpecCodec, MalformedGridsFailNamingTheField) {
          g.sizes = {{6, 1}};
          g.delay_hi = 0.25;
        }},
+      // The sync engine has no delays: a sync grid keeps the defaults.
+      {"delay", [](GridSpec& g) { g.delay_kind = DelayKind::Fixed; }},
+      {"delay", [](GridSpec& g) { g.delay_lo = 3; }},
+      {"delay", [](GridSpec& g) { g.delay_hi = 2; }},
   };
   for (const auto& change : changes) {
     GridSpec grid = grid_config();
